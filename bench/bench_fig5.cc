@@ -30,8 +30,7 @@ std::vector<u8> make_bits() {
 
 double rate_prio(size_t s, int n) {
   afe::BitVectorSum<F> afe(kL);
-  PrioDeployment<F, afe::BitVectorSum<F>> dep(
-      &afe, {.num_servers = s, .latency_us = 250});
+  PrioDeployment<F, afe::BitVectorSum<F>> dep(&afe, {.num_servers = s});
   SecureRng rng(1);
   auto bits = make_bits();
   std::vector<std::vector<std::vector<u8>>> blobs;
@@ -43,8 +42,7 @@ double rate_prio(size_t s, int n) {
 
 double rate_prio_mpc(size_t s, int n) {
   afe::BitVectorSum<F> afe(kL);
-  PrioMpcDeployment<F, afe::BitVectorSum<F>> dep(
-      &afe, {.num_servers = s, .latency_us = 250});
+  PrioMpcDeployment<F, afe::BitVectorSum<F>> dep(&afe, {.num_servers = s});
   SecureRng rng(2);
   auto bits = make_bits();
   std::vector<std::vector<std::vector<u8>>> blobs;

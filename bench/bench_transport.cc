@@ -1,11 +1,9 @@
-// Simnet vs real-transport verification throughput: the same batched SNIP
-// pipeline driven (a) by the simulated in-process deployment, (b) by real
-// ServerNode protocol nodes exchanging sealed frames over in-process
-// loopback queues, and (c) by the same nodes over real TCP sockets on
-// localhost. The spread between (a) and (c) is the price of actual message
-// serialization, sealing, and socket I/O -- the paper's deployments are
-// compute-bound, so the batched pipeline should keep TCP within a small
-// factor of simnet on a loaded host.
+// Loopback vs TCP verification throughput: the same batched SNIP protocol
+// run by ServerNode protocol nodes exchanging sealed frames (a) over
+// in-process loopback queues -- what PrioDeployment runs -- and (b) over
+// real TCP sockets on localhost. The spread is the price of socket I/O;
+// the paper's deployments are compute-bound, so the batched pipeline should
+// keep TCP within a small factor of loopback on a loaded host.
 
 #include <cstdio>
 #include <latch>
@@ -14,7 +12,6 @@
 #include "afe/bitvec_sum.h"
 #include "bench_util.h"
 #include "core/client.h"
-#include "core/deployment.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "server/node.h"
@@ -100,45 +97,26 @@ int main() {
   const size_t kBatch = 64;
   Afe afe(kLen);
 
-  benchutil::header("simnet vs real transport (batched SNIP verification)");
+  benchutil::header("loopback vs TCP transport (batched SNIP verification)");
   std::printf("servers=%zu  submission_len=%zu  N=%zu  Q=%zu  hw_threads=%u\n",
               kServers, kLen, kN, kBatch, std::thread::hardware_concurrency());
 
   auto subs = make_workload(afe, kN);
 
-  // (a) Simulated deployment: all servers driven from one thread, traffic
-  // accounted but never materialized.
-  double sim_rate;
-  {
-    DeploymentOptions opts;
-    opts.num_servers = kServers;
-    opts.master_seed = kMasterSeed;
-    opts.batch_threads = 1;
-    PrioDeployment<F, Afe> dep(&afe, opts);
-    double secs = benchutil::time_seconds([&] {
-      for (size_t off = 0; off < subs.size(); off += kBatch) {
-        const size_t q = std::min(kBatch, subs.size() - off);
-        dep.process_batch(std::span<const Submission>(subs.data() + off, q));
-      }
-    }, 1);
-    sim_rate = static_cast<double>(subs.size()) / secs;
-  }
-  std::printf("\n%-34s %12.0f subs/s   (baseline)\n", "simnet process_batch",
-              sim_rate);
-
-  // (b) Real protocol nodes over loopback queues (frames serialized and
-  // sealed, no sockets).
+  // (a) Protocol nodes over loopback queues (frames serialized and sealed,
+  // no sockets).
+  double loop_rate;
   {
     net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/60'000);
-    auto rate = mesh_rate(afe, subs, kBatch, [&](size_t i) {
+    loop_rate = mesh_rate(afe, subs, kBatch, [&](size_t i) {
       return std::make_unique<net::LoopbackTransport>(&mesh, i);
     }, nullptr);
-    std::printf("%-34s %12.0f subs/s   (%.2fx simnet)  [%.1f wire B/sub]\n",
-                "ServerNode mesh, loopback", rate, rate / sim_rate,
+    std::printf("\n%-34s %12.0f subs/s   (baseline)  [%.1f wire B/sub]\n",
+                "ServerNode mesh, loopback", loop_rate,
                 static_cast<double>(mesh.sim().total_bytes()) / kN);
   }
 
-  // (c) The same nodes over real TCP sockets on localhost.
+  // (b) The same nodes over real TCP sockets on localhost.
   {
     std::vector<std::unique_ptr<net::TcpListener>> listeners;
     std::vector<net::TcpMeshTransport::PeerAddr> addrs;
@@ -152,8 +130,8 @@ int main() {
       return std::make_unique<net::TcpMeshTransport>(
           i, addrs, listeners[i].get(), mesh_secret, 30'000, 60'000);
     }, &bytes);
-    std::printf("%-34s %12.0f subs/s   (%.2fx simnet)  [server0 sent %.1f B/sub]\n",
-                "ServerNode mesh, TCP localhost", rate, rate / sim_rate,
+    std::printf("%-34s %12.0f subs/s   (%.2fx loopback)  [server0 sent %.1f B/sub]\n",
+                "ServerNode mesh, TCP localhost", rate, rate / loop_rate,
                 static_cast<double>(bytes) / kN);
   }
   return 0;

@@ -15,10 +15,10 @@
 //   1. the reply's AFE identity (wire id + canonical spec) is ours;
 //   2. the server's typed Result payload is bit-identical to our own
 //      decode of the published sigma vector; and
-//   3. both are bit-identical to a local simnet reproduction -- the same M
-//      clients' inputs through PrioDeployment::process_batch
-//      (core/deployment.h) with the same master seed -- and the accepted
-//      count matches the simnet's.
+//   3. the published sigma, accepted count and typed result are
+//      bit-identical to the plaintext reference (baseline/no_privacy.h):
+//      the summed encodings of the M clients' untampered inputs, which
+//      shares no code with the servers' SNIP path.
 //
 // The process exits 0 iff all three hold: the correctness gate for the
 // whole multi-process runtime, for every AFE in the catalogue. With
@@ -30,8 +30,8 @@
 #include <cstdio>
 
 #include "afe/registry.h"
+#include "baseline/no_privacy.h"
 #include "core/client.h"
-#include "core/deployment.h"
 #include "server/cli.h"
 #include "server/protocol.h"
 
@@ -172,27 +172,18 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
   const auto local_bytes = afe::result_bytes(afe, tcp_result);
   const bool typed_match = local_bytes == typed;
 
-  // Check 3: local ground truth -- the same inputs through the simulated
-  // deployment with the same master seed.
-  DeploymentOptions opts;
-  opts.num_servers = s;
-  opts.master_seed = common.master_seed;
-  PrioDeployment<F, Afe> sim(&afe, opts);
-  SecureRng sim_rng = SecureRng::from_os_entropy();
-  std::vector<Submission> subs;
+  // Check 3: the plaintext reference over the same M clients' inputs.
+  baseline::PlaintextReference<F, Afe> ref(&afe);
   for (u64 cid = 0; cid < expect; ++cid) {
-    auto blobs = sim.client_upload(afe::sample_input(afe, cid), cid, sim_rng);
-    if (tampered(cid, tamper_every)) blobs[cid % s][12] ^= 1;
-    subs.push_back({cid, std::move(blobs)});
+    if (!tampered(cid, tamper_every)) ref.add(cid, afe::sample_input(afe, cid));
   }
-  sim.process_batch(std::span<const Submission>(subs));
-  auto sim_result = sim.publish();
-  const bool sim_match = afe::result_bytes(afe, sim_result) == local_bytes &&
-                         accepted == sim.accepted();
+  const bool ref_match = sigma == ref.sigma() && accepted == ref.accepted() &&
+                         afe::result_bytes(afe, ref.result()) == local_bytes;
 
-  std::printf("[client] epoch %u: accepted %llu/%llu (simnet %zu)\n", epoch,
-              static_cast<unsigned long long>(accepted),
-              static_cast<unsigned long long>(expect), sim.accepted());
+  std::printf("[client] epoch %u: accepted %llu/%llu (reference %llu)\n",
+              epoch, static_cast<unsigned long long>(accepted),
+              static_cast<unsigned long long>(expect),
+              static_cast<unsigned long long>(ref.accepted()));
   const size_t show = std::min<size_t>(sigma.size(), 8);
   for (size_t i = 0; i < show; ++i) {
     std::printf("  sigma[%zu] = %llu\n", i,
@@ -200,10 +191,10 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
   }
   std::printf(
       "[client] typed result (%zu bytes) %s server decode; TCP aggregate %s "
-      "simnet aggregate\n",
+      "plaintext reference\n",
       local_bytes.size(), typed_match ? "MATCHES" : "DIVERGES FROM",
-      sim_match ? "MATCHES" : "DIVERGES FROM");
-  return typed_match && sim_match ? 0 : 1;
+      ref_match ? "MATCHES" : "DIVERGES FROM");
+  return typed_match && ref_match ? 0 : 1;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "afe/sum.h"
+#include "core/client.h"
 #include "core/deployment.h"
 
 using namespace prio;
@@ -44,23 +45,10 @@ int main() {
   // transport layer, but the SNIP proves Valid(x) over secret shares and
   // the servers reject it without ever seeing the value 50.
   {
-    struct RawAfe {
-      using Field [[maybe_unused]] = F;
-      using Input = std::vector<F>;
-      using Result = u128;
-      const afe::IntegerSum<F>* inner;
-      size_t k() const { return inner->k(); }
-      size_t k_prime() const { return inner->k_prime(); }
-      std::vector<F> encode(const Input& v) const { return v; }
-      const Circuit<F>& valid_circuit() const { return inner->valid_circuit(); }
-      Result decode(std::span<const F> s, size_t n) const {
-        return inner->decode(s, n);
-      }
-    };
-    RawAfe raw{&afe};
-    PrioDeployment<F, RawAfe> evil(&raw, opts);  // same keys (same seed)
+    PrioClient<F, afe::IntegerSum<F>> evil(&afe, opts.num_servers,
+                                           opts.master_seed);  // same keys
     std::vector<F> bogus = {F::from_u64(50), F::from_u64(0)};
-    auto blobs = evil.client_upload(bogus, 5000, rng);
+    auto blobs = evil.upload_encoding(bogus, 5000, rng);
     bool accepted = deployment.process_submission(5000, blobs);
     std::printf("malicious submission accepted? %s\n",
                 accepted ? "YES (bug!)" : "no (rejected by SNIP)");

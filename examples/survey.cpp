@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "afe/bitvec_sum.h"
+#include "core/client.h"
 #include "core/deployment.h"
 
 using namespace prio;
@@ -40,25 +41,12 @@ int main() {
 
   // Ballot stuffing: a client submits 10 instead of a 0/1 answer.
   {
-    struct RawAfe {
-      using Field [[maybe_unused]] = F;
-      using Input = std::vector<F>;
-      using Result = std::vector<u64>;
-      const afe::BitVectorSum<F>* inner;
-      size_t k() const { return inner->k(); }
-      size_t k_prime() const { return inner->k_prime(); }
-      std::vector<F> encode(const Input& v) const { return v; }
-      const Circuit<F>& valid_circuit() const { return inner->valid_circuit(); }
-      Result decode(std::span<const F> s, size_t n) const {
-        return inner->decode(s, n);
-      }
-    };
-    RawAfe raw{&afe};
-    PrioDeployment<F, RawAfe> evil(&raw, opts);
+    PrioClient<F, afe::BitVectorSum<F>> evil(&afe, opts.num_servers,
+                                             opts.master_seed);
     std::vector<F> stuffed(kQuestions, F::zero());
     stuffed[0] = F::from_u64(10);
     bool accepted = deployment.process_submission(
-        999, evil.client_upload(stuffed, 999, rng));
+        999, evil.upload_encoding(stuffed, 999, rng));
     std::printf("ballot-stuffing submission: %s\n",
                 accepted ? "ACCEPTED (bug!)" : "rejected");
   }

@@ -1,6 +1,6 @@
 // Runtime AFE catalogue: one spec string names any affine-aggregatable
-// encoding in src/afe/, so the server, the client, the simnet oracle, and
-// the load generator all construct the same AFE from the same text.
+// encoding in src/afe/, so the server, the client, the plaintext reference,
+// and the load generator all construct the same AFE from the same text.
 //
 // Grammar (resolve_afe_spec in server/cli.h adds the deprecated --len
 // sugar on top):
@@ -429,8 +429,8 @@ std::vector<u8> result_bytes(const Afe& afe, const typename Afe::Result& res) {
 
 // ---------------------------------------------------------------------------
 // Deterministic workload inputs: the same (spec, client id) yields the
-// same private input in the client, the load generator, and the simnet
-// oracle, which is what makes the published aggregate checkable.
+// same private input in the client, the load generator, and the plaintext
+// reference, which is what makes the published aggregate checkable.
 // ---------------------------------------------------------------------------
 
 // splitmix64 finalizer (same mixer family as server/protocol.h shard_of).

@@ -2,7 +2,12 @@
 // client submissions directly and accumulates them in the clear. No secret
 // sharing, no proofs -- the upper bound on throughput that Figure 4's
 // "No privacy" line reports.
+//
+// Also the plaintext reference every Prio pipeline's published aggregate
+// is checked against.
 #pragma once
+
+#include <unordered_set>
 
 #include "afe/afe.h"
 #include "crypto/aead.h"
@@ -12,6 +17,44 @@
 #include "net/wire.h"
 
 namespace prio::baseline {
+
+// The correctness oracle for the tests and tools: Σ afe.encode(input) over
+// the inputs the caller knows are honest, and its decode. No shares,
+// proofs, sealing or rounds, so it shares no code with the SNIP path it
+// checks. A client id counts once, at its first delivery: the servers'
+// replay floors reject any resend, in later epochs too. Callers skip
+// tampered submissions themselves.
+template <PrimeField F, typename Afe>
+class PlaintextReference {
+ public:
+  explicit PlaintextReference(const Afe* afe)
+      : afe_(afe), sigma_(afe->k_prime(), F::zero()) {}
+
+  void add(u64 client_id, const typename Afe::Input& in) {
+    if (!seen_.insert(client_id).second) return;
+    const std::vector<F> enc = afe_->encode(in);
+    for (size_t c = 0; c < sigma_.size(); ++c) sigma_[c] += enc[c];
+    ++accepted_;
+  }
+
+  const std::vector<F>& sigma() const { return sigma_; }
+  u64 accepted() const { return accepted_; }
+  typename Afe::Result result() const {
+    return afe_->decode(std::span<const F>(sigma_), accepted_);
+  }
+
+  // Starts the next epoch's aggregate; ids already seen stay seen.
+  void next_epoch() {
+    std::fill(sigma_.begin(), sigma_.end(), F::zero());
+    accepted_ = 0;
+  }
+
+ private:
+  const Afe* afe_;
+  std::vector<F> sigma_;
+  u64 accepted_ = 0;
+  std::unordered_set<u64> seen_;
+};
 
 template <PrimeField F, typename Afe>
 class NoPrivacyDeployment {

@@ -1,13 +1,9 @@
 // Standalone Prio client encoder: turns one private input into the sealed
 // per-server blobs of a submission, with no server state attached.
 //
-// PrioDeployment bundles client and servers in one object because the
-// simulation drives both sides; a real deployment's client knows only the
-// public deployment parameters (AFE, server count, sealing secret). This
-// encoder is that client. It produces bit-identical uploads to
-// PrioDeployment::client_upload for the same (client, submission counter,
-// RNG stream), which is what lets the multi-process runtime's aggregate be
-// checked against a simnet run over the same inputs.
+// A real deployment's client knows only the public deployment parameters
+// (AFE, server count, sealing secret). This encoder is that client;
+// PrioDeployment::client_upload delegates to it.
 #pragma once
 
 #include "afe/afe.h"
@@ -38,7 +34,15 @@ class PrioClient {
   std::vector<std::vector<u8>> upload(const typename Afe::Input& in,
                                       u64 client_id, SecureRng& rng,
                                       u64* seq_out = nullptr) const {
-    std::vector<F> encoding = afe_->encode(in);
+    return upload_encoding(afe_->encode(in), client_id, rng, seq_out);
+  }
+
+  // upload() for an already-encoded input. Tests and demos pass an
+  // encoding that fails Valid: its sealing is genuine, so only the
+  // servers' SNIP check can reject it.
+  std::vector<std::vector<u8>> upload_encoding(std::span<const F> encoding,
+                                               u64 client_id, SecureRng& rng,
+                                               u64* seq_out = nullptr) const {
     std::vector<F> ext = prover_.build_extended_input(encoding, rng);
     const u64 seq = sealer_.next_seq(client_id);
     if (seq_out) *seq_out = seq;

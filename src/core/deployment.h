@@ -1,53 +1,45 @@
 // The full Prio pipeline (Section 5.1 "Putting it all together" and
-// Appendix H): Upload -> Validate -> Aggregate -> Publish, over the
-// simulated multi-datacenter network.
+// Appendix H): Upload -> Validate -> Aggregate -> Publish, in one process.
 //
-// One PrioDeployment owns s server instances, the SimNetwork connecting
-// them, and per-server busy-time clocks. Clients are stateless helpers that
-// produce sealed uploads. The leader for submission i is server i mod s
-// (Section 6.1's load-balancing: the leader relays the Beaver broadcast, so
-// rotating it spreads the extra traffic evenly and throughput stays flat as
-// servers are added -- Figure 5).
+// One PrioDeployment is a thin harness over s ServerNodes (server/node.h),
+// the same protocol node the prio_server binary runs, connected by one
+// LoopbackMesh. Each node runs on its own thread and exchanges real sealed
+// frames with its peers, so the four SNIP rounds exist once, in
+// ServerNode::run_rounds. The mesh's SimNetwork accounts every frame
+// (network()), and clocks() credits each server with its node thread's CPU
+// time, so time a node spends blocked waiting for a peer is not busy time.
 //
-// Per-submission message flow (SNIP variant):
-//   round 1: every non-leader sends its (d_i, e_i) share to the leader
-//   round 2: the leader broadcasts the sums (d, e)
-//   round 3: every non-leader sends (sigma_i, out_i) to the leader
-//   round 4: the leader broadcasts the accept/reject bit
-// A non-leader therefore transmits a constant ~4 field elements per
-// submission regardless of submission length -- the flat Prio line of
-// Figure 6.
-//
-// process_batch amortizes the same protocol over Q submissions (Section 6 /
-// Appendix I): the secret point r and its Lagrange rows are reused across
-// the batch, per-server local work fans out over a thread pool, and each of
-// the four rounds ships one coalesced message (Q pairs / a Q-bit bitmap)
-// instead of Q messages.
+// Batch b is led by server b mod s (Section 6.1's load balancing: the
+// leader relays the broadcasts, so rotating it spreads the extra traffic
+// evenly and throughput stays flat as servers are added -- Figure 5).
+// process_submission is a batch of one; process_batch amortizes the rounds
+// over Q submissions (Section 6 / Appendix I): each of the four rounds
+// ships one coalesced frame per link. A non-leader transmits a constant
+// number of bytes per submission regardless of submission length -- the
+// flat Prio line of Figure 6.
 #pragma once
 
-#include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <thread>
 
-#include "afe/afe.h"
-#include "core/submission.h"
-#include "crypto/rng.h"
-#include "net/channel.h"
-#include "net/simnet.h"
-#include "net/wire.h"
-#include "snip/snip.h"
-#include "util/thread_pool.h"
+#include "core/client.h"
+#include "net/transport.h"
+#include "server/node.h"
 
 namespace prio {
 
 struct DeploymentOptions {
   size_t num_servers = 5;
   u64 master_seed = 1;          // deployment master secret (tests/benches)
-  u64 latency_us = 250;         // one-way link latency for the simulation
   size_t refresh_every = 1024;  // resample r after this many submissions
-  size_t batch_threads = 0;     // process_batch pool size; 0 = hardware
+  // Each server's local-check pool; 0 = hardware. At 1 the checks run on
+  // the node's own thread, so clocks() sees all of a server's work.
+  size_t batch_threads = 1;
   // Test-only override for the servers' local differential-privacy noise
   // RNGs. Production (nullopt) draws every server's noise from its own OS
   // entropy, so noise is unpredictable even to someone who knows
@@ -77,369 +69,105 @@ std::vector<u8> process_in_refresh_chunks(std::span<const Submission> batch,
   return verdicts;
 }
 
-// r may serve at most refresh_every submissions; `upcoming` are about to be
-// verified under the current r, so refresh every server's context first if
-// that would overrun (batch-safe, unlike a processed % refresh_every test).
-// ServerRange elements must expose a VerificationContext member `ctx`.
-template <typename ServerRange>
-void refresh_contexts_if_due(ServerRange& servers, size_t refresh_every,
-                             size_t upcoming) {
-  if (servers.front().ctx.refresh_due(refresh_every, upcoming)) {
-    for (auto& srv : servers) srv.ctx.refresh();
-  }
-  for (auto& srv : servers) srv.ctx.note_submissions(upcoming);
-}
-
-// Wire accounting for server-to-server traffic (TLS in the paper): payload
-// plus AEAD framing, one physical message carrying `logical` protocol-level
-// messages.
-inline void framed_send(net::SimNetwork& net, size_t from, size_t to,
-                        size_t payload_len, u64 logical = 1) {
-  net.send_coalesced(from, to, payload_len + net::SecureChannel::kOverhead,
-                     logical);
-}
-
-inline void framed_broadcast(net::SimNetwork& net, size_t num_servers,
-                             size_t from, size_t payload_len,
-                             u64 logical = 1) {
-  for (size_t to = 0; to < num_servers; ++to) {
-    if (to != from) framed_send(net, from, to, payload_len, logical);
-  }
-}
-
 template <PrimeField F, typename Afe>
 class PrioDeployment {
  public:
   PrioDeployment(const Afe* afe, DeploymentOptions opts)
       : afe_(afe),
         opts_(opts),
-        prover_(&afe->valid_circuit()),
-        net_(opts.num_servers, opts.latency_us),
+        client_(afe, opts.num_servers, opts.master_seed),
+        mesh_(opts.num_servers),
         clocks_(opts.num_servers),
-        sealer_(master_seed_bytes(opts.master_seed)) {
-    require(opts.num_servers >= 2, "PrioDeployment: need >= 2 servers");
+        published_sigma_(afe->k_prime(), F::zero()) {
     for (size_t i = 0; i < opts.num_servers; ++i) {
-      servers_.push_back(ServerState{
-          VerificationContext<F>(&afe->valid_circuit(), opts.num_servers,
-                                 opts.master_seed ^ 0x5eed),
-          std::vector<F>(afe->k_prime(), F::zero()), make_noise_rng(i)});
+      links_.push_back(std::make_unique<net::LoopbackTransport>(&mesh_, i));
+      ServerNodeConfig cfg;
+      cfg.num_servers = opts.num_servers;
+      cfg.self = i;
+      cfg.master_seed = opts.master_seed;
+      cfg.refresh_every = opts.refresh_every;
+      cfg.batch_threads = opts.batch_threads;
+      nodes_.push_back(
+          std::make_unique<ServerNode<F, Afe>>(afe, cfg, links_.back().get()));
+      noise_rngs_.push_back(make_noise_rng(i));
+    }
+    try {
+      for (size_t i = 0; i < opts.num_servers; ++i) {
+        threads_.emplace_back([this, i] { serve(i); });
+      }
+    } catch (...) {
+      stop_threads();
+      throw;
     }
   }
+
+  ~PrioDeployment() { stop_threads(); }
+  PrioDeployment(const PrioDeployment&) = delete;
+  PrioDeployment& operator=(const PrioDeployment&) = delete;
 
   const Afe& afe() const { return *afe_; }
-  net::SimNetwork& network() { return net_; }
+  net::SimNetwork& network() { return mesh_.sim(); }
   net::BusyClock& clocks() { return clocks_; }
-  size_t accepted() const { return accepted_; }
-  size_t processed() const { return processed_; }
-
-  // The servers' current summed accumulators, without publish()'s network
-  // accounting. The deployment accumulates across batches, so an oracle
-  // checking a PER-EPOCH aggregate (the multi-process runtime resets its
-  // accumulator every epoch) diffs this at the epoch boundaries.
-  std::vector<F> sigma_now() const {
-    std::vector<F> sigma(afe_->k_prime(), F::zero());
-    for (const auto& srv : servers_) {
-      for (size_t c = 0; c < afe_->k_prime(); ++c) {
-        sigma[c] += srv.accumulator[c];
-      }
-    }
-    return sigma;
+  size_t accepted() const {
+    return published_accepted_ + nodes_.front()->accepted();
   }
+  size_t processed() const { return nodes_.front()->processed(); }
 
   // -------------------------------------------------------------------
   // Client side. Returns one sealed blob per server. Shares 0..s-2 are PRG
   // seeds; share s-1 is explicit (Appendix I compression). Each call
-  // advances the client's submission counter, which keys the sealing (see
-  // seal_for_server), so repeated submissions never reuse a (key, nonce).
+  // advances the client's submission counter, which keys the sealing, so
+  // repeated submissions never reuse a (key, nonce).
   // -------------------------------------------------------------------
   std::vector<std::vector<u8>> client_upload(const typename Afe::Input& in,
                                              u64 client_id,
                                              SecureRng& rng) const {
-    std::vector<F> encoding = afe_->encode(in);
-    std::vector<F> ext = prover_.build_extended_input(encoding, rng);
-    return seal_shared_vector<F>(sealer_, std::span<const F>(ext),
-                                 opts_.num_servers, client_id,
-                                 sealer_.next_seq(client_id), rng);
+    return client_.upload(in, client_id, rng);
   }
 
-  // -------------------------------------------------------------------
-  // Server side: feeds one submission through validation + aggregation.
-  // Returns true iff the servers accepted (and accumulated) it.
-  // -------------------------------------------------------------------
+  // Feeds one submission through validation + aggregation as a batch of
+  // one. Returns true iff the servers accepted (and accumulated) it.
   bool process_submission(u64 client_id,
                           const std::vector<std::vector<u8>>& blobs) {
-    require(blobs.size() == opts_.num_servers, "process_submission: blob count");
-    const size_t s = opts_.num_servers;
-    const size_t leader = static_cast<size_t>(client_id % s);
-
-    refresh_contexts_if_due(servers_, opts_.refresh_every, 1);
-
-    // Phase 1: every server decrypts, expands, and runs the local check.
-    // The decrypt/expand step writes into the engine's reusable landing
-    // buffer and the check runs allocation-free on the same scratch.
-    ensure_verifiers(1);
-    SnipVerifier<F>& ver = verifiers_[0];
-    std::vector<std::optional<SnipLocalState<F>>> states(s);
-    std::vector<std::vector<F>> x_shares(s);
-    u64 seq = 0;
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      if (!open_sealed_share_into<F>(sealer_, client_id, i, blobs[i],
-                                     ver.ext_buffer(),
-                                     i == 0 ? &seq : nullptr)) {
-        continue;  // malformed: server i will vote reject
-      }
-      states[i] = ver.local_check(servers_[i].ctx, i);
-      x_shares[i].assign(ver.ext_buffer().begin(),
-                         ver.ext_buffer().begin() + afe_->k_prime());
-    }
-
-    // Replayed submission counters are rejected up front, like malformed
-    // blobs: the servers never verify or re-aggregate them.
-    bool parse_ok = replay_.fresh(client_id, seq);
-    for (const auto& st : states) parse_ok = parse_ok && st.has_value();
-
-    bool accept = false;
-    if (parse_ok) {
-      // Round 1+2: (d, e) to the leader, sums broadcast back.
-      F d = F::zero(), e = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        net::Writer w;
-        w.field(states[i]->d_share);
-        w.field(states[i]->e_share);
-        if (i != leader) send(i, leader, w.data());
-        d += states[i]->d_share;
-        e += states[i]->e_share;
-      }
-      net_.end_round();
-      framed_broadcast(net_, s, leader, 2 * F::kByteLen);
-      net_.end_round();
-
-      // Round 3: sigma + output shares to the leader.
-      F sigma = F::zero(), out = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        F sig = snip_sigma_share(servers_[i].ctx, *states[i], d, e);
-        net::Writer w;
-        w.field(sig);
-        w.field(states[i]->out_combo);
-        if (i != leader) send(i, leader, w.data());
-        sigma += sig;
-        out += states[i]->out_combo;
-      }
-      net_.end_round();
-
-      // Round 4: decision broadcast.
-      {
-        auto scope = clocks_.measure(leader);
-        accept = snip_accept(sigma, out);
-      }
-      framed_broadcast(net_, s, leader, 1);
-      net_.end_round();
-    }
-
-    if (accept) {
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        for (size_t c = 0; c < afe_->k_prime(); ++c) {
-          servers_[i].accumulator[c] += x_shares[i][c];
-        }
-      }
-      replay_.accept(client_id, seq);
-      ++accepted_;
-    }
-    ++processed_;
-    return accept;
+    const Submission sub{client_id, blobs};
+    return process_batch(std::span<const Submission>(&sub, 1))[0] == 1;
   }
 
-  // -------------------------------------------------------------------
-  // Batched server pipeline. Verifies Q submissions with per-server local
-  // work spread over a thread pool and the four protocol rounds coalesced:
-  // a non-leader sends one message of Q (d, e) pairs instead of Q
-  // messages, and the decision broadcast is a packed Q-bit bitmap.
-  // Accept/reject decisions are identical to feeding each submission
-  // through process_submission. Returns one 0/1 verdict per submission.
-  // -------------------------------------------------------------------
+  // Verifies a batch in refresh-window-sized chunks, each one ServerNode
+  // batch: four coalesced rounds, then the replay floor and aggregation in
+  // submission order. Returns one 0/1 verdict per submission.
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(
-        batch, opts_.refresh_every,
-        [this](std::span<const Submission> chunk) {
-          return process_batch_chunk(chunk);
+        batch, opts_.refresh_every, [this](std::span<const Submission> chunk) {
+          for (const auto& sub : chunk) {
+            require(sub.blobs.size() == nodes_.size(),
+                    "process_batch: blob count");
+          }
+          std::vector<std::vector<u8>> verdicts(nodes_.size());
+          on_every_node([&](size_t i) {
+            verdicts[i] = nodes_[i]->process_batch(node_view(chunk, i));
+          });
+          return verdicts.front();
         });
   }
 
- private:
-  // One refresh-window-sized chunk of a batch (all of it when the caller's
-  // batch fits inside refresh_every).
-  std::vector<u8> process_batch_chunk(std::span<const Submission> batch) {
-    const size_t q_total = batch.size();
-    std::vector<u8> verdicts(q_total, 0);
-    if (q_total == 0) return verdicts;
-    const size_t s = opts_.num_servers;
-    for (const auto& sub : batch) {
-      require(sub.blobs.size() == s, "process_batch: blob count");
-    }
-    const size_t kp = afe_->k_prime();
-    // One leader per batch; rotating it batch-to-batch spreads the relay
-    // traffic the way the serial path's per-client rotation does.
-    const size_t leader = static_cast<size_t>(batch_counter_++ % s);
-
-    refresh_contexts_if_due(servers_, opts_.refresh_every, q_total);
-    ThreadPool& pool = ensure_pool();
-    ensure_verifiers(pool.size());
-
-    // Phase 1 (pooled): decrypt + expand + SNIP local check per
-    // (submission, server) pair. Task (q, i) writes only slot q*s+i. Each
-    // worker owns one SnipVerifier: share expansion lands in its buffer
-    // and the check itself performs no heap allocations; the only
-    // per-task write outside scratch is the x-share slice kept for
-    // aggregation, copied into one flat batch-sized buffer.
-    std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
-    std::vector<F> x_shares(q_total * s * kp, F::zero());
-    std::vector<u64> seqs(q_total, 0);
-    pool.parallel_for(q_total * s, [&](size_t task, size_t worker) {
-      const size_t q = task / s, i = task % s;
-      const auto t0 = std::chrono::steady_clock::now();
-      SnipVerifier<F>& ver = verifiers_[worker];
-      if (open_sealed_share_into<F>(sealer_, batch[q].client_id, i,
-                                    batch[q].blobs[i], ver.ext_buffer(),
-                                    i == 0 ? &seqs[q] : nullptr)) {
-        states[task] = ver.local_check(servers_[i].ctx, i);
-        std::copy(ver.ext_buffer().begin(), ver.ext_buffer().begin() + kp,
-                  x_shares.begin() + task * kp);
-      }
-      clocks_.add_busy(i, net::BusyClock::us_since(t0));
-    });
-
-    // Submissions every server could parse continue through the rounds; the
-    // rest are rejected here, as the serial path rejects before round 1.
-    std::vector<size_t> live;
-    live.reserve(q_total);
-    for (size_t q = 0; q < q_total; ++q) {
-      bool ok = true;
-      for (size_t i = 0; i < s; ++i) ok = ok && states[q * s + i].has_value();
-      if (ok) live.push_back(q);
-    }
-
-    if (!live.empty()) {
-      const size_t ql = live.size();
-
-      // Rounds 1+2 (coalesced): every non-leader ships its Q (d, e) pairs
-      // in one message; the leader broadcasts the Q sums back.
-      const size_t pairs_msg_len = net::field_pairs_len<F>(ql);
-      std::vector<F> d_total(ql, F::zero()), e_total(ql, F::zero());
-      for (size_t i = 0; i < s; ++i) {
-        for (size_t v = 0; v < ql; ++v) {
-          const auto& st = *states[live[v] * s + i];
-          d_total[v] += st.d_share;
-          e_total[v] += st.e_share;
-        }
-        if (i != leader) framed_send(net_, i, leader, pairs_msg_len, ql);
-      }
-      net_.end_round(ql);
-      framed_broadcast(net_, s, leader, pairs_msg_len, ql);
-      net_.end_round(ql);
-
-      // Round 3 (pooled compute, coalesced send): sigma + output shares.
-      std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
-      pool.parallel_for(ql * s, [&](size_t task, size_t) {
-        const size_t v = task / s, i = task % s;
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto& st = *states[live[v] * s + i];
-        sigma_shares[task] =
-            snip_sigma_share(servers_[i].ctx, st, d_total[v], e_total[v]);
-        out_shares[task] = st.out_combo;
-        clocks_.add_busy(i, net::BusyClock::us_since(t0));
-      });
-      for (size_t i = 0; i < s; ++i) {
-        if (i != leader) framed_send(net_, i, leader, pairs_msg_len, ql);
-      }
-      net_.end_round(ql);
-
-      // Round 4: the leader decides all Q and broadcasts a packed bitmap.
-      std::vector<u8> decisions(ql, 0);
-      {
-        auto scope = clocks_.measure(leader);
-        for (size_t v = 0; v < ql; ++v) {
-          F sigma = F::zero(), out = F::zero();
-          for (size_t i = 0; i < s; ++i) {
-            sigma += sigma_shares[v * s + i];
-            out += out_shares[v * s + i];
-          }
-          decisions[v] = snip_accept(sigma, out) ? 1 : 0;
-        }
-      }
-      framed_broadcast(net_, s, leader, net::bitmap_len(ql), ql);
-      net_.end_round(ql);
-
-      for (size_t v = 0; v < ql; ++v) verdicts[live[v]] = decisions[v];
-    }
-
-    // Aggregation (pooled): accepted x-shares accumulate into per-worker
-    // accumulators, merged at batch end -- no cross-thread writes to the
-    // server accumulators.
-    // The replay floor is applied in submission order, exactly as the
-    // serial path would: a replayed counter flips the verdict to reject
-    // and is never aggregated; only accepted submissions advance it.
-    std::vector<size_t> accepted_subs;
-    accepted_subs.reserve(q_total);
-    for (size_t q = 0; q < q_total; ++q) {
-      if (!verdicts[q]) continue;
-      if (!replay_.fresh(batch[q].client_id, seqs[q])) {
-        verdicts[q] = 0;
-        continue;
-      }
-      replay_.accept(batch[q].client_id, seqs[q]);
-      accepted_subs.push_back(q);
-    }
-    if (!accepted_subs.empty()) {
-      const size_t workers = pool.size();
-      std::vector<std::vector<F>> acc(workers,
-                                      std::vector<F>(s * kp, F::zero()));
-      pool.parallel_for(accepted_subs.size(), [&](size_t task, size_t worker) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const size_t q = accepted_subs[task];
-        std::vector<F>& a = acc[worker];
-        for (size_t i = 0; i < s; ++i) {
-          kernels::vec_add_inplace<F>(
-              std::span<F>(a.data() + i * kp, kp),
-              std::span<const F>(x_shares.data() + (q * s + i) * kp, kp));
-        }
-        // One task does every server's share of the work; split the time.
-        const double us = net::BusyClock::us_since(t0) / static_cast<double>(s);
-        for (size_t i = 0; i < s; ++i) clocks_.add_busy(i, us);
-      });
-      for (size_t w = 0; w < workers; ++w) {
-        for (size_t i = 0; i < s; ++i) {
-          kernels::vec_add_inplace<F>(
-              std::span<F>(servers_[i].accumulator),
-              std::span<const F>(acc[w].data() + i * kp, kp));
-        }
-      }
-      accepted_ += accepted_subs.size();
-    }
-    processed_ += q_total;
-    return verdicts;
-  }
-
- public:
   // -------------------------------------------------------------------
-  // Publish: servers reveal accumulators; anyone can decode.
+  // Publish: the servers reveal their accumulators to server 0, which
+  // decodes. The nodes close an epoch each time; the harness keeps the
+  // running total, so every publish covers all submissions so far.
   // -------------------------------------------------------------------
   typename Afe::Result publish() {
-    std::vector<F> sigma(afe_->k_prime(), F::zero());
-    for (size_t i = 0; i < opts_.num_servers; ++i) {
-      if (i != 0) {
-        net::Writer w;
-        w.field_vector<F>(std::span<const F>(servers_[i].accumulator));
-        send(i, 0, w.data());
-      }
-      for (size_t c = 0; c < afe_->k_prime(); ++c) {
-        sigma[c] += servers_[i].accumulator[c];
-      }
+    std::optional<typename ServerNode<F, Afe>::EpochAggregate> agg;
+    on_every_node([&](size_t i) {
+      auto a = nodes_[i]->publish_epoch();
+      if (i == 0) agg = std::move(a);
+    });
+    for (size_t c = 0; c < published_sigma_.size(); ++c) {
+      published_sigma_[c] += agg->sigma[c];
     }
-    net_.end_round();
-    return afe_->decode(sigma, accepted_);
+    published_accepted_ += agg->accepted;
+    return afe_->decode(std::span<const F>(published_sigma_),
+                        published_accepted_);
   }
 
   // Publishes only once a quorum of accepted (registered) clients is in --
@@ -447,36 +175,30 @@ class PrioDeployment {
   // without a quorum gate, an adversary who isolates a single honest
   // client could read that client's value out of the "aggregate".
   std::optional<typename Afe::Result> publish_if_quorum(size_t min_clients) {
-    if (accepted_ < min_clients) return std::nullopt;
+    if (accepted() < min_clients) return std::nullopt;
     return publish();
   }
 
   // Publishes with distributed differential-privacy noise (Section 7):
-  // before revealing its accumulator, every server adds an independent
-  // noise share; the published totals carry discrete-Laplace noise and no
-  // server ever sees the un-noised aggregate. NoiseGen must expose
+  // every server adds an independent noise share to what it reveals, so the
+  // published totals carry discrete-Laplace noise and no server ever sees
+  // the un-noised aggregate. NoiseGen must expose
   // noise_share_field<F>(SecureRng&) (see core/dp.h). Each server draws
   // from its own local SecureRng (OS entropy unless the test-only
   // noise_seed override is set) -- never from the shared master seed,
-  // which the aggregate's consumers may know.
+  // which the aggregate's consumers may know. The revealed values are
+  // summed, so the harness adds the shares to the running total.
   template <typename NoiseGen>
   typename Afe::Result publish_with_noise(const NoiseGen& noise) {
-    for (size_t i = 0; i < opts_.num_servers; ++i) {
-      for (size_t c = 0; c < afe_->k_prime(); ++c) {
-        servers_[i].accumulator[c] +=
-            noise.template noise_share_field<F>(servers_[i].noise_rng);
+    for (auto& rng : noise_rngs_) {
+      for (auto& c : published_sigma_) {
+        c += noise.template noise_share_field<F>(rng);
       }
     }
     return publish();
   }
 
  private:
-  struct ServerState {
-    VerificationContext<F> ctx;
-    std::vector<F> accumulator;
-    SecureRng noise_rng;  // local, secret randomness for DP noise shares
-  };
-
   SecureRng make_noise_rng(size_t server) const {
     if (opts_.noise_seed) {
       return SecureRng(*opts_.noise_seed * 0x9e3779b97f4a7c15ull + server + 1);
@@ -484,40 +206,72 @@ class PrioDeployment {
     return SecureRng::from_os_entropy();
   }
 
-  ThreadPool& ensure_pool() {
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(opts_.batch_threads);
-    return *pool_;
+  void stop_threads() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    job_ready_.notify_all();
+    for (auto& t : threads_) t.join();
   }
 
-  // One verification-engine scratch object per pool worker (index 0 serves
-  // the serial path); grown once and reused for every later batch.
-  void ensure_verifiers(size_t count) {
-    while (verifiers_.size() < count) {
-      verifiers_.emplace_back(&afe_->valid_circuit());
+  // Hands fn to every server's thread, waits until all have run it, and
+  // rethrows the first node failure.
+  void on_every_node(std::function<void(size_t)> fn) {
+    std::unique_lock<std::mutex> lock(mu_);
+    job_ = std::move(fn);
+    errors_.assign(nodes_.size(), nullptr);
+    running_ = nodes_.size();
+    ++job_gen_;
+    job_ready_.notify_all();
+    job_done_.wait(lock, [&] { return running_ == 0; });
+    for (const auto& e : errors_) {
+      if (e) std::rethrow_exception(e);
     }
   }
 
-  void send(size_t from, size_t to, std::span<const u8> payload) {
-    // Server-to-server traffic is TLS in the paper; we count the payload
-    // plus AEAD framing overhead.
-    std::vector<u8> framed(payload.begin(), payload.end());
-    framed.resize(framed.size() + net::SecureChannel::kOverhead);
-    net_.send(from, to, std::move(framed));
+  // Server i's thread: runs every job, crediting server i with the
+  // thread's CPU time.
+  void serve(size_t i) {
+    u64 seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      job_ready_.wait(lock, [&] { return stop_ || job_gen_ != seen; });
+      if (stop_) return;
+      seen = job_gen_;
+      lock.unlock();
+      const double t0 = net::BusyClock::thread_cpu_us();
+      try {
+        job_(i);
+      } catch (...) {
+        errors_[i] = std::current_exception();
+      }
+      clocks_.add_busy(i, net::BusyClock::thread_cpu_us() - t0);
+      lock.lock();
+      if (--running_ == 0) job_done_.notify_all();
+    }
   }
 
   const Afe* afe_;
   DeploymentOptions opts_;
-  SnipProver<F> prover_;
-  net::SimNetwork net_;
+  PrioClient<F, Afe> client_;
+  net::LoopbackMesh mesh_;
   net::BusyClock clocks_;
-  std::vector<ServerState> servers_;
-  SubmissionSealer sealer_;
-  ReplayGuard replay_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<SnipVerifier<F>> verifiers_;  // per-worker engine scratch
-  u64 batch_counter_ = 0;
-  size_t accepted_ = 0;
-  size_t processed_ = 0;
+  std::vector<std::unique_ptr<net::LoopbackTransport>> links_;
+  std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes_;
+  std::vector<SecureRng> noise_rngs_;  // local, secret randomness per server
+  std::vector<F> published_sigma_;     // sum of every published epoch
+  size_t published_accepted_ = 0;
+
+  // The server threads and the job they are handed (guarded by mu_).
+  std::mutex mu_;
+  std::condition_variable job_ready_, job_done_;
+  std::function<void(size_t)> job_;
+  std::vector<std::exception_ptr> errors_;
+  u64 job_gen_ = 0;
+  size_t running_ = 0;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace prio

@@ -9,17 +9,49 @@
 // submission -- the growing Prio-MPC curve of Figure 6 (vs. Prio's flat
 // line).
 //
-// process_batch mirrors core/deployment.h: per-server local work (decrypt,
-// triple-SNIP checks, Beaver round messages) fans out over a thread pool
-// and every broadcast round ships one coalesced message for the whole
-// batch. The Beaver evaluations advance in lock-step, so a batch of Q
+// Unlike PrioDeployment, this variant simulates all s servers from one
+// thread and only accounts its traffic. process_batch fans per-server local
+// work (decrypt, triple-SNIP checks, Beaver round messages) out over a
+// thread pool and every broadcast round ships one coalesced message for the
+// whole batch. The Beaver evaluations advance in lock-step, so a batch of Q
 // submissions still pays only one round-trip per circuit depth level.
 #pragma once
 
 #include "core/deployment.h"
+#include "net/channel.h"
 #include "snip/mpc.h"
 
 namespace prio {
+
+// r may serve at most refresh_every submissions; `upcoming` are about to be
+// verified under the current r, so refresh every server's context first if
+// that would overrun (batch-safe, unlike a processed % refresh_every test).
+// ServerRange elements must expose a VerificationContext member `ctx`.
+template <typename ServerRange>
+void refresh_contexts_if_due(ServerRange& servers, size_t refresh_every,
+                             size_t upcoming) {
+  if (servers.front().ctx.refresh_due(refresh_every, upcoming)) {
+    for (auto& srv : servers) srv.ctx.refresh();
+  }
+  for (auto& srv : servers) srv.ctx.note_submissions(upcoming);
+}
+
+// Wire accounting for server-to-server traffic (TLS in the paper): payload
+// plus AEAD framing, one physical message carrying `logical` protocol-level
+// messages.
+inline void framed_send(net::SimNetwork& net, size_t from, size_t to,
+                        size_t payload_len, u64 logical = 1) {
+  net.send_coalesced(from, to, payload_len + net::SecureChannel::kOverhead,
+                     logical);
+}
+
+inline void framed_broadcast(net::SimNetwork& net, size_t num_servers,
+                             size_t from, size_t payload_len,
+                             u64 logical = 1) {
+  for (size_t to = 0; to < num_servers; ++to) {
+    if (to != from) framed_send(net, from, to, payload_len, logical);
+  }
+}
 
 template <PrimeField F, typename Afe>
 class PrioMpcDeployment {
@@ -30,7 +62,7 @@ class PrioMpcDeployment {
         triple_circuit_(
             make_triple_check_circuit<F>(afe->valid_circuit().num_mul_gates())),
         triple_prover_(&triple_circuit_),
-        net_(opts.num_servers, opts.latency_us),
+        net_(opts.num_servers),
         clocks_(opts.num_servers),
         sealer_(master_seed_bytes(opts.master_seed)) {
     require(opts.num_servers >= 2, "PrioMpcDeployment: need >= 2 servers");

@@ -1,13 +1,18 @@
-// In-process simulated network connecting the Prio servers.
+// Traffic accounting for in-process Prio servers.
 //
 // SUBSTITUTION NOTE (DESIGN.md §2): the paper runs five servers in five
 // Amazon datacenters. We run server instances in one process and model the
 // network as point-to-point links with (a) exact per-link byte counters --
 // these regenerate Figure 6 -- and (b) a configurable one-way latency used
-// to report pipeline depth. Throughput in the paper's setup is compute-
-// bound (clients stream over persistent connections), so the harness
-// reports throughput from per-server busy time, not from latency.
+// to report pipeline depth. The loopback mesh (net/transport.h) that
+// PrioDeployment's server threads exchange frames over records every frame
+// here; the Prio-MPC variant and the baselines account their messages
+// directly. Throughput in the paper's setup is compute-bound (clients
+// stream over persistent connections), so the harness reports throughput
+// from per-server busy time, not from latency.
 #pragma once
+
+#include <time.h>
 
 #include <chrono>
 #include <deque>
@@ -161,6 +166,16 @@ class BusyClock {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - t0)
         .count();
+  }
+
+  // CPU time the calling thread has consumed, in microseconds. Unlike wall
+  // time it excludes time spent blocked (e.g. in a mesh recv), so a server
+  // thread's delta over a call is the work it did.
+  static double thread_cpu_us() {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 +
+           static_cast<double>(ts.tv_nsec) / 1e3;
   }
 
   // Thread-safe accumulation: the batch pipeline's workers time their own

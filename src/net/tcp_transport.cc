@@ -250,9 +250,11 @@ void TcpMeshTransport::establish(int timeout_ms) {
 
   // Accept every higher-id peer; the hello says (and proves) who dialed.
   // Accepted connections wait in a pending set with their own generous
-  // deadline, each polled without blocking: a stray connection (scanner,
-  // misdirected client) cannot stall setup, and a peer whose hello is a
-  // few seconds behind its connect is not dropped.
+  // deadline: a stray connection (scanner, misdirected client) cannot stall
+  // setup, and a peer whose hello is a few seconds behind its connect is
+  // not dropped. One poll covers the listener and every pending
+  // connection, so a hello that lands just after its connect is read at
+  // once instead of after the next accept slice.
   struct PendingConn {
     std::unique_ptr<FramedConn> conn;
     Clock::time_point give_up;
@@ -261,9 +263,17 @@ void TcpMeshTransport::establish(int timeout_ms) {
   size_t pending = n_ - 1 - self_;
   while (pending > 0) {
     if (ms_left(deadline) == 0) throw TransportError("mesh setup timed out");
-    if (auto sock = listener_->accept_conn(200)) {
-      waiting.push_back({std::make_unique<FramedConn>(std::move(*sock)),
-                         Clock::now() + std::chrono::seconds(10)});
+    std::vector<pollfd> fds{{listener_->fd(), POLLIN, 0}};
+    for (const auto& w : waiting) fds.push_back({w.conn->fd(), POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), std::min(200, ms_left(deadline))) < 0 &&
+        errno != EINTR) {
+      fail("poll(mesh setup)");
+    }
+    if (fds[0].revents != 0) {
+      if (auto sock = listener_->accept_conn(0)) {
+        waiting.push_back({std::make_unique<FramedConn>(std::move(*sock)),
+                           Clock::now() + std::chrono::seconds(10)});
+      }
     }
     for (auto it = waiting.begin(); it != waiting.end();) {
       std::optional<std::vector<u8>> hello;

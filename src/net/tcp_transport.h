@@ -137,6 +137,7 @@ class TcpListener {
   explicit TcpListener(u16 port, const std::string& bind_host = "127.0.0.1");
 
   u16 port() const { return port_; }
+  int fd() const { return sock_.fd(); }
 
   // Blocks up to timeout_ms for an incoming connection; nullopt on timeout.
   std::optional<Socket> accept_conn(int timeout_ms);
@@ -161,6 +162,7 @@ class FramedConn {
       : sock_(std::move(sock)), decoder_(max_frame) {}
 
   bool valid() const { return sock_.valid(); }
+  int fd() const { return sock_.fd(); }
   // True once the peer has closed its end (seen by try_recv_frame).
   bool eof() const { return eof_; }
 

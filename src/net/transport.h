@@ -1,15 +1,13 @@
 // Node-centric server-to-server transport abstraction.
 //
-// The simulated deployments in src/core drive all s servers from one
-// thread, so they only *account* traffic (net/simnet.h). The distributed
-// protocol node (server/node.h) is written from the perspective of a single
-// server that really ships and receives frames; this interface is its view
-// of the network. Two implementations exist:
+// The protocol node (server/node.h) is written from the perspective of a
+// single server that really ships and receives frames; this interface is
+// its view of the network. Two implementations exist:
 //
 //   - LoopbackMesh/LoopbackTransport (here): s in-process nodes connected
-//     by blocking per-link queues, with SimNetwork-style accounting. Tests
-//     and benches run real multi-threaded protocol nodes over it without
-//     sockets.
+//     by blocking per-link queues, with SimNetwork accounting (net/
+//     simnet.h). PrioDeployment (core/deployment.h), tests and benches run
+//     real multi-threaded protocol nodes over it without sockets.
 //   - TcpMeshTransport (net/tcp_transport.h): length-prefixed frames over
 //     real TCP sockets, one OS process per server.
 //
@@ -132,15 +130,15 @@ class LaneTransport final : public Transport {
 };
 
 // Shared state for s in-process nodes: one FIFO of frames per directed
-// link, plus a SimNetwork for byte/message accounting so tests can assert
-// the distributed node coalesces traffic exactly like the simulated
-// pipeline.
+// link, plus a SimNetwork that accounts every frame's bytes and rounds --
+// the numbers behind the paper-figure benches.
 class LoopbackMesh {
  public:
   explicit LoopbackMesh(size_t num_nodes, u64 recv_timeout_ms = 10'000,
                         size_t lanes = 1)
       : n_(num_nodes), lanes_(lanes), timeout_ms_(recv_timeout_ms),
-        sim_(num_nodes), queues_(num_nodes * num_nodes * lanes) {
+        sim_(num_nodes), queues_(num_nodes * num_nodes * lanes),
+        arrived_(num_nodes) {
     require(lanes >= 1, "LoopbackMesh: need >= 1 lane");
   }
 
@@ -157,7 +155,7 @@ class LoopbackMesh {
       sim_.send_coalesced(from, to, frame.size(), logical);
       queues_[(from * n_ + to) * lanes_ + lane].push_back(std::move(frame));
     }
-    cv_.notify_all();
+    arrived_[to].notify_all();
   }
 
   std::vector<u8> recv(size_t from, size_t to, size_t lane = 0) {
@@ -165,8 +163,8 @@ class LoopbackMesh {
             "LoopbackMesh::recv: bad node or lane id");
     std::unique_lock<std::mutex> lock(mu_);
     auto& q = queues_[(from * n_ + to) * lanes_ + lane];
-    if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms_),
-                      [&] { return !q.empty(); })) {
+    if (!arrived_[to].wait_for(lock, std::chrono::milliseconds(timeout_ms_),
+                               [&] { return !q.empty(); })) {
       throw TransportError("LoopbackMesh::recv: timeout");
     }
     std::vector<u8> frame = std::move(q.front());
@@ -191,7 +189,8 @@ class LoopbackMesh {
   SimNetwork sim_;
   std::vector<std::deque<std::vector<u8>>> queues_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  // One per receiving node, so a send wakes only its receiver's threads.
+  std::vector<std::condition_variable> arrived_;
 };
 
 // One node's handle onto a LoopbackMesh.

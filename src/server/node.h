@@ -1,11 +1,11 @@
 // One Prio server as a distributed protocol node.
 //
-// PrioDeployment (core/deployment.h) simulates all s servers from one
-// thread and only accounts traffic. ServerNode is the real thing: it holds
-// ONE server's secret state (verification context, accumulator, replay
-// floors) and runs the batched four-round SNIP protocol by actually
-// exchanging frames with its peers through a net::Transport -- loopback
-// queues in tests and benches, TCP sockets in the prio_server binary. Every
+// ServerNode holds ONE server's secret state (verification context,
+// accumulator, replay floors) and runs the batched four-round SNIP
+// protocol -- the only implementation of it -- by actually exchanging
+// frames with its peers through a net::Transport: loopback queues in
+// PrioDeployment (core/deployment.h), tests and benches, TCP sockets in
+// the prio_server binary. Every
 // frame body between servers is sealed with net::SecureChannel (fresh
 // per-batch keys, counter nonces riding on the link's in-order delivery),
 // standing in for the paper's TLS.
@@ -64,8 +64,8 @@ struct SubmissionShare {
   std::vector<u8> blob;
 };
 
-// Projects full Submissions (all blobs) onto server i's view -- test and
-// bench helper for driving nodes with PrioDeployment-style workloads.
+// Projects full Submissions (all blobs) onto server i's view: how
+// PrioDeployment, tests and benches hand each node its own blobs.
 inline std::vector<SubmissionShare> node_view(
     std::span<const Submission> batch, size_t server) {
   std::vector<SubmissionShare> out;
@@ -139,9 +139,8 @@ class ServerNode {
         cfg_(cfg),
         transport_(transport),
         master_(master_seed_bytes(cfg.master_seed)),
-        // Same shared-context seed as PrioDeployment, so a node mesh and a
-        // simnet deployment over the same inputs walk identical r schedules
-        // (lane 0 exactly; higher lanes mix in the lane id).
+        // Every node of a lane derives the same shared-context seed, so
+        // the mesh walks one r schedule (higher lanes mix in the lane id).
         ctx_(&afe->valid_circuit(), cfg.num_servers, context_seed(cfg)),
         sealer_(master_),
         accumulator_(afe->k_prime(), F::zero()) {
@@ -470,10 +469,9 @@ class ServerNode {
     return verdicts;
   }
 
-  // Lane-scoped verification-context seed. Lane 0 keeps the exact seed
-  // PrioDeployment uses (simnet equivalence depends on it); higher lanes
-  // mix the lane id in with a splitmix-style odd multiplier so each lane
-  // walks its own independent r schedule.
+  // Lane-scoped verification-context seed. Lane 0 keeps the unsharded
+  // seed; higher lanes mix the lane id in with a splitmix-style odd
+  // multiplier so each lane walks its own independent r schedule.
   static u64 context_seed(const ServerNodeConfig& cfg) {
     u64 seed = cfg.master_seed ^ 0x5eed;
     if (cfg.lane != 0) {

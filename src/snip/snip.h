@@ -417,8 +417,25 @@ bool snip_accept(const F& sigma_total, const F& out_combo_total) {
 
 // ---------------------------------------------------------------------------
 // Whole-protocol convenience driver (in-process, used by tests and the
-// client-time benchmarks; the networked pipeline lives in src/core).
+// client-time benchmarks; the networked protocol lives in server/node.h).
 // ---------------------------------------------------------------------------
+
+// Rounds 1-4 over every server's local state at once.
+template <PrimeField F>
+bool snip_decide(const VerificationContext<F>& ctx,
+                 std::span<const SnipLocalState<F>> states) {
+  F d = F::zero(), e = F::zero();
+  for (const auto& st : states) {
+    d += st.d_share;
+    e += st.e_share;
+  }
+  F sigma = F::zero(), out = F::zero();
+  for (const auto& st : states) {
+    sigma += snip_sigma_share(ctx, st, d, e);
+    out += st.out_combo;
+  }
+  return snip_accept(sigma, out);
+}
 
 template <PrimeField F>
 bool snip_verify_all(const VerificationContext<F>& ctx,
@@ -427,18 +444,10 @@ bool snip_verify_all(const VerificationContext<F>& ctx,
   require(s == ctx.num_servers(), "snip_verify_all: share count");
   std::vector<SnipLocalState<F>> states;
   states.reserve(s);
-  F d = F::zero(), e = F::zero();
   for (size_t i = 0; i < s; ++i) {
     states.push_back(snip_local_check(ctx, i, std::span<const F>(ext_shares[i])));
-    d += states.back().d_share;
-    e += states.back().e_share;
   }
-  F sigma = F::zero(), out = F::zero();
-  for (size_t i = 0; i < s; ++i) {
-    sigma += snip_sigma_share(ctx, states[i], d, e);
-    out += states[i].out_combo;
-  }
-  return snip_accept(sigma, out);
+  return snip_decide(ctx, std::span<const SnipLocalState<F>>(states));
 }
 
 }  // namespace prio

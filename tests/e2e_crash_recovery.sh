@@ -7,8 +7,8 @@
 # is restarted from the same --data-dir. The remaining 16 submissions then
 # flow, the survivors detect the dead links, the mesh re-establishes and
 # resyncs (catching the restarted server up by at most one batch), and the
-# epoch must publish EXACTLY the aggregate a local simnet run of all 40
-# clients' inputs produces -- the bit-identical acceptance gate lives in
+# epoch must publish EXACTLY the plaintext reference over all 40 clients'
+# untampered inputs -- the bit-identical acceptance gate lives in
 # prio_client's --expect-clients check.
 #
 # Usage: e2e_crash_recovery.sh <prio_server> <prio_client>
@@ -104,8 +104,8 @@ run_attempt() {
   pids+=("${spid[2]}")
 
   # Wave B: the remaining 16 submissions, then fetch the published epoch-0
-  # aggregate from server 0 and compare against a simnet run of ALL 40
-  # clients -- identical accept/reject decisions and counts required.
+  # aggregate from server 0 and compare against the plaintext reference
+  # over ALL 40 clients -- identical sigma and accepted count required.
   local rc=0
   "$CLIENT_BIN" "${common[@]}" --first-client 24 --clients 16 \
     --tamper-every "$TAMPER" --expect-clients "$EPOCH_SIZE" || rc=$?

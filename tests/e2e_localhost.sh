@@ -2,8 +2,8 @@
 # End-to-end multi-process runs on localhost, one leg per AFE spec: three
 # prio_server processes, two concurrent prio_client processes covering
 # disjoint client-id ranges (the second also tampers some ciphertexts and
-# verifies the published typed aggregate against a local simnet
-# reproduction of ALL clients' inputs).
+# verifies the published typed aggregate against the plaintext reference:
+# the summed encodings of ALL clients' untampered inputs).
 #
 # The legs exercise the runtime AFE-spec API end to end: the first leg
 # drives the deprecated --len sugar through the whole pipeline, the rest

@@ -7,8 +7,8 @@
 # flight -- and restarted from the same --data-dir. All four of its shard
 # stores must recover, the mesh re-establishes, every lane re-syncs its own
 # position, and the epoch's published aggregate (the lane-summed sigma)
-# must be EXACTLY what a local simnet run of all 40 clients' inputs
-# produces -- the bit-identical acceptance gate lives in prio_client's
+# must be EXACTLY the plaintext reference over all 40 clients' untampered
+# inputs -- the bit-identical acceptance gate lives in prio_client's
 # --expect-clients check.
 #
 # Observability gates ride along: every server exposes --stats-port
@@ -141,8 +141,8 @@ run_attempt() {
   pids+=("${spid[2]}")
 
   # Wave B: the remaining 16 submissions, then fetch the published epoch-0
-  # aggregate from server 0 and compare against a simnet run of ALL 40
-  # clients -- identical accept/reject decisions and counts required.
+  # aggregate from server 0 and compare against the plaintext reference
+  # over ALL 40 clients -- identical sigma and accepted count required.
   # Concurrently, observability gate 2: poll server 0's /stats.json until
   # its totals equal the client-side ground truth -- 40 intake-accepted, 32
   # verify-accepted, 8 verify-rejected (every 5th of 40 clients tampers).

@@ -11,6 +11,7 @@
 #include "baseline/nizk.h"
 #include "baseline/no_privacy.h"
 #include "baseline/no_robustness.h"
+#include "core/client.h"
 #include "core/deployment.h"
 #include "core/dp.h"
 #include "core/mpc_deployment.h"
@@ -44,37 +45,14 @@ TEST(DeploymentTest, MaliciousClientRejectedAggregateIntact) {
     EXPECT_TRUE(dep.process_submission(cid, dep.client_upload(10, cid, rng)));
   }
 
-  // A malicious client: builds shares of an out-of-range encoding by hand
-  // (the "submit 2^60 instead of a 4-bit value" attack).
+  // A malicious client seals an out-of-range encoding (the "submit 2^60
+  // instead of a 4-bit value" attack) under the deployment's keys.
   {
     std::vector<F> bogus_encoding(afe.k(), F::zero());
     bogus_encoding[0] = F::from_u64(u64{1} << 60);
-    SnipProver<F> prover(&afe.valid_circuit());
-    auto ext = prover.build_extended_input(bogus_encoding, rng);
-    auto cs = share_vector_compressed<F>(ext, 3, rng);
-    // Reuse the deployment's sealing by building a parallel upload: simplest
-    // route is to craft a valid upload and then corrupt the plaintext; here
-    // we re-derive the client keys through the public client_upload path by
-    // submitting the bogus encoding through a hand-rolled AFE.
-    struct RawAfe {
-      using Field [[maybe_unused]] = F;
-      using Input = std::vector<F>;
-      using Result = u128;
-      const afe::IntegerSum<F>* inner;
-      size_t k() const { return inner->k(); }
-      size_t k_prime() const { return inner->k_prime(); }
-      std::vector<F> encode(const Input& v) const { return v; }
-      const Circuit<F>& valid_circuit() const { return inner->valid_circuit(); }
-      Result decode(std::span<const F> sigma, size_t n) const {
-        return inner->decode(sigma, n);
-      }
-    };
-    RawAfe raw{&afe};
-    PrioDeployment<F, RawAfe> evil_side(&raw, {.num_servers = 3});
-    auto blobs = evil_side.client_upload(bogus_encoding, 100, rng);
-    // Deliver the malicious upload to the honest deployment: same master
-    // seed, so the keys line up.
-    EXPECT_FALSE(dep.process_submission(100, blobs));
+    PrioClient<F, afe::IntegerSum<F>> evil(&afe, 3, /*master_seed=*/1);
+    EXPECT_FALSE(dep.process_submission(
+        100, evil.upload_encoding(bogus_encoding, 100, rng)));
   }
 
   EXPECT_EQ(dep.accepted(), 5u);

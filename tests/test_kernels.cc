@@ -247,19 +247,12 @@ TYPED_TEST(KernelTest, SnipVerifierAcceptsThroughWholeProtocol) {
     auto shares = share_vector<F>(ext, kServers, rng);
 
     std::vector<SnipLocalState<F>> states;
-    F d = F::zero(), e = F::zero();
     for (size_t i = 0; i < kServers; ++i) {
       states.push_back(
           verifier.local_check(ctx, i, std::span<const F>(shares[i])));
-      d += states.back().d_share;
-      e += states.back().e_share;
     }
-    F sigma = F::zero(), out = F::zero();
-    for (size_t i = 0; i < kServers; ++i) {
-      sigma += snip_sigma_share(ctx, states[i], d, e);
-      out += states[i].out_combo;
-    }
-    EXPECT_EQ(snip_accept(sigma, out), valid == 1);
+    EXPECT_EQ(snip_decide(ctx, std::span<const SnipLocalState<F>>(states)),
+              valid == 1);
   }
 }
 

@@ -4,7 +4,7 @@
 // encoding, and -- the big one -- every catalogue spec driven end to end
 // through an in-process sharded 3-server TCP cluster (server/inproc.h)
 // with the published typed aggregate cross-checked bit-for-bit against the
-// simnet oracle, plus the wrong-spec kAggregateReject path.
+// plaintext reference, plus the wrong-spec kAggregateReject path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "afe/registry.h"
-#include "core/deployment.h"
+#include "baseline/no_privacy.h"
+#include "core/client.h"
 #include "server/cli.h"
 #include "server/inproc.h"
 #include "server/protocol.h"
@@ -213,8 +214,9 @@ TEST(ResultCodecTest, RoundTripEveryCatalogueAfe) {
 
 // ---------------------------------------------------------------------------
 // End to end: every catalogue spec through a sharded in-process TCP
-// cluster, cross-checked against the simnet oracle, plus the wrong-spec
-// reject path. This is the acceptance gate for the runtime AFE-spec API.
+// cluster, cross-checked against the plaintext reference, plus the
+// wrong-spec reject path. This is the acceptance gate for the runtime
+// AFE-spec API.
 // ---------------------------------------------------------------------------
 
 template <typename Afe>
@@ -223,16 +225,23 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
   constexpr size_t kClients = 12;
   constexpr u64 kSeed = 7;
 
-  // Workload: the registry's deterministic inputs, one tampered in
-  // transit to one server (must be rejected).
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = kSeed;
-  PrioDeployment<F, Afe> sim(&a, sim_opts);
+  // Workload: the registry's deterministic inputs. Client 5's ciphertext
+  // is tampered in transit to one server; client 8 seals a genuine upload
+  // of an encoding that fails Valid, which only the SNIP rounds can catch.
+  // Both must be rejected; the reference counts everyone else.
+  PrioClient<F, Afe> client(&a, kServers, kSeed);
+  baseline::PlaintextReference<F, Afe> ref(&a);
   SecureRng rng = SecureRng::from_os_entropy();
   std::vector<Submission> subs;
   for (u64 cid = 0; cid < kClients; ++cid) {
-    auto blobs = sim.client_upload(afe::sample_input(a, cid), cid, rng);
+    std::vector<F> enc = a.encode(afe::sample_input(a, cid));
+    if (cid == 8) {
+      enc[0] += F::from_u64(2);
+      ASSERT_FALSE(a.valid_circuit().is_valid(enc)) << spec.canonical();
+    } else if (cid != 5) {
+      ref.add(cid, afe::sample_input(a, cid));
+    }
+    auto blobs = client.upload_encoding(enc, cid, rng);
     if (cid == 5) blobs[cid % kServers][12] ^= 1;
     subs.push_back({cid, std::move(blobs)});
   }
@@ -312,15 +321,13 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
   conns.clear();
   cluster.finish();
 
-  // Oracle: same blobs through the simulated deployment. The published
-  // sigma, the accepted count, and the typed Result must all match
-  // bit-for-bit; so must our own decode of the published sigma.
-  sim.process_batch(std::span<const Submission>(subs));
-  auto sim_result = sim.publish();
-  EXPECT_EQ(accepted, sim.accepted());
-  EXPECT_EQ(accepted, kClients - 1);  // exactly the tampered one rejected
-  EXPECT_EQ(sigma, sim.sigma_now());
-  EXPECT_EQ(typed, afe::result_bytes(a, sim_result));
+  // The published sigma, the accepted count, and the typed Result must all
+  // match the plaintext reference bit-for-bit; so must our own decode of
+  // the published sigma.
+  EXPECT_EQ(accepted, ref.accepted());
+  EXPECT_EQ(accepted, kClients - 2);  // exactly the tampered and bad proof
+  EXPECT_EQ(sigma, ref.sigma());
+  EXPECT_EQ(typed, afe::result_bytes(a, ref.result()));
   auto local = a.decode(std::span<const F>(sigma), accepted);
   EXPECT_EQ(afe::result_bytes(a, local), typed);
 }

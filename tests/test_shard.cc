@@ -1,6 +1,6 @@
 // Sharded-runtime tests: the client-id -> shard routing invariants, the
-// multi-lane router over a loopback mesh checked against the simulated
-// deployment, cross-shard replay/misroute rejection, and the TCP lane
+// multi-lane router over a loopback mesh checked against the plaintext
+// reference, cross-shard replay/misroute rejection, and the TCP lane
 // multiplexer's per-lane ordering.
 
 #include <gtest/gtest.h>
@@ -9,8 +9,8 @@
 #include <thread>
 
 #include "afe/bitvec_sum.h"
+#include "baseline/no_privacy.h"
 #include "core/client.h"
-#include "core/deployment.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
@@ -120,24 +120,46 @@ struct Workload {
   std::vector<u8> expected;  // 1 = must be accepted
 };
 
+std::vector<u8> input_for(const Afe& afe, u64 cid) {
+  std::vector<u8> bits(afe.length(), 0);
+  bits[cid % afe.length()] = 1;
+  return bits;
+}
+
+// Honest submissions, tampered ciphertexts (cid % 4 == 3: the AEAD fails
+// before any round) and bad proofs (cid % 8 == 5: genuine sealing over an
+// encoding that fails Valid, so only the SNIP rounds can reject it).
 Workload make_workload(const Afe& afe, size_t n) {
   PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
   SecureRng rng(321);
   Workload w;
-  const size_t len = afe.length();
   for (u64 cid = 0; cid < n; ++cid) {
-    std::vector<u8> bits(len, 0);
-    bits[cid % len] = 1;
-    auto blobs = encoder.upload(bits, cid, rng);
+    std::vector<F> enc = afe.encode(input_for(afe, cid));
     u8 expect = 1;
+    if (cid % 8 == 5) {
+      enc[0] += F::from_u64(2);  // a "bit" of 2 or 3
+      expect = 0;
+    }
+    auto blobs = encoder.upload_encoding(enc, cid, rng);
     if (cid % 4 == 3) {
-      blobs[cid % kServers][12] ^= 1;  // tampered ciphertext -> reject
+      blobs[cid % kServers][12] ^= 1;
       expect = 0;
     }
     w.subs.push_back({cid, std::move(blobs)});
     w.expected.push_back(expect);
   }
   return w;
+}
+
+// What the servers must publish for a workload: its honest inputs only.
+baseline::PlaintextReference<F, Afe> reference(const Afe& afe,
+                                               const Workload& w) {
+  baseline::PlaintextReference<F, Afe> ref(&afe);
+  for (size_t k = 0; k < w.subs.size(); ++k) {
+    const u64 cid = w.subs[k].client_id;
+    if (w.expected[k]) ref.add(cid, input_for(afe, cid));
+  }
+  return ref;
 }
 
 // The blob's cleartext prefix is the submission counter (core/submission.h);
@@ -148,23 +170,16 @@ u64 blob_seq(const std::vector<u8>& blob) {
 }
 
 // Two lanes, three servers: the sharded runtime's global aggregate must be
-// bit-identical to the simulated single-pipeline deployment over the same
-// submissions -- lane 1 runs a different r schedule under lane-scoped
-// channel keys, but field addition commutes, so the lane-summed sigma is
-// the same. A replayed blob (same payload, bumped transport-level seq) is
-// routed to the same shard and must be rejected there, never double
-// counted.
-TEST(ShardedRouterTest, TwoLanesMatchSimnetAndRejectReplay) {
+// bit-identical to the plaintext reference over the honest inputs -- each
+// lane runs its own r schedule under lane-scoped channel keys, but field
+// addition commutes, so the lane-summed sigma is the same. A replayed blob
+// (same payload, bumped transport-level seq) is routed to the same shard
+// and must be rejected there, never double counted.
+TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   Afe afe(8);
   constexpr size_t kShards = 2;
   auto w = make_workload(afe, 24);
-
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = kMasterSeed;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
-  sim.process_batch(std::span<const Submission>(w.subs));
-  auto sim_result = sim.publish();
+  const auto ref = reference(afe, w);
 
   server::RuntimeOptions opts;
   opts.epoch_size = w.subs.size() + 1;  // +1: the replayed submission
@@ -204,8 +219,9 @@ TEST(ShardedRouterTest, TwoLanesMatchSimnetAndRejectReplay) {
   for (auto& t : threads) t.join();
 
   ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, sim.accepted());  // replay not double counted
-  EXPECT_EQ(agg->result, sim_result);
+  EXPECT_EQ(agg->accepted, ref.accepted());  // replay not double counted
+  EXPECT_EQ(agg->sigma, ref.sigma());
+  EXPECT_EQ(agg->result, ref.result());
   // Every server processed all 25 announced submissions, split over lanes.
   for (size_t i = 0; i < kServers; ++i) {
     u64 processed = 0;
@@ -354,18 +370,12 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
 // Depth 2 must not change a single verdict or aggregate bit: the same
 // two-lane workload (including a replay) through a pipelined cluster --
 // announcements on the control lanes, a prefetch thread per lane -- still
-// matches the simulated single-pipeline deployment exactly.
-TEST(PipelinedShardTest, DepthTwoMatchesSimnetAndRejectReplay) {
+// matches the plaintext reference exactly.
+TEST(PipelinedShardTest, DepthTwoMatchesReferenceAndRejectReplay) {
   Afe afe(8);
   constexpr size_t kShards = 2;
   auto w = make_workload(afe, 24);
-
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = kMasterSeed;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
-  sim.process_batch(std::span<const Submission>(w.subs));
-  auto sim_result = sim.publish();
+  const auto ref = reference(afe, w);
 
   server::RuntimeOptions opts;
   opts.epoch_size = w.subs.size() + 1;  // +1: the replayed submission
@@ -405,8 +415,9 @@ TEST(PipelinedShardTest, DepthTwoMatchesSimnetAndRejectReplay) {
   for (auto& t : threads) t.join();
 
   ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, sim.accepted());
-  EXPECT_EQ(agg->result, sim_result);
+  EXPECT_EQ(agg->accepted, ref.accepted());
+  EXPECT_EQ(agg->sigma, ref.sigma());
+  EXPECT_EQ(agg->result, ref.result());
   for (size_t i = 0; i < kServers; ++i) {
     u64 processed = 0;
     for (const auto& n : servers[i]->nodes) processed += n->processed();

@@ -1,14 +1,16 @@
 // Transport-layer and distributed-runtime tests: frame decoding, real TCP
 // sockets on localhost, and ServerNode meshes (loopback and TCP) checked
-// against the simulated deployment for identical verdicts and aggregates.
+// against the plaintext reference for verdicts and aggregates.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <latch>
 #include <thread>
 
 #include "afe/bitvec_sum.h"
+#include "baseline/no_privacy.h"
 #include "core/client.h"
-#include "core/deployment.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "server/node.h"
@@ -194,18 +196,21 @@ struct Workload {
   std::vector<u8> expected;  // 1 = must be accepted
 };
 
+std::vector<u8> input_for(const Afe& afe, u64 cid) {
+  std::vector<u8> bits(afe.length(), 0);
+  bits[cid % afe.length()] = 1;
+  return bits;
+}
+
 // Mixed valid/tampered submissions from many distinct clients, generated
 // through the standalone client encoder (core/client.h).
 Workload make_workload(const Afe& afe, size_t n, u64 first_cid = 0) {
   PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
   SecureRng rng(123 + first_cid);
   Workload w;
-  const size_t len = afe.length();
   for (u64 k = 0; k < n; ++k) {
     const u64 cid = first_cid + k;
-    std::vector<u8> bits(len, 0);
-    bits[cid % len] = 1;
-    auto blobs = encoder.upload(bits, cid, rng);
+    auto blobs = encoder.upload(input_for(afe, cid), cid, rng);
     u8 expect = 1;
     if (k % 4 == 3) {
       blobs[cid % kServers][12] ^= 1;  // tampered ciphertext -> reject
@@ -215,6 +220,17 @@ Workload make_workload(const Afe& afe, size_t n, u64 first_cid = 0) {
     w.expected.push_back(expect);
   }
   return w;
+}
+
+// What the servers must publish for a workload: its honest inputs only.
+baseline::PlaintextReference<F, Afe> reference(const Afe& afe,
+                                               const Workload& w) {
+  baseline::PlaintextReference<F, Afe> ref(&afe);
+  for (size_t k = 0; k < w.subs.size(); ++k) {
+    const u64 cid = w.subs[k].client_id;
+    if (w.expected[k]) ref.add(cid, input_for(afe, cid));
+  }
+  return ref;
 }
 
 using Node = ServerNode<F, Afe>;
@@ -248,24 +264,10 @@ void on_all_nodes(size_t n, Fn fn) {
   for (auto& t : threads) t.join();
 }
 
-TEST(ServerNodeTest, MatchesSimnetDeploymentVerdictsAndAggregate) {
+TEST(ServerNodeTest, MatchesPlaintextReferenceVerdictsAndAggregate) {
   Afe afe(10);
   auto w = make_workload(afe, 24);
-
-  // Ground truth: the simulated deployment over the same blobs, same batch
-  // split, same master seed.
-  DeploymentOptions opts;
-  opts.num_servers = kServers;
-  opts.master_seed = kMasterSeed;
-  PrioDeployment<F, Afe> sim(&afe, opts);
-  std::vector<u8> sim_verdicts;
-  for (size_t off = 0; off < w.subs.size(); off += 8) {
-    auto v = sim.process_batch(
-        std::span<const Submission>(w.subs.data() + off, 8));
-    sim_verdicts.insert(sim_verdicts.end(), v.begin(), v.end());
-  }
-  EXPECT_EQ(sim_verdicts, w.expected);
-  auto sim_result = sim.publish();
+  const auto ref = reference(afe, w);
 
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
@@ -285,15 +287,16 @@ TEST(ServerNodeTest, MatchesSimnetDeploymentVerdictsAndAggregate) {
   });
 
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(node_verdicts[i], sim_verdicts) << "node " << i;
+    EXPECT_EQ(node_verdicts[i], w.expected) << "node " << i;
   }
   ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, sim.accepted());
-  EXPECT_EQ(agg->result, sim_result);
+  EXPECT_EQ(agg->accepted, ref.accepted());
+  EXPECT_EQ(agg->sigma, ref.sigma());
+  EXPECT_EQ(agg->result, ref.result());
 
-  // Traffic is coalesced like the simulated batch pipeline: per batch the
-  // mesh carries 2(s-1) point-to-point frames and 2(s-1) broadcast frames,
-  // i.e. 4 rounds -- not 4 messages per submission.
+  // Traffic is coalesced: per batch the mesh carries 2(s-1) point-to-point
+  // frames and 2(s-1) broadcast frames, i.e. 4 rounds -- not 4 messages
+  // per submission.
   EXPECT_EQ(mesh.sim().rounds(), 4u * 3u + 1u);  // 3 batches + publish
 }
 
@@ -437,13 +440,7 @@ TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
 TEST(ServerNodeTest, TcpMeshEndToEnd) {
   Afe afe(8);
   auto w = make_workload(afe, 16);
-
-  DeploymentOptions opts;
-  opts.num_servers = kServers;
-  opts.master_seed = kMasterSeed;
-  PrioDeployment<F, Afe> sim(&afe, opts);
-  auto sim_verdicts = sim.process_batch(std::span<const Submission>(w.subs));
-  auto sim_result = sim.publish();
+  const auto ref = reference(afe, w);
 
   std::vector<std::unique_ptr<net::TcpListener>> listeners;
   std::vector<net::TcpMeshTransport::PeerAddr> addrs;
@@ -469,10 +466,39 @@ TEST(ServerNodeTest, TcpMeshEndToEnd) {
     if (i == 0) agg = std::move(a);
   });
 
-  for (size_t i = 0; i < kServers; ++i) EXPECT_EQ(verdicts[i], sim_verdicts);
+  for (size_t i = 0; i < kServers; ++i) EXPECT_EQ(verdicts[i], w.expected);
   ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, sim.accepted());
-  EXPECT_EQ(agg->result, sim_result);
+  EXPECT_EQ(agg->accepted, ref.accepted());
+  EXPECT_EQ(agg->result, ref.result());
+}
+
+// Mesh set-up must not stall on a hello that lands just after its connect:
+// three nodes rendezvousing concurrently finish well inside one 200 ms
+// accept slice, every time.
+TEST(TcpTest, ConcurrentMeshSetupIsFast) {
+  const std::vector<u8> mesh_secret = master_seed_bytes(kMasterSeed);
+  for (int run = 0; run < 10; ++run) {
+    std::vector<std::unique_ptr<net::TcpListener>> listeners;
+    std::vector<net::TcpMeshTransport::PeerAddr> addrs;
+    for (size_t i = 0; i < kServers; ++i) {
+      listeners.push_back(std::make_unique<net::TcpListener>(0));
+      addrs.push_back({"127.0.0.1", listeners.back()->port()});
+    }
+    std::vector<long> setup_ms(kServers);
+    std::latch all_up(kServers);  // keep every mesh open until all are up
+    on_all_nodes(kServers, [&](size_t i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      net::TcpMeshTransport mesh(i, addrs, listeners[i].get(), mesh_secret,
+                                 5'000, 5'000);
+      setup_ms[i] = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      all_up.arrive_and_wait();
+    });
+    for (size_t i = 0; i < kServers; ++i) {
+      EXPECT_LT(setup_ms[i], 150) << "run " << run << " node " << i;
+    }
+  }
 }
 
 }  // namespace

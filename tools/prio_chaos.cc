@@ -9,8 +9,8 @@
 //
 //   * every epoch's published aggregate is fetched from server 0 and must
 //     be BIT-IDENTICAL (accepted count, sigma vector, typed result bytes)
-//     to the simnet oracle (core/deployment.h) fed the same sealed bytes
-//     in the same order;
+//     to the plaintext reference (baseline/no_privacy.h): the sum of the
+//     encodings of that epoch's untampered, first-delivered inputs;
 //   * after every non-final epoch, each server's /metrics endpoint is
 //     scraped until every shard lane's prio_lane_epoch gauge has advanced
 //     past the verified epoch -- a lane that wedged fails the run;
@@ -22,7 +22,7 @@
 // reproduces the same kills, the same fault plans, and the same inputs
 // bit-for-bit (the run prints the schedule up front so two runs can be
 // diffed). Transient timing still varies run to run -- the invariant is
-// that EVERY interleaving of the same schedule must produce the oracle's
+// that EVERY interleaving of the same schedule must produce the reference
 // aggregate.
 //
 // Port discipline: bases are probed in 49000-56999, disjoint from
@@ -58,7 +58,8 @@
 #include <vector>
 
 #include "afe/registry.h"
-#include "core/deployment.h"
+#include "baseline/no_privacy.h"
+#include "core/client.h"
 #include "net/tcp_transport.h"
 #include "obs/stats_server.h"
 #include "server/cli.h"
@@ -700,17 +701,13 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
   Driver driver(&ctx, &cluster, sched, base);
   SplitMix tear_rng{sched.seed ^ 0x544f524eull};
 
-  // The simnet oracle: ONE deployment across all epochs (mirroring the
-  // servers' continuous protocol state); per-epoch expectations come from
-  // diffing sigma/accepted at the boundaries, exactly like prio_loadgen.
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = sched.master_seed;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
+  // The plaintext reference spans all epochs, so a replay of an earlier
+  // epoch's client is never counted again -- the servers' replay floors
+  // persist across epochs too.
+  PrioClient<F, Afe> client(&afe, kServers, sched.master_seed);
+  baseline::PlaintextReference<F, Afe> ref(&afe);
   SecureRng rng = SecureRng::from_os_entropy();
   std::map<u64, std::vector<std::vector<u8>>> enc;  // bytes as sent
-  std::vector<F> sigma_prev(afe.k_prime(), F::zero());
-  size_t accepted_prev = 0;
 
   for (size_t e = 0; e < sched.epochs.size() && !ctx.failed(); ++e) {
     const EpochPlan& plan = sched.epochs[e];
@@ -739,9 +736,11 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
       }
       if (!item.replay) {
         auto blobs =
-            sim.client_upload(afe::sample_input(afe, item.cid), item.cid, rng);
+            client.upload(afe::sample_input(afe, item.cid), item.cid, rng);
         if (contains(plan.tampered, item.cid)) {
           blobs[item.cid % kServers][12] ^= 1;
+        } else {
+          ref.add(item.cid, afe::sample_input(afe, item.cid));
         }
         enc[item.cid] = std::move(blobs);
         ++fresh_sent;
@@ -759,37 +758,22 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     }
     if (ctx.failed()) break;
 
-    // Oracle step: the same bytes in the same order (replays included --
-    // the sim's replay floor rejects them just as the servers must).
-    std::vector<Submission> subs;
-    subs.reserve(order.size());
-    for (const Item& item : order) subs.push_back({item.cid, enc[item.cid]});
-    sim.process_batch(std::span<const Submission>(subs));
-    auto sigma_now = sim.sigma_now();
-    std::vector<F> sigma_epoch(afe.k_prime());
-    for (size_t c = 0; c < afe.k_prime(); ++c) {
-      sigma_epoch[c] = sigma_now[c] - sigma_prev[c];
-    }
-    const size_t acc_epoch = sim.accepted() - accepted_prev;
-    sigma_prev = std::move(sigma_now);
-    accepted_prev = sim.accepted();
-    auto expect_result =
-        afe.decode(std::span<const F>(sigma_epoch), acc_epoch);
-    const auto expect_typed = afe::result_bytes(afe, expect_result);
-
     const auto got = driver.fetch(afe, spec, (u32)e);
     if (!got) break;
-    if (got->accepted != acc_epoch || got->sigma != sigma_epoch ||
-        got->typed != expect_typed) {
+    if (got->accepted != ref.accepted() || got->sigma != ref.sigma() ||
+        got->typed != afe::result_bytes(afe, ref.result())) {
       ctx.fail("epoch " + std::to_string(e) + " aggregate DIVERGES from the "
-               "simnet oracle (accepted " + std::to_string(got->accepted) +
-               " vs " + std::to_string(acc_epoch) + ")");
+               "plaintext reference (accepted " +
+               std::to_string(got->accepted) + " vs " +
+               std::to_string(ref.accepted()) + ")");
       break;
     }
-    std::printf("chaos[%llu]: epoch %zu ok: accepted=%zu/%zu (bit-identical "
-                "to oracle)\n",
-                (unsigned long long)sched.seed, e, acc_epoch, order.size());
+    std::printf("chaos[%llu]: epoch %zu ok: accepted=%llu/%zu (bit-identical "
+                "to reference)\n",
+                (unsigned long long)sched.seed, e,
+                (unsigned long long)ref.accepted(), order.size());
     std::fflush(stdout);
+    ref.next_epoch();
 
     // No lane may wedge between epochs (the final epoch's liveness gate is
     // the servers' own clean exit below).

@@ -40,10 +40,11 @@
 // prebuilt frames. Accept/reject counts come ONLY from the published
 // typed aggregates -- intake acks do not reflect verification verdicts.
 //
-// Every epoch's published aggregate is cross-checked against a simnet
-// oracle (core/deployment.h) fed the SAME blob bytes: accepted count,
-// sigma vector, and the server's typed Result payload must all match
-// bit-for-bit, for every component, or the run exits non-zero.
+// Every epoch's published aggregate is cross-checked against the plaintext
+// reference (baseline/no_privacy.h) over that epoch's untampered,
+// first-delivered inputs: accepted count, sigma vector, and the server's
+// typed Result payload must all match bit-for-bit, for every component, or
+// the run exits non-zero.
 //
 // Output: BENCH_loadgen.json (override with --out), one flat JSON object
 // with per-mix arrival rate, accept/reject counts, p50/p95/p99 submission
@@ -73,8 +74,9 @@
 #include <vector>
 
 #include "afe/registry.h"
+#include "baseline/no_privacy.h"
 #include "bench_util.h"
-#include "core/deployment.h"
+#include "core/client.h"
 #include "obs/stats_server.h"
 #include "server/cli.h"
 #include "server/inproc.h"
@@ -112,7 +114,7 @@ struct ComponentReport {
   std::string spec;
   size_t uniques = 0, tampered = 0, replays = 0, fresh = 0;
   u64 tcp_accepted[2] = {0, 0};
-  u64 sim_accepted[2] = {0, 0};
+  u64 ref_accepted[2] = {0, 0};
   bool match[2] = {false, false};
   std::vector<Sample> samples;
   double publish_wait_ms[2] = {0, 0};
@@ -181,7 +183,7 @@ FetchedAggregate<Afe> fetch_aggregate(const Afe& afe, const afe::AfeSpec& spec,
 
 // Runs one component's full two-epoch lifecycle: pre-encode, cluster up,
 // open-loop phase A, epoch-0 aggregate, open-loop phase B (replays +
-// fresh), epoch-1 aggregate, simnet oracle cross-check.
+// fresh), epoch-1 aggregate, plaintext reference cross-check.
 template <typename Afe>
 ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
                               size_t uniques, double rate_hz,
@@ -200,11 +202,7 @@ ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
 
   // ---- pre-encode (single-threaded: the sealer's per-client counters are
   // not thread-safe; also keeps client CPU out of the measured path) ----
-  DeploymentOptions sim_opts;
-  sim_opts.num_servers = kServers;
-  sim_opts.master_seed = cfg.master_seed;
-  sim_opts.batch_threads = 2;
-  PrioDeployment<F, Afe> sim(&afe, sim_opts);
+  PrioClient<F, Afe> client(&afe, kServers, cfg.master_seed);
   SecureRng enc_rng = SecureRng::from_os_entropy();
 
   // Encoded-submission table: [0, uniques) = epoch 0 (cids 0..U-1, the
@@ -214,7 +212,7 @@ ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
   // only the replay floor (never the SNIP check) can reject them.
   struct Enc {
     u64 cid = 0;
-    std::vector<std::vector<u8>> blobs;
+    bool tampered = false;
     std::vector<std::vector<u8>> frames;  // prebuilt kClientSubmit, per server
   };
   std::vector<Enc> enc;
@@ -222,14 +220,15 @@ ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
   auto encode_one = [&](u64 cid, bool tamper) {
     Enc e;
     e.cid = cid;
-    e.blobs = sim.client_upload(afe::sample_input(afe, cid), cid, enc_rng);
-    if (tamper) e.blobs[cid % kServers][12] ^= 1;
+    e.tampered = tamper;
+    auto blobs = client.upload(afe::sample_input(afe, cid), cid, enc_rng);
+    if (tamper) blobs[cid % kServers][12] ^= 1;
     e.frames.reserve(kServers);
     for (size_t j = 0; j < kServers; ++j) {
       net::Writer w;
       w.u8_(server::kClientSubmit);
       w.u64_(cid);
-      w.bytes(e.blobs[j]);
+      w.bytes(blobs[j]);
       e.frames.push_back(w.take());
     }
     enc.push_back(std::move(e));
@@ -368,33 +367,19 @@ ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
     rep.server_stats = *body;
   }
 
-  // ---- simnet oracle, fed the same bytes in the same arrival order -----
-  auto to_batch = [&](const std::vector<PhaseItem>& items) {
-    std::vector<Submission> batch;
-    batch.reserve(items.size());
-    for (const auto& it : items) {
-      batch.push_back({enc[it.enc_idx].cid, enc[it.enc_idx].blobs});
-    }
-    return batch;
-  };
-  std::vector<F> sigma_prev(afe.k_prime(), F::zero());
-  size_t accepted_prev = 0;
+  // ---- plaintext reference: each epoch's untampered inputs, replays of
+  // epoch-0 clients counted only once -------------------------------------
+  baseline::PlaintextReference<F, Afe> ref(&afe);
   for (int e = 0; e < 2; ++e) {
-    auto batch = to_batch(e == 0 ? phase0 : phase1);
-    sim.process_batch(std::span<const Submission>(batch));
-    auto sigma_now = sim.sigma_now();
-    std::vector<F> sigma_epoch(afe.k_prime());
-    for (size_t c = 0; c < afe.k_prime(); ++c) {
-      sigma_epoch[c] = sigma_now[c] - sigma_prev[c];
+    for (const auto& it : e == 0 ? phase0 : phase1) {
+      const Enc& item = enc[it.enc_idx];
+      if (!item.tampered) ref.add(item.cid, afe::sample_input(afe, item.cid));
     }
-    const size_t acc_epoch = sim.accepted() - accepted_prev;
-    sigma_prev = std::move(sigma_now);
-    accepted_prev = sim.accepted();
-    rep.sim_accepted[e] = acc_epoch;
-    auto result = afe.decode(std::span<const F>(sigma_epoch), acc_epoch);
-    rep.match[e] = agg[e].accepted == acc_epoch &&
-                   agg[e].sigma == sigma_epoch &&
-                   agg[e].typed == afe::result_bytes(afe, result);
+    rep.ref_accepted[e] = ref.accepted();
+    rep.match[e] = agg[e].accepted == ref.accepted() &&
+                   agg[e].sigma == ref.sigma() &&
+                   agg[e].typed == afe::result_bytes(afe, ref.result());
+    ref.next_epoch();
   }
   return rep;
 }
@@ -495,12 +480,12 @@ bool run_mix(const MixDef& mix, const LoadConfig& cfg,
     if (!r.match[0] || !r.match[1] || !counts_ok) {
       std::fprintf(stderr,
                    "[loadgen] %s (%s) MISMATCH: tcp=(%llu,%llu) "
-                   "sim=(%llu,%llu) expected=(%zu,%zu)\n",
+                   "reference=(%llu,%llu) expected=(%zu,%zu)\n",
                    p.c_str(), r.spec.c_str(),
                    static_cast<unsigned long long>(r.tcp_accepted[0]),
                    static_cast<unsigned long long>(r.tcp_accepted[1]),
-                   static_cast<unsigned long long>(r.sim_accepted[0]),
-                   static_cast<unsigned long long>(r.sim_accepted[1]),
+                   static_cast<unsigned long long>(r.ref_accepted[0]),
+                   static_cast<unsigned long long>(r.ref_accepted[1]),
                    r.uniques - r.tampered, r.fresh);
       ok = false;
     }
