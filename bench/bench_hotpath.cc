@@ -16,14 +16,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -242,18 +239,12 @@ int main(int argc, char** argv) {
     json.kv("pipeline_batch_ns_per_sub", 1e9 / batch_rate);
   }
 
-  // ---- pipelined node runtime (prepare/rounds overlap) -----------------
-  // The compute model of --pipeline-depth 2 (server/shard.h): while a
-  // lane's batch N runs its four SNIP rounds over the mesh, a prefetch
-  // thread decrypts and PRG-expands batch N+1 into a second PreparedBatch.
-  // This stage runs the real ServerNode split (prepare_batch /
-  // commit_or_rollback) over a LoopbackMesh -- protocol-faithful rounds,
-  // no sockets -- at depth 1 (serial baseline) and depth 2 (one slot of
-  // overlap), across 1/2/4 lanes. The headline compares the two depths at
-  // one shard count: the one where depth 2 is fastest.
+  // ---- node runtime across lanes ---------------------------------------
+  // The compute shape of --shards N (server/shard.h): one thread per
+  // (lane, server) running ServerNode::process_batch back to back over a
+  // LoopbackMesh -- protocol-faithful rounds, no sockets -- across 1/2/4
+  // lanes. One lane's compute overlaps another lane's mesh waits.
   {
-    double best_d1 = 0, best_d2 = 0;
-    size_t best_d2_shards = 1;
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       std::vector<std::vector<Submission>> split(shards);
       for (const auto& sub : subs) {
@@ -262,7 +253,7 @@ int main(int argc, char** argv) {
       // Fresh nodes per run (the replay floor would reject a re-run of
       // the same counters); best of two runs per config damps scheduler
       // noise, which dominates on small machines.
-      auto run_config = [&](size_t depth, obs::Registry* reg = nullptr) {
+      auto run_config = [&](obs::Registry* reg = nullptr) {
         net::LoopbackMesh mesh(kServers, 60'000, shards);
         std::vector<std::unique_ptr<net::LoopbackTransport>> bases;
         for (size_t i = 0; i < kServers; ++i) {
@@ -291,77 +282,13 @@ int main(int argc, char** argv) {
             for (size_t i = 0; i < kServers; ++i) {
               ServerNode<F, Afe>* node = nodes[l * kServers + i].get();
               const std::vector<Submission>* mine = &split[l];
-              threads.emplace_back([node, mine, depth, kBatch] {
-                const size_t nb = (mine->size() + kBatch - 1) / kBatch;
-                auto view = [&](size_t b) {
-                  const size_t off = b * kBatch;
+              threads.emplace_back([node, mine, kBatch] {
+                for (size_t off = 0; off < mine->size(); off += kBatch) {
                   const size_t q = std::min(kBatch, mine->size() - off);
-                  return node_view(
+                  node->process_batch(node_view(
                       std::span<const Submission>(mine->data() + off, q),
-                      node->self());
-                };
-                // On a single-core host there is no second core to overlap
-                // prepare with the rounds, so the prefetch handoff is pure
-                // context-switch loss: prepare inline instead. Multi-core
-                // hosts take the overlapped path below.
-                if (depth == 1 || std::thread::hardware_concurrency() < 2) {
-                  for (size_t b = 0; b < nb; ++b) {
-                    const auto shares = view(b);
-                    PreparedBatch<F> prep;
-                    node->prepare_batch(shares, prep);
-                    node->commit_or_rollback(shares, prep);
-                  }
-                  return;
+                      node->self()));
                 }
-                // Depth 2: double-buffered slots filled by a persistent
-                // prefetch thread (the runtime's shape), fed batch b+1
-                // while slot b's rounds run on this thread.
-                std::vector<SubmissionShare> shares[2];
-                PreparedBatch<F> preps[2];
-                std::mutex mu;
-                std::condition_variable cv;
-                std::optional<size_t> req;
-                bool done = false, quit = false;
-                std::thread pf([&] {
-                  std::unique_lock<std::mutex> lock(mu);
-                  for (;;) {
-                    cv.wait(lock, [&] { return quit || req.has_value(); });
-                    if (quit) return;
-                    const size_t b = *req;
-                    req.reset();
-                    lock.unlock();
-                    shares[b % 2] = view(b);
-                    node->prepare_batch(shares[b % 2], preps[b % 2]);
-                    lock.lock();
-                    done = true;
-                    cv.notify_all();
-                  }
-                });
-                if (nb > 0) {
-                  shares[0] = view(0);
-                  node->prepare_batch(shares[0], preps[0]);
-                }
-                for (size_t b = 0; b < nb; ++b) {
-                  bool prefetching = false;
-                  if (b + 1 < nb) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    req = b + 1;
-                    done = false;
-                    cv.notify_all();
-                    prefetching = true;
-                  }
-                  node->commit_or_rollback(shares[b % 2], preps[b % 2]);
-                  if (prefetching) {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return done; });
-                  }
-                }
-                {
-                  std::lock_guard<std::mutex> lock(mu);
-                  quit = true;
-                  cv.notify_all();
-                }
-                pf.join();
               });
             }
           }
@@ -371,26 +298,17 @@ int main(int argc, char** argv) {
         for (size_t l = 0; l < shards; ++l) {
           accepted += nodes[l * kServers]->accepted();
         }
-        require(accepted == kN, "bench: pipelined node runtime rejected inputs");
+        require(accepted == kN, "bench: node runtime rejected inputs");
         return kN / t;
       };
-      double rate[3] = {};  // indexed by depth
-      for (size_t depth : {size_t{1}, size_t{2}}) {
-        rate[depth] = std::max(run_config(depth), run_config(depth));
-        std::printf("pipeline node d%zu s%zu:     %6.0f subs/s   (%.2fx batch)\n",
-                    depth, shards, rate[depth], rate[depth] / batch_rate);
-        json.kv("pipeline_pipelined_d" + std::to_string(depth) + "_s" +
-                    std::to_string(shards) + "_subs_per_s",
-                rate[depth]);
-      }
-      if (rate[2] > best_d2) {
-        best_d1 = rate[1];
-        best_d2 = rate[2];
-        best_d2_shards = shards;
-      }
+      const double rate = std::max(run_config(), run_config());
+      std::printf("pipeline node s%zu:        %6.0f subs/s   (%.2fx batch)\n",
+                  shards, rate, rate / batch_rate);
+      json.kv("pipeline_node_s" + std::to_string(shards) + "_subs_per_s",
+              rate);
 
       // ---- metrics overhead (src/obs/) ---------------------------------
-      // Same depth-2 two-lane run, uninstrumented vs with an attached
+      // Same two-lane run, uninstrumented vs with an attached
       // obs::Registry (stage histograms + verdict counters recording).
       // Run-to-run spread on a small host reaches tens of percent, far
       // above the effect, so this reports the median on/off ratio over
@@ -403,11 +321,11 @@ int main(int argc, char** argv) {
           obs::Registry reg;
           double off_rate = 0, on_rate = 0;
           if (p % 2 == 0) {
-            off_rate = run_config(2);
-            on_rate = run_config(2, &reg);
+            off_rate = run_config();
+            on_rate = run_config(&reg);
           } else {
-            on_rate = run_config(2, &reg);
-            off_rate = run_config(2);
+            on_rate = run_config(&reg);
+            off_rate = run_config();
           }
           off.push_back(off_rate);
           on.push_back(on_rate);
@@ -418,7 +336,7 @@ int main(int argc, char** argv) {
           return v[v.size() / 2];
         };
         const double overhead = 1.0 - median(ratio);
-        std::printf("metrics overhead d2 s2:  off %6.0f subs/s   on %6.0f"
+        std::printf("metrics overhead s2:     off %6.0f subs/s   on %6.0f"
                     " subs/s   (median of %d pairs: %+.2f%%)\n",
                     median(off), median(on), kPairs, overhead * 100.0);
         json.kv("metrics_off_subs_per_s", median(off));
@@ -428,14 +346,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(kPairs));
       }
     }
-    json.kv("pipeline_pipelined1_subs_per_s", best_d1);
-    json.kv("pipeline_pipelined_subs_per_s", best_d2);
-    json.kv("pipeline_pipelined_shards",
-            static_cast<unsigned long long>(best_d2_shards));
-    json.kv("pipeline_depth", 2ull);
-    std::printf("pipeline pipelined s%zu:   depth1 %6.0f subs/s   depth2 %6.0f"
-                " subs/s   (%.2fx)\n", best_d2_shards, best_d1, best_d2,
-                best_d1 > 0 ? best_d2 / best_d1 : 0.0);
   }
 
   std::string payload = json.finish();

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,21 +48,21 @@ class Flags {
   }
 
   std::string str(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
   u64 num(const std::string& key, u64 fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) return fallback;
     return parse_u64(it->second);
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const { return find(key) != values_.end(); }
 
   // Strict double parse for rate/fraction flags.
   double real(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) return fallback;
     errno = 0;
     char* end = nullptr;
@@ -82,8 +84,30 @@ class Flags {
     return v;
   }
 
+  // Throws naming every given flag no accessor above ever looked up. Call
+  // once the binary has read its whole vocabulary: a typo ("--data_dir")
+  // or a retired flag then fails start-up instead of being ignored.
+  void reject_unread() const {
+    std::string unread;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        unread += (unread.empty() ? "--" : ", --") + key;
+      }
+    }
+    if (!unread.empty()) {
+      throw std::invalid_argument("unknown flag(s): " + unread);
+    }
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // keys looked up so far
 };
 
 // A TCP port given on the command line: in range and non-zero.
@@ -149,22 +173,10 @@ inline afe::AfeSpec resolve_afe_spec(const Flags& flags) {
 struct CommonConfig {
   std::vector<ServerEndpoint> endpoints;
   u64 master_seed = 1;
+  // One mesh transport lane per shard; all servers must agree.
   size_t shards = 1;
-  // --pipeline-depth: 1 = serial lanes (byte-identical legacy wire), 2 =
-  // prefetch batch N+1 while batch N's rounds are in flight. Depths above
-  // 2 are accepted and behave as 2 (one prefetched slot). Part of the
-  // deployment identity: depth >= 2 doubles the mesh's transport lane
-  // count (a control lane per shard), so all servers must agree.
-  size_t pipeline_depth = 1;
   afe::AfeSpec spec;  // as given; normalize via afe::with_afe
 };
-
-// Transport lanes the mesh needs for a deployment: one per shard, plus a
-// control lane per shard when pipelining (announcements read ahead of the
-// data lane's round frames).
-inline size_t mesh_lane_count(const CommonConfig& cfg) {
-  return cfg.shards * (cfg.pipeline_depth >= 2 ? 2 : 1);
-}
 
 inline CommonConfig parse_common_config(const Flags& flags) {
   CommonConfig cfg;
@@ -173,11 +185,6 @@ inline CommonConfig parse_common_config(const Flags& flags) {
   cfg.master_seed = flags.num("master-seed", 1);
   cfg.shards = flags.num("shards", 1);
   require(cfg.shards >= 1 && cfg.shards <= 255, "--shards must be 1..255");
-  cfg.pipeline_depth = flags.num("pipeline-depth", 1);
-  require(cfg.pipeline_depth >= 1 && cfg.pipeline_depth <= 8,
-          "--pipeline-depth must be 1..8");
-  require(mesh_lane_count(cfg) <= 255,
-          "--shards with --pipeline-depth >= 2 needs shards <= 127");
   cfg.spec = resolve_afe_spec(flags);
   return cfg;
 }

@@ -141,10 +141,9 @@ class InprocCluster {
                   size_t id) {
     try {
       const std::vector<u8> secret = master_seed_bytes(opts_.master_seed);
-      const bool pipelined = opts_.runtime.pipeline_depth >= 2;
       net::TcpMeshTransport mesh(id, addrs, peer_listeners_[id].get(), secret,
                                  opts_.mesh_timeout_ms, opts_.recv_timeout_ms,
-                                 opts_.shards * (pipelined ? 2 : 1));
+                                 opts_.shards);
       RuntimeOptions runtime = opts_.runtime;
       if (opts_.stats) {
         runtime.metrics = registries_[id].get();
@@ -153,15 +152,10 @@ class InprocCluster {
       ThreadPool pool(opts_.batch_threads);
       Router router(afe_, &mesh, client_listeners_[id].get(), runtime);
       std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-      std::vector<std::unique_ptr<net::LaneTransport>> ctrl_lanes;
       std::vector<std::unique_ptr<Node>> nodes;
       std::vector<std::unique_ptr<typename Router::Shard>> shard_runtimes;
       for (size_t l = 0; l < opts_.shards; ++l) {
         lanes.push_back(std::make_unique<net::LaneTransport>(&mesh, l));
-        if (pipelined) {
-          ctrl_lanes.push_back(
-              std::make_unique<net::LaneTransport>(&mesh, opts_.shards + l));
-        }
         ServerNodeConfig cfg;
         cfg.num_servers = opts_.num_servers;
         cfg.self = id;
@@ -172,8 +166,7 @@ class InprocCluster {
         nodes.push_back(std::make_unique<Node>(afe_, cfg, lanes.back().get()));
         shard_runtimes.push_back(std::make_unique<typename Router::Shard>(
             nodes.back().get(), lanes.back().get(), &router, runtime,
-            opts_.shards, nullptr,
-            pipelined ? ctrl_lanes.back().get() : nullptr));
+            opts_.shards));
         router.add_shard(shard_runtimes.back().get());
       }
       router.finish_setup();

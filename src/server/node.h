@@ -76,30 +76,6 @@ inline std::vector<SubmissionShare> node_view(
   return out;
 }
 
-// The CPU-heavy, network-free front half of a batch, double-buffered by the
-// pipelined runtime (server/shard.h): every sealed blob decrypted and
-// PRG-expanded into ONE flat preallocated buffer (q * ext_len field
-// elements; the x-share aggregation slice is the prefix of each row), plus
-// the per-submission sequence numbers and the parse bitmap. Owning the
-// expansion here -- instead of inside the per-worker SnipVerifier scratch --
-// is what lets batch N+1 be prepared on a prefetch thread while batch N's
-// rounds are still reading its own PreparedBatch: the two batches never
-// share scratch, and nothing is allocated per submission.
-template <PrimeField F>
-struct PreparedBatch {
-  std::vector<F> ext;      // count * ext_len expanded shares, row-major
-  std::vector<u64> seqs;   // per-submission client sequence numbers
-  std::vector<u8> parsed;  // 1 iff the blob opened and parsed
-  size_t count = 0;
-  size_t ext_len = 0;
-  std::span<F> share(size_t v) {
-    return {ext.data() + v * ext_len, ext_len};
-  }
-  std::span<const F> share(size_t v) const {
-    return {ext.data() + v * ext_len, ext_len};
-  }
-};
-
 struct ServerNodeConfig {
   size_t num_servers = 0;
   size_t self = 0;
@@ -149,9 +125,6 @@ class ServerNode {
     require(transport->num_nodes() == cfg.num_servers &&
                 transport->self() == cfg.self,
             "ServerNode: transport/config mismatch");
-    // Created eagerly, not on first use: prepare_batch may run on a
-    // prefetch thread concurrently with the lane thread's rounds, and a
-    // lazy first-touch pool creation would race.
     if (!cfg_.shared_pool) {
       pool_ = std::make_unique<ThreadPool>(cfg_.batch_threads);
     }
@@ -201,58 +174,20 @@ class ServerNode {
   void set_generation(u64 gen) { gen_ = gen; }
 
   // -------------------------------------------------------------------
-  // Batched verification, split into a network-free prepare phase and the
-  // four mesh rounds so the runtime can software-pipeline batches:
-  //
-  //   prepare_batch       decrypt + PRG-expand every blob into a caller-
-  //                       owned PreparedBatch. Touches NO protocol state
-  //                       (sealer keys only), so it is safe to run on a
-  //                       prefetch thread for batch N+1 while this node's
-  //                       lane thread is inside commit_or_rollback for
-  //                       batch N.
-  //   commit_or_rollback  the SNIP rounds + aggregation over a prepared
-  //                       batch, with the PR 4 two-phase abort story: a
-  //                       mid-round TransportError rolls the node back to
-  //                       its exact pre-batch state (batch counter,
-  //                       r-refresh schedule and all) and rethrows, so the
-  //                       runtime can re-establish the mesh and retry. The
-  //                       PreparedBatch is left intact: a retry under a
-  //                       fresh generation may reuse it.
-  //   process_batch       prepare + commit_or_rollback back-to-back; the
-  //                       depth-1 (unpipelined) path, bit-identical on the
-  //                       wire and in every state transition to the
-  //                       pre-split implementation.
+  // Batched verification: decrypt + PRG-expand every blob (prepare), then
+  // the four mesh rounds and aggregation (run_rounds). A mid-round
+  // TransportError rolls the node back to its exact pre-batch state (batch
+  // counter, r-refresh schedule and all) and rethrows, so the runtime can
+  // re-establish the mesh and retry the same batch under a fresh
+  // generation.
   //
   // All nodes must process the same ordered batch (same client ids, each
   // holding its own blob); the runtime's leader announcement guarantees
   // that. Returns one 0/1 verdict per submission, identical on every node.
   // -------------------------------------------------------------------
-  void prepare_batch(std::span<const SubmissionShare> batch,
-                     PreparedBatch<F>& prep) {
-    obs::ScopedTimer prepare_timer(m_prepare_);
-    const size_t q = batch.size();
-    prep.count = q;
-    prep.ext_len = ctx_.layout().total_len();
-    prep.ext.assign(q * prep.ext_len, F::zero());
-    prep.seqs.assign(q, 0);
-    prep.parsed.assign(q, 0);
-    if (q == 0) return;
-    const size_t me = cfg_.self;
-    // ThreadPool::parallel_for is safe from concurrent callers, and the
-    // workers only do crypto (never a mesh recv), so a prefetch-side
-    // prepare can share the pool with in-flight rounds without deadlock.
-    ensure_pool().parallel_for(q, [&](size_t v, size_t) {
-      if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, me,
-                                     batch[v].blob, prep.share(v),
-                                     &prep.seqs[v])) {
-        return;
-      }
-      prep.parsed[v] = 1;
-    });
-  }
-
-  std::vector<u8> commit_or_rollback(std::span<const SubmissionShare> batch,
-                                     const PreparedBatch<F>& prep) {
+  std::vector<u8> process_batch(std::span<const SubmissionShare> batch) {
+    PreparedBatch prep;
+    prepare(batch, prep);
     const u64 counter_before = batch_counter_;
     const u64 refreshes_before = refreshes_;
     const size_t since_before = ctx_.submissions_since_refresh();
@@ -268,17 +203,50 @@ class ServerNode {
     }
   }
 
-  std::vector<u8> process_batch(std::span<const SubmissionShare> batch) {
-    PreparedBatch<F> prep;
-    prepare_batch(batch, prep);
-    return commit_or_rollback(batch, prep);
+ private:
+  // The network-free front half of a batch: every sealed blob decrypted
+  // and PRG-expanded into ONE flat buffer (q * ext_len field elements; the
+  // x-share aggregation slice is the prefix of each row), plus the
+  // per-submission sequence numbers and the parse bitmap.
+  struct PreparedBatch {
+    std::vector<F> ext;      // count * ext_len expanded shares, row-major
+    std::vector<u64> seqs;   // per-submission client sequence numbers
+    std::vector<u8> parsed;  // 1 iff the blob opened and parsed
+    size_t ext_len = 0;
+    std::span<F> share(size_t v) {
+      return {ext.data() + v * ext_len, ext_len};
+    }
+    std::span<const F> share(size_t v) const {
+      return {ext.data() + v * ext_len, ext_len};
+    }
+  };
+
+  // Touches no protocol state (sealer keys only).
+  void prepare(std::span<const SubmissionShare> batch, PreparedBatch& prep) {
+    obs::ScopedTimer prepare_timer(m_prepare_);
+    const size_t q = batch.size();
+    prep.ext_len = ctx_.layout().total_len();
+    prep.ext.assign(q * prep.ext_len, F::zero());
+    prep.seqs.assign(q, 0);
+    prep.parsed.assign(q, 0);
+    if (q == 0) return;
+    const size_t me = cfg_.self;
+    // Lanes share one pool (ThreadPool::parallel_for is safe from
+    // concurrent callers); the workers only do crypto, never a mesh recv,
+    // so a lane blocked in its rounds never holds a worker.
+    ensure_pool().parallel_for(q, [&](size_t v, size_t) {
+      if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, me,
+                                     batch[v].blob, prep.share(v),
+                                     &prep.seqs[v])) {
+        return;
+      }
+      prep.parsed[v] = 1;
+    });
   }
 
- private:
   std::vector<u8> run_rounds(std::span<const SubmissionShare> batch,
-                             const PreparedBatch<F>& prep) {
+                             const PreparedBatch& prep) {
     const size_t q = batch.size();
-    require(prep.count == q, "run_rounds: prepared batch size mismatch");
     std::vector<u8> verdicts(q, 0);
     if (q == 0) return verdicts;
     // Recorded only on commit (the observe at the bottom): an aborted
@@ -290,9 +258,9 @@ class ServerNode {
     const size_t leader = static_cast<size_t>(batch_no % s);
     const size_t kp = afe_->k_prime();
 
-    // The refresh decision stays HERE, not in prepare_batch: r is secret
-    // protocol state walked in lockstep across the mesh, so it must
-    // advance in commit order even when batches were prepared ahead.
+    // The refresh decision belongs to the rounds, not to prepare: r is
+    // secret protocol state walked in lockstep across the mesh, and the
+    // abort rollback above restores it.
     if (ctx_.refresh_due(cfg_.refresh_every, q)) {
       ctx_.refresh();
       ++refreshes_;
@@ -300,7 +268,7 @@ class ServerNode {
     ctx_.note_submissions(q);
 
     // Local checks (pooled) over the prepared expansion. The check reads
-    // the caller's PreparedBatch rows and allocates nothing; the x-share
+    // the PreparedBatch rows and allocates nothing; the x-share
     // aggregation slice is the row prefix, so nothing is copied out.
     ThreadPool& pool = ensure_pool();
     ensure_verifiers(pool.size());

@@ -16,11 +16,11 @@
 //       --clients 40 --expect-clients 40
 //
 // Every server must be started with the same --servers list, --master-seed,
-// --afe, --epoch-size, --batch, --epochs, --shards, and --pipeline-depth
-// (--afe agreement is enforced at mesh sync; the rest fail loudly
-// in-protocol). --len N is
-// deprecated sugar for --afe bitvec_sum:len=N. Exit code 0 means all
-// epochs completed (and, on server 0, were published).
+// --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
+// enforced at mesh sync; the rest fail loudly in-protocol). --len N is
+// deprecated sugar for --afe bitvec_sum:len=N. An unknown flag (a typo, or
+// one a previous release accepted) fails start-up with its name. Exit code
+// 0 means all epochs completed (and, on server 0, were published).
 //
 // Sharding (--shards N, default 1): the runtime splits into N ShardRuntimes
 // behind a ServerRouter (server/router.h) -- client ids are hashed to a
@@ -79,21 +79,25 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   require(id < endpoints.size(), "--id out of range of --servers");
   const size_t shards = common.shards;
 
-  // Seeded fault injection (--fault-plan SPEC, store/fault.h): armed
-  // before any store or mesh exists so the very first I/O can fault.
-  if (flags.has("fault-plan")) {
-    const std::string spec = flags.str("fault-plan", "");
-    std::string err;
-    auto plan = store::FaultPlan::parse(spec, &err);
-    if (!plan) {
-      std::fprintf(stderr, "prio_server: bad --fault-plan: %s\n", err.c_str());
-      return 1;
-    }
-    g_fault_plan = std::make_unique<store::FaultPlan>(std::move(*plan));
-    store::install_fault_plan(g_fault_plan.get());
-    std::fprintf(stderr, "[server %zu] fault plan armed: %s\n", id,
-                 spec.c_str());
-  }
+  // Every flag is read before reject_unread() below, and that runs before
+  // anything touches the disk or the network: an unknown flag fails
+  // start-up with nothing half done.
+  const bool has_fault_plan = flags.has("fault-plan");
+  const std::string fault_spec = flags.str("fault-plan", "");
+  const bool durable = flags.has("data-dir");
+  const std::string data_root = flags.str("data-dir", "");
+  const auto fsync_policy =
+      store::parse_fsync_policy(flags.str("fsync", "epoch"));
+  require(fsync_policy.has_value(), "--fsync must be always, epoch, or off");
+  const std::string trace_path = flags.str("trace-log", "");
+  const std::string bind_host = flags.str("bind", "0.0.0.0");
+  const int mesh_timeout_ms =
+      static_cast<int>(flags.num("mesh-timeout-ms", 30'000));
+  const int rejoin_timeout_ms =
+      static_cast<int>(flags.num("rejoin-timeout-ms", 120'000));
+  const bool has_stats = flags.has("stats-port");
+  const u16 stats_port = static_cast<u16>(flags.num("stats-port", 0));
+  const u64 report_s = flags.num("report-interval-s", 0);
 
   ServerNodeConfig base_cfg;
   base_cfg.num_servers = endpoints.size();
@@ -110,19 +114,38 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       static_cast<int>(flags.num("announce-wait-ms", 60'000));
   opts.linger_ms = static_cast<int>(flags.num("linger-ms", 50));
   opts.afe_spec = spec.canonical();
-  opts.pipeline_depth = common.pipeline_depth;
+  // Followers block in recv for the leader's next announcement while the
+  // leader may legitimately wait announce_wait_ms for a batch to fill, so
+  // the mesh recv timeout must comfortably exceed that.
+  const int recv_timeout_ms = static_cast<int>(
+      flags.num("recv-timeout-ms", opts.announce_wait_ms + 60'000));
+  flags.reject_unread();
+
+  // Seeded fault injection (--fault-plan SPEC, store/fault.h): armed
+  // before any store or mesh exists so the very first I/O can fault.
+  if (has_fault_plan) {
+    std::string err;
+    auto plan = store::FaultPlan::parse(fault_spec, &err);
+    if (!plan) {
+      std::fprintf(stderr, "prio_server: bad --fault-plan: %s\n", err.c_str());
+      return 1;
+    }
+    g_fault_plan = std::make_unique<store::FaultPlan>(std::move(*plan));
+    store::install_fault_plan(g_fault_plan.get());
+    std::fprintf(stderr, "[server %zu] fault plan armed: %s\n", id,
+                 fault_spec.c_str());
+  }
 
   // Observability (src/obs/): the registry is always attached -- hot-path
-  // recording is a relaxed atomic per event (bench_hotpath holds the
-  // overhead under 2%) -- while the HTTP endpoint (--stats-port), the
-  // JSONL trace (--trace-log FILE) and the periodic self-report
-  // (--report-interval-s N) are opt-in.
+  // recording is a relaxed atomic per event -- while the HTTP endpoint
+  // (--stats-port), the JSONL trace (--trace-log FILE) and the periodic
+  // self-report (--report-interval-s N) are opt-in.
   obs::Registry registry;
   opts.metrics = &registry;
   base_cfg.metrics = &registry;
   std::unique_ptr<obs::TraceLog> trace;
-  if (flags.has("trace-log")) {
-    trace = obs::TraceLog::open(flags.str("trace-log", ""));
+  if (!trace_path.empty()) {
+    trace = obs::TraceLog::open(trace_path);
     opts.trace = trace.get();
   }
 
@@ -130,22 +153,19 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   // mesh so a corrupt directory fails fast, recovered after the nodes
   // exist. One shard keeps the flat pre-sharding layout.
   std::vector<std::unique_ptr<store::EpochStore>> stores(shards);
-  if (flags.has("data-dir")) {
-    const auto policy = store::parse_fsync_policy(flags.str("fsync", "epoch"));
-    require(policy.has_value(), "--fsync must be always, epoch, or off");
-    const std::string root = flags.str("data-dir", "");
+  if (durable) {
     // EpochStore mkdirs only its own directory; with per-shard subdirs
     // the root has to exist first.
-    if (shards > 1) ::mkdir(root.c_str(), 0777);
+    if (shards > 1) ::mkdir(data_root.c_str(), 0777);
     for (size_t l = 0; l < shards; ++l) {
-      std::string dir = root;
+      std::string dir = data_root;
       if (shards > 1) {
         char sub[32];
         std::snprintf(sub, sizeof(sub), "/shard-%02u",
                       static_cast<unsigned>(l));
         dir += sub;
       }
-      stores[l] = std::make_unique<store::EpochStore>(dir, *policy);
+      stores[l] = std::make_unique<store::EpochStore>(dir, *fsync_policy);
       stores[l]->attach_metrics(&registry, obs::label_kv("shard", l));
     }
   }
@@ -153,7 +173,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   // Listen before dialing, so peers starting in any order can connect.
   // Binds all interfaces by default so the mesh can span hosts (the
   // --servers entries carry the routable addresses peers dial).
-  const std::string bind_host = flags.str("bind", "0.0.0.0");
   net::TcpListener peer_listener(endpoints[id].peer_port, bind_host);
   net::TcpListener client_listener(endpoints[id].client_port, bind_host);
   std::fprintf(stderr,
@@ -161,20 +180,13 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
                "mesh...\n",
                id, opts.afe_spec.c_str(), peer_listener.port(),
                client_listener.port(), shards);
-  // Followers block in recv for the leader's next announcement while the
-  // leader may legitimately wait announce_wait_ms for a batch to fill, so
-  // the mesh recv timeout must comfortably exceed that.
   const std::vector<u8> mesh_secret = master_seed_bytes(base_cfg.master_seed);
-  net::TcpMeshTransport mesh(
-      id, server::peer_addrs(endpoints), &peer_listener, mesh_secret,
-      static_cast<int>(flags.num("mesh-timeout-ms", 30'000)),
-      static_cast<int>(
-          flags.num("recv-timeout-ms", opts.announce_wait_ms + 60'000)),
-      server::mesh_lane_count(common));
+  net::TcpMeshTransport mesh(id, server::peer_addrs(endpoints),
+                             &peer_listener, mesh_secret, mesh_timeout_ms,
+                             recv_timeout_ms, shards);
   // A crashed peer needs time to restart and redial before a surviving
   // server gives up on re-establishing the mesh.
-  mesh.set_reestablish_timeout_ms(
-      static_cast<int>(flags.num("rejoin-timeout-ms", 120'000)));
+  mesh.set_reestablish_timeout_ms(rejoin_timeout_ms);
   mesh.attach_metrics(&registry);
   std::fprintf(stderr, "[server %zu] mesh up (%zu servers, %zu lanes)\n", id,
                mesh.num_nodes(), mesh.lanes());
@@ -187,17 +199,10 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   using Router = server::ServerRouter<F, Afe>;
   Router router(&afe, &mesh, &client_listener, opts);
   std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<net::LaneTransport>> ctrl_lanes;
   std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
   std::vector<std::unique_ptr<typename Router::Shard>> shard_runtimes;
   for (size_t l = 0; l < shards; ++l) {
     lanes.push_back(std::make_unique<net::LaneTransport>(&mesh, l));
-    // Pipelining moves announcements/close markers to a control lane so
-    // the prefetcher reads ahead of in-flight round frames.
-    if (opts.pipeline_depth >= 2) {
-      ctrl_lanes.push_back(
-          std::make_unique<net::LaneTransport>(&mesh, shards + l));
-    }
     ServerNodeConfig cfg = base_cfg;
     cfg.lane = l;
     cfg.shared_pool = &pool;
@@ -205,8 +210,7 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
         std::make_unique<ServerNode<F, Afe>>(&afe, cfg, lanes.back().get()));
     shard_runtimes.push_back(std::make_unique<typename Router::Shard>(
         nodes.back().get(), lanes.back().get(), &router, opts, shards,
-        stores[l].get(),
-        opts.pipeline_depth >= 2 ? ctrl_lanes.back().get() : nullptr));
+        stores[l].get()));
     if (stores[l]) {
       auto rec = store::recover_node<F, Afe>(nodes.back().get(), &afe,
                                              stores[l].get(),
@@ -242,14 +246,13 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   // mirrored into gauges by each lane thread at quiescent points
   // (ShardRuntime::update_lane_gauges), never read from the nodes here.
   std::unique_ptr<obs::StatsServer> stats;
-  if (flags.has("stats-port")) {
+  if (has_stats) {
     auto extra = [&registry, &opts, id, shards]() {
       std::string out;
       out += "\"server\": {\"id\": " + std::to_string(id) +
              ", \"shards\": " + std::to_string(shards) +
              ", \"epochs\": " + std::to_string(opts.epochs) +
              ", \"epoch_size\": " + std::to_string(opts.epoch_size) +
-             ", \"pipeline_depth\": " + std::to_string(opts.pipeline_depth) +
              "},\n  \"shards\": [";
       for (size_t l = 0; l < shards; ++l) {
         const std::string lab = obs::label_kv("shard", l);
@@ -288,9 +291,8 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       out += "}";
       return out;
     };
-    stats = std::make_unique<obs::StatsServer>(
-        static_cast<u16>(flags.num("stats-port", 0)), &registry,
-        std::move(extra), bind_host);
+    stats = std::make_unique<obs::StatsServer>(stats_port, &registry,
+                                               std::move(extra), bind_host);
     std::fprintf(stderr, "[server %zu] stats endpoint on port %u\n", id,
                  stats->port());
   }
@@ -301,7 +303,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   // histograms so an operator can watch a run without the HTTP endpoint.
   std::atomic<bool> report_stop{false};
   std::thread reporter;
-  const u64 report_s = flags.num("report-interval-s", 0);
   if (report_s > 0) {
     reporter = std::thread([&registry, &report_stop, id, report_s] {
       u64 prev_subs = 0;

@@ -49,14 +49,9 @@
 // is still the sealed two-phase publish/commit round (server/node.h), so
 // forging it can only force a retried publish, which fails loudly.
 //
-// With --pipeline-depth >= 2 the mesh is built with twice the shard
-// count's transport lanes: protocol lane L's kBatchAnnounce/kLaneClose
-// frames travel on transport lane shards+L (the control lane), so a
-// prefetcher can read the NEXT batch's announcement while the data lane L
-// still carries the current batch's sealed round frames. The frames
-// themselves are unchanged (they still name protocol lane L in their
-// bodies); at depth 1 no control lanes exist and the wire is
-// byte-identical to previous releases.
+// The mesh carries exactly one transport lane per shard: protocol lane L's
+// announcements, close markers, sealed round frames and rejoin frames all
+// travel on transport lane L, in that lane's per-link FIFO order.
 //
 // Rejoin / crash-recovery control frames. After the mesh is
 // (re)established -- at clean startup, and again whenever a peer failure

@@ -188,11 +188,6 @@ class ServerRouter {
       rs_leader_chosen_ = true;
       lock.unlock();
       std::string err;
-      // Prefetch threads (pipeline_depth >= 2) read the mesh from outside
-      // the lane threads this barrier counts: cancel their queued work and
-      // wait for any in-flight attempt to fail out of the interrupted
-      // transport BEFORE a connection is destroyed under it.
-      for (Shard* s : shards_) s->quiesce_prefetch();
       try {
         mesh_->reestablish();
       } catch (const std::exception& e) {
@@ -261,13 +256,7 @@ class ServerRouter {
       });
     }
     for (auto& t : threads) t.join();
-    if (first_error) {
-      // A fatal lane can leave a sibling's prefetch thread blocked in a
-      // mesh recv; interrupt so shard teardown joins it immediately
-      // instead of waiting out the transport timeout.
-      mesh_->interrupt();
-      std::rethrow_exception(first_error);
-    }
+    if (first_error) std::rethrow_exception(first_error);
     if (self() == 0) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!published_.empty()) return published_.rbegin()->second;

@@ -40,19 +40,11 @@
 // including the full-batch announce wait and its exact fatal message, and
 // the kLaneClose marker is the only new frame on the wire.
 //
-// Pipelining (--pipeline-depth 2): wall-clock per batch is dominated by the
-// four mesh round trips, so each lane overlaps the CPU-heavy front half of
-// batch N+1 (sequencing + assembly + ServerNode::prepare_batch: AEAD opens
-// and PRG expansion) with batch N's in-flight rounds, on a dedicated
-// per-lane prefetch thread. Because the sequencer then emits the N+1
-// announcement BEFORE batch N's rounds finish, announcements and close
-// markers move off the data lane onto a dedicated CONTROL lane (transport
-// lane shards + lane_id): the data lane's per-link FIFO keeps carrying
-// round frames only, in exactly the depth-1 order. Slot lifecycle, the
-// abort/rollback protocol and the WAL ordering argument are documented on
-// run_lane and quiesce_prefetch below. --pipeline-depth 1 never constructs
-// a control lane, a prefetch thread, or any new frame: wire protocol and
-// store layout are byte-identical to the serial runtime.
+// Each lane is ONE thread running one batch at a time (announce or
+// receive -> assemble -> ServerNode::process_batch -> commit_batch).
+// Compute overlaps mesh waits across lanes instead of within one: while
+// one lane blocks on a round trip, another lane's thread decrypts and
+// checks its own batch on the shared verification pool.
 #pragma once
 
 #include <algorithm>
@@ -62,7 +54,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "net/tcp_transport.h"
 #include "obs/trace.h"
@@ -97,14 +88,6 @@ struct RuntimeOptions {
   // mismatched client gets kAggregateReject instead of mis-decoded field
   // elements. Empty in harnesses that never see spec'd traffic.
   std::string afe_spec;
-  // Batch pipelining depth. 1 = the strictly serial lane loop, byte-
-  // identical on the wire and in the store. 2 = while batch N runs its
-  // SNIP rounds over the mesh, a per-lane prefetch thread sequences,
-  // assembles and prepare_batch()es batch N+1; announcements and close
-  // markers then travel on a dedicated control transport lane. All servers
-  // of a mesh must agree on this (it changes the transport lane count),
-  // exactly like --shards.
-  size_t pipeline_depth = 1;
   // Observability (src/obs/): when set, every ShardRuntime and the router
   // register per-shard counters/histograms/gauges here, and trace emits a
   // JSONL event per batch lifecycle step. Null = uninstrumented (one
@@ -129,21 +112,13 @@ class ShardRuntime {
   // `lane_transport` is this lane's single-lane view of the shared mesh
   // (net::LaneTransport; the same transport the node was built over).
   // `store` may be null: in-memory only, no recovery. `shards` is the
-  // TOTAL shard count (for wrong-shard announcement validation). `ctrl`
-  // is the lane's control-lane view (transport lane shards + lane_id),
-  // required iff opts.pipeline_depth >= 2 -- the sequencer's announcements
-  // and close markers move there so the prefetcher can read ahead of the
-  // data lane's in-flight round frames.
+  // TOTAL shard count (for wrong-shard announcement validation).
   ShardRuntime(Node* node, net::Transport* lane_transport, Host* host,
                RuntimeOptions opts, size_t shards,
-               store::EpochStore* store = nullptr,
-               net::Transport* ctrl = nullptr)
+               store::EpochStore* store = nullptr)
       : node_(node), lane_(lane_transport), host_(host), opts_(opts),
-        shards_(shards), lane_id_(node->lane()), store_(store), ctrl_(ctrl) {
+        shards_(shards), lane_id_(node->lane()), store_(store) {
     require(shards_ >= 1, "ShardRuntime: need >= 1 shard");
-    require(opts_.pipeline_depth >= 1, "ShardRuntime: pipeline_depth >= 1");
-    require(opts_.pipeline_depth < 2 || ctrl_ != nullptr,
-            "ShardRuntime: pipeline_depth >= 2 needs a control lane");
     if (opts_.metrics) {
       obs::Registry* reg = opts_.metrics;
       const std::string label = obs::label_kv("shard", lane_id_);
@@ -168,16 +143,6 @@ class ShardRuntime {
       m_spec_mismatch_ = reg->counter(
           "prio_reject_spec_mismatch_total",
           "Lane syncs refused over a divergent AFE spec", label);
-      if (pipelined()) {
-        m_pf_slots_ = reg->gauge("prio_prefetch_slots",
-                                 "Prepared batches parked in the prefetch "
-                                 "slot (0 or 1 at depth 2)",
-                                 label);
-        m_pf_batches_ = reg->counter("prio_prefetch_batches_total",
-                                     "Batches prepared ahead by the "
-                                     "prefetch thread",
-                                     label);
-      }
       g_epoch_ = reg->gauge("prio_lane_epoch", "Lane protocol epoch", label);
       g_generation_ = reg->gauge("prio_lane_generation",
                                  "Lane mesh channel-key generation", label);
@@ -187,15 +152,6 @@ class ShardRuntime {
           "prio_lane_accepted",
           "Submissions accepted by this lane in the open epoch", label);
     }
-  }
-
-  ~ShardRuntime() {
-    {
-      std::lock_guard<std::mutex> lock(pf_mu_);
-      pf_quit_ = true;
-    }
-    pf_cv_.notify_all();
-    if (pf_thread_.joinable()) pf_thread_.join();
   }
 
   size_t lane() const { return lane_id_; }
@@ -270,40 +226,13 @@ class ShardRuntime {
   // so leaders waiting for the epoch quota to drain re-check.
   void notify() { cv_.notify_all(); }
 
-  // Repair-barrier hook, called by the repair LEADER after the transport
-  // was interrupted and every lane thread parked, but BEFORE
-  // reestablish() destroys and rebuilds the connections: the per-lane
-  // prefetch thread reads the mesh outside the lane threads the barrier
-  // counts, so its queued work is cancelled and any in-flight attempt is
-  // waited out here -- the interrupted transport fails it fast -- so no
-  // prefetcher can touch a connection mid-rebuild. No-op at depth 1.
-  void quiesce_prefetch() {
-    if (!pf_thread_.joinable()) return;
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    pf_req_.reset();
-    pf_cv_.wait(lock, [&] { return !pf_busy_; });
-  }
-
   // ---- the lane protocol loop ------------------------------------------
 
   // Runs this lane through the configured epochs (resuming wherever
   // recovery left the node). A mesh disruption rolls the attempt back,
   // converges on the router's repair barrier, re-syncs this lane, and
   // retries; only a disruption that survives the resync budget escapes.
-  //
-  // Pipelined slot lifecycle (pipeline_depth >= 2): the lane thread takes
-  // a prepared slot (ids + blobs + PreparedBatch) from the prefetcher,
-  // immediately requests production of the NEXT slot, then runs the taken
-  // slot's rounds -- so batch N+1's announcement/assembly/decrypt/expand
-  // overlaps batch N's four round trips. Nothing is written to the WAL for
-  // a slot until its rounds commit (commit_batch), so a slot that is
-  // prefetched and then aborted leaves no durable trace: intake-before-ack
-  // records were already written at submit() time regardless, and the
-  // batch/commit record order in the WAL is exactly the depth-1 order.
   void run_lane() {
-    if (pipelined() && !pf_thread_.joinable()) {
-      pf_thread_ = std::thread([this] { pf_worker(); });
-    }
     try {
       lane_sync();
     } catch (const net::TransportError& e) {
@@ -314,38 +243,6 @@ class ShardRuntime {
       const u32 closing = node_->epoch();
       // Batch phase: until the lane's share of the epoch quota is done.
       while (node_->epoch() == closing) {
-        if (pipelined()) {
-          Slot slot;
-          try {
-            slot = pf_take(closing);
-            if (slot.close) break;
-            pf_request(closing);  // produce N+1 while N's rounds run
-            auto verdicts = node_->commit_or_rollback(slot.shares, slot.prep);
-            commit_batch(slot.ids, verdicts);
-          } catch (const net::TransportError& e) {
-            // Both in-flight slots are abandoned: this one's blobs go back
-            // to the in-flight hold here, the prefetched one's inside
-            // repair_and_sync (pipeline_reset, after the repair barrier
-            // quiesced the prefetcher but before the sync's catch-up needs
-            // the blobs). The sequencer then re-announces every announced-
-            // but-uncommitted id set, in order, minus whatever the
-            // catch-up just committed.
-            if (m_aborts_) m_aborts_->inc();
-            if (opts_.trace) {
-              opts_.trace->event(
-                  "batch_aborted",
-                  {{"server", static_cast<long long>(node_->self())},
-                   {"lane", static_cast<long long>(lane_id_)},
-                   {"epoch", static_cast<long long>(closing)},
-                   {"n", static_cast<long long>(slot.ids.size())}});
-            }
-            return_slot_blobs(slot);
-            repair_and_sync(e.what());
-            std::lock_guard<std::mutex> lock(mu_);
-            replay_announce_ = announced_;
-          }
-          continue;
-        }
         std::vector<std::pair<u64, u64>> ids;
         std::vector<SubmissionShare> shares;
         try {
@@ -423,146 +320,6 @@ class ShardRuntime {
  private:
   using Clock = std::chrono::steady_clock;
 
-  bool pipelined() const { return opts_.pipeline_depth >= 2; }
-
-  // The sequencer's frames (kBatchAnnounce, kLaneClose) ride the control
-  // lane when pipelining, the data lane otherwise -- one switch, so the
-  // depth-1 wire stays byte-identical and the pipelined data lane carries
-  // round frames only, in announcement order.
-  net::Transport* seq_lane() { return pipelined() ? ctrl_ : lane_; }
-
-  // ---- pipelined prefetch (pipeline_depth >= 2) ------------------------
-
-  // One in-flight batch, fully built by the prefetch thread: the announced
-  // ids, the assembled blobs, and the node's decrypted + PRG-expanded
-  // PreparedBatch. `close` marks an epoch-close marker instead of a batch.
-  struct Slot {
-    std::vector<std::pair<u64, u64>> ids;
-    std::vector<SubmissionShare> shares;
-    PreparedBatch<F> prep;
-    bool close = false;
-  };
-
-  // The prefetch thread: produces exactly one slot per lane-thread request
-  // (announce/recv the next batch on the control lane, assemble it,
-  // prepare_batch it), then parks. Lock order is pf_mu_ -> mu_; the work
-  // itself runs with pf_mu_ dropped. Errors (TransportError from an
-  // interrupted mesh, the sequencer's fatal starvation error) are handed
-  // to the lane thread via pf_err_ and rethrown from pf_take, so the
-  // repair/fatal paths stay the lane thread's business.
-  void pf_worker() {
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    for (;;) {
-      pf_cv_.wait(lock, [&] { return pf_quit_ || pf_req_.has_value(); });
-      if (pf_quit_) return;
-      const u32 closing = *pf_req_;
-      pf_req_.reset();
-      pf_busy_ = true;
-      lock.unlock();
-      Slot slot;
-      std::exception_ptr err;
-      try {
-        {
-          // A repair round may have been running when this request was
-          // queued; starting mesh work now would race the rebuild.
-          std::lock_guard<std::mutex> g(mu_);
-          if (mesh_down_) {
-            throw net::TransportError("lane interrupted for mesh repair");
-          }
-        }
-        bool close = false;
-        const u64 t0 = obs::now_ns();
-        slot.ids = node_->self() == 0
-                       ? announce_or_close(closing, &close)
-                       : recv_announcement_or_close(closing, &close);
-        slot.close = close;
-        if (!close) {
-          slot.shares = assemble(slot.ids, /*track_inflight=*/false);
-          node_->prepare_batch(slot.shares, slot.prep);
-          if (m_pf_batches_) m_pf_batches_->inc();
-          if (opts_.trace) {
-            opts_.trace->event(
-                "batch_prepared",
-                {{"server", static_cast<long long>(node_->self())},
-                 {"lane", static_cast<long long>(lane_id_)},
-                 {"epoch", static_cast<long long>(closing)},
-                 {"n", static_cast<long long>(slot.ids.size())},
-                 {"dur_us",
-                  static_cast<long long>((obs::now_ns() - t0) / 1000)}});
-          }
-        }
-      } catch (...) {
-        err = std::current_exception();
-      }
-      lock.lock();
-      pf_busy_ = false;
-      if (err) {
-        pf_err_ = err;
-      } else {
-        pf_done_.emplace(std::move(slot));
-        if (m_pf_slots_) m_pf_slots_->set(1);
-      }
-      pf_cv_.notify_all();
-    }
-  }
-
-  void pf_request(u32 closing) {
-    {
-      std::lock_guard<std::mutex> lock(pf_mu_);
-      pf_req_ = closing;
-    }
-    pf_cv_.notify_all();
-  }
-
-  // Takes the next produced slot, issuing the request first if none is
-  // outstanding (the serial fallback at epoch start and after a repair).
-  // Rethrows whatever the prefetch attempt threw.
-  Slot pf_take(u32 closing) {
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    if (!pf_req_ && !pf_busy_ && !pf_done_ && !pf_err_) {
-      pf_req_ = closing;
-      pf_cv_.notify_all();
-    }
-    pf_cv_.wait(lock, [&] { return pf_done_.has_value() || pf_err_; });
-    if (pf_err_) {
-      std::exception_ptr err = pf_err_;
-      pf_err_ = nullptr;
-      std::rethrow_exception(err);
-    }
-    Slot slot = std::move(*pf_done_);
-    pf_done_.reset();
-    if (m_pf_slots_) m_pf_slots_->set(0);
-    return slot;
-  }
-
-  // Post-repair, pre-sync: discard whatever the prefetcher produced for
-  // the aborted attempt and return its blobs to the in-flight hold, where
-  // the sync's catch-up and the re-announcement path expect them. The
-  // prefetcher is idle here -- quiesce_prefetch ran inside the repair
-  // barrier -- but the wait keeps this safe on the barrier's stale-round
-  // exit too. Idempotent (repair_and_sync retries call it again).
-  void pipeline_reset() {
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    pf_req_.reset();
-    pf_cv_.wait(lock, [&] { return !pf_busy_; });
-    pf_err_ = nullptr;
-    if (pf_done_) {
-      return_slot_blobs(*pf_done_);
-      pf_done_.reset();
-      if (m_pf_slots_) m_pf_slots_->set(0);
-    }
-  }
-
-  void return_slot_blobs(Slot& slot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t v = 0; v < slot.shares.size(); ++v) {
-      if (!slot.shares[v].blob.empty()) {
-        inflight_blobs_[slot.ids[v]] = std::move(slot.shares[v].blob);
-      }
-    }
-    slot.shares.clear();
-  }
-
   // ---- batch sequencing (server 0's lane thread) -----------------------
 
   // Decides this lane's next step for epoch `closing`: re-announce an
@@ -575,14 +332,7 @@ class ShardRuntime {
     std::vector<std::pair<u64, u64>> ids;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (pipelined() && !replay_announce_.empty()) {
-        // Pipelined retry: re-announce the oldest aborted-but-still-
-        // uncommitted id set (quota already held); the queue was rebuilt
-        // from announced_ after the sync, so sets the catch-up committed
-        // are already gone.
-        ids = std::move(replay_announce_.front());
-        replay_announce_.pop_front();
-      } else if (!pipelined() && !inflight_ids_.empty()) {
+      if (!inflight_ids_.empty()) {
         // Retry of an aborted attempt: the SAME ids, so a rejoined mesh
         // re-runs the identical batch. Their quota is already held.
         ids = inflight_ids_;
@@ -652,14 +402,7 @@ class ShardRuntime {
           buffer_.erase(it);
           ids.push_back(key);
         }
-        if (pipelined()) {
-          // Pending-commit queue: id sets are pushed here at announcement
-          // and popped by commit_batch in order, so an abort knows every
-          // announced-but-uncommitted batch it must re-announce.
-          announced_.push_back(ids);
-        } else {
-          inflight_ids_ = ids;
-        }
+        inflight_ids_ = ids;
       }
     }
     net::Writer w;
@@ -670,9 +413,8 @@ class ShardRuntime {
       w.u64_(cid);
       w.u64_(seq);
     }
-    net::Transport* seq = seq_lane();
-    for (size_t j = 1; j < seq->num_nodes(); ++j) {
-      seq->send(j, w.data(), 1);
+    for (size_t j = 1; j < lane_->num_nodes(); ++j) {
+      lane_->send(j, w.data(), 1);
     }
     if (opts_.trace) {
       opts_.trace->event("batch_announced",
@@ -692,7 +434,7 @@ class ShardRuntime {
   std::vector<std::pair<u64, u64>> recv_announcement_or_close(u32 closing,
                                                               bool* close) {
     *close = false;
-    const auto frame = seq_lane()->recv(0);
+    const auto frame = lane_->recv(0);
     net::Reader r(frame);
     const u8 type = r.u8_();
     if (type == kLaneClose) {
@@ -745,9 +487,8 @@ class ShardRuntime {
     w.u8_(kLaneClose);
     w.u32_(static_cast<u32>(lane_id_));
     w.u32_(closing);
-    net::Transport* seq = seq_lane();
-    for (size_t j = 1; j < seq->num_nodes(); ++j) {
-      seq->send(j, w.data(), 1);
+    for (size_t j = 1; j < lane_->num_nodes(); ++j) {
+      lane_->send(j, w.data(), 1);
     }
   }
 
@@ -762,7 +503,7 @@ class ShardRuntime {
         return;
       }
     }
-    const auto frame = seq_lane()->recv(0);
+    const auto frame = lane_->recv(0);
     net::Reader r(frame);
     if (r.u8_() != kLaneClose || r.u32_() != lane_id_ ||
         r.u32_() != closing || !r.ok() || !r.at_end()) {
@@ -776,15 +517,12 @@ class ShardRuntime {
   // reject) and lets the batch's own mesh rounds surface the failure, so
   // the blob-return-to-inflight logic in run_lane covers both cases.
   std::vector<SubmissionShare> assemble(
-      const std::vector<std::pair<u64, u64>>& ids,
-      bool track_inflight = true) {
+      const std::vector<std::pair<u64, u64>>& ids) {
     std::vector<SubmissionShare> shares(ids.size());
     const auto deadline = Clock::now() +
                           std::chrono::milliseconds(opts_.assemble_wait_ms);
     std::unique_lock<std::mutex> lock(mu_);
-    // The pipelined path tracks pending batches in announced_ instead of
-    // the single-slot inflight_ids_ (there can be two in flight).
-    if (track_inflight) inflight_ids_ = ids;
+    inflight_ids_ = ids;
     for (size_t v = 0; v < ids.size(); ++v) {
       shares[v].client_id = ids[v].first;
       auto pit = inflight_blobs_.find(ids[v]);
@@ -823,19 +561,6 @@ class ShardRuntime {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_ids_.clear();
     for (const auto& key : ids) inflight_blobs_.erase(key);
-    if (pipelined()) {
-      // The committed batch is always the oldest announced-but-uncommitted
-      // one (catch-up commits land here too); drop it from the pending
-      // queue. Everything still in inflight_blobs_ belongs to announced
-      // batches BEHIND this one -- an abort re-announces exactly those id
-      // sets -- so, unlike the serial path below, it must stay put rather
-      // than be swept back to the evictable buffer.
-      if (!announced_.empty() && announced_.front() == ids) {
-        announced_.pop_front();
-      }
-      record_commit(ids.size(), t0);
-      return;
-    }
     // Anything left was stashed by a previously ABORTED announcement that
     // this batch did not name (the sequencer restarted and announced a
     // different id set). Return those blobs to the evictable buffer so a
@@ -845,12 +570,6 @@ class ShardRuntime {
       if (inserted) intake_order_.push_back(key);
     }
     inflight_blobs_.clear();
-    record_commit(ids.size(), t0);
-  }
-
-  // Commit bookkeeping shared by both commit_batch exits: counters, the
-  // commit-stage latency, the lane-state gauges, and the trace event.
-  void record_commit(size_t n, u64 t0) {
     if (m_commits_) {
       m_commits_->inc();
       m_commit_lat_->observe_ns(obs::now_ns() - t0);
@@ -862,7 +581,7 @@ class ShardRuntime {
           {{"server", static_cast<long long>(node_->self())},
            {"lane", static_cast<long long>(lane_id_)},
            {"epoch", static_cast<long long>(node_->epoch())},
-           {"n", static_cast<long long>(n)},
+           {"n", static_cast<long long>(ids.size())},
            {"dur_us", static_cast<long long>((obs::now_ns() - t0) / 1000)}});
     }
   }
@@ -1159,10 +878,6 @@ class ShardRuntime {
     for (int attempt = 1;; ++attempt) {
       try {
         host_->repair_mesh(reason);
-        // Between the rebuilt mesh and the sync: put the prefetched slot's
-        // blobs back in the in-flight hold, where the sync's catch-up
-        // looks for them.
-        if (pipelined()) pipeline_reset();
         lane_sync();
         if (m_resyncs_) m_resyncs_->inc();
         update_lane_gauges();
@@ -1207,17 +922,6 @@ class ShardRuntime {
   size_t shards_;
   size_t lane_id_;
   store::EpochStore* store_;
-  net::Transport* ctrl_;  // announcement/close lane when pipelined
-
-  // Prefetch handshake (pipeline_depth >= 2). Lock order: pf_mu_ -> mu_.
-  std::thread pf_thread_;
-  std::mutex pf_mu_;
-  std::condition_variable pf_cv_;
-  bool pf_quit_ = false;
-  bool pf_busy_ = false;          // worker is between take-request and done
-  std::optional<u32> pf_req_;     // epoch to produce the next slot for
-  std::optional<Slot> pf_done_;   // produced slot awaiting pf_take
-  std::exception_ptr pf_err_;     // failed attempt awaiting pf_take
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -1230,12 +934,6 @@ class ShardRuntime {
   // promised, and an aborted attempt (or a catch-up) re-runs these blobs.
   std::vector<std::pair<u64, u64>> inflight_ids_;
   std::map<std::pair<u64, u64>, std::vector<u8>> inflight_blobs_;
-  // Pipelined sequencer bookkeeping (under mu_): announced_ holds every
-  // announced-but-uncommitted id set in announcement order (up to the
-  // pipeline depth of them; quota is held for all), replay_announce_ the
-  // suffix an abort still needs to re-announce after the resync.
-  std::deque<std::vector<std::pair<u64, u64>>> announced_;
-  std::deque<std::vector<std::pair<u64, u64>>> replay_announce_;
   // The last committed batch: the catch-up record a behind peer asks for.
   std::vector<std::pair<u64, u64>> last_batch_ids_;
   std::vector<u8> last_batch_verdicts_;
@@ -1249,8 +947,6 @@ class ShardRuntime {
   obs::Counter* m_resyncs_ = nullptr;
   obs::Counter* m_misroute_ = nullptr;
   obs::Counter* m_spec_mismatch_ = nullptr;
-  obs::Gauge* m_pf_slots_ = nullptr;
-  obs::Counter* m_pf_batches_ = nullptr;
   obs::Gauge* g_epoch_ = nullptr;
   obs::Gauge* g_generation_ = nullptr;
   obs::Gauge* g_processed_ = nullptr;

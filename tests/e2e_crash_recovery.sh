@@ -22,11 +22,6 @@ LEN=12
 EPOCH_SIZE=40
 TAMPER=5          # every 5th client's ciphertext is flipped -> rejected
 MASTER_SEED=9
-# PIPELINE_DEPTH=2 runs the same crash/rejoin scenario with batch
-# prefetching: the victim's restart aborts the survivors' prefetched
-# batches, which must roll back and re-announce after the rejoin. Default 1
-# keeps the server argv byte-identical to previous releases of this script.
-PIPELINE_DEPTH=${PIPELINE_DEPTH:-1}
 
 # This script's port range: 31000-38999 (see the range map in
 # e2e_common.sh -- disjoint per consumer, so concurrent ctest runs can
@@ -48,9 +43,6 @@ run_attempt() {
   local sflags=(--epoch-size "$EPOCH_SIZE" --batch 8 --epochs 1
                 --announce-wait-ms 30000 --rejoin-timeout-ms 60000
                 --fsync epoch)
-  if [[ "$PIPELINE_DEPTH" -gt 1 ]]; then
-    sflags+=(--pipeline-depth "$PIPELINE_DEPTH")
-  fi
 
   datadir=$(mktemp -d)
   pids=()

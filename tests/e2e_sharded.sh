@@ -31,10 +31,6 @@ EPOCH_SIZE=40
 SHARDS=4
 TAMPER=5          # every 5th client's ciphertext is flipped -> rejected
 MASTER_SEED=11
-# PIPELINE_DEPTH=2 runs the same scenario with batch prefetching (a server
-# flag only; clients are unaffected). Default 1 keeps the server argv
-# byte-identical to previous releases of this script.
-PIPELINE_DEPTH=${PIPELINE_DEPTH:-1}
 
 # This script's port range: 41000-48999 (see the range map in
 # e2e_common.sh -- disjoint per consumer, so concurrent ctest runs can
@@ -55,9 +51,6 @@ run_attempt() {
                 --shards "$SHARDS"
                 --announce-wait-ms 30000 --rejoin-timeout-ms 60000
                 --fsync epoch)
-  if [[ "$PIPELINE_DEPTH" -gt 1 ]]; then
-    sflags+=(--pipeline-depth "$PIPELINE_DEPTH")
-  fi
 
   datadir=$(mktemp -d)
   pids=()

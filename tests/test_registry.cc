@@ -151,6 +151,30 @@ TEST(CliSpecTest, BooleanFlagSugarAndDefaults) {
   EXPECT_EQ(common.shards, 1u);
 }
 
+// A flag the binary never looks up -- a typo, or one a previous release
+// accepted -- must fail start-up by name instead of being ignored.
+TEST(CliSpecTest, UnreadFlagsAreRejectedByName) {
+  std::vector<std::string> args = {"prog",         "--shards",  "2",
+                                   "--data_dir",   "/tmp/prio", "--smoke",
+                                   "--epoch_size", "40"};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  server::Flags flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(server::parse_common_config(flags).shards, 2u);
+  EXPECT_FALSE(flags.has("data-dir"));
+  EXPECT_TRUE(flags.has("smoke"));
+  try {
+    flags.reject_unread();
+    FAIL() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag(s): --data_dir, --epoch_size");
+  }
+  // Once every flag has been looked up, nothing is left to reject.
+  flags.str("data_dir", "");
+  flags.num("epoch_size", 0);
+  EXPECT_NO_THROW(flags.reject_unread());
+}
+
 // ---------------------------------------------------------------------------
 // Gf2Xor: the XOR family's prime-field lifting, new with the registry.
 // ---------------------------------------------------------------------------

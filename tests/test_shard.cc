@@ -1,7 +1,8 @@
 // Sharded-runtime tests: the client-id -> shard routing invariants, the
 // multi-lane router over a loopback mesh checked against the plaintext
-// reference, cross-shard replay/misroute rejection, and the TCP lane
-// multiplexer's per-lane ordering.
+// reference, cross-shard replay/misroute rejection, the lanes' shared
+// verification pool under a slow peer, and the TCP lane multiplexer's
+// per-lane ordering.
 
 #include <gtest/gtest.h>
 
@@ -65,36 +66,31 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 // ---------------------------------------------------------------------------
 
 // One server process' worth of sharded runtime: base transport, router,
-// and a node + shard runtime per lane -- the same wiring prio_server.cc
-// does, minus sockets and stores. With opts.pipeline_depth >= 2 the mesh
-// must carry 2 * nshards lanes; the upper half become the per-lane control
-// lanes, exactly as prio_server.cc wires them. base_override lets a test
-// interpose a wrapper transport (slow or flaky links).
+// one verification pool shared by every lane, and a node + shard runtime
+// per lane -- the same wiring prio_server.cc does, minus sockets and
+// stores. base_override lets a test interpose a wrapper transport (slow
+// links).
 struct ShardedServer {
   ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
                 size_t nshards, server::RuntimeOptions opts,
                 net::Transport* base_override = nullptr,
                 size_t batch_threads = 1)
       : base(&mesh, self),
+        pool(batch_threads),
         router(&afe, base_override ? base_override : &base,
                /*client_listener=*/nullptr, opts) {
     net::Transport* bt = base_override ? base_override : &base;
-    const bool pipelined = opts.pipeline_depth >= 2;
     for (size_t l = 0; l < nshards; ++l) {
       lanes.push_back(std::make_unique<net::LaneTransport>(bt, l));
-      if (pipelined) {
-        ctrls.push_back(std::make_unique<net::LaneTransport>(bt, nshards + l));
-      }
       ServerNodeConfig cfg;
       cfg.num_servers = mesh.num_nodes();
       cfg.self = self;
       cfg.master_seed = kMasterSeed;
       cfg.lane = l;
-      cfg.batch_threads = batch_threads;
+      cfg.shared_pool = &pool;
       nodes.push_back(std::make_unique<Node>(&afe, cfg, lanes.back().get()));
       shards.push_back(std::make_unique<Router::Shard>(
-          nodes.back().get(), lanes.back().get(), &router, opts, nshards,
-          /*store=*/nullptr, pipelined ? ctrls.back().get() : nullptr));
+          nodes.back().get(), lanes.back().get(), &router, opts, nshards));
       router.add_shard(shards.back().get());
     }
     router.finish_setup();
@@ -108,9 +104,9 @@ struct ShardedServer {
   }
 
   net::LoopbackTransport base;
+  ThreadPool pool;
   Router router;
   std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<net::LaneTransport>> ctrls;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<std::unique_ptr<Router::Shard>> shards;
 };
@@ -363,76 +359,13 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
   EXPECT_GE(regs[2]->total("prio_reject_spec_mismatch_total"), 1u);
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined runtime (--pipeline-depth 2)
-// ---------------------------------------------------------------------------
-
-// Depth 2 must not change a single verdict or aggregate bit: the same
-// two-lane workload (including a replay) through a pipelined cluster --
-// announcements on the control lanes, a prefetch thread per lane -- still
-// matches the plaintext reference exactly.
-TEST(PipelinedShardTest, DepthTwoMatchesReferenceAndRejectReplay) {
-  Afe afe(8);
-  constexpr size_t kShards = 2;
-  auto w = make_workload(afe, 24);
-  const auto ref = reference(afe, w);
-
-  server::RuntimeOptions opts;
-  opts.epoch_size = w.subs.size() + 1;  // +1: the replayed submission
-  opts.max_batch = 8;
-  opts.epochs = 1;
-  opts.announce_wait_ms = 20'000;
-  opts.assemble_wait_ms = 5'000;
-  opts.linger_ms = 25;
-  opts.pipeline_depth = 2;
-
-  // Twice the lanes: the upper kShards are the control lanes.
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, 2 * kShards);
-  std::vector<std::unique_ptr<ShardedServer>> servers;
-  for (size_t i = 0; i < kServers; ++i) {
-    servers.push_back(
-        std::make_unique<ShardedServer>(afe, mesh, i, kShards, opts));
-  }
-
-  const u64 replay_cid = 1;
-  for (size_t i = 0; i < kServers; ++i) {
-    for (const auto& sub : w.subs) {
-      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]),
-                         sub.blobs[i]);
-    }
-    servers[i]->submit(replay_cid, blob_seq(w.subs[replay_cid].blobs[i]) + 1,
-                       w.subs[replay_cid].blobs[i]);
-  }
-
-  std::optional<Node::EpochAggregate> agg;
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      auto a = servers[i]->router.run_epochs();
-      if (i == 0) agg = std::move(a);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, ref.accepted());
-  EXPECT_EQ(agg->sigma, ref.sigma());
-  EXPECT_EQ(agg->result, ref.result());
-  for (size_t i = 0; i < kServers; ++i) {
-    u64 processed = 0;
-    for (const auto& n : servers[i]->nodes) processed += n->processed();
-    EXPECT_EQ(processed, w.subs.size() + 1) << "server " << i;
-  }
-}
-
-// Delays every outbound frame of one peer, so the other servers' lane
-// threads spend most of the epoch blocked in mesh recvs while their
-// prefetch threads run parallel_for on the nodes' thread pools (real
-// workers, batch_threads=2). The epoch completing -- within the test
-// timeout, with the right aggregate -- is the regression gate: a pool
-// whose workers could end up waiting on a parked lane thread (or a
-// prefetcher serialized against a blocked recv) would deadlock here.
-TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
+// Delays every outbound frame of one peer, so on the other servers one
+// lane thread spends most of the epoch blocked in mesh recvs while its
+// sibling lane runs parallel_for on the same shared pool (real workers,
+// batch_threads=2). The epoch completing -- within the test timeout, with
+// the right aggregate -- is the regression gate: a pool whose workers
+// could end up waiting on a lane parked in a recv would deadlock here.
+TEST(ShardedRouterTest, SlowPeerDoesNotDeadlockSharedPool) {
   // Wraps one node's mesh view, sleeping before every send.
   struct SlowTransport final : net::Transport {
     net::LoopbackTransport inner;
@@ -471,9 +404,8 @@ TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
   opts.announce_wait_ms = 20'000;
   opts.assemble_wait_ms = 5'000;
   opts.linger_ms = 25;
-  opts.pipeline_depth = 2;
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, 2 * kShards);
+  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
   SlowTransport slow(&mesh, kServers - 1, /*delay_ms=*/3);
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
@@ -500,116 +432,6 @@ TEST(PipelinedShardTest, SlowPeerDoesNotDeadlockPrefetchPool) {
 
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->accepted, expected_accepted);
-}
-
-// Abort and retry at the node layer, the exact sequence the pipelined
-// shard runtime performs when a peer dies with a prefetched batch in
-// flight: a TransportError mid-rounds must roll a node back to its exact
-// pre-batch state (bit-identical snapshot), the PreparedBatch must survive
-// for the retry, and -- after the generation bump every repair performs --
-// the SAME prepared batch must verify successfully under fresh channel
-// keys (the bump is what makes the retried batch's AEAD nonces fresh; a
-// retry on the old generation would reuse (key, nonce) pairs).
-TEST(PipelinedShardTest, AbortRollsBackToPreBatchStateAndRetries) {
-  // Wraps the leader's mesh view; the Nth send of an armed attempt throws.
-  struct FlakyTransport final : net::Transport {
-    net::LoopbackTransport inner;
-    int fail_countdown = -1;  // < 0: healthy
-    FlakyTransport(net::LoopbackMesh* mesh, size_t self)
-        : inner(mesh, self) {}
-    size_t num_nodes() const override { return inner.num_nodes(); }
-    size_t self() const override { return inner.self(); }
-    void send(size_t to, std::vector<u8> f, u64 logical) override {
-      if (fail_countdown >= 0 && fail_countdown-- == 0) {
-        throw net::TransportError("injected send failure");
-      }
-      inner.send(to, std::move(f), logical);
-    }
-    std::vector<u8> recv(size_t from) override { return inner.recv(from); }
-    void end_round(u64 submissions) override { inner.end_round(submissions); }
-  };
-
-  Afe afe(8);
-  auto w = make_workload(afe, 8);
-
-  // Short recv timeout: the followers' blocked recvs must fail fast once
-  // the leader's broadcast never arrives.
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/1'500, 1);
-  FlakyTransport leader_link(&mesh, 0);
-  std::vector<std::unique_ptr<net::LoopbackTransport>> links;
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (size_t i = 0; i < kServers; ++i) {
-    links.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
-    ServerNodeConfig cfg;
-    cfg.num_servers = kServers;
-    cfg.self = i;
-    cfg.master_seed = kMasterSeed;
-    nodes.push_back(std::make_unique<Node>(
-        &afe, cfg, i == 0 ? static_cast<net::Transport*>(&leader_link)
-                          : links[i].get()));
-  }
-
-  // Prepare once -- the prefetch product; it must survive the abort.
-  std::vector<std::vector<SubmissionShare>> views(kServers);
-  std::vector<PreparedBatch<F>> preps(kServers);
-  std::vector<std::vector<u8>> pre_snap(kServers);
-  for (size_t i = 0; i < kServers; ++i) {
-    views[i] = node_view(std::span<const Submission>(w.subs), i);
-    nodes[i]->prepare_batch(views[i], preps[i]);
-    pre_snap[i] = nodes[i]->snapshot();
-  }
-
-  // Attempt 1: the leader (batch 0's leader is server 0) consumes every
-  // round-1 frame, then its round-2 broadcast throws before anything is
-  // shipped -- so the abort leaves NO stale frames in any queue, exactly
-  // the state a TCP reestablish's queue flush guarantees the runtime.
-  leader_link.fail_countdown = 0;
-  std::vector<int> aborted(kServers, 0);
-  {
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < kServers; ++i) {
-      threads.emplace_back([&, i] {
-        try {
-          nodes[i]->commit_or_rollback(views[i], preps[i]);
-        } catch (const net::TransportError&) {
-          aborted[i] = 1;
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(aborted[i], 1) << "server " << i << " did not abort";
-    // Bit-identical pre-batch state: counters, context, replay floors,
-    // accumulator -- everything the snapshot serializes.
-    EXPECT_EQ(nodes[i]->snapshot(), pre_snap[i]) << "server " << i;
-    EXPECT_EQ(nodes[i]->processed(), 0u);
-  }
-
-  // Attempt 2: generation bump (what lane_sync negotiates after a repair)
-  // and the SAME prepared batches retry successfully.
-  for (auto& n : nodes) n->set_generation(n->generation() + 1);
-  std::vector<std::vector<u8>> verdicts(kServers);
-  {
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < kServers; ++i) {
-      threads.emplace_back([&, i] {
-        verdicts[i] = nodes[i]->commit_or_rollback(views[i], preps[i]);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  size_t expected_accepted = 0;
-  for (u8 e : w.expected) expected_accepted += e;
-  for (size_t i = 0; i < kServers; ++i) {
-    ASSERT_EQ(verdicts[i].size(), w.subs.size());
-    for (size_t q = 0; q < w.subs.size(); ++q) {
-      EXPECT_EQ(verdicts[i][q], w.expected[q]) << "server " << i << " sub "
-                                               << q;
-    }
-    EXPECT_EQ(nodes[i]->accepted(), expected_accepted);
-    EXPECT_EQ(nodes[i]->processed(), w.subs.size());
-  }
 }
 
 // ---------------------------------------------------------------------------

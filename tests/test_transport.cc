@@ -392,6 +392,93 @@ TEST(ServerNodeTest, MissingBlobVotesRejectWithoutDesync) {
   for (size_t i = 0; i < kServers; ++i) EXPECT_EQ(verdicts[i], expected);
 }
 
+// Abort and retry, the sequence a shard lane runs when a peer dies
+// mid-rounds: the TransportError must roll every node back to its exact
+// pre-batch state (bit-identical snapshot), and -- after the generation
+// bump every repair performs -- the SAME batch must verify under fresh
+// channel keys (the bump is what makes the retried batch's AEAD nonces
+// fresh; a retry on the old generation would reuse (key, nonce) pairs).
+TEST(ServerNodeTest, AbortRollsBackToPreBatchStateAndRetries) {
+  // Wraps the leader's mesh view; the Nth send of an armed attempt throws.
+  struct FlakyTransport final : net::Transport {
+    net::LoopbackTransport inner;
+    int fail_countdown = -1;  // < 0: healthy
+    FlakyTransport(net::LoopbackMesh* mesh, size_t self)
+        : inner(mesh, self) {}
+    size_t num_nodes() const override { return inner.num_nodes(); }
+    size_t self() const override { return inner.self(); }
+    void send(size_t to, std::vector<u8> f, u64 logical) override {
+      if (fail_countdown >= 0 && fail_countdown-- == 0) {
+        throw net::TransportError("injected send failure");
+      }
+      inner.send(to, std::move(f), logical);
+    }
+    std::vector<u8> recv(size_t from) override { return inner.recv(from); }
+    void end_round(u64 submissions) override { inner.end_round(submissions); }
+  };
+
+  Afe afe(8);
+  auto w = make_workload(afe, 8);
+
+  // Short recv timeout: the followers' blocked recvs must fail fast once
+  // the leader's broadcast never arrives.
+  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/1'500);
+  FlakyTransport leader_link(&mesh, 0);
+  std::vector<std::unique_ptr<net::LoopbackTransport>> links;
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (size_t i = 0; i < kServers; ++i) {
+    links.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
+    ServerNodeConfig cfg;
+    cfg.num_servers = kServers;
+    cfg.self = i;
+    cfg.master_seed = kMasterSeed;
+    nodes.push_back(std::make_unique<Node>(
+        &afe, cfg, i == 0 ? static_cast<net::Transport*>(&leader_link)
+                          : links[i].get()));
+  }
+  std::vector<std::vector<u8>> pre_snap(kServers);
+  for (size_t i = 0; i < kServers; ++i) pre_snap[i] = nodes[i]->snapshot();
+
+  // Attempt 1: the leader (batch 0's leader is server 0) consumes every
+  // round-1 frame, then its round-2 broadcast throws before anything is
+  // shipped -- so the abort leaves NO stale frames in any queue, exactly
+  // the state a TCP reestablish's queue flush guarantees the runtime.
+  leader_link.fail_countdown = 0;
+  std::vector<int> aborted(kServers, 0);
+  on_all_nodes(kServers, [&](size_t i) {
+    auto view = node_view(std::span<const Submission>(w.subs), i);
+    try {
+      nodes[i]->process_batch(std::span<const SubmissionShare>(view));
+    } catch (const net::TransportError&) {
+      aborted[i] = 1;
+    }
+  });
+  for (size_t i = 0; i < kServers; ++i) {
+    EXPECT_EQ(aborted[i], 1) << "server " << i << " did not abort";
+    // Bit-identical pre-batch state: counters, context, replay floors,
+    // accumulator -- everything the snapshot serializes.
+    EXPECT_EQ(nodes[i]->snapshot(), pre_snap[i]) << "server " << i;
+    EXPECT_EQ(nodes[i]->processed(), 0u);
+  }
+
+  // Attempt 2: generation bump (what lane_sync negotiates after a repair)
+  // and the SAME batch retries successfully.
+  for (auto& n : nodes) n->set_generation(n->generation() + 1);
+  std::vector<std::vector<u8>> verdicts(kServers);
+  on_all_nodes(kServers, [&](size_t i) {
+    auto view = node_view(std::span<const Submission>(w.subs), i);
+    verdicts[i] =
+        nodes[i]->process_batch(std::span<const SubmissionShare>(view));
+  });
+  size_t expected_accepted = 0;
+  for (u8 e : w.expected) expected_accepted += e;
+  for (size_t i = 0; i < kServers; ++i) {
+    EXPECT_EQ(verdicts[i], w.expected) << "server " << i;
+    EXPECT_EQ(nodes[i]->accepted(), expected_accepted);
+    EXPECT_EQ(nodes[i]->processed(), w.subs.size());
+  }
+}
+
 TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
   Afe afe(4);
   // refresh_every = 5 with batches of 4 forces refreshes at batch

@@ -1,8 +1,8 @@
 // prio_chaos: seeded, replayable chaos harness over the durability
 // substrate.
 //
-// One u64 seed derives a whole run schedule -- shard count, pipeline
-// depth, fsync policy, AFE, epoch sizes, kill -9 victims and times,
+// One u64 seed derives a whole run schedule -- shard count, fsync
+// policy, AFE, epoch sizes, kill -9 victims and times,
 // restart delays, torn-tail injections, per-server --fault-plan specs
 // (store/fault.h), and the tamper/replay mix -- and the driver then runs
 // that schedule against 3 external prio_server processes:
@@ -33,7 +33,7 @@
 //   prio_chaos --server-bin ./prio_server --seed 42
 //   prio_chaos --server-bin ./prio_server --seed 100 --sweep 10
 //   prio_chaos --server-bin ./prio_server --seed 7 --force-shards 2
-//       --force-depth 2 --data-root /tmp/chaos
+//       --data-root /tmp/chaos
 //
 // --sweep N runs seeds seed..seed+N-1 and stops at the first failure,
 // printing the failing seed and keeping its --data-root subdirectory
@@ -112,7 +112,6 @@ struct Schedule {
   std::string afe_spec;
   u64 master_seed = 0;
   size_t shards = 1;
-  size_t depth = 1;
   std::string fsync;
   u64 epoch_size = 0;
   u64 batch = 0;
@@ -127,12 +126,11 @@ bool contains(const std::vector<u64>& v, u64 x) {
   return false;
 }
 
-Schedule derive_schedule(u64 seed, size_t force_shards, size_t force_depth) {
+Schedule derive_schedule(u64 seed, size_t force_shards) {
   SplitMix r{seed};
   Schedule s;
   s.seed = seed;
   s.shards = force_shards ? force_shards : 1 + r.below(2);
-  s.depth = force_depth ? force_depth : 1 + r.below(2);
   s.fsync = std::vector<std::string>{"epoch", "always", "off"}[r.below(3)];
   switch (r.below(3)) {
     case 0:
@@ -227,10 +225,10 @@ Schedule derive_schedule(u64 seed, size_t force_shards, size_t force_depth) {
 
 void print_schedule(const Schedule& s) {
   std::printf(
-      "chaos[%llu]: afe=%s master_seed=%llu shards=%zu depth=%zu fsync=%s "
+      "chaos[%llu]: afe=%s master_seed=%llu shards=%zu fsync=%s "
       "epochs=%zu epoch_size=%llu batch=%llu\n",
       (unsigned long long)s.seed, s.afe_spec.c_str(),
-      (unsigned long long)s.master_seed, s.shards, s.depth, s.fsync.c_str(),
+      (unsigned long long)s.master_seed, s.shards, s.fsync.c_str(),
       s.epochs.size(), (unsigned long long)s.epoch_size,
       (unsigned long long)s.batch);
   for (size_t j = 0; j < kServers; ++j) {
@@ -685,10 +683,6 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
               "--fsync", sched.fsync,
               "--data-dir", seed_dir + "/s" + std::to_string(j),
               "--stats-port", std::to_string(base + 200 + (int)j)};
-    if (sched.depth > 1) {
-      c.argv.insert(c.argv.end(),
-                    {"--pipeline-depth", std::to_string(sched.depth)});
-    }
     c.restart_argv = c.argv;
     if (!sched.fault_plans[j].empty()) {
       c.argv.insert(c.argv.end(), {"--fault-plan", sched.fault_plans[j]});
@@ -806,9 +800,8 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
   return true;
 }
 
-bool run_seed(u64 seed, size_t force_shards, size_t force_depth,
-              const RunCfg& cfg) {
-  const Schedule sched = derive_schedule(seed, force_shards, force_depth);
+bool run_seed(u64 seed, size_t force_shards, const RunCfg& cfg) {
+  const Schedule sched = derive_schedule(seed, force_shards);
   print_schedule(sched);
   return afe::with_afe<F>(
              afe::parse_afe_spec(sched.afe_spec),
@@ -830,6 +823,13 @@ int main(int argc, char** argv) {
     }
     cfg.keep = flags.has("keep");
     cfg.data_root = flags.str("data-root", "");
+    const u64 seed = flags.num("seed", 1);
+    const u64 sweep = flags.num("sweep", 1);
+    const size_t force_shards = flags.num("force-shards", 0);
+    flags.reject_unread();
+    const std::string force_arg =
+        force_shards ? " --force-shards " + std::to_string(force_shards) : "";
+
     bool temp_root = false;
     if (cfg.data_root.empty()) {
       char tmpl[] = "/tmp/prio_chaos.XXXXXX";
@@ -841,20 +841,13 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(cfg.data_root);
     }
 
-    const u64 seed = flags.num("seed", 1);
-    const u64 sweep = flags.num("sweep", 1);
-    const size_t force_shards = flags.num("force-shards", 0);
-    const size_t force_depth = flags.num("force-depth", 0);
-
     u64 passed = 0;
     for (u64 i = 0; i < sweep; ++i) {
-      if (!run_seed(seed + i, force_shards, force_depth, cfg)) {
+      if (!run_seed(seed + i, force_shards, cfg)) {
         std::printf("prio_chaos: FAILING SEED=%llu (reproduce: prio_chaos "
-                    "--server-bin %s --seed %llu%s%s)\n",
+                    "--server-bin %s --seed %llu%s)\n",
                     (unsigned long long)(seed + i), cfg.server_bin.c_str(),
-                    (unsigned long long)(seed + i),
-                    force_shards ? " --force-shards 2" : "",
-                    force_depth ? " --force-depth 2" : "");
+                    (unsigned long long)(seed + i), force_arg.c_str());
         std::printf("prio_chaos: failing run data: %s\n",
                     cfg.data_root.c_str());
         return 1;

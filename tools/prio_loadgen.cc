@@ -16,9 +16,8 @@
 //   analytics:  linreg:dims=3,bits=10 (50%) + stats:bits=12 (30%)
 //               + popular:bits=16 (20%)
 //
-// Each component runs a 3-server cluster (--shards lanes, default 2;
-// --pipeline-depth 2 turns on server-side batch prefetching) for two
-// epochs:
+// Each component runs a 3-server cluster (--shards lanes, default 2) for
+// two epochs:
 //
 //   epoch 0: U unique clients, a --tamper-frac fraction with a flipped
 //            ciphertext byte (must be rejected by SNIP verification);
@@ -98,8 +97,7 @@ struct LoadConfig {
   double replay_frac = 0.10;
   size_t workers = 4;  // per component
   size_t shards = 2;
-  size_t pipeline_depth = 1;  // >= 2 prefetches batch N+1 during batch N
-  bool scrape_self = false;   // attach metrics + scrape each cluster
+  bool scrape_self = false;  // attach metrics + scrape each cluster
   u64 seed = 42;
   u64 master_seed = 1;
 };
@@ -278,7 +276,6 @@ ComponentReport run_component(const Afe& afe, const afe::AfeSpec& spec,
   copts.runtime.max_batch = 32;
   copts.runtime.announce_wait_ms = 120'000;
   copts.runtime.afe_spec = spec.canonical();
-  copts.runtime.pipeline_depth = cfg.pipeline_depth;
   copts.stats = cfg.scrape_self;
   server::InprocCluster<F, Afe> cluster(&afe, copts);
 
@@ -530,9 +527,6 @@ int main(int argc, char** argv) {
     cfg.replay_frac = flags.real("replay-frac", 0.10);
     cfg.workers = flags.num("workers", 4);
     cfg.shards = flags.num("shards", 2);
-    cfg.pipeline_depth = flags.num("pipeline-depth", 1);
-    require(cfg.pipeline_depth >= 1 && cfg.pipeline_depth <= 8,
-            "--pipeline-depth must be 1..8");
     cfg.seed = flags.num("seed", 42);
     cfg.master_seed = flags.num("master-seed", 1);
     const std::string scrape = flags.str("scrape", "");
@@ -553,8 +547,6 @@ int main(int argc, char** argv) {
     json.kv("tamper_frac", cfg.tamper_frac);
     json.kv("replay_frac", cfg.replay_frac);
     json.kv("shards", static_cast<unsigned long long>(cfg.shards));
-    json.kv("pipeline_depth",
-            static_cast<unsigned long long>(cfg.pipeline_depth));
     json.kv("workers", static_cast<unsigned long long>(cfg.workers));
     json.kv("seed", static_cast<unsigned long long>(cfg.seed));
 
