@@ -25,6 +25,7 @@
 // --probe-wrong-spec the client first asks server 0 for the aggregate
 // under a deliberately wrong spec and requires the loud kAggregateReject
 // (the misconfigured-client path must fail closed, not decode garbage).
+// An unknown flag fails start-up, naming it, before any connection.
 // See src/server/prio_server.cc for a full invocation.
 
 #include <cstdio>
@@ -89,6 +90,10 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
   const u64 tamper_every = flags.num("tamper-every", 0);
   const u32 epoch = static_cast<u32>(flags.num("epoch", 0));
   const u64 expect = flags.num("expect-clients", 0);
+  const bool probe = flags.has("probe-wrong-spec");
+  // Every flag has been read: a typo (--expect_clients) would otherwise
+  // skip the reference check and exit 0 without having checked anything.
+  flags.reject_unread();
 
   PrioClient<F, Afe> encoder(&afe, s, common.master_seed);
   SecureRng rng = SecureRng::from_os_entropy();
@@ -100,7 +105,7 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
     conns.emplace_back(net::connect_tcp(ep.host, ep.client_port, 15'000));
   }
 
-  if (flags.has("probe-wrong-spec")) {
+  if (probe) {
     // Mismatch rejection is immediate (the server checks identity before
     // blocking on publication), so the probe runs before any submission.
     if (int rc = probe_wrong_spec(afe, spec, endpoints[0], epoch)) return rc;

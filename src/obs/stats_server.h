@@ -11,8 +11,8 @@
 // "metrics". All metric reads are relaxed-atomic, so scraping a live
 // cluster is race-free against the lane threads.
 //
-// Also hosts http_get(), the matching one-shot client used by
-// prio_loadgen --scrape and the tests.
+// Also hosts http_get(), the matching one-shot client used by prio_chaos,
+// bench_e2e and the tests.
 #pragma once
 
 #include <poll.h>

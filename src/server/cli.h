@@ -1,8 +1,8 @@
-// Flag parsing shared by the prio_server, prio_client, and prio_loadgen
-// binaries: --key value pairs, the --servers endpoint list, and the common
+// Flag parsing shared by prio_server, prio_client, prio_chaos and
+// bench_e2e: --key value pairs, the --servers endpoint list, and the common
 // deployment configuration (--afe / deprecated --len, --master-seed,
-// --shards) -- one place knows the flag vocabulary, so the three binaries
-// cannot drift apart on how a deployment is named.
+// --shards) -- one place knows the flag vocabulary, so the binaries cannot
+// drift apart on how a deployment is named.
 #pragma once
 
 #include <cerrno>

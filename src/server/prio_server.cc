@@ -9,11 +9,10 @@
 // A three-server deployment on localhost:
 //
 //   SERVERS=127.0.0.1:9101:9201,127.0.0.1:9102:9202,127.0.0.1:9103:9203
-//   ./prio_server --id 0 --servers $SERVERS --afe countmin:w=256,d=4 \
-//       --epoch-size 40 &
+//   AFE=countmin:w=256,d=4
+//   ./prio_server --id 0 --servers $SERVERS --afe $AFE --epoch-size 40 &
 //   ... same for --id 1 and --id 2 ...
-//   ./prio_client --servers $SERVERS --afe countmin:w=256,d=4 \
-//       --clients 40 --expect-clients 40
+//   ./prio_client --servers $SERVERS --afe $AFE --clients 40 --expect-clients 40
 //
 // Every server must be started with the same --servers list, --master-seed,
 // --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
@@ -22,11 +21,13 @@
 // one a previous release accepted) fails start-up with its name. Exit code
 // 0 means all epochs completed (and, on server 0, were published).
 //
-// Sharding (--shards N, default 1): the runtime splits into N ShardRuntimes
-// behind a ServerRouter (server/router.h) -- client ids are hashed to a
-// shard, and N independent batch lanes run through the one peer mesh
-// concurrently (the mesh multiplexes lanes over its framed connections).
-// All servers must agree on N. With --shards 1 the wire protocol, store
+// Sharding (--shards N, default 1): the mesh carries N lanes, and the
+// ServerRouter (server/router.h) builds one ShardRuntime per lane -- client
+// ids are hashed to a shard, and N independent batch lanes run through the
+// one peer mesh concurrently (the mesh multiplexes lanes over its framed
+// connections). This file only reads flags and opens the stores,
+// listeners, mesh and stats endpoint; the router assembles the lanes. All
+// servers must agree on N. With --shards 1 the wire protocol, store
 // layout, and epoch semantics are exactly the unsharded runtime's.
 //
 // Durability: with --data-dir DIR the server WAL-logs every accepted
@@ -142,7 +143,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   // self-report (--report-interval-s N) are opt-in.
   obs::Registry registry;
   opts.metrics = &registry;
-  base_cfg.metrics = &registry;
   std::unique_ptr<obs::TraceLog> trace;
   if (!trace_path.empty()) {
     trace = obs::TraceLog::open(trace_path);
@@ -150,8 +150,9 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   }
 
   // Durable epoch stores (optional), one per shard: opened before the
-  // mesh so a corrupt directory fails fast, recovered after the nodes
-  // exist. One shard keeps the flat pre-sharding layout.
+  // mesh so a corrupt directory fails fast, handed to the router, which
+  // recovers each lane from its own. One shard keeps the flat pre-sharding
+  // layout.
   std::vector<std::unique_ptr<store::EpochStore>> stores(shards);
   if (durable) {
     // EpochStore mkdirs only its own directory; with per-shard subdirs
@@ -191,55 +192,11 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   std::fprintf(stderr, "[server %zu] mesh up (%zu servers, %zu lanes)\n", id,
                mesh.num_nodes(), mesh.lanes());
 
-  // One node + shard runtime per lane, all over single-lane views of the
-  // shared mesh. The verification pool is shared across lanes (the
-  // work-queue pool takes concurrent parallel_for callers); each lane's
-  // channel keys and r schedule are lane-scoped inside the node.
-  ThreadPool pool(base_cfg.batch_threads);
-  using Router = server::ServerRouter<F, Afe>;
-  Router router(&afe, &mesh, &client_listener, opts);
-  std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
-  std::vector<std::unique_ptr<typename Router::Shard>> shard_runtimes;
-  for (size_t l = 0; l < shards; ++l) {
-    lanes.push_back(std::make_unique<net::LaneTransport>(&mesh, l));
-    ServerNodeConfig cfg = base_cfg;
-    cfg.lane = l;
-    cfg.shared_pool = &pool;
-    nodes.push_back(
-        std::make_unique<ServerNode<F, Afe>>(&afe, cfg, lanes.back().get()));
-    shard_runtimes.push_back(std::make_unique<typename Router::Shard>(
-        nodes.back().get(), lanes.back().get(), &router, opts, shards,
-        stores[l].get()));
-    if (stores[l]) {
-      auto rec = store::recover_node<F, Afe>(nodes.back().get(), &afe,
-                                             stores[l].get(),
-                                             opts.max_buffered);
-      if (!rec.ok) {
-        std::fprintf(stderr,
-                     "prio_server: recovery failed (shard %zu): %s\n", l,
-                     rec.error.c_str());
-        return 1;
-      }
-      if (rec.used_snapshot || rec.batches_applied > 0 ||
-          rec.intake_records > 0) {
-        std::fprintf(
-            stderr,
-            "[server %zu shard %zu] recovered: epoch=%u processed=%llu "
-            "accepted=%llu (%llu batches, %llu intake records, %u torn "
-            "tails truncated)\n",
-            id, l, nodes.back()->epoch(),
-            static_cast<unsigned long long>(nodes.back()->processed()),
-            static_cast<unsigned long long>(nodes.back()->accepted()),
-            static_cast<unsigned long long>(rec.batches_applied),
-            static_cast<unsigned long long>(rec.intake_records),
-            rec.truncated_tails);
-      }
-      shard_runtimes.back()->seed_recovered(std::move(rec));
-    }
-    router.add_shard(shard_runtimes.back().get());
-  }
-  router.finish_setup();
+  // The router builds one node + shard runtime per mesh lane, all
+  // verifying on one shared pool, and recovers each lane from its store
+  // (a failure throws, naming the shard).
+  server::ServerRouter<F, Afe> router(&afe, &mesh, &client_listener, opts,
+                                      base_cfg, std::move(stores));
 
   // Live stats endpoint (--stats-port N; 0 picks an ephemeral port). The
   // handler thread only reads atomics -- per-lane protocol state is
@@ -364,7 +321,9 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   report_stop.store(true, std::memory_order_release);
   if (reporter.joinable()) reporter.join();
   u64 processed = 0;
-  for (const auto& n : nodes) processed += n->processed();
+  for (size_t l = 0; l < shards; ++l) {
+    processed += router.shard(l)->node()->processed();
+  }
   std::fprintf(stderr, "[server %zu] done (%llu submissions processed)\n",
                id, static_cast<unsigned long long>(processed));
   return rc;

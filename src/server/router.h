@@ -19,6 +19,12 @@
 //     summed (field addition commutes, so the result is bit-identical to
 //     an unsharded run over the same inputs) and served to clients.
 //
+// The router also builds the server: one lane per mesh lane, each a
+// net::LaneTransport view of the mesh, a ServerNode and a ShardRuntime,
+// all verifying on one shared ThreadPool, each recovered from its own
+// store when one is given. Every caller -- prio_server, the in-process
+// cluster, the tests -- gets the same wiring from the one constructor.
+//
 // Lane threads are spawned by run_epochs, one per shard; the router
 // rethrows the first lane error after all lanes finish, so a fatal lane
 // (resync budget exhausted, traffic starvation) fails the server the way
@@ -27,7 +33,9 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -43,13 +51,27 @@ class ServerRouter {
   using EpochAggregate = typename Node::EpochAggregate;
   using Shard = ShardRuntime<F, Afe, ServerRouter<F, Afe>>;
 
-  // `mesh` is the SHARED multiplexed transport (each shard holds its own
-  // net::LaneTransport view of it). Shards are registered with add_shard
-  // in lane order; call finish_setup() after the last one (and after any
-  // seed_recovered), before serve_clients/run_epochs.
+  // `mesh` is the SHARED multiplexed transport; the router runs one lane
+  // per mesh->lanes(). `client_listener` may be null when submissions
+  // arrive through submit() only. `node_cfg` is the template every lane's
+  // ServerNode starts from (the router fills in lane, shared_pool and
+  // metrics). `stores` is empty (in-memory) or holds one store per lane,
+  // null for a lane without one; each lane is recovered from its store
+  // here, and a recovery failure throws naming the shard.
   ServerRouter(const Afe* afe, net::Transport* mesh,
-               net::TcpListener* client_listener, RuntimeOptions opts)
-      : afe_(afe), mesh_(mesh), listener_(client_listener), opts_(opts) {
+               net::TcpListener* client_listener, RuntimeOptions opts,
+               ServerNodeConfig node_cfg,
+               std::vector<std::unique_ptr<store::EpochStore>> stores = {})
+      : afe_(afe),
+        mesh_(mesh),
+        listener_(client_listener),
+        opts_(opts),
+        stores_(std::move(stores)),
+        pool_(node_cfg.batch_threads) {
+    const size_t n = mesh_->lanes();
+    require(n >= 1, "ServerRouter: need >= 1 shard");
+    require(stores_.empty() || stores_.size() == n,
+            "ServerRouter: need one store per shard");
     if (opts_.metrics) {
       obs::Registry* reg = opts_.metrics;
       m_rej_malformed_ = reg->counter(
@@ -71,48 +93,68 @@ class ServerRouter {
           "prio_aggregate_rejects_total",
           "Aggregate queries refused over an AFE spec mismatch");
     }
+    node_cfg.shared_pool = &pool_;
+    node_cfg.metrics = opts_.metrics;
+    lanes_.reserve(n);
+    for (size_t l = 0; l < n; ++l) {
+      store::EpochStore* st = stores_.empty() ? nullptr : stores_[l].get();
+      Lane& lane = lanes_.emplace_back();
+      lane.transport = std::make_unique<net::LaneTransport>(mesh_, l);
+      node_cfg.lane = l;
+      lane.node = std::make_unique<Node>(afe_, node_cfg, lane.transport.get());
+      lane.shard = std::make_unique<Shard>(lane.node.get(),
+                                           lane.transport.get(), this, opts_,
+                                           st);
+      if (st) recover_lane(l, st);
+    }
+    if (opts_.metrics) {
+      m_intake_ok_.reserve(n);
+      for (size_t l = 0; l < n; ++l) {
+        m_intake_ok_.push_back(opts_.metrics->counter(
+            "prio_intake_accepted_total",
+            "Client submissions accepted at intake (WAL-backed ack)",
+            obs::label_kv("shard", l)));
+      }
+    }
+    // Server 0 derives each epoch's remaining quota from what the lanes
+    // already committed (a restarted sequencer must not hand out quota the
+    // epoch already consumed), and rebuilds the cross-lane published map
+    // from the per-lane aggregates recovery handed back.
+    if (self() != 0) return;
+    for (const Lane& lane : lanes_) {
+      const u64 used = lane.node->epoch_processed();
+      u64& rem = remaining_ref_locked(lane.node->epoch());
+      rem -= std::min(rem, used);
+      for (const auto& [epoch, agg] : lane.shard->recovered_published()) {
+        lane_agg_[epoch][lane.shard->lane()] = agg;
+      }
+    }
+    for (auto& [epoch, per_lane] : lane_agg_) {
+      if (per_lane.size() == n) combine_locked(epoch);
+    }
   }
 
   ~ServerRouter() { stop(); }
 
-  void add_shard(Shard* shard) {
-    require(shard->lane() == shards_.size(), "add_shard: lanes out of order");
-    shards_.push_back(shard);
-  }
-
   size_t self() const { return mesh_->self(); }
-  size_t shards() const { return shards_.size(); }
+  size_t shards() const { return mesh_->lanes(); }
+  Shard* shard(size_t l) { return lanes_.at(l).shard.get(); }
 
-  // Single-threaded setup after all shards are registered and seeded:
-  // derives each epoch's remaining quota from what the lanes already
-  // committed (a restarted sequencer must not hand out quota the epoch
-  // already consumed), and rebuilds the cross-lane published map from the
-  // per-lane aggregates recovery handed back.
-  void finish_setup() {
-    require(!shards_.empty(), "ServerRouter: need >= 1 shard");
-    if (opts_.metrics) {
-      // Per-shard intake accepts live here, after every add_shard, so the
-      // instance count matches the lane count.
-      m_intake_ok_.reserve(shards_.size());
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        m_intake_ok_.push_back(opts_.metrics->counter(
-            "prio_intake_accepted_total",
-            "Client submissions accepted at intake (WAL-backed ack)",
-            obs::label_kv("shard", i)));
+  // The one intake path: hashes the client id to its shard, whose submit()
+  // does WAL-before-ack. This is the only place a shard is picked, so a
+  // given client's blobs (and replay floor) can never straddle shards.
+  // Returns false when the shard's WAL refused the blob.
+  bool submit(u64 client_id, u64 seq, std::vector<u8> blob) {
+    const size_t l = shard_of(client_id, lanes_.size());
+    const bool ok = lanes_[l].shard->submit(client_id, seq, std::move(blob));
+    if (!m_intake_ok_.empty()) {
+      if (ok) {
+        m_intake_ok_[l]->inc();
+      } else {
+        m_rej_wal_->inc();
       }
     }
-    if (self() != 0) return;
-    for (Shard* s : shards_) {
-      const u64 used = s->node()->epoch_processed();
-      u64& rem = remaining_ref_locked(s->node()->epoch());
-      rem -= std::min(rem, used);
-      for (const auto& [epoch, agg] : s->recovered_published()) {
-        lane_agg_[epoch][s->lane()] = agg;
-      }
-    }
-    for (auto& [epoch, per_lane] : lane_agg_) {
-      if (per_lane.size() == shards_.size()) combine_locked(epoch);
-    }
+    return ok;
   }
 
   // ---- epoch quota (sequencer lanes on server 0) -----------------------
@@ -138,7 +180,7 @@ class ServerRouter {
       grant = static_cast<size_t>(std::min<u64>(want, rem));
       rem -= grant;
     }
-    for (Shard* s : shards_) s->notify();  // quota moved: waiters re-check
+    for (Lane& l : lanes_) l.shard->notify();  // quota moved: re-check
     return grant;
   }
 
@@ -172,7 +214,7 @@ class ServerRouter {
       rs_error_.clear();
       lock.unlock();
       mesh_->interrupt();
-      for (Shard* s : shards_) s->interrupt_waiters();
+      for (Lane& l : lanes_) l.shard->interrupt_waiters();
       lock.lock();
     }
     const u64 round = rs_round_;
@@ -193,7 +235,7 @@ class ServerRouter {
       } catch (const std::exception& e) {
         err = e.what();
       }
-      for (Shard* s : shards_) s->clear_interrupt();
+      for (Lane& l : lanes_) l.shard->clear_interrupt();
       lock.lock();
       rs_error_ = err;
       rs_active_ = false;
@@ -217,7 +259,7 @@ class ServerRouter {
     {
       std::lock_guard<std::mutex> lock(mu_);
       lane_agg_[agg.epoch][lane] = agg;
-      if (lane_agg_[agg.epoch].size() == shards_.size()) {
+      if (lane_agg_[agg.epoch].size() == lanes_.size()) {
         combine_locked(agg.epoch);
       }
     }
@@ -230,10 +272,9 @@ class ServerRouter {
   // rethrows the first lane error. Returns the last epoch's GLOBAL
   // aggregate on server 0 (nullopt elsewhere).
   std::optional<EpochAggregate> run_epochs() {
-    require(!shards_.empty(), "ServerRouter: need >= 1 shard");
     {
       std::lock_guard<std::mutex> lock(rs_mu_);
-      live_lanes_ = shards_.size();
+      live_lanes_ = lanes_.size();
       lane_fatal_ = false;
     }
     // first_error holds the ROOT-CAUSE exception: the first lane to die.
@@ -241,11 +282,11 @@ class ServerRouter {
     // secondary "sibling lane failed" errors that must not mask it.
     std::exception_ptr first_error;
     std::vector<std::thread> threads;
-    threads.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
+    threads.reserve(lanes_.size());
+    for (size_t i = 0; i < lanes_.size(); ++i) {
       threads.emplace_back([this, i, &first_error] {
         try {
-          shards_[i]->run_lane();
+          lanes_[i].shard->run_lane();
         } catch (const std::exception& e) {
           lane_failed(i, e.what(), &first_error, std::current_exception());
         } catch (...) {
@@ -365,7 +406,32 @@ class ServerRouter {
                  self(), lane, what);
     rs_cv_.notify_all();
     mesh_->interrupt();
-    for (Shard* s : shards_) s->interrupt_waiters();
+    for (Lane& l : lanes_) l.shard->interrupt_waiters();
+  }
+
+  // Rebuilds lane `l`'s node and shard state from its store (setup only).
+  void recover_lane(size_t l, store::EpochStore* st) {
+    Node* node = lanes_[l].node.get();
+    auto rec = store::recover_node<F, Afe>(node, afe_, st, opts_.max_buffered);
+    if (!rec.ok) {
+      throw std::runtime_error("recovery failed (shard " + std::to_string(l) +
+                               "): " + rec.error);
+    }
+    if (rec.used_snapshot || rec.batches_applied > 0 ||
+        rec.intake_records > 0) {
+      std::fprintf(
+          stderr,
+          "[server %zu shard %zu] recovered: epoch=%u processed=%llu "
+          "accepted=%llu (%llu batches, %llu intake records, %u torn "
+          "tails truncated)\n",
+          self(), l, node->epoch(),
+          static_cast<unsigned long long>(node->processed()),
+          static_cast<unsigned long long>(node->accepted()),
+          static_cast<unsigned long long>(rec.batches_applied),
+          static_cast<unsigned long long>(rec.intake_records),
+          rec.truncated_tails);
+    }
+    lanes_[l].shard->seed_recovered(std::move(rec));
   }
 
   // Callers hold q_mu_ (or run single-threaded setup).
@@ -404,18 +470,7 @@ class ServerRouter {
           if (ok) {
             net::Reader seq_r(blob);
             const u64 seq = seq_r.u64_();
-            // The shard's submit() does WAL-before-ack; the routing hash
-            // is the one place intake picks a shard, so a given client's
-            // blobs (and replay floor) can never straddle shards.
-            const size_t shard_idx = shard_of(cid, shards_.size());
-            ok = shards_[shard_idx]->submit(cid, seq, std::move(blob));
-            if (!m_intake_ok_.empty()) {
-              if (ok) {
-                m_intake_ok_[shard_idx]->inc();
-              } else {
-                m_rej_wal_->inc();
-              }
-            }
+            ok = submit(cid, seq, std::move(blob));
           } else if (m_rej_malformed_) {
             m_rej_malformed_->inc();
           }
@@ -509,7 +564,17 @@ class ServerRouter {
   net::Transport* mesh_;
   net::TcpListener* listener_;
   RuntimeOptions opts_;
-  std::vector<Shard*> shards_;  // indexed by lane id
+
+  struct Lane {
+    std::unique_ptr<net::LaneTransport> transport;
+    std::unique_ptr<Node> node;
+    std::unique_ptr<Shard> shard;
+  };
+  std::vector<std::unique_ptr<store::EpochStore>> stores_;  // empty: none
+  ThreadPool pool_;  // shared by every lane's node
+  // One lane per mesh lane, indexed by lane id. Declared after the stores
+  // and the pool the lanes use, so the lanes are destroyed first.
+  std::vector<Lane> lanes_;
 
   // Intake / publication state (ordering: never taken under a shard lock).
   std::mutex mu_;

@@ -97,8 +97,10 @@ struct RuntimeOptions {
   obs::TraceLog* trace = nullptr;
 };
 
-// One shard's runtime. `Host` is the router (templated to keep this header
-// free of a circular include); it provides the global pieces:
+// One shard's runtime, built only by the router (server/router.h). `Host`
+// is the router (templated to keep this header free of a circular
+// include); it provides the global pieces:
+//   size_t shards()                                // total shard count
 //   u64    quota_remaining(u32 epoch)
 //   size_t quota_acquire(u32 epoch, size_t want)   // clamps, may return 0
 //   void   repair_mesh(const std::string& reason)  // barrier + reestablish
@@ -111,14 +113,11 @@ class ShardRuntime {
 
   // `lane_transport` is this lane's single-lane view of the shared mesh
   // (net::LaneTransport; the same transport the node was built over).
-  // `store` may be null: in-memory only, no recovery. `shards` is the
-  // TOTAL shard count (for wrong-shard announcement validation).
+  // `store` may be null: in-memory only, no recovery.
   ShardRuntime(Node* node, net::Transport* lane_transport, Host* host,
-               RuntimeOptions opts, size_t shards,
-               store::EpochStore* store = nullptr)
+               RuntimeOptions opts, store::EpochStore* store)
       : node_(node), lane_(lane_transport), host_(host), opts_(opts),
-        shards_(shards), lane_id_(node->lane()), store_(store) {
-    require(shards_ >= 1, "ShardRuntime: need >= 1 shard");
+        shards_(host->shards()), lane_id_(node->lane()), store_(store) {
     if (opts_.metrics) {
       obs::Registry* reg = opts_.metrics;
       const std::string label = obs::label_kv("shard", lane_id_);

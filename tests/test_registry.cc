@@ -3,8 +3,9 @@
 // typed Result serialization round-trips for every AFE, the new Gf2Xor
 // encoding, and -- the big one -- every catalogue spec driven end to end
 // through an in-process sharded 3-server TCP cluster (server/inproc.h)
-// with the published typed aggregate cross-checked bit-for-bit against the
-// plaintext reference, plus the wrong-spec kAggregateReject path.
+// for two epochs, each epoch's published typed aggregate cross-checked
+// bit-for-bit against the plaintext reference, plus the wrong-spec
+// kAggregateReject path and a cross-epoch replay.
 
 #include <gtest/gtest.h>
 
@@ -270,12 +271,24 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
     subs.push_back({cid, std::move(blobs)});
   }
 
+  // Epoch 1: a byte-identical resend of honest client 0's epoch-0 frames
+  // plus fresh clients filling the epoch. The resend is an honest blob, so
+  // it passes the SNIP check; only the replay floor can reject it. The
+  // reference counts each client once, at its first delivery.
+  std::vector<Submission> subs1 = {subs[0]};
+  auto ref1 = ref;
+  ref1.next_epoch();
+  ref1.add(0, afe::sample_input(a, 0));
+  for (u64 cid = kClients; cid < 2 * kClients - 1; ++cid) {
+    ref1.add(cid, afe::sample_input(a, cid));
+    subs1.push_back({cid, client.upload(afe::sample_input(a, cid), cid, rng)});
+  }
+
   typename server::InprocCluster<F, Afe>::Options copts;
-  copts.num_servers = kServers;
   copts.shards = 2;
   copts.master_seed = kSeed;
   copts.runtime.epoch_size = kClients;
-  copts.runtime.epochs = 1;
+  copts.runtime.epochs = 2;
   copts.runtime.max_batch = 8;
   copts.runtime.afe_spec = spec.canonical();
   server::InprocCluster<F, Afe> cluster(&a, copts);
@@ -306,54 +319,70 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
     EXPECT_TRUE(r.ok() && r.at_end());
   }
 
-  for (const auto& sub : subs) {
-    for (size_t j = 0; j < kServers; ++j) {
-      net::Writer w;
-      w.u8_(server::kClientSubmit);
-      w.u64_(sub.client_id);
-      w.bytes(sub.blobs[j]);
-      conns[j].send_frame(w.data());
+  auto submit_all = [&](const std::vector<Submission>& batch) {
+    for (const auto& sub : batch) {
+      for (size_t j = 0; j < kServers; ++j) {
+        net::Writer w;
+        w.u8_(server::kClientSubmit);
+        w.u64_(sub.client_id);
+        w.bytes(sub.blobs[j]);
+        conns[j].send_frame(w.data());
+      }
+      for (size_t j = 0; j < kServers; ++j) {
+        const std::vector<u8> ack = conns[j].recv_frame(15'000);
+        net::Reader r(ack);
+        ASSERT_EQ(r.u8_(), server::kSubmitAck);
+        ASSERT_EQ(r.u8_(), 1);
+      }
     }
-    for (size_t j = 0; j < kServers; ++j) {
-      const std::vector<u8> ack = conns[j].recv_frame(15'000);
-      net::Reader r(ack);
-      ASSERT_EQ(r.u8_(), server::kSubmitAck);
-      ASSERT_EQ(r.u8_(), 1);
-    }
-  }
+  };
 
-  // Fetch the published typed aggregate with OUR identity.
-  net::Writer ask;
-  ask.u8_(server::kGetAggregate);
-  ask.u32_(0);
-  ask.u8_(afe::afe_wire_id(a));
-  ask.str_(spec.canonical());
-  conns[0].send_frame(ask.data());
-  const std::vector<u8> frame = conns[0].recv_frame(120'000);
-  net::Reader r(frame);
-  ASSERT_EQ(r.u8_(), server::kAggregate);
-  EXPECT_EQ(r.u32_(), 0u);
-  const u64 accepted = r.u64_();
-  EXPECT_EQ(r.u8_(), afe::afe_wire_id(a));
-  EXPECT_EQ(r.str_(), spec.canonical());
-  auto sigma = r.field_vector<F>(a.k_prime());
-  const std::vector<u8> typed = r.bytes();
-  ASSERT_TRUE(r.ok() && r.at_end());
-  ASSERT_EQ(sigma.size(), a.k_prime());
+  // Fetches epoch `epoch`'s published typed aggregate with OUR identity.
+  // The published sigma, the accepted count, and the typed Result must all
+  // match the plaintext reference bit-for-bit; so must our own decode of
+  // the published sigma.
+  auto check_epoch = [&](u32 epoch,
+                         const baseline::PlaintextReference<F, Afe>& want) {
+    net::Writer ask;
+    ask.u8_(server::kGetAggregate);
+    ask.u32_(epoch);
+    ask.u8_(afe::afe_wire_id(a));
+    ask.str_(spec.canonical());
+    conns[0].send_frame(ask.data());
+    const std::vector<u8> frame = conns[0].recv_frame(120'000);
+    net::Reader r(frame);
+    ASSERT_EQ(r.u8_(), server::kAggregate);
+    EXPECT_EQ(r.u32_(), epoch);
+    const u64 accepted = r.u64_();
+    EXPECT_EQ(r.u8_(), afe::afe_wire_id(a));
+    EXPECT_EQ(r.str_(), spec.canonical());
+    auto sigma = r.field_vector<F>(a.k_prime());
+    const std::vector<u8> typed = r.bytes();
+    ASSERT_TRUE(r.ok() && r.at_end());
+    ASSERT_EQ(sigma.size(), a.k_prime());
+    EXPECT_EQ(accepted, want.accepted()) << "epoch " << epoch;
+    EXPECT_EQ(sigma, want.sigma()) << "epoch " << epoch;
+    EXPECT_EQ(typed, afe::result_bytes(a, want.result())) << "epoch " << epoch;
+    auto local = a.decode(std::span<const F>(sigma), accepted);
+    EXPECT_EQ(afe::result_bytes(a, local), typed) << "epoch " << epoch;
+  };
+
+  EXPECT_EQ(ref.accepted(), kClients - 2);  // the tampered and bad proof out
+  EXPECT_EQ(ref1.accepted(), kClients - 1);  // the resend out
+  submit_all(subs);
+  if (::testing::Test::HasFatalFailure()) return;
+  check_epoch(0, ref);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Epoch 0 is published, so every original was consumed: the resend is
+  // buffered and announced again, not absorbed by intake dedup (which
+  // would leave epoch 1 one submission short of closing).
+  submit_all(subs1);
+  if (::testing::Test::HasFatalFailure()) return;
+  check_epoch(1, ref1);
   // Close our connections before finish(): drain_and_stop grants open
   // clients a 10 s grace, which would otherwise pad every test with it.
   conns.clear();
   cluster.finish();
-
-  // The published sigma, the accepted count, and the typed Result must all
-  // match the plaintext reference bit-for-bit; so must our own decode of
-  // the published sigma.
-  EXPECT_EQ(accepted, ref.accepted());
-  EXPECT_EQ(accepted, kClients - 2);  // exactly the tampered and bad proof
-  EXPECT_EQ(sigma, ref.sigma());
-  EXPECT_EQ(typed, afe::result_bytes(a, ref.result()));
-  auto local = a.decode(std::span<const F>(sigma), accepted);
-  EXPECT_EQ(afe::result_bytes(a, local), typed);
 }
 
 class RegistryE2E : public ::testing::TestWithParam<std::string> {};

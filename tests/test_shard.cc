@@ -65,50 +65,32 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 // Multi-lane router over a loopback mesh
 // ---------------------------------------------------------------------------
 
-// One server process' worth of sharded runtime: base transport, router,
-// one verification pool shared by every lane, and a node + shard runtime
-// per lane -- the same wiring prio_server.cc does, minus sockets and
-// stores. base_override lets a test interpose a wrapper transport (slow
-// links).
+// One server process' worth of sharded runtime over the loopback mesh: the
+// same router prio_server builds, minus sockets and stores. Submissions go
+// through Router::submit, the router's own intake path. `mesh_view`
+// overrides the server's view of the mesh (a test interposes slow links).
 struct ShardedServer {
   ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
-                size_t nshards, server::RuntimeOptions opts,
-                net::Transport* base_override = nullptr,
+                server::RuntimeOptions opts,
+                net::Transport* mesh_view = nullptr,
                 size_t batch_threads = 1)
       : base(&mesh, self),
-        pool(batch_threads),
-        router(&afe, base_override ? base_override : &base,
-               /*client_listener=*/nullptr, opts) {
-    net::Transport* bt = base_override ? base_override : &base;
-    for (size_t l = 0; l < nshards; ++l) {
-      lanes.push_back(std::make_unique<net::LaneTransport>(bt, l));
-      ServerNodeConfig cfg;
-      cfg.num_servers = mesh.num_nodes();
-      cfg.self = self;
-      cfg.master_seed = kMasterSeed;
-      cfg.lane = l;
-      cfg.shared_pool = &pool;
-      nodes.push_back(std::make_unique<Node>(&afe, cfg, lanes.back().get()));
-      shards.push_back(std::make_unique<Router::Shard>(
-          nodes.back().get(), lanes.back().get(), &router, opts, nshards));
-      router.add_shard(shards.back().get());
-    }
-    router.finish_setup();
-  }
+        router(&afe, mesh_view ? mesh_view : &base,
+               /*client_listener=*/nullptr, opts,
+               node_config(mesh.num_nodes(), self, batch_threads)) {}
 
-  // What the router's intake path does with a client frame: hash the id,
-  // hand the blob to that shard.
-  void submit(u64 cid, u64 seq, std::vector<u8> blob) {
-    shards[server::shard_of(cid, shards.size())]->submit(cid, seq,
-                                                         std::move(blob));
+  static ServerNodeConfig node_config(size_t servers, size_t self,
+                                      size_t batch_threads) {
+    ServerNodeConfig cfg;
+    cfg.num_servers = servers;
+    cfg.self = self;
+    cfg.master_seed = kMasterSeed;
+    cfg.batch_threads = batch_threads;
+    return cfg;
   }
 
   net::LoopbackTransport base;
-  ThreadPool pool;
   Router router;
-  std::vector<std::unique_ptr<net::LaneTransport>> lanes;
-  std::vector<std::unique_ptr<Node>> nodes;
-  std::vector<std::unique_ptr<Router::Shard>> shards;
 };
 
 struct Workload {
@@ -188,20 +170,19 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
-    servers.push_back(
-        std::make_unique<ShardedServer>(afe, mesh, i, kShards, opts));
+    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, opts));
   }
 
   // Every server gets its own sealed view of every submission, plus one
   // replay of an honest client's blob under a bumped intake seq.
   const u64 replay_cid = 1;
   for (size_t i = 0; i < kServers; ++i) {
+    Router& router = servers[i]->router;
     for (const auto& sub : w.subs) {
-      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]),
-                         sub.blobs[i]);
+      router.submit(sub.client_id, blob_seq(sub.blobs[i]), sub.blobs[i]);
     }
-    servers[i]->submit(replay_cid, blob_seq(w.subs[replay_cid].blobs[i]) + 1,
-                       w.subs[replay_cid].blobs[i]);
+    const auto& replay = w.subs[replay_cid].blobs[i];
+    router.submit(replay_cid, blob_seq(replay) + 1, replay);
   }
 
   std::optional<Node::EpochAggregate> agg;
@@ -221,7 +202,9 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   // Every server processed all 25 announced submissions, split over lanes.
   for (size_t i = 0; i < kServers; ++i) {
     u64 processed = 0;
-    for (const auto& n : servers[i]->nodes) processed += n->processed();
+    for (size_t l = 0; l < kShards; ++l) {
+      processed += servers[i]->router.shard(l)->node()->processed();
+    }
     EXPECT_EQ(processed, w.subs.size() + 1) << "server " << i;
   }
 }
@@ -260,17 +243,16 @@ TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
     regs.push_back(std::make_unique<obs::Registry>());
     server::RuntimeOptions sopts = opts;
     sopts.metrics = regs.back().get();
-    servers.push_back(
-        std::make_unique<ShardedServer>(afe, mesh, i, kShards, sopts));
+    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
   }
   for (size_t i = 0; i < kServers; ++i) {
+    Router& router = servers[i]->router;
     for (const auto& sub : w.subs) {
-      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]),
-                         sub.blobs[i]);
+      router.submit(sub.client_id, blob_seq(sub.blobs[i]), sub.blobs[i]);
     }
     // Injected past the router's hash, into the wrong shard, everywhere.
-    servers[i]->shards[1]->submit(misrouted_cid, blob_seq(mis_blobs[i]),
-                                  mis_blobs[i]);
+    router.shard(1)->submit(misrouted_cid, blob_seq(mis_blobs[i]),
+                            mis_blobs[i]);
   }
 
   std::vector<int> failed(kServers, 0);
@@ -291,7 +273,8 @@ TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   }
   // The misrouted blob never reached any node's accumulator.
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(servers[i]->nodes[1]->accepted(), 0u) << "server " << i;
+    EXPECT_EQ(servers[i]->router.shard(1)->node()->accepted(), 0u)
+        << "server " << i;
   }
   // The reject is visible in the followers' metrics: the announcement
   // names the bad id, so every receiving server counts one misroute on
@@ -333,8 +316,7 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
     sopts.metrics = regs.back().get();
     // Server 1 is misconfigured with a different AFE spec.
     sopts.afe_spec = i == 1 ? "bitvec_sum:len=7" : "bitvec_sum:len=6";
-    servers.push_back(
-        std::make_unique<ShardedServer>(afe, mesh, i, kShards, sopts));
+    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
   }
 
   std::vector<int> failed(kServers, 0);
@@ -410,13 +392,13 @@ TEST(ShardedRouterTest, SlowPeerDoesNotDeadlockSharedPool) {
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
     servers.push_back(std::make_unique<ShardedServer>(
-        afe, mesh, i, kShards, opts,
-        i == kServers - 1 ? &slow : nullptr, /*batch_threads=*/2));
+        afe, mesh, i, opts, i == kServers - 1 ? &slow : nullptr,
+        /*batch_threads=*/2));
   }
   for (size_t i = 0; i < kServers; ++i) {
     for (const auto& sub : w.subs) {
-      servers[i]->submit(sub.client_id, blob_seq(sub.blobs[i]),
-                         sub.blobs[i]);
+      servers[i]->router.submit(sub.client_id, blob_seq(sub.blobs[i]),
+                                sub.blobs[i]);
     }
   }
 
