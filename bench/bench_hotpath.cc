@@ -1,4 +1,4 @@
-// Hot-path benchmark for the batch verification engine, with a
+// Hot-path kernel benchmark for the verification engine, with a
 // machine-readable JSON trajectory.
 //
 // Measures, on one machine:
@@ -8,30 +8,26 @@
 //    expand_share_seed_into path;
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
-//    including heap allocations per check via a counting allocator;
-//  * the end-to-end batched pipeline (process_batch) in subs/sec.
+//    including heap allocations per check via a counting allocator.
+//    Exits 1 if the engine allocates at all once warmed up.
 //
-// Writes BENCH_hotpath.json (or --out <path>) so perf PRs accumulate a
-// recorded trajectory; --smoke shrinks the workload for CI.
+// End-to-end throughput is e2e_bench's job (real prio_server processes).
+// Writes BENCH_hotpath.json (or --out <path>); --smoke shrinks the
+// workload for CI and ctest.
 
-#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <new>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "afe/bitvec_sum.h"
 #include "bench_util.h"
-#include "core/deployment.h"
 #include "field/kernels.h"
-#include "obs/metrics.h"
 #include "poly/lagrange.h"
-#include "server/node.h"
-#include "server/protocol.h"
+#include "snip/snip.h"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every operator new in this binary bumps a counter,
@@ -69,18 +65,12 @@ unsigned long long allocs_during(const std::function<void()>& fn) {
 
 int main(int argc, char** argv) {
   using namespace prio;
-  bool smoke = false;
-  std::string out_path = "BENCH_hotpath.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto [smoke, out_path] =
+      benchutil::parse_args(argc, argv, "BENCH_hotpath.json");
   const bool full = benchutil::full_mode();
 
   const size_t kServers = 3;
-  const size_t kLen = full ? 128 : 64;                    // submission bits
-  const size_t kN = smoke ? 256 : (full ? 4096 : 1024);   // submissions
-  const size_t kBatch = 64;                               // Q
+  const size_t kLen = full ? 128 : 64;  // submission bits
   const int kReps = smoke ? 1 : 3;
   Afe afe(kLen);
   const Circuit<F>& circuit = afe.valid_circuit();
@@ -88,9 +78,8 @@ int main(int argc, char** argv) {
   const size_t ext_len = prover.layout().total_len();
 
   benchutil::header("SNIP hot path: scalar reference vs batch engine");
-  std::printf("servers=%zu  len=%zu bits  ext_len=%zu  N=%zu  Q=%zu  hw=%u%s\n",
-              kServers, kLen, ext_len, kN, kBatch,
-              std::thread::hardware_concurrency(), smoke ? "  [smoke]" : "");
+  std::printf("servers=%zu  len=%zu bits  ext_len=%zu%s\n", kServers, kLen,
+              ext_len, smoke ? "  [smoke]" : "");
 
   benchutil::JsonWriter json;
   json.kv("bench", std::string("hotpath"));
@@ -166,186 +155,45 @@ int main(int argc, char** argv) {
     auto shares = share_vector<F>(ext, kServers, rng);
     SnipVerifier<F> ver(&circuit);
 
-    F sink = F::zero();
+    // The engine sizes its scratch on first use; that one call is outside
+    // the counted span, every timed call after it must allocate nothing.
+    F sink = ver.local_check(ctx, 0, std::span<const F>(shares[0])).d_share;
     unsigned long long legacy_allocs = 0, engine_allocs = 0;
     const double t_legacy = benchutil::time_seconds([&] {
-      legacy_allocs = allocs_during([&] {
+      legacy_allocs += allocs_during([&] {
         for (size_t it = 0; it < iters; ++it) {
           auto st = snip_local_check(ctx, 0, std::span<const F>(shares[0]));
           sink += st.d_share;
         }
-      }) / iters;
+      });
     }, kReps);
     const double t_engine = benchutil::time_seconds([&] {
-      engine_allocs = allocs_during([&] {
+      engine_allocs += allocs_during([&] {
         for (size_t it = 0; it < iters; ++it) {
           auto st = ver.local_check(ctx, 0, std::span<const F>(shares[0]));
           sink += st.d_share;
         }
-      }) / iters;
+      });
     }, kReps);
-    require(!sink.is_zero() || iters == 0, "bench: checks vanished");
+    require(!sink.is_zero(), "bench: checks vanished");
+    const size_t calls = iters * kReps;
     const double legacy_rate = iters / t_legacy;
     const double engine_rate = iters / t_engine;
-    std::printf("local check:             legacy %6.0f /s (%llu allocs)   "
-                "engine %6.0f /s (%llu allocs)   (%.2fx)\n",
-                legacy_rate, legacy_allocs, engine_rate, engine_allocs,
-                engine_rate / legacy_rate);
+    std::printf("local check:             legacy %6.0f /s (%llu allocs/call)"
+                "   engine %6.0f /s (%llu allocs in %zu calls)   (%.2fx)\n",
+                legacy_rate, legacy_allocs / calls, engine_rate,
+                engine_allocs, calls, engine_rate / legacy_rate);
+    if (engine_allocs != 0) {
+      std::fprintf(stderr,
+                   "bench_hotpath: SnipVerifier::local_check made %llu heap "
+                   "allocations in %zu warmed-up calls; it must make none\n",
+                   engine_allocs, calls);
+      return 1;
+    }
     json.kv("local_check_legacy_per_s", legacy_rate);
     json.kv("local_check_engine_per_s", engine_rate);
-    json.kv("local_check_legacy_allocs", legacy_allocs);
+    json.kv("local_check_legacy_allocs", legacy_allocs / calls);
     json.kv("local_check_engine_allocs", engine_allocs);
-  }
-
-  // ---- end-to-end batched pipeline ------------------------------------
-  std::vector<Submission> subs;
-  {
-    PrioDeployment<F, Afe> client_side(&afe, {.num_servers = kServers});
-    SecureRng rng(42);
-    subs.reserve(kN);
-    for (u64 cid = 0; cid < kN; ++cid) {
-      std::vector<u8> bits(kLen, 0);
-      bits[cid % kLen] = 1;
-      subs.push_back({cid, client_side.client_upload(bits, cid, rng)});
-    }
-  }
-  double batch_rate = 0, serial_rate = 0;
-  {
-    PrioDeployment<F, Afe> serial_dep(&afe, {.num_servers = kServers});
-    const double t_serial = benchutil::time_seconds([&] {
-      for (const auto& sub : subs) {
-        serial_dep.process_submission(sub.client_id, sub.blobs);
-      }
-    }, 1);
-    serial_rate = kN / t_serial;
-
-    PrioDeployment<F, Afe> batch_dep(&afe, {.num_servers = kServers,
-                                            .batch_threads = 1});
-    const double t_batch = benchutil::time_seconds([&] {
-      for (size_t off = 0; off < kN; off += kBatch) {
-        const size_t q = std::min(kBatch, kN - off);
-        batch_dep.process_batch(
-            std::span<const Submission>(subs.data() + off, q));
-      }
-    }, 1);
-    batch_rate = kN / t_batch;
-    require(batch_dep.accepted() == kN, "bench: pipeline rejected inputs");
-
-    std::printf("pipeline:                serial %6.0f subs/s   "
-                "batch(Q=%zu) %6.0f subs/s   %.0f ns/sub\n",
-                serial_rate, kBatch, batch_rate, 1e9 / batch_rate);
-    json.kv("pipeline_serial_subs_per_s", serial_rate);
-    json.kv("pipeline_batch_subs_per_s", batch_rate);
-    json.kv("pipeline_batch_ns_per_sub", 1e9 / batch_rate);
-  }
-
-  // ---- node runtime across lanes ---------------------------------------
-  // The compute shape of --shards N (server/shard.h): one thread per
-  // (lane, server) running ServerNode::process_batch back to back over a
-  // LoopbackMesh -- protocol-faithful rounds, no sockets -- across 1/2/4
-  // lanes. One lane's compute overlaps another lane's mesh waits.
-  {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      std::vector<std::vector<Submission>> split(shards);
-      for (const auto& sub : subs) {
-        split[server::shard_of(sub.client_id, shards)].push_back(sub);
-      }
-      // Fresh nodes per run (the replay floor would reject a re-run of
-      // the same counters); best of two runs per config damps scheduler
-      // noise, which dominates on small machines.
-      auto run_config = [&](obs::Registry* reg = nullptr) {
-        net::LoopbackMesh mesh(kServers, 60'000, shards);
-        std::vector<std::unique_ptr<net::LoopbackTransport>> bases;
-        for (size_t i = 0; i < kServers; ++i) {
-          bases.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
-        }
-        std::vector<std::unique_ptr<net::LaneTransport>> lane_views;
-        std::vector<std::unique_ptr<ServerNode<F, Afe>>> nodes;
-        for (size_t l = 0; l < shards; ++l) {
-          for (size_t i = 0; i < kServers; ++i) {
-            lane_views.push_back(
-                std::make_unique<net::LaneTransport>(bases[i].get(), l));
-            ServerNodeConfig cfg;
-            cfg.num_servers = kServers;
-            cfg.self = i;
-            cfg.lane = l;
-            cfg.batch_threads = 1;
-            cfg.metrics = reg;
-            nodes.push_back(std::make_unique<ServerNode<F, Afe>>(
-                &afe, cfg, lane_views.back().get()));
-          }
-        }
-        const double t = benchutil::time_seconds([&] {
-          std::vector<std::thread> threads;
-          threads.reserve(shards * kServers);
-          for (size_t l = 0; l < shards; ++l) {
-            for (size_t i = 0; i < kServers; ++i) {
-              ServerNode<F, Afe>* node = nodes[l * kServers + i].get();
-              const std::vector<Submission>* mine = &split[l];
-              threads.emplace_back([node, mine, kBatch] {
-                for (size_t off = 0; off < mine->size(); off += kBatch) {
-                  const size_t q = std::min(kBatch, mine->size() - off);
-                  node->process_batch(node_view(
-                      std::span<const Submission>(mine->data() + off, q),
-                      node->self()));
-                }
-              });
-            }
-          }
-          for (auto& th : threads) th.join();
-        }, 1);
-        u64 accepted = 0;
-        for (size_t l = 0; l < shards; ++l) {
-          accepted += nodes[l * kServers]->accepted();
-        }
-        require(accepted == kN, "bench: node runtime rejected inputs");
-        return kN / t;
-      };
-      const double rate = std::max(run_config(), run_config());
-      std::printf("pipeline node s%zu:        %6.0f subs/s   (%.2fx batch)\n",
-                  shards, rate, rate / batch_rate);
-      json.kv("pipeline_node_s" + std::to_string(shards) + "_subs_per_s",
-              rate);
-
-      // ---- metrics overhead (src/obs/) ---------------------------------
-      // Same two-lane run, uninstrumented vs with an attached
-      // obs::Registry (stage histograms + verdict counters recording).
-      // Run-to-run spread on a small host reaches tens of percent, far
-      // above the effect, so this reports the median on/off ratio over
-      // paired, interleaved runs (alternating which side goes first)
-      // instead of gating on it.
-      if (shards == 2) {
-        constexpr int kPairs = 5;
-        std::vector<double> off, on, ratio;
-        for (int p = 0; p < kPairs; ++p) {
-          obs::Registry reg;
-          double off_rate = 0, on_rate = 0;
-          if (p % 2 == 0) {
-            off_rate = run_config();
-            on_rate = run_config(&reg);
-          } else {
-            on_rate = run_config(&reg);
-            off_rate = run_config();
-          }
-          off.push_back(off_rate);
-          on.push_back(on_rate);
-          ratio.push_back(on_rate / off_rate);
-        }
-        auto median = [](std::vector<double> v) {
-          std::sort(v.begin(), v.end());
-          return v[v.size() / 2];
-        };
-        const double overhead = 1.0 - median(ratio);
-        std::printf("metrics overhead s2:     off %6.0f subs/s   on %6.0f"
-                    " subs/s   (median of %d pairs: %+.2f%%)\n",
-                    median(off), median(on), kPairs, overhead * 100.0);
-        json.kv("metrics_off_subs_per_s", median(off));
-        json.kv("metrics_on_subs_per_s", median(on));
-        json.kv("metrics_overhead_frac", overhead);
-        json.kv("metrics_overhead_pairs",
-                static_cast<unsigned long long>(kPairs));
-      }
-    }
   }
 
   std::string payload = json.finish();

@@ -6,7 +6,6 @@
 // the workload for the CI leg.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -45,12 +44,8 @@ int main(int argc, char** argv) {
   using F = Fp64;
   using Afe = afe::BitVectorSum<F>;
 
-  bool smoke = false;
-  std::string out_path = "BENCH_store.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-  }
+  const auto [smoke, out_path] =
+      benchutil::parse_args(argc, argv, "BENCH_store.json");
   const bool full = benchutil::full_mode();
 
   // A representative sealed submission blob: one server's share of a

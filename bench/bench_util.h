@@ -19,7 +19,7 @@ inline bool full_mode() {
   return env != nullptr && env[0] == '1';
 }
 
-// Median-of-repeats wall-clock timing, in seconds.
+// Best-of-repeats (minimum) wall-clock timing, in seconds.
 inline double time_seconds(const std::function<void()>& fn, int repeats = 3) {
   double best = 1e300;
   for (int i = 0; i < repeats; ++i) {
@@ -29,6 +29,34 @@ inline double time_seconds(const std::function<void()>& fn, int repeats = 3) {
     best = std::min(best, std::chrono::duration<double>(end - start).count());
   }
   return best;
+}
+
+// The flags of the benches that write a JSON trajectory: --smoke and
+// --out <path>. Anything else, or --out without a value, exits 2 naming
+// the argument, so a typo in a CI invocation cannot silently run the
+// full-size bench and write to the default path.
+struct Args {
+  bool smoke = false;
+  std::string out_path;
+};
+
+inline Args parse_args(int argc, char** argv, const std::string& default_out) {
+  Args args{false, default_out};
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg == "--out" && i + 1 < argc) {
+      args.out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "%s: %s %s\nusage: %s [--smoke] [--out PATH]\n",
+                   argv[0],
+                   arg == "--out" ? "missing value for" : "unknown argument",
+                   arg.c_str(), argv[0]);
+      std::exit(2);
+    }
+  }
+  return args;
 }
 
 inline void header(const std::string& title) {

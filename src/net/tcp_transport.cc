@@ -327,8 +327,6 @@ void TcpMeshTransport::send_lane(size_t lane, size_t to, std::vector<u8> frame,
     throw TransportError("mesh is down (awaiting reestablish)");
   }
   frame.insert(frame.begin(), static_cast<u8>(lane));
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
   if (!lane_metrics_.empty()) {
     lane_metrics_[lane].frames->inc();
     lane_metrics_[lane].bytes->inc(frame.size());
@@ -447,11 +445,6 @@ std::vector<u8> TcpMeshTransport::recv_lane(size_t lane, size_t from) {
       link.cv.wait_for(lock, std::chrono::milliseconds(200));
     }
   }
-}
-
-void TcpMeshTransport::end_round(u64 submissions) {
-  (void)submissions;
-  rounds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void TcpMeshTransport::attach_metrics(obs::Registry* registry) {

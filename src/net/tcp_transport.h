@@ -238,7 +238,7 @@ class TcpMeshTransport final : public Transport {
   void send_lane(size_t lane, size_t to, std::vector<u8> frame,
                  u64 logical) override;
   std::vector<u8> recv_lane(size_t lane, size_t from) override;
-  void end_round(u64 submissions) override;
+  void end_round(u64) override {}
 
   // Crash recovery: closes every peer link (waking any peer still blocked
   // on one) and re-runs the dial/accept rendezvous, waiting up to
@@ -258,10 +258,6 @@ class TcpMeshTransport final : public Transport {
   // subsequent send/recv fails fast until reestablish() succeeds. Safe to
   // call from any thread at any time.
   void interrupt() override;
-
-  u64 bytes_sent() const { return bytes_sent_.load(); }
-  u64 messages_sent() const { return messages_sent_.load(); }
-  u64 rounds() const { return rounds_.load(); }
 
   // Registers per-lane frame/byte counters and a blocked-in-recv histogram
   // with `registry`. Call during setup, before any lane thread runs
@@ -304,9 +300,6 @@ class TcpMeshTransport final : public Transport {
   std::vector<std::unique_ptr<PeerLink>> links_;  // indexed by node id
   std::vector<LaneMetrics> lane_metrics_;
   std::atomic<bool> mesh_down_{false};
-  std::atomic<u64> bytes_sent_{0};
-  std::atomic<u64> messages_sent_{0};
-  std::atomic<u64> rounds_{0};
 };
 
 }  // namespace prio::net
