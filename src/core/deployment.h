@@ -37,9 +37,6 @@ struct DeploymentOptions {
   size_t num_servers = 5;
   u64 master_seed = 1;          // deployment master secret (tests/benches)
   size_t refresh_every = 1024;  // resample r after this many submissions
-  // Each server's local-check pool; 0 = hardware. At 1 the checks run on
-  // the node's own thread, so clocks() sees all of a server's work.
-  size_t batch_threads = 1;
   // Test-only override for the servers' local differential-privacy noise
   // RNGs. Production (nullopt) draws every server's noise from its own OS
   // entropy, so noise is unpredictable even to someone who knows
@@ -86,7 +83,6 @@ class PrioDeployment {
       cfg.self = i;
       cfg.master_seed = opts.master_seed;
       cfg.refresh_every = opts.refresh_every;
-      cfg.batch_threads = opts.batch_threads;
       nodes_.push_back(
           std::make_unique<ServerNode<F, Afe>>(afe, cfg, links_.back().get()));
       noise_rngs_.push_back(make_noise_rng(i));

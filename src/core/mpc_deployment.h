@@ -10,11 +10,12 @@
 // line).
 //
 // Unlike PrioDeployment, this variant simulates all s servers from one
-// thread and only accounts its traffic. process_batch fans per-server local
-// work (decrypt, triple-SNIP checks, Beaver round messages) out over a
-// thread pool and every broadcast round ships one coalesced message for the
-// whole batch. The Beaver evaluations advance in lock-step, so a batch of Q
-// submissions still pays only one round-trip per circuit depth level.
+// thread and only accounts its traffic, crediting each server's share of
+// the local work (decrypt, triple-SNIP checks, Beaver round messages) to
+// its clock. In process_batch every broadcast round ships one coalesced
+// message for the whole batch. The Beaver evaluations advance in
+// lock-step, so a batch of Q submissions still pays only one round-trip
+// per circuit depth level.
 #pragma once
 
 #include "core/deployment.h"
@@ -64,7 +65,8 @@ class PrioMpcDeployment {
         triple_prover_(&triple_circuit_),
         net_(opts.num_servers),
         clocks_(opts.num_servers),
-        sealer_(master_seed_bytes(opts.master_seed)) {
+        sealer_(master_seed_bytes(opts.master_seed)),
+        verifier_(&triple_circuit_) {
     require(opts.num_servers >= 2, "PrioMpcDeployment: need >= 2 servers");
     for (size_t i = 0; i < opts.num_servers; ++i) {
       servers_.push_back(ServerState{
@@ -129,13 +131,12 @@ class PrioMpcDeployment {
 
     // Phase 1: SNIP over the triples (same rounds as the SNIP pipeline),
     // run through the allocation-free engine scratch.
-    ensure_verifiers(1);
     F d = F::zero(), e = F::zero();
     std::vector<SnipLocalState<F>> states;
     states.reserve(s);
     for (size_t i = 0; i < s; ++i) {
       auto scope = clocks_.measure(i);
-      states.push_back(verifiers_[0].local_check(
+      states.push_back(verifier_.local_check(
           servers_[i].ctx, i,
           std::span<const F>(flat[i].data() + k, flat_len - k)));
       d += states.back().d_share;
@@ -215,9 +216,9 @@ class PrioMpcDeployment {
     return accept;
   }
 
-  // Batched Prio-MPC pipeline: thread-pooled local work, coalesced rounds,
-  // lock-step Beaver evaluation across the batch. Decisions match feeding
-  // each submission through process_submission.
+  // Batched Prio-MPC pipeline: coalesced rounds, lock-step Beaver
+  // evaluation across the batch. Decisions match feeding each submission
+  // through process_submission.
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(
         batch, opts_.refresh_every,
@@ -241,30 +242,27 @@ class PrioMpcDeployment {
     const size_t kp = afe_->k_prime();
     const size_t leader = static_cast<size_t>(batch_counter_++ % s);
     refresh_contexts_if_due(servers_, opts_.refresh_every, q_total);
-    ThreadPool& pool = ensure_pool();
-    ensure_verifiers(pool.size());
 
-    // Phase 0 (pooled): decrypt + expand + triple-SNIP local check. The
-    // flat share vector outlives this phase (the Beaver MPC and the
-    // aggregation read it), so it is still materialized per (q, i); the
-    // local check itself runs on each worker's reusable engine scratch.
+    // Phase 0: decrypt + expand + triple-SNIP local check. The flat share
+    // vector outlives this phase (the Beaver MPC and the aggregation read
+    // it), so it is still materialized per (q, i); the local check itself
+    // runs on the reusable engine scratch.
     std::vector<std::vector<F>> flat(q_total * s);
     std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
     std::vector<u64> seqs(q_total, 0);
-    pool.parallel_for(q_total * s, [&](size_t task, size_t worker) {
+    for (size_t task = 0; task < q_total * s; ++task) {
       const size_t q = task / s, i = task % s;
-      const auto t0 = std::chrono::steady_clock::now();
+      auto scope = clocks_.measure(i);
       auto share = open_sealed_share<F>(sealer_, batch[q].client_id, i,
                                         batch[q].blobs[i], flat_len,
                                         i == 0 ? &seqs[q] : nullptr);
       if (share) {
         flat[task] = std::move(*share);
-        states[task] = verifiers_[worker].local_check(
+        states[task] = verifier_.local_check(
             servers_[i].ctx, i,
             std::span<const F>(flat[task].data() + k, flat_len - k));
       }
-      clocks_.add_busy(i, net::BusyClock::us_since(t0));
-    });
+    }
 
     std::vector<size_t> live;
     live.reserve(q_total);
@@ -292,15 +290,14 @@ class PrioMpcDeployment {
     net_.end_round(ql);
 
     std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
-    pool.parallel_for(ql * s, [&](size_t task, size_t) {
+    for (size_t task = 0; task < ql * s; ++task) {
       const size_t v = task / s, i = task % s;
-      const auto t0 = std::chrono::steady_clock::now();
+      auto scope = clocks_.measure(i);
       const auto& st = *states[live[v] * s + i];
       sigma_shares[task] =
           snip_sigma_share(servers_[i].ctx, st, d_total[v], e_total[v]);
       out_shares[task] = st.out_combo;
-      clocks_.add_busy(i, net::BusyClock::us_since(t0));
-    });
+    }
     for (size_t i = 0; i < s; ++i) {
       if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql), ql);
     }
@@ -322,28 +319,25 @@ class PrioMpcDeployment {
     if (mpc_live.empty()) return verdicts;
     const size_t ml = mpc_live.size();
 
-    // Phase 2 (pooled, lock-step): one Beaver session per (submission,
-    // server); all sessions share the circuit, so their round schedules
-    // are identical and each depth level costs the batch one round-trip.
+    // Phase 2 (lock-step): one Beaver session per (submission, server);
+    // all sessions share the circuit, so their round schedules are
+    // identical and each depth level costs the batch one round-trip.
     std::vector<std::optional<BeaverMpcSession<F>>> sessions(ml * s);
-    pool.parallel_for(ml * s, [&](size_t task, size_t) {
+    for (size_t task = 0; task < ml * s; ++task) {
       const size_t v = task / s, i = task % s;
-      const auto t0 = std::chrono::steady_clock::now();
+      auto scope = clocks_.measure(i);
       const std::vector<F>& f = flat[mpc_live[v] * s + i];
       sessions[task].emplace(&afe_->valid_circuit(), s, i,
                              std::span<const F>(f.data(), k),
                              std::span<const F>(f.data() + k, 3 * m));
-      clocks_.add_busy(i, net::BusyClock::us_since(t0));
-    });
+    }
 
     while (!sessions[0]->done()) {
       std::vector<std::vector<std::pair<F, F>>> msgs(ml * s);
-      pool.parallel_for(ml * s, [&](size_t task, size_t) {
-        const size_t i = task % s;
-        const auto t0 = std::chrono::steady_clock::now();
+      for (size_t task = 0; task < ml * s; ++task) {
+        auto scope = clocks_.measure(task % s);
         msgs[task] = sessions[task]->round_messages();
-        clocks_.add_busy(i, net::BusyClock::us_since(t0));
-      });
+      }
       const size_t gates = msgs[0].size();
       std::vector<std::vector<std::pair<F, F>>> totals(
           ml, std::vector<std::pair<F, F>>(gates, {F::zero(), F::zero()}));
@@ -363,12 +357,10 @@ class PrioMpcDeployment {
       net_.end_round(ml);
       framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ml * gates), ml);
       net_.end_round(ml);
-      pool.parallel_for(ml * s, [&](size_t task, size_t) {
-        const size_t v = task / s, i = task % s;
-        const auto t0 = std::chrono::steady_clock::now();
-        sessions[task]->resolve_round(totals[v]);
-        clocks_.add_busy(i, net::BusyClock::us_since(t0));
-      });
+      for (size_t task = 0; task < ml * s; ++task) {
+        auto scope = clocks_.measure(task % s);
+        sessions[task]->resolve_round(totals[task / s]);
+      }
     }
 
     // Output check + decision bitmap, one coalesced round.
@@ -397,42 +389,21 @@ class PrioMpcDeployment {
     framed_broadcast(net_, s, leader, net::bitmap_len(ml), ml);
     net_.end_round(ml);
 
-    // Aggregation: per-worker accumulators merged at batch end. The
-    // replay floor is applied in submission order, as the serial path
-    // would: replayed counters flip to reject, accepts advance the floor.
-    std::vector<size_t> accepted_subs;
+    // Aggregation, in submission order with the replay floor applied as
+    // the serial path would: replayed counters flip to reject, accepts
+    // advance the floor.
     for (size_t v = 0; v < ml; ++v) {
       if (!decisions[v]) continue;
       const size_t q = mpc_live[v];
       if (!replay_.fresh(batch[q].client_id, seqs[q])) continue;
       replay_.accept(batch[q].client_id, seqs[q]);
       verdicts[q] = 1;
-      accepted_subs.push_back(q);
-    }
-    if (!accepted_subs.empty()) {
-      const size_t workers = pool.size();
-      std::vector<std::vector<F>> acc(workers,
-                                      std::vector<F>(s * kp, F::zero()));
-      pool.parallel_for(accepted_subs.size(), [&](size_t task, size_t worker) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const size_t q = accepted_subs[task];
-        std::vector<F>& a = acc[worker];
-        for (size_t i = 0; i < s; ++i) {
-          const std::vector<F>& f = flat[q * s + i];
-          for (size_t c = 0; c < kp; ++c) a[i * kp + c] += f[c];
-        }
-        // One task does every server's share of the work; split the time.
-        const double us = net::BusyClock::us_since(t0) / static_cast<double>(s);
-        for (size_t i = 0; i < s; ++i) clocks_.add_busy(i, us);
-      });
-      for (size_t w = 0; w < workers; ++w) {
-        for (size_t i = 0; i < s; ++i) {
-          for (size_t c = 0; c < kp; ++c) {
-            servers_[i].accumulator[c] += acc[w][i * kp + c];
-          }
-        }
+      for (size_t i = 0; i < s; ++i) {
+        auto scope = clocks_.measure(i);
+        const std::vector<F>& f = flat[q * s + i];
+        for (size_t c = 0; c < kp; ++c) servers_[i].accumulator[c] += f[c];
       }
-      accepted_ += accepted_subs.size();
+      ++accepted_;
     }
     return verdicts;
   }
@@ -456,17 +427,6 @@ class PrioMpcDeployment {
     std::vector<F> accumulator;
   };
 
-  ThreadPool& ensure_pool() {
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(opts_.batch_threads);
-    return *pool_;
-  }
-
-  // Per-worker engine scratch for the triple-check SNIP (index 0 serves
-  // the serial path).
-  void ensure_verifiers(size_t count) {
-    while (verifiers_.size() < count) verifiers_.emplace_back(&triple_circuit_);
-  }
-
   void send(size_t from, size_t to, size_t payload_len) {
     framed_send(net_, from, to, payload_len);
   }
@@ -480,8 +440,7 @@ class PrioMpcDeployment {
   std::vector<ServerState> servers_;
   SubmissionSealer sealer_;
   ReplayGuard replay_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<SnipVerifier<F>> verifiers_;  // per-worker engine scratch
+  SnipVerifier<F> verifier_;  // engine scratch for the triple-check SNIP
   u64 batch_counter_ = 0;
   size_t accepted_ = 0;
   size_t processed_ = 0;

@@ -160,14 +160,6 @@ class BusyClock {
 
   Scope measure(size_t node) { return Scope(*this, node); }
 
-  // Microseconds elapsed since t0, for workers that time a task themselves
-  // before crediting it via add_busy.
-  static double us_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-
   // CPU time the calling thread has consumed, in microseconds. Unlike wall
   // time it excludes time spent blocked (e.g. in a mesh recv), so a server
   // thread's delta over a call is the work it did.
@@ -178,8 +170,8 @@ class BusyClock {
            static_cast<double>(ts.tv_nsec) / 1e3;
   }
 
-  // Thread-safe accumulation: the batch pipeline's workers time their own
-  // tasks and credit the busy time here from pool threads.
+  // Thread-safe accumulation: PrioDeployment's node threads each credit
+  // their own server's CPU time here, concurrently.
   void add_busy(size_t node, double us) {
     std::lock_guard<std::mutex> lock(mu_);
     busy_us_[node] += us;

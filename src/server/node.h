@@ -52,7 +52,6 @@
 #include "obs/metrics.h"
 #include "snip/snip.h"
 #include "store/wal.h"
-#include "util/thread_pool.h"
 
 namespace prio {
 
@@ -81,17 +80,12 @@ struct ServerNodeConfig {
   size_t self = 0;
   u64 master_seed = 1;
   size_t refresh_every = 1024;  // resample r after this many submissions
-  size_t batch_threads = 1;     // local-check pool; 0 = hardware
   // Sharded runtime (server/shard.h): which batch lane this node runs on.
   // Lane 0 is byte-for-byte the unsharded protocol (same context seed,
   // same channel endpoints); lanes > 0 mix the lane id into the context
   // seed and scope every sealed channel by "/L<lane>", so concurrent lanes
   // walk independent r schedules and never share a (key, nonce).
   size_t lane = 0;
-  // If set, parallel_for runs on this pool instead of a private one (the
-  // router shares one pool across all lanes; ThreadPool::parallel_for is
-  // safe from concurrent callers). Not owned.
-  ThreadPool* shared_pool = nullptr;
   // If set, the node registers per-lane stage histograms and verdict
   // counters (label shard="<lane>") and records into them; null leaves the
   // node uninstrumented at the cost of one predictable branch per batch.
@@ -119,15 +113,13 @@ class ServerNode {
         // the mesh walks one r schedule (higher lanes mix in the lane id).
         ctx_(&afe->valid_circuit(), cfg.num_servers, context_seed(cfg)),
         sealer_(master_),
-        accumulator_(afe->k_prime(), F::zero()) {
+        accumulator_(afe->k_prime(), F::zero()),
+        verifier_(&afe->valid_circuit()) {
     require(cfg.num_servers >= 2, "ServerNode: need >= 2 servers");
     require(cfg.self < cfg.num_servers, "ServerNode: bad self id");
     require(transport->num_nodes() == cfg.num_servers &&
                 transport->self() == cfg.self,
             "ServerNode: transport/config mismatch");
-    if (!cfg_.shared_pool) {
-      pool_ = std::make_unique<ThreadPool>(cfg_.batch_threads);
-    }
     if (cfg_.metrics) {
       obs::Registry* reg = cfg_.metrics;
       const std::string label = obs::label_kv("shard", cfg_.lane);
@@ -229,19 +221,11 @@ class ServerNode {
     prep.ext.assign(q * prep.ext_len, F::zero());
     prep.seqs.assign(q, 0);
     prep.parsed.assign(q, 0);
-    if (q == 0) return;
-    const size_t me = cfg_.self;
-    // Lanes share one pool (ThreadPool::parallel_for is safe from
-    // concurrent callers); the workers only do crypto, never a mesh recv,
-    // so a lane blocked in its rounds never holds a worker.
-    ensure_pool().parallel_for(q, [&](size_t v, size_t) {
-      if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, me,
-                                     batch[v].blob, prep.share(v),
-                                     &prep.seqs[v])) {
-        return;
-      }
-      prep.parsed[v] = 1;
-    });
+    for (size_t v = 0; v < q; ++v) {
+      prep.parsed[v] = open_sealed_share_into<F>(sealer_, batch[v].client_id,
+                                                 cfg_.self, batch[v].blob,
+                                                 prep.share(v), &prep.seqs[v]);
+    }
   }
 
   std::vector<u8> run_rounds(std::span<const SubmissionShare> batch,
@@ -267,17 +251,14 @@ class ServerNode {
     }
     ctx_.note_submissions(q);
 
-    // Local checks (pooled) over the prepared expansion. The check reads
-    // the PreparedBatch rows and allocates nothing; the x-share
-    // aggregation slice is the row prefix, so nothing is copied out.
-    ThreadPool& pool = ensure_pool();
-    ensure_verifiers(pool.size());
+    // Local checks over the prepared expansion. The check reads the
+    // PreparedBatch rows and allocates nothing; the x-share aggregation
+    // slice is the row prefix, so nothing is copied out.
     std::vector<std::optional<SnipLocalState<F>>> states(q);
     const std::vector<u8>& parsed = prep.parsed;
-    pool.parallel_for(q, [&](size_t v, size_t worker) {
-      if (!parsed[v]) return;
-      states[v] = verifiers_[worker].local_check(ctx_, me, prep.share(v));
-    });
+    for (size_t v = 0; v < q; ++v) {
+      if (parsed[v]) states[v] = verifier_.local_check(ctx_, me, prep.share(v));
+    }
 
     std::string tag = "b";  // per-batch channel-key tag (gcc 12 dislikes
     tag += std::to_string(batch_no);  // operator+ chains here: PR 105651)
@@ -366,11 +347,11 @@ class ServerNode {
 
     // Round 3: sigma + output-combination shares for the live set.
     std::vector<F> sigma_shares(ql), out_shares(ql);
-    pool.parallel_for(ql, [&](size_t v, size_t) {
+    for (size_t v = 0; v < ql; ++v) {
       const auto& st = *states[live_idx[v]];
       sigma_shares[v] = snip_sigma_share(ctx_, st, d_total[v], e_total[v]);
       out_shares[v] = st.out_combo;
-    });
+    }
 
     std::vector<u8> decisions(q, 0);
     if (me == leader) {
@@ -542,8 +523,6 @@ class ServerNode {
     const size_t q = batch.size();
     if (verdicts.size() != q || q == 0) return false;
     const size_t kp = afe_->k_prime();
-    ensure_verifiers(1);
-    SnipVerifier<F>& ver = verifiers_[0];
     // Validate first, commit second: every accepted blob must open before
     // ANY state moves, so a corrupt record leaves the node untouched --
     // the rejoin path may retry the same record after a resync, and a
@@ -551,17 +530,17 @@ class ServerNode {
     std::vector<size_t> accepted_idx;
     std::vector<u64> seqs;
     std::vector<F> x_shares;
+    const std::span<F> ext = verifier_.ext_buffer();
     for (size_t v = 0; v < q; ++v) {
       if (!verdicts[v]) continue;
       u64 seq = 0;
       if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, cfg_.self,
-                                     batch[v].blob, ver.ext_buffer(), &seq)) {
+                                     batch[v].blob, ext, &seq)) {
         return false;
       }
       accepted_idx.push_back(v);
       seqs.push_back(seq);
-      x_shares.insert(x_shares.end(), ver.ext_buffer().begin(),
-                      ver.ext_buffer().begin() + kp);
+      x_shares.insert(x_shares.end(), ext.begin(), ext.begin() + kp);
     }
     ++batch_counter_;
     if (ctx_.refresh_due(cfg_.refresh_every, q)) {
@@ -774,17 +753,6 @@ class ServerNode {
     return out;
   }
 
-  ThreadPool& ensure_pool() {
-    return cfg_.shared_pool ? *cfg_.shared_pool : *pool_;  // built in ctor
-  }
-
-  // Per-worker engine scratch, grown once and reused across batches.
-  void ensure_verifiers(size_t count) {
-    while (verifiers_.size() < count) {
-      verifiers_.emplace_back(&afe_->valid_circuit());
-    }
-  }
-
   const Afe* afe_;
   ServerNodeConfig cfg_;
   net::Transport* transport_;
@@ -793,8 +761,7 @@ class ServerNode {
   SubmissionSealer sealer_;
   ReplayGuard replay_;
   std::vector<F> accumulator_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<SnipVerifier<F>> verifiers_;  // per-worker engine scratch
+  SnipVerifier<F> verifier_;  // engine scratch, reused across batches
   obs::Histogram* m_prepare_ = nullptr;
   obs::Histogram* m_rounds_ = nullptr;
   obs::Counter* m_accepted_ = nullptr;

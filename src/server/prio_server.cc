@@ -45,7 +45,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -97,15 +96,14 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   const int rejoin_timeout_ms =
       static_cast<int>(flags.num("rejoin-timeout-ms", 120'000));
   const bool has_stats = flags.has("stats-port");
-  const u16 stats_port = static_cast<u16>(flags.num("stats-port", 0));
-  const u64 report_s = flags.num("report-interval-s", 0);
+  const u64 stats_port = flags.num("stats-port", 0);
+  require(stats_port <= 65535, "--stats-port must be 0..65535");
 
   ServerNodeConfig base_cfg;
   base_cfg.num_servers = endpoints.size();
   base_cfg.self = id;
   base_cfg.master_seed = common.master_seed;
   base_cfg.refresh_every = flags.num("refresh-every", 1024);
-  base_cfg.batch_threads = flags.num("threads", 1);
 
   server::RuntimeOptions opts;
   opts.epoch_size = flags.num("epoch-size", 64);
@@ -139,8 +137,7 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
 
   // Observability (src/obs/): the registry is always attached -- hot-path
   // recording is a relaxed atomic per event -- while the HTTP endpoint
-  // (--stats-port), the JSONL trace (--trace-log FILE) and the periodic
-  // self-report (--report-interval-s N) are opt-in.
+  // (--stats-port) and the JSONL trace (--trace-log FILE) are opt-in.
   obs::Registry registry;
   opts.metrics = &registry;
   std::unique_ptr<obs::TraceLog> trace;
@@ -192,9 +189,8 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   std::fprintf(stderr, "[server %zu] mesh up (%zu servers, %zu lanes)\n", id,
                mesh.num_nodes(), mesh.lanes());
 
-  // The router builds one node + shard runtime per mesh lane, all
-  // verifying on one shared pool, and recovers each lane from its store
-  // (a failure throws, naming the shard).
+  // The router builds one node + shard runtime per mesh lane and recovers
+  // each lane from its store (a failure throws, naming the shard).
   server::ServerRouter<F, Afe> router(&afe, &mesh, &client_listener, opts,
                                       base_cfg, std::move(stores));
 
@@ -248,47 +244,10 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       out += "}";
       return out;
     };
-    stats = std::make_unique<obs::StatsServer>(stats_port, &registry,
-                                               std::move(extra), bind_host);
+    stats = std::make_unique<obs::StatsServer>(
+        static_cast<u16>(stats_port), &registry, std::move(extra), bind_host);
     std::fprintf(stderr, "[server %zu] stats endpoint on port %u\n", id,
                  stats->port());
-  }
-
-  // Periodic one-line self-report on stderr (--report-interval-s N,
-  // default off): submission rate over the interval, batch-verification
-  // accept rate, and the p99 of the committed-round and WAL-fsync stage
-  // histograms so an operator can watch a run without the HTTP endpoint.
-  std::atomic<bool> report_stop{false};
-  std::thread reporter;
-  if (report_s > 0) {
-    reporter = std::thread([&registry, &report_stop, id, report_s] {
-      u64 prev_subs = 0;
-      auto next = std::chrono::steady_clock::now() +
-                  std::chrono::seconds(report_s);
-      while (!report_stop.load(std::memory_order_acquire)) {
-        // Short sleeps keep shutdown prompt without a condvar handshake.
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += std::chrono::seconds(report_s);
-        const u64 subs = registry.total("prio_intake_accepted_total");
-        const u64 va = registry.total("prio_verify_accepted_total");
-        const u64 vr = registry.total("prio_verify_rejected_total");
-        const double rate =
-            static_cast<double>(subs - prev_subs) / static_cast<double>(report_s);
-        const double accept =
-            va + vr ? static_cast<double>(va) / static_cast<double>(va + vr)
-                    : 1.0;
-        std::fprintf(stderr,
-                     "[server %zu] report subs/s=%.1f accept_rate=%.3f "
-                     "batch_p99_ms=%.3f wal_fsync_p99_ms=%.3f\n",
-                     id, rate, accept,
-                     registry.hist_quantile("prio_stage_rounds_seconds", 0.99) *
-                         1e3,
-                     registry.hist_quantile("prio_wal_fsync_seconds", 0.99) *
-                         1e3);
-        prev_subs = subs;
-      }
-    });
   }
 
   std::thread intake([&] { router.serve_clients(); });
@@ -318,8 +277,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
     rc = 1;
   }
   intake.join();
-  report_stop.store(true, std::memory_order_release);
-  if (reporter.joinable()) reporter.join();
   u64 processed = 0;
   for (size_t l = 0; l < shards; ++l) {
     processed += router.shard(l)->node()->processed();

@@ -21,9 +21,10 @@
 //
 // The router also builds the server: one lane per mesh lane, each a
 // net::LaneTransport view of the mesh, a ServerNode and a ShardRuntime,
-// all verifying on one shared ThreadPool, each recovered from its own
-// store when one is given. Every caller -- prio_server, the in-process
-// cluster, the tests -- gets the same wiring from the one constructor.
+// each recovered from its own store when one is given. A lane's node
+// verifies its batches on that lane's own thread. Every caller --
+// prio_server, the in-process cluster, the tests -- gets the same wiring
+// from the one constructor.
 //
 // Lane threads are spawned by run_epochs, one per shard; the router
 // rethrows the first lane error after all lanes finish, so a fatal lane
@@ -54,10 +55,10 @@ class ServerRouter {
   // `mesh` is the SHARED multiplexed transport; the router runs one lane
   // per mesh->lanes(). `client_listener` may be null when submissions
   // arrive through submit() only. `node_cfg` is the template every lane's
-  // ServerNode starts from (the router fills in lane, shared_pool and
-  // metrics). `stores` is empty (in-memory) or holds one store per lane,
-  // null for a lane without one; each lane is recovered from its store
-  // here, and a recovery failure throws naming the shard.
+  // ServerNode starts from (the router fills in lane and metrics).
+  // `stores` is empty (in-memory) or holds one store per lane, null for a
+  // lane without one; each lane is recovered from its store here, and a
+  // recovery failure throws naming the shard.
   ServerRouter(const Afe* afe, net::Transport* mesh,
                net::TcpListener* client_listener, RuntimeOptions opts,
                ServerNodeConfig node_cfg,
@@ -66,8 +67,7 @@ class ServerRouter {
         mesh_(mesh),
         listener_(client_listener),
         opts_(opts),
-        stores_(std::move(stores)),
-        pool_(node_cfg.batch_threads) {
+        stores_(std::move(stores)) {
     const size_t n = mesh_->lanes();
     require(n >= 1, "ServerRouter: need >= 1 shard");
     require(stores_.empty() || stores_.size() == n,
@@ -93,7 +93,6 @@ class ServerRouter {
           "prio_aggregate_rejects_total",
           "Aggregate queries refused over an AFE spec mismatch");
     }
-    node_cfg.shared_pool = &pool_;
     node_cfg.metrics = opts_.metrics;
     lanes_.reserve(n);
     for (size_t l = 0; l < n; ++l) {
@@ -571,9 +570,8 @@ class ServerRouter {
     std::unique_ptr<Shard> shard;
   };
   std::vector<std::unique_ptr<store::EpochStore>> stores_;  // empty: none
-  ThreadPool pool_;  // shared by every lane's node
   // One lane per mesh lane, indexed by lane id. Declared after the stores
-  // and the pool the lanes use, so the lanes are destroyed first.
+  // the lanes use, so the lanes are destroyed first.
   std::vector<Lane> lanes_;
 
   // Intake / publication state (ordering: never taken under a shard lock).

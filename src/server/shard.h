@@ -44,7 +44,7 @@
 // receive -> assemble -> ServerNode::process_batch -> commit_batch).
 // Compute overlaps mesh waits across lanes instead of within one: while
 // one lane blocks on a round trip, another lane's thread decrypts and
-// checks its own batch on the shared verification pool.
+// checks its own batch.
 #pragma once
 
 #include <algorithm>

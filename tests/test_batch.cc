@@ -1,103 +1,20 @@
-// Batched verification pipeline tests: the thread pool substrate, the
-// coalesced four-round protocol, and -- the key property -- that
-// process_batch and process_submission make identical accept/reject
-// decisions on mixed valid/invalid batches, for both the SNIP and the
-// Prio-MPC pipelines.
+// Batched verification pipeline tests: the coalesced four-round protocol,
+// and -- the key property -- that process_batch and process_submission
+// make identical accept/reject decisions on mixed valid/invalid batches,
+// for both the SNIP and the Prio-MPC pipelines.
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <stdexcept>
-#include <thread>
 
 #include "afe/bitvec_sum.h"
 #include "afe/sum.h"
 #include "core/deployment.h"
 #include "core/mpc_deployment.h"
 #include "net/wire.h"
-#include "util/thread_pool.h"
 
 namespace prio {
 namespace {
 
 using F = Fp64;
-
-// ---------- thread pool ----------
-
-TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](size_t i, size_t worker) {
-    EXPECT_LT(worker, pool.size());
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolTest, ReusableAcrossCalls) {
-  ThreadPool pool(3);
-  std::atomic<size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(17, [&](size_t, size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  EXPECT_EQ(total.load(), 50u * 17u);
-}
-
-TEST(ThreadPoolTest, SizeOneRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  std::vector<int> order;
-  pool.parallel_for(5, [&](size_t i, size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-// The sharded runtime shares one pool across all lane threads, so
-// parallel_for must tolerate concurrent callers: each call's indices are
-// covered exactly once, regardless of interleaving on the shared workers.
-TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirOwnIndices) {
-  ThreadPool pool(3);
-  constexpr size_t kCallers = 4;
-  constexpr size_t kN = 5000;
-  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
-  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
-  std::vector<std::thread> callers;
-  for (size_t c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      for (int round = 0; round < 5; ++round) {
-        pool.parallel_for(kN, [&, c](size_t i, size_t worker) {
-          EXPECT_LT(worker, pool.size());
-          hits[c][i].fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (size_t c = 0; c < kCallers; ++c) {
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[c][i].load(), 5) << "caller " << c << " index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, PropagatesWorkerExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [&](size_t i, size_t) {
-                                   if (i == 33) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-  // The pool must still be usable after an exception drained.
-  std::atomic<size_t> n{0};
-  pool.parallel_for(8, [&](size_t, size_t) { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 8u);
-}
 
 // ---------- vectorized wire helpers ----------
 
@@ -204,8 +121,7 @@ std::pair<std::vector<Submission>, std::vector<u8>> make_mixed_batch(
 TEST(BatchPipelineTest, MatchesSerialOnMixedBatch) {
   afe::IntegerSum<F> afe(8);
   PrioDeployment<F, afe::IntegerSum<F>> serial(&afe, {.num_servers = 3});
-  PrioDeployment<F, afe::IntegerSum<F>> batched(
-      &afe, {.num_servers = 3, .batch_threads = 3});
+  PrioDeployment<F, afe::IntegerSum<F>> batched(&afe, {.num_servers = 3});
   SecureRng rng(21);
   u64 honest_total = 0;
   auto [batch, expected] = make_mixed_batch(serial, afe, rng, &honest_total);
@@ -289,25 +205,6 @@ TEST(BatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   EXPECT_EQ(static_cast<u64>(dep.publish()), 10u);
 }
 
-TEST(BatchPipelineTest, ThreadCountDoesNotChangeResults) {
-  afe::BitVectorSum<F> afe(16);
-  PrioDeployment<F, afe::BitVectorSum<F>> dep1(
-      &afe, {.num_servers = 3, .batch_threads = 1});
-  PrioDeployment<F, afe::BitVectorSum<F>> dep4(
-      &afe, {.num_servers = 3, .batch_threads = 4});
-  SecureRng rng(24);
-  std::vector<Submission> batch;
-  for (u64 cid = 0; cid < 12; ++cid) {
-    std::vector<u8> bits(16, 0);
-    bits[cid % 16] = 1;
-    batch.push_back({cid, dep1.client_upload(bits, cid, rng)});
-  }
-  auto v1 = dep1.process_batch(batch);
-  auto v4 = dep4.process_batch(batch);
-  EXPECT_EQ(v1, v4);
-  EXPECT_EQ(dep1.publish(), dep4.publish());
-}
-
 TEST(BatchPipelineTest, ReplayWithinAndAcrossBatchesRejected) {
   // The replay floor applies inside a batch (duplicate submission included
   // twice) and across batches/entry points, matching serial semantics.
@@ -360,8 +257,8 @@ TEST(BatchPipelineTest, SerialAndBatchedInterleave) {
 TEST(MpcBatchPipelineTest, MatchesSerialOnMixedBatch) {
   afe::IntegerSum<F> afe(6);
   PrioMpcDeployment<F, afe::IntegerSum<F>> serial(&afe, {.num_servers = 3});
-  PrioMpcDeployment<F, afe::IntegerSum<F>> batched(
-      &afe, {.num_servers = 3, .batch_threads = 2});
+  PrioMpcDeployment<F, afe::IntegerSum<F>> batched(&afe,
+                                                   {.num_servers = 3});
   SecureRng rng(26);
 
   std::vector<Submission> batch;

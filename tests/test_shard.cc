@@ -72,20 +72,17 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 struct ShardedServer {
   ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
                 server::RuntimeOptions opts,
-                net::Transport* mesh_view = nullptr,
-                size_t batch_threads = 1)
+                net::Transport* mesh_view = nullptr)
       : base(&mesh, self),
         router(&afe, mesh_view ? mesh_view : &base,
                /*client_listener=*/nullptr, opts,
-               node_config(mesh.num_nodes(), self, batch_threads)) {}
+               node_config(mesh.num_nodes(), self)) {}
 
-  static ServerNodeConfig node_config(size_t servers, size_t self,
-                                      size_t batch_threads) {
+  static ServerNodeConfig node_config(size_t servers, size_t self) {
     ServerNodeConfig cfg;
     cfg.num_servers = servers;
     cfg.self = self;
     cfg.master_seed = kMasterSeed;
-    cfg.batch_threads = batch_threads;
     return cfg;
   }
 
@@ -343,11 +340,10 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
 
 // Delays every outbound frame of one peer, so on the other servers one
 // lane thread spends most of the epoch blocked in mesh recvs while its
-// sibling lane runs parallel_for on the same shared pool (real workers,
-// batch_threads=2). The epoch completing -- within the test timeout, with
-// the right aggregate -- is the regression gate: a pool whose workers
-// could end up waiting on a lane parked in a recv would deadlock here.
-TEST(ShardedRouterTest, SlowPeerDoesNotDeadlockSharedPool) {
+// sibling lane keeps verifying. The epoch completing -- within the test
+// timeout, with the right aggregate -- is the regression gate: a lane
+// parked in a recv must never stall its sibling.
+TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
   // Wraps one node's mesh view, sleeping before every send.
   struct SlowTransport final : net::Transport {
     net::LoopbackTransport inner;
@@ -392,8 +388,7 @@ TEST(ShardedRouterTest, SlowPeerDoesNotDeadlockSharedPool) {
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
     servers.push_back(std::make_unique<ShardedServer>(
-        afe, mesh, i, opts, i == kServers - 1 ? &slow : nullptr,
-        /*batch_threads=*/2));
+        afe, mesh, i, opts, i == kServers - 1 ? &slow : nullptr));
   }
   for (size_t i = 0; i < kServers; ++i) {
     for (const auto& sub : w.subs) {
