@@ -2,8 +2,7 @@
 // encoding in src/afe/, so the server, the client, the plaintext reference,
 // and the load generator all construct the same AFE from the same text.
 //
-// Grammar (resolve_afe_spec in server/cli.h adds the deprecated --len
-// sugar on top):
+// Grammar (the --afe flag of every binary, server/cli.h):
 //
 //   spec   := name [ ":" param ("," param)* ]
 //   param  := key "=" value

@@ -1,12 +1,11 @@
 // Flag parsing shared by prio_server, prio_client, prio_chaos and
 // bench_e2e: --key value pairs, the --servers endpoint list, and the common
-// deployment configuration (--afe / deprecated --len, --master-seed,
-// --shards) -- one place knows the flag vocabulary, so the binaries cannot
-// drift apart on how a deployment is named.
+// deployment configuration (--afe, --master-seed, --shards) -- one place
+// knows the flag vocabulary, so the binaries cannot drift apart on how a
+// deployment is named.
 #pragma once
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -148,26 +147,6 @@ inline std::vector<net::TcpMeshTransport::PeerAddr> peer_addrs(
   return out;
 }
 
-// The deployment's AFE, from --afe SPEC (afe/registry.h grammar). The
-// pre-catalogue --len N flag is still accepted as sugar for
-// --afe bitvec_sum:len=N; it is deprecated and the two are mutually
-// exclusive so a contradictory invocation fails instead of guessing.
-// Returns the spec AS GIVEN (with_afe normalizes it against the
-// catalogue's defaults and ranges).
-inline afe::AfeSpec resolve_afe_spec(const Flags& flags) {
-  if (flags.has("len")) {
-    require(!flags.has("afe"),
-            "--len is deprecated sugar for --afe bitvec_sum:len=N; "
-            "give one of --afe/--len, not both");
-    std::fprintf(stderr,
-                 "note: --len is deprecated; use --afe bitvec_sum:len=%llu\n",
-                 static_cast<unsigned long long>(flags.num("len", 16)));
-    return afe::parse_afe_spec("bitvec_sum:len=" +
-                               std::to_string(flags.num("len", 16)));
-  }
-  return afe::parse_afe_spec(flags.str("afe", "bitvec_sum:len=16"));
-}
-
 // Deployment parameters every binary agrees on (all servers and all
 // clients of one deployment must be launched with equal values).
 struct CommonConfig {
@@ -175,7 +154,9 @@ struct CommonConfig {
   u64 master_seed = 1;
   // One mesh transport lane per shard; all servers must agree.
   size_t shards = 1;
-  afe::AfeSpec spec;  // as given; normalize via afe::with_afe
+  // --afe SPEC (afe/registry.h grammar), as given; normalize via
+  // afe::with_afe against the catalogue's defaults and ranges.
+  afe::AfeSpec spec;
 };
 
 inline CommonConfig parse_common_config(const Flags& flags) {
@@ -185,7 +166,7 @@ inline CommonConfig parse_common_config(const Flags& flags) {
   cfg.master_seed = flags.num("master-seed", 1);
   cfg.shards = flags.num("shards", 1);
   require(cfg.shards >= 1 && cfg.shards <= 255, "--shards must be 1..255");
-  cfg.spec = resolve_afe_spec(flags);
+  cfg.spec = afe::parse_afe_spec(flags.str("afe", "bitvec_sum:len=16"));
   return cfg;
 }
 

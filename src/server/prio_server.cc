@@ -16,10 +16,10 @@
 //
 // Every server must be started with the same --servers list, --master-seed,
 // --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
-// enforced at mesh sync; the rest fail loudly in-protocol). --len N is
-// deprecated sugar for --afe bitvec_sum:len=N. An unknown flag (a typo, or
-// one a previous release accepted) fails start-up with its name. Exit code
-// 0 means all epochs completed (and, on server 0, were published).
+// enforced at mesh sync; the rest fail loudly in-protocol). An unknown
+// flag (a typo, or one a previous release accepted, like --len) fails
+// start-up with its name. Exit code 0 means all epochs completed (and, on
+// server 0, were published).
 //
 // Sharding (--shards N, default 1): the mesh carries N lanes, and the
 // ServerRouter (server/router.h) builds one ShardRuntime per lane -- client
@@ -27,17 +27,16 @@
 // one peer mesh concurrently (the mesh multiplexes lanes over its framed
 // connections). This file only reads flags and opens the stores,
 // listeners, mesh and stats endpoint; the router assembles the lanes. All
-// servers must agree on N. With --shards 1 the wire protocol, store
-// layout, and epoch semantics are exactly the unsharded runtime's.
+// servers must agree on N. With --shards 1 the wire protocol and epoch
+// semantics are exactly the unsharded runtime's.
 //
 // Durability: with --data-dir DIR the server WAL-logs every accepted
 // intake blob and every committed batch, snapshots its protocol state at
 // epoch boundaries, and -- restarted with the same --data-dir after a
 // crash (even kill -9 mid-epoch) -- recovers, rejoins the mesh, and the
 // epoch completes with the same published aggregate as an uninterrupted
-// run. Sharded, the layout is DIR/shard-00 ... DIR/shard-NN, one store per
-// shard, each recovered independently; --shards 1 keeps the flat DIR
-// layout byte-compatible with pre-sharding deployments. --fsync
+// run. The layout is DIR/shard-00 ... DIR/shard-NN, one store per shard,
+// each recovered independently (--shards 1 is DIR/shard-00). --fsync
 // always|epoch|off picks the durability/throughput trade-off (store/wal.h);
 // --rejoin-timeout-ms bounds how long a surviving server waits for a
 // crashed peer to come back.
@@ -146,24 +145,19 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
     opts.trace = trace.get();
   }
 
-  // Durable epoch stores (optional), one per shard: opened before the
-  // mesh so a corrupt directory fails fast, handed to the router, which
-  // recovers each lane from its own. One shard keeps the flat pre-sharding
-  // layout.
+  // Durable epoch stores (optional), one per shard in DIR/shard-NN:
+  // opened before the mesh so a corrupt directory fails fast, handed to
+  // the router, which recovers each lane from its own.
   std::vector<std::unique_ptr<store::EpochStore>> stores(shards);
   if (durable) {
-    // EpochStore mkdirs only its own directory; with per-shard subdirs
-    // the root has to exist first.
-    if (shards > 1) ::mkdir(data_root.c_str(), 0777);
+    // EpochStore mkdirs only its own directory; the root has to exist
+    // first.
+    ::mkdir(data_root.c_str(), 0777);
     for (size_t l = 0; l < shards; ++l) {
-      std::string dir = data_root;
-      if (shards > 1) {
-        char sub[32];
-        std::snprintf(sub, sizeof(sub), "/shard-%02u",
-                      static_cast<unsigned>(l));
-        dir += sub;
-      }
-      stores[l] = std::make_unique<store::EpochStore>(dir, *fsync_policy);
+      char sub[32];
+      std::snprintf(sub, sizeof(sub), "/shard-%02u", static_cast<unsigned>(l));
+      stores[l] = std::make_unique<store::EpochStore>(data_root + sub,
+                                                      *fsync_policy);
       stores[l]->attach_metrics(&registry, obs::label_kv("shard", l));
     }
   }

@@ -117,8 +117,10 @@ class ServerRouter {
     }
     // Server 0 derives each epoch's remaining quota from what the lanes
     // already committed (a restarted sequencer must not hand out quota the
-    // epoch already consumed), and rebuilds the cross-lane published map
-    // from the per-lane aggregates recovery handed back.
+    // epoch already consumed; a batch it is caught up on later is debited
+    // by the lane itself, in ShardRuntime::apply_catch_up), and rebuilds
+    // the cross-lane published map from the per-lane aggregates recovery
+    // handed back.
     if (self() != 0) return;
     for (const Lane& lane : lanes_) {
       const u64 used = lane.node->epoch_processed();

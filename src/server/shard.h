@@ -35,10 +35,10 @@
 // (pending_close_ tracks a marker consumed early, in the batch loop).
 //
 // With --shards 1 this file IS the old runtime: lane 0 keeps the unsharded
-// channel endpoints and context seed, the store layout is unchanged, the
-// quota degenerates to the old (epoch_size - processed) arithmetic
-// including the full-batch announce wait and its exact fatal message, and
-// the kLaneClose marker is the only new frame on the wire.
+// channel endpoints and context seed, the quota degenerates to the old
+// (epoch_size - processed) arithmetic including the full-batch announce
+// wait and its exact fatal message, and the kLaneClose marker is the only
+// new frame on the wire.
 //
 // Each lane is ONE thread running one batch at a time (announce or
 // receive -> assemble -> ServerNode::process_batch -> commit_batch).
@@ -803,8 +803,14 @@ class ShardRuntime {
       // The batch runs against this node's OWN blobs -- catch-up carries
       // identifiers and verdicts, never share material.
       std::vector<SubmissionShare> shares(count);
+      bool quota_held = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
+        // Server 0 already drew quota for its own in-flight announcement;
+        // any other caught-up batch (e.g. one announced before a restart,
+        // whose record the WAL lost) must be debited here, or the
+        // sequencer hands out quota the epoch already consumed.
+        quota_held = ids == inflight_ids_;
         for (u32 i = 0; i < count; ++i) {
           shares[i].client_id = ids[i].first;
           auto pit = inflight_blobs_.find(ids[i]);
@@ -819,10 +825,16 @@ class ShardRuntime {
           }
         }
       }
+      const u32 epoch = node_->epoch();
       if (!node_->apply_batch_record(shares, verdicts)) {
         throw net::TransportError("rejoin: catch-up batch failed to apply");
       }
+      if (node_->self() == 0 && !quota_held) host_->quota_acquire(epoch, count);
       commit_batch(ids, std::vector<u8>(verdicts.begin(), verdicts.end()));
+      std::fprintf(stderr,
+                   "[server %zu lane %zu] caught up on one batch (%u "
+                   "submissions) from server %zu\n",
+                   node_->self(), lane_id_, count, from);
     } else if (type == kCatchUpEpoch) {
       const u32 epoch = r.u32_();
       if (!r.ok() || !r.at_end() || epoch != node_->epoch()) {
@@ -845,6 +857,10 @@ class ShardRuntime {
         pending_close_ = false;  // the close this marker would have signaled
       }
       rotate_store();
+      std::fprintf(stderr,
+                   "[server %zu lane %zu] caught up on epoch %u's close from "
+                   "server %zu\n",
+                   node_->self(), lane_id_, epoch, from);
     } else {
       throw net::TransportError("rejoin: unexpected catch-up frame");
     }

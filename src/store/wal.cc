@@ -213,6 +213,13 @@ bool truncate_segment(const std::string& path, size_t clean_bytes) {
   return ::truncate(path.c_str(), static_cast<off_t>(clean_bytes)) == 0;
 }
 
+bool drop_last_record(const std::string& path, u8 type) {
+  const WalSegment seg = read_segment(path);
+  if (seg.records.empty() || seg.records.back().type != type) return false;
+  const size_t record_bytes = 8 + 1 + seg.records.back().payload.size();
+  return truncate_segment(path, seg.clean_bytes - record_bytes);
+}
+
 std::vector<u32> list_wal_epochs(const std::string& dir) {
   std::vector<u32> epochs;
   DIR* d = ::opendir(dir.c_str());

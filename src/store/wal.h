@@ -149,6 +149,11 @@ WalSegment read_segment(const std::string& path);
 // tail). Returns false if the file cannot be truncated.
 bool truncate_segment(const std::string& path, size_t clean_bytes);
 
+// Cuts the segment back to just before its last clean record (and any torn
+// tail after it) if that record has `type`; returns false, cutting
+// nothing, otherwise. Crash tests use it to lose exactly one record.
+bool drop_last_record(const std::string& path, u8 type);
+
 // Lists the epochs that have a WAL segment in `dir`, ascending.
 std::vector<u32> list_wal_epochs(const std::string& dir);
 

@@ -1,5 +1,5 @@
 // Runtime AFE catalogue tests (afe/registry.h): spec-string grammar and
-// normalization, the negative/fuzz table, the deprecated --len sugar,
+// normalization, the negative/fuzz table, flag-level config parsing,
 // typed Result serialization round-trips for every AFE, the new Gf2Xor
 // encoding, and -- the big one -- every catalogue spec driven end to end
 // through an in-process sharded 3-server TCP cluster (server/inproc.h)
@@ -120,24 +120,8 @@ TEST(AfeSpecTest, NegativeTable) {
 }
 
 // ---------------------------------------------------------------------------
-// Flag-level spec resolution (server/cli.h)
+// Flag-level deployment config (server/cli.h)
 // ---------------------------------------------------------------------------
-
-TEST(CliSpecTest, LenIsDeprecatedSugar) {
-  std::vector<std::string> args = {"prog", "--len", "12"};
-  std::vector<char*> argv;
-  for (auto& a : args) argv.push_back(a.data());
-  server::Flags flags(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(server::resolve_afe_spec(flags).canonical(), "bitvec_sum:len=12");
-}
-
-TEST(CliSpecTest, LenAndAfeAreMutuallyExclusive) {
-  std::vector<std::string> args = {"prog", "--len", "12", "--afe", "sum"};
-  std::vector<char*> argv;
-  for (auto& a : args) argv.push_back(a.data());
-  server::Flags flags(static_cast<int>(argv.size()), argv.data());
-  EXPECT_THROW(server::resolve_afe_spec(flags), std::invalid_argument);
-}
 
 TEST(CliSpecTest, BooleanFlagSugarAndDefaults) {
   std::vector<std::string> args = {"prog", "--smoke", "--clients", "5",

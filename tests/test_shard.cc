@@ -1,12 +1,17 @@
 // Sharded-runtime tests: the client-id -> shard routing invariants, the
 // multi-lane router over a loopback mesh checked against the plaintext
-// reference, cross-shard replay/misroute rejection, the lanes' shared
-// verification pool under a slow peer, and the TCP lane multiplexer's
-// per-lane ordering.
+// reference (and its metrics and trace against the same ground truth),
+// cross-shard replay/misroute rejection, lanes under a slow peer, a
+// recovered sequencer caught up one batch over the mesh, and the TCP lane
+// multiplexer's per-lane ordering.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "afe/bitvec_sum.h"
@@ -15,7 +20,10 @@
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "server/router.h"
+#include "store/recovery.h"
+#include "store/wal.h"
 
 namespace prio {
 namespace {
@@ -66,17 +74,19 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
 // ---------------------------------------------------------------------------
 
 // One server process' worth of sharded runtime over the loopback mesh: the
-// same router prio_server builds, minus sockets and stores. Submissions go
-// through Router::submit, the router's own intake path. `mesh_view`
-// overrides the server's view of the mesh (a test interposes slow links).
+// same router prio_server builds, minus sockets. Submissions go through
+// Router::submit, the router's own intake path. `mesh_view` overrides the
+// server's view of the mesh (a test interposes slow links); `stores` (one
+// per lane) makes the server durable and recovers it from them.
 struct ShardedServer {
   ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
                 server::RuntimeOptions opts,
-                net::Transport* mesh_view = nullptr)
+                net::Transport* mesh_view = nullptr,
+                std::vector<std::unique_ptr<store::EpochStore>> stores = {})
       : base(&mesh, self),
         router(&afe, mesh_view ? mesh_view : &base,
                /*client_listener=*/nullptr, opts,
-               node_config(mesh.num_nodes(), self)) {}
+               node_config(mesh.num_nodes(), self), std::move(stores)) {}
 
   static ServerNodeConfig node_config(size_t servers, size_t self) {
     ServerNodeConfig cfg;
@@ -149,7 +159,9 @@ u64 blob_seq(const std::vector<u8>& blob) {
 // lane runs its own r schedule under lane-scoped channel keys, but field
 // addition commutes, so the lane-summed sigma is the same. A replayed blob
 // (same payload, bumped transport-level seq) is routed to the same shard
-// and must be rejected there, never double counted.
+// and must be rejected there, never double counted. Every server's
+// metrics, and server 0's trace log, must agree with the same ground
+// truth: what /metrics, /stats.json and --trace-log serve.
 TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   Afe afe(8);
   constexpr size_t kShards = 2;
@@ -164,10 +176,21 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   opts.assemble_wait_ms = 5'000;
   opts.linger_ms = 25;
 
+  const std::string trace_path =
+      ::testing::TempDir() + "/prio_shard_trace.jsonl";
+  std::filesystem::remove(trace_path);
+  auto trace = obs::TraceLog::open(trace_path);
+  ASSERT_NE(trace, nullptr);
+
   net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
+  std::vector<std::unique_ptr<obs::Registry>> regs;
   std::vector<std::unique_ptr<ShardedServer>> servers;
   for (size_t i = 0; i < kServers; ++i) {
-    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, opts));
+    regs.push_back(std::make_unique<obs::Registry>());
+    server::RuntimeOptions sopts = opts;
+    sopts.metrics = regs.back().get();
+    if (i == 0) sopts.trace = trace.get();
+    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
   }
 
   // Every server gets its own sealed view of every submission, plus one
@@ -204,6 +227,26 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
     }
     EXPECT_EQ(processed, w.subs.size() + 1) << "server " << i;
   }
+  // Each server's totals match the ground truth: 25 acked at intake, the
+  // honest ones verify-accepted, the tampered ones and the replay rejected.
+  const u64 intake = w.subs.size() + 1;
+  for (size_t i = 0; i < kServers; ++i) {
+    const obs::Registry& reg = *regs[i];
+    EXPECT_EQ(reg.total("prio_intake_accepted_total"), intake) << i;
+    EXPECT_EQ(reg.total("prio_verify_accepted_total"), ref.accepted()) << i;
+    EXPECT_EQ(reg.total("prio_verify_rejected_total"),
+              intake - ref.accepted())
+        << i;
+    EXPECT_GT(reg.total("prio_batches_committed_total"), 0u) << i;
+    EXPECT_GT(reg.hist_count("prio_stage_rounds_seconds"), 0u) << i;
+  }
+  trace.reset();  // flushes and closes
+  std::ifstream in(trace_path);
+  std::stringstream lines;
+  lines << in.rdbuf();
+  EXPECT_NE(lines.str().find("\"event\":\"batch_committed\""),
+            std::string::npos);
+  std::filesystem::remove(trace_path);
 }
 
 // A blob smuggled into the WRONG shard's intake (bypassing the router's
@@ -409,6 +452,84 @@ TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
 
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->accepted, expected_accepted);
+}
+
+// A restarted sequencer that recovers one batch short is caught up on it
+// over the mesh (kCatchUpBatch). That batch consumed epoch quota like any
+// other: were it not debited, server 0 would announce past the end of the
+// epoch and then wait for traffic that never comes. Three durable servers
+// run epoch 0 and one batch of epoch 1, then stop (server 0 runs out of
+// traffic); server 0's trailing batch record is cut, all three recover,
+// and the rest of epoch 1 must publish the reference aggregate.
+TEST(RouterRecoveryTest, CaughtUpSequencerDebitsEpochQuota) {
+  Afe afe(8);
+  constexpr size_t kEpoch = 8;
+  constexpr size_t kBatch = 4;
+  auto w = make_workload(afe, 2 * kEpoch);
+
+  server::RuntimeOptions opts;
+  opts.epoch_size = kEpoch;
+  opts.max_batch = kBatch;
+  opts.epochs = 2;
+  opts.announce_wait_ms = 2'000;
+  opts.assemble_wait_ms = 2'000;
+  opts.max_resyncs = 1;  // loopback cannot reestablish; fail fast
+
+  char tmpl[] = "/tmp/prio_router_recovery_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  auto dir = [&](size_t i) { return root + "/s" + std::to_string(i); };
+
+  // Runs the three servers from their stores over a fresh mesh, feeding
+  // submissions [from, to) first; returns server 0's last aggregate.
+  auto run = [&](size_t from, size_t to) {
+    net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/2'000);
+    std::vector<std::unique_ptr<ShardedServer>> servers;
+    for (size_t i = 0; i < kServers; ++i) {
+      std::vector<std::unique_ptr<store::EpochStore>> stores;
+      stores.push_back(std::make_unique<store::EpochStore>(
+          dir(i), store::FsyncPolicy::kOff));
+      servers.push_back(std::make_unique<ShardedServer>(
+          afe, mesh, i, opts, nullptr, std::move(stores)));
+      for (size_t k = from; k < to; ++k) {
+        const auto& blob = w.subs[k].blobs[i];
+        servers[i]->router.submit(w.subs[k].client_id, blob_seq(blob), blob);
+      }
+    }
+    std::optional<Node::EpochAggregate> agg;
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kServers; ++i) {
+      threads.emplace_back([&, i] {
+        try {
+          auto a = servers[i]->router.run_epochs();
+          if (i == 0) agg = std::move(a);
+        } catch (const std::exception&) {
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    return agg;
+  };
+
+  // Epoch 0 and the first batch of epoch 1; then server 0's announce
+  // wait runs dry and every server stops.
+  EXPECT_FALSE(run(0, kEpoch + kBatch).has_value());
+
+  // Cut server 0's trailing record: epoch 1's one committed batch.
+  ASSERT_TRUE(store::drop_last_record(store::wal_segment_path(dir(0), 1),
+                                      store::kWalBatch));
+
+  const auto agg = run(kEpoch + kBatch, 2 * kEpoch);
+  baseline::PlaintextReference<F, Afe> ref(&afe);
+  for (size_t k = kEpoch; k < 2 * kEpoch; ++k) {
+    const u64 cid = w.subs[k].client_id;
+    if (w.expected[k]) ref.add(cid, input_for(afe, cid));
+  }
+  ASSERT_TRUE(agg.has_value()) << "epoch 1 never published";
+  EXPECT_EQ(agg->epoch, 1u);
+  EXPECT_EQ(agg->accepted, ref.accepted());
+  EXPECT_EQ(agg->sigma, ref.sigma());
+  std::filesystem::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

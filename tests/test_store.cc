@@ -96,6 +96,26 @@ TEST(WalTest, AppendReplayRoundTrip) {
   EXPECT_EQ(seg.records[3].payload, (std::vector<u8>{9}));
 }
 
+// drop_last_record cuts exactly one whole record, and only of the asked
+// type; the records before it replay unchanged.
+TEST(WalTest, DropLastRecordCutsOnlyAMatchingRecord) {
+  TempDir dir;
+  const std::string path = store::wal_segment_path(dir.path, 0);
+  {
+    store::WalWriter w(dir.path, 0, store::FsyncPolicy::kOff);
+    w.append(store::kWalIntake, std::vector<u8>{1, 2, 3});
+    w.append(store::kWalBatch, std::vector<u8>(40, 7));
+  }
+  EXPECT_FALSE(store::drop_last_record(path, store::kWalIntake));
+  EXPECT_EQ(store::read_segment(path).records.size(), 2u);
+  EXPECT_TRUE(store::drop_last_record(path, store::kWalBatch));
+  const auto seg = store::read_segment(path);
+  EXPECT_FALSE(seg.torn_tail);
+  ASSERT_EQ(seg.records.size(), 1u);
+  EXPECT_EQ(seg.records[0].payload, (std::vector<u8>{1, 2, 3}));
+  EXPECT_EQ(file_bytes(path).size(), seg.clean_bytes);
+}
+
 TEST(WalTest, MissingSegmentReadsEmpty) {
   TempDir dir;
   auto seg = store::read_segment(store::wal_segment_path(dir.path, 7));
@@ -713,6 +733,22 @@ TEST(RecoveryTest, AcceptedBlobMissingFromWalFailsRecovery) {
   auto rec = store::recover_node<F, Afe>(&node, &afe, &est);
   EXPECT_FALSE(rec.ok);
   EXPECT_NE(rec.error.find("never logged"), std::string::npos);
+}
+
+// The per-shard WAL latency histogram /metrics serves: every append is
+// timed under the store's shard label.
+TEST(EpochStoreTest, AttachedMetricsTimeEveryAppend) {
+  TempDir dir;
+  obs::Registry reg;
+  store::EpochStore st(dir.path, store::FsyncPolicy::kOff);
+  st.attach_metrics(&reg, obs::label_kv("shard", 3));
+  st.open_segment(0);
+  ASSERT_TRUE(st.append_intake(1, 1, std::vector<u8>{1, 2, 3}));
+  ASSERT_TRUE(st.append_intake(2, 1, std::vector<u8>{4, 5, 6}));
+  EXPECT_EQ(reg.hist_count("prio_wal_append_seconds"), 2u);
+  EXPECT_NE(reg.render_prometheus().find(
+                "prio_wal_append_seconds_count{shard=\"3\"} 2\n"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

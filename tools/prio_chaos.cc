@@ -3,7 +3,8 @@
 //
 // One u64 seed derives a whole run schedule -- shard count, fsync
 // policy, AFE, epoch sizes, kill -9 victims and times,
-// restart delays, torn-tail injections, per-server --fault-plan specs
+// restart delays, torn-tail injections, dropped trailing batch records,
+// per-server --fault-plan specs
 // (store/fault.h), and the tamper/replay mix -- and the driver then runs
 // that schedule against 3 external prio_server processes:
 //
@@ -26,8 +27,7 @@
 // aggregate.
 //
 // Port discipline: bases are probed in 49000-56999, disjoint from
-// e2e_localhost.sh (21000+), e2e_crash_recovery.sh (31000+) and
-// e2e_sharded.sh (41000+), so concurrent ctest runs never collide.
+// e2e_localhost.sh (21000-28999), so concurrent ctest runs never collide.
 //
 // Usage:
 //   prio_chaos --server-bin ./prio_server --seed 42
@@ -97,6 +97,9 @@ struct KillEvent {
   u64 after_fresh = 0;       // kill once this many fresh submissions are in
   u64 restart_delay_ms = 0;  // down time before the restart
   bool torn_tail = false;    // append garbage to the victim's newest segment
+  // Cut the victim's trailing committed-batch record: it restarts one
+  // batch short and must be caught up over the mesh (kCatchUpBatch).
+  bool drop_batch = false;
 };
 
 struct EpochPlan {
@@ -220,6 +223,12 @@ Schedule derive_schedule(u64 seed, size_t force_shards) {
     }
     s.fault_plans.push_back(std::move(plan));
   }
+
+  // Drawn last, so adding it kept every earlier seed's kill, fault and
+  // input schedule.
+  for (EpochPlan& p : s.epochs) {
+    if (p.kill) p.kill->drop_batch = r.below(2) == 0;
+  }
   return s;
 }
 
@@ -243,9 +252,10 @@ void print_schedule(const Schedule& s) {
                 (unsigned long long)s.seed, e, p.fresh.size(),
                 p.tampered.size(), p.replays.size());
     if (p.kill) {
-      std::printf(" kill=s%zu@%llu+%llums%s", p.kill->victim,
+      std::printf(" kill=s%zu@%llu+%llums%s%s", p.kill->victim,
                   (unsigned long long)p.kill->after_fresh,
                   (unsigned long long)p.kill->restart_delay_ms,
+                  p.kill->drop_batch ? " drop_batch" : "",
                   p.kill->torn_tail ? " torn" : "");
     }
     std::printf("\n");
@@ -304,11 +314,11 @@ struct RunContext {
 
 class Cluster {
  public:
-  Cluster(RunContext* ctx, std::vector<Child> children, bool shards_gt1,
+  Cluster(RunContext* ctx, std::vector<Child> children, size_t shards,
           std::string seed_dir)
       : ctx_(ctx),
         children_(std::move(children)),
-        shards_gt1_(shards_gt1),
+        shards_(shards),
         seed_dir_(std::move(seed_dir)) {}
 
   ~Cluster() {
@@ -353,33 +363,49 @@ class Cluster {
     }
   }
 
-  // Scheduled kill -9: SIGKILL, optional torn-tail injection into the
-  // victim's newest WAL segment, a derived down time, then the restart.
-  void kill_restart(const KillEvent& k, SplitMix* tear_rng) {
+  // Scheduled kill -9: SIGKILL; then, in one of the victim's shards
+  // (picked by `shard_rng`), an optional dropped trailing batch record
+  // and an optional torn tail in the newest WAL segment; a derived down
+  // time, then the restart.
+  void kill_restart(const KillEvent& k, SplitMix* shard_rng) {
+    const unsigned long long seed = ctx_->seed;
     Child& c = children_[k.victim];
+    if (k.drop_batch) {
+      // Give the batches the victim already holds time to commit, so its
+      // trailing record is most likely one to drop.
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
     if (c.pid > 0) {
       ::kill(c.pid, SIGKILL);
       ::waitpid(c.pid, nullptr, 0);
       c.pid = -1;
     }
-    std::fprintf(stderr, "chaos[%llu]: kill -9 s%zu%s\n",
-                 (unsigned long long)ctx_->seed, k.victim,
+    std::fprintf(stderr, "chaos[%llu]: kill -9 s%zu%s%s\n", seed, k.victim,
+                 k.drop_batch ? " (+drop batch)" : "",
                  k.torn_tail ? " (+torn tail)" : "");
-    if (k.torn_tail) {
-      std::string dir = seed_dir_ + "/s" + std::to_string(k.victim);
-      if (shards_gt1_) {
-        char sub[32];
-        std::snprintf(sub, sizeof(sub), "/shard-%02u",
-                      (unsigned)(tear_rng->below(2)));
-        dir += sub;
-      }
+    if (k.drop_batch || k.torn_tail) {
+      char sub[32];
+      std::snprintf(sub, sizeof(sub), "/shard-%02u",
+                    (unsigned)shard_rng->below(shards_));
+      const std::string dir =
+          seed_dir_ + "/s" + std::to_string(k.victim) + sub;
       const auto epochs = store::list_wal_epochs(dir);
       if (!epochs.empty()) {
         const std::string seg = store::wal_segment_path(dir, epochs.back());
-        if (std::FILE* f = std::fopen(seg.c_str(), "ab")) {
-          const u8 garbage[] = {0xde, 0xad, 0xbe, 0xef, 0x17};
-          (void)std::fwrite(garbage, 1, sizeof(garbage), f);
-          std::fclose(f);
+        if (k.drop_batch) {
+          const bool dropped = store::drop_last_record(seg, store::kWalBatch);
+          std::fprintf(stderr, "chaos[%llu]: s%zu%s: %s\n", seed, k.victim,
+                       sub,
+                       dropped ? "dropped the trailing batch record"
+                               : "last record is not a batch; skipping the "
+                                 "drop");
+        }
+        if (k.torn_tail) {
+          if (std::FILE* f = std::fopen(seg.c_str(), "ab")) {
+            const u8 garbage[] = {0xde, 0xad, 0xbe, 0xef, 0x17};
+            (void)std::fwrite(garbage, 1, sizeof(garbage), f);
+            std::fclose(f);
+          }
         }
       }
     }
@@ -427,15 +453,15 @@ class Cluster {
  private:
   RunContext* ctx_;
   std::vector<Child> children_;
-  bool shards_gt1_;
+  size_t shards_;
   std::string seed_dir_;
 
   friend class Driver;
 };
 
 // ---------------------------------------------------------------------------
-// Port probing (the C++ twin of tests/e2e_common.sh pick_port_base, in the
-// chaos range).
+// Port probing (the C++ twin of pick_port_base in tests/e2e_localhost.sh,
+// in the chaos range).
 // ---------------------------------------------------------------------------
 
 bool port_free(int port) {
@@ -691,9 +717,9 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     children.push_back(std::move(c));
   }
 
-  Cluster cluster(&ctx, std::move(children), sched.shards > 1, seed_dir);
+  Cluster cluster(&ctx, std::move(children), sched.shards, seed_dir);
   Driver driver(&ctx, &cluster, sched, base);
-  SplitMix tear_rng{sched.seed ^ 0x544f524eull};
+  SplitMix shard_rng{sched.seed ^ 0x544f524eull};
 
   // The plaintext reference spans all epochs, so a replay of an earlier
   // epoch's client is never counted again -- the servers' replay floors
@@ -725,7 +751,7 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     for (const Item& item : order) {
       if (!kill_done && fresh_sent == plan.kill->after_fresh) {
         driver.conns_[plan.kill->victim].reset();
-        cluster.kill_restart(*plan.kill, &tear_rng);
+        cluster.kill_restart(*plan.kill, &shard_rng);
         kill_done = true;
       }
       if (!item.replay) {
@@ -748,7 +774,7 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     if (!kill_done && !ctx.failed()) {
       // after_fresh == fresh count: the kill lands after the last send.
       driver.conns_[plan.kill->victim].reset();
-      cluster.kill_restart(*plan.kill, &tear_rng);
+      cluster.kill_restart(*plan.kill, &shard_rng);
     }
     if (ctx.failed()) break;
 
