@@ -12,10 +12,12 @@
 // Unlike PrioDeployment, this variant simulates all s servers from one
 // thread and only accounts its traffic, crediting each server's share of
 // the local work (decrypt, triple-SNIP checks, Beaver round messages) to
-// its clock. In process_batch every broadcast round ships one coalesced
-// message for the whole batch. The Beaver evaluations advance in
-// lock-step, so a batch of Q submissions still pays only one round-trip
-// per circuit depth level.
+// its clock. The protocol exists once, in process_batch; process_submission
+// is a batch of one. Batch b is led by server b mod s, and every round
+// ships one coalesced frame per link for the whole batch (field_pairs_len /
+// bitmap_len payloads, as ServerNode's rounds do). The Beaver evaluations
+// advance in lock-step, so a batch of Q submissions still pays only one
+// round trip per circuit depth level.
 #pragma once
 
 #include "core/deployment.h"
@@ -23,19 +25,6 @@
 #include "snip/mpc.h"
 
 namespace prio {
-
-// r may serve at most refresh_every submissions; `upcoming` are about to be
-// verified under the current r, so refresh every server's context first if
-// that would overrun (batch-safe, unlike a processed % refresh_every test).
-// ServerRange elements must expose a VerificationContext member `ctx`.
-template <typename ServerRange>
-void refresh_contexts_if_due(ServerRange& servers, size_t refresh_every,
-                             size_t upcoming) {
-  if (servers.front().ctx.refresh_due(refresh_every, upcoming)) {
-    for (auto& srv : servers) srv.ctx.refresh();
-  }
-  for (auto& srv : servers) srv.ctx.note_submissions(upcoming);
-}
 
 // Wire accounting for server-to-server traffic (TLS in the paper): payload
 // plus AEAD framing, one physical message carrying `logical` protocol-level
@@ -101,130 +90,38 @@ class PrioMpcDeployment {
                                  sealer_.next_seq(client_id), rng);
   }
 
+  // Feeds one submission through validation + aggregation as a batch of
+  // one. Returns true iff the servers accepted (and accumulated) it.
   bool process_submission(u64 client_id,
                           const std::vector<std::vector<u8>>& blobs) {
-    const size_t s = opts_.num_servers;
-    const size_t leader = static_cast<size_t>(client_id % s);
-    const size_t k = afe_->k();
-    const size_t m = afe_->valid_circuit().num_mul_gates();
-    const size_t flat_len = k + triple_prover_.layout().total_len();
-
-    refresh_contexts_if_due(servers_, opts_.refresh_every, 1);
-
-    // Phase 0: decrypt + expand. Replayed submission counters are
-    // rejected up front, like malformed blobs.
-    std::vector<std::vector<F>> flat(s);
-    u64 seq = 0;
-    bool parse_ok = true;
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      auto share = open_sealed_share<F>(sealer_, client_id, i, blobs[i],
-                                        flat_len, i == 0 ? &seq : nullptr);
-      if (!share) {
-        parse_ok = false;
-        continue;
-      }
-      flat[i] = std::move(*share);
-    }
-    ++processed_;
-    if (!parse_ok || !replay_.fresh(client_id, seq)) return false;
-
-    // Phase 1: SNIP over the triples (same rounds as the SNIP pipeline),
-    // run through the allocation-free engine scratch.
-    F d = F::zero(), e = F::zero();
-    std::vector<SnipLocalState<F>> states;
-    states.reserve(s);
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      states.push_back(verifier_.local_check(
-          servers_[i].ctx, i,
-          std::span<const F>(flat[i].data() + k, flat_len - k)));
-      d += states.back().d_share;
-      e += states.back().e_share;
-      if (i != leader) send(i, leader, 2 * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 2 * F::kByteLen);
-    net_.end_round();
-    F sigma = F::zero(), out = F::zero();
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      sigma += snip_sigma_share(servers_[i].ctx, states[i], d, e);
-      out += states[i].out_combo;
-      if (i != leader) send(i, leader, 2 * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 1);
-    net_.end_round();
-    if (!snip_accept(sigma, out)) return false;
-
-    // Phase 2: Beaver-MPC evaluation of Valid on the x shares.
-    std::vector<BeaverMpcSession<F>> sessions;
-    sessions.reserve(s);
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      sessions.emplace_back(&afe_->valid_circuit(), s, i,
-                            std::span<const F>(flat[i].data(), k),
-                            std::span<const F>(flat[i].data() + k, 3 * m));
-    }
-    while (!sessions[0].done()) {
-      std::vector<std::pair<F, F>> totals;
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        auto msgs = sessions[i].round_messages();
-        if (totals.empty()) totals.assign(msgs.size(), {F::zero(), F::zero()});
-        for (size_t j = 0; j < msgs.size(); ++j) {
-          totals[j].first += msgs[j].first;
-          totals[j].second += msgs[j].second;
-        }
-        if (i != leader) send(i, leader, msgs.size() * 2 * F::kByteLen);
-      }
-      net_.end_round();
-      framed_broadcast(net_, s, leader, totals.size() * 2 * F::kByteLen);
-      net_.end_round();
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        sessions[i].resolve_round(totals);
-      }
-    }
-
-    // Output check: every output wire must sum to zero.
-    const size_t n_out = afe_->valid_circuit().outputs().size();
-    std::vector<F> outs(n_out, F::zero());
-    for (size_t i = 0; i < s; ++i) {
-      auto scope = clocks_.measure(i);
-      auto o = sessions[i].output_shares();
-      for (size_t j = 0; j < n_out; ++j) outs[j] += o[j];
-      if (i != leader) send(i, leader, n_out * F::kByteLen);
-    }
-    net_.end_round();
-    framed_broadcast(net_, s, leader, 1);
-    net_.end_round();
-    bool accept = true;
-    for (const auto& o : outs) accept = accept && o.is_zero();
-
-    if (accept) {
-      for (size_t i = 0; i < s; ++i) {
-        auto scope = clocks_.measure(i);
-        for (size_t c = 0; c < afe_->k_prime(); ++c) {
-          servers_[i].accumulator[c] += flat[i][c];
-        }
-      }
-      replay_.accept(client_id, seq);
-      ++accepted_;
-    }
-    return accept;
+    const Submission sub{client_id, blobs};
+    return process_batch(std::span<const Submission>(&sub, 1))[0] == 1;
   }
 
-  // Batched Prio-MPC pipeline: coalesced rounds, lock-step Beaver
-  // evaluation across the batch. Decisions match feeding each submission
-  // through process_submission.
+  // Verifies a batch in refresh-window-sized chunks, each under one r:
+  // the four coalesced triple-SNIP rounds, one coalesced round trip per
+  // Beaver depth level, the output check, then the replay floor and
+  // aggregation in submission order. Returns one 0/1 verdict per
+  // submission.
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(
         batch, opts_.refresh_every,
         [this](std::span<const Submission> chunk) {
           return process_batch_chunk(chunk);
         });
+  }
+
+  // The servers reveal their accumulators to server 0, which decodes.
+  typename Afe::Result publish() {
+    std::vector<F> sigma(afe_->k_prime(), F::zero());
+    for (size_t i = 0; i < opts_.num_servers; ++i) {
+      for (size_t c = 0; c < afe_->k_prime(); ++c) {
+        sigma[c] += servers_[i].accumulator[c];
+      }
+      if (i != 0) framed_send(net_, i, 0, afe_->k_prime() * F::kByteLen);
+    }
+    net_.end_round();
+    return afe_->decode(sigma, accepted_);
   }
 
  private:
@@ -241,26 +138,31 @@ class PrioMpcDeployment {
     const size_t flat_len = k + triple_prover_.layout().total_len();
     const size_t kp = afe_->k_prime();
     const size_t leader = static_cast<size_t>(batch_counter_++ % s);
-    refresh_contexts_if_due(servers_, opts_.refresh_every, q_total);
+    // r may serve at most refresh_every submissions: refresh every
+    // server's context first if this chunk would overrun it.
+    if (servers_.front().ctx.refresh_due(opts_.refresh_every, q_total)) {
+      for (auto& srv : servers_) srv.ctx.refresh();
+    }
+    for (auto& srv : servers_) srv.ctx.note_submissions(q_total);
 
-    // Phase 0: decrypt + expand + triple-SNIP local check. The flat share
-    // vector outlives this phase (the Beaver MPC and the aggregation read
-    // it), so it is still materialized per (q, i); the local check itself
-    // runs on the reusable engine scratch.
-    std::vector<std::vector<F>> flat(q_total * s);
+    // Phase 0: decrypt + expand every share into one buffer this chunk
+    // owns (row q * s + i: x-encoding, then the triple-SNIP extended
+    // input), which the Beaver MPC and the aggregation read later; the
+    // triple-SNIP local check runs on the reusable engine scratch.
+    std::vector<F> ext(q_total * s * flat_len, F::zero());
+    auto row = [&](size_t task) {
+      return std::span<F>(ext.data() + task * flat_len, flat_len);
+    };
     std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
     std::vector<u64> seqs(q_total, 0);
     for (size_t task = 0; task < q_total * s; ++task) {
       const size_t q = task / s, i = task % s;
       auto scope = clocks_.measure(i);
-      auto share = open_sealed_share<F>(sealer_, batch[q].client_id, i,
-                                        batch[q].blobs[i], flat_len,
-                                        i == 0 ? &seqs[q] : nullptr);
-      if (share) {
-        flat[task] = std::move(*share);
-        states[task] = verifier_.local_check(
-            servers_[i].ctx, i,
-            std::span<const F>(flat[task].data() + k, flat_len - k));
+      if (open_sealed_share_into<F>(sealer_, batch[q].client_id, i,
+                                    batch[q].blobs[i], row(task),
+                                    i == 0 ? &seqs[q] : nullptr)) {
+        states[task] = verifier_.local_check(servers_[i].ctx, i,
+                                             row(task).subspan(k));
       }
     }
 
@@ -326,10 +228,9 @@ class PrioMpcDeployment {
     for (size_t task = 0; task < ml * s; ++task) {
       const size_t v = task / s, i = task % s;
       auto scope = clocks_.measure(i);
-      const std::vector<F>& f = flat[mpc_live[v] * s + i];
-      sessions[task].emplace(&afe_->valid_circuit(), s, i,
-                             std::span<const F>(f.data(), k),
-                             std::span<const F>(f.data() + k, 3 * m));
+      const std::span<const F> f = row(mpc_live[v] * s + i);
+      sessions[task].emplace(&afe_->valid_circuit(), s, i, f.first(k),
+                             f.subspan(k, 3 * m));
     }
 
     while (!sessions[0]->done()) {
@@ -389,9 +290,9 @@ class PrioMpcDeployment {
     framed_broadcast(net_, s, leader, net::bitmap_len(ml), ml);
     net_.end_round(ml);
 
-    // Aggregation, in submission order with the replay floor applied as
-    // the serial path would: replayed counters flip to reject, accepts
-    // advance the floor.
+    // Aggregation, in submission order with the replay floor applied:
+    // replayed counters flip to reject, accepts advance the floor, so a
+    // duplicate later in the same batch is refused too.
     for (size_t v = 0; v < ml; ++v) {
       if (!decisions[v]) continue;
       const size_t q = mpc_live[v];
@@ -400,7 +301,7 @@ class PrioMpcDeployment {
       verdicts[q] = 1;
       for (size_t i = 0; i < s; ++i) {
         auto scope = clocks_.measure(i);
-        const std::vector<F>& f = flat[q * s + i];
+        const std::span<const F> f = row(q * s + i);
         for (size_t c = 0; c < kp; ++c) servers_[i].accumulator[c] += f[c];
       }
       ++accepted_;
@@ -408,28 +309,10 @@ class PrioMpcDeployment {
     return verdicts;
   }
 
- public:
-  typename Afe::Result publish() {
-    std::vector<F> sigma(afe_->k_prime(), F::zero());
-    for (size_t i = 0; i < opts_.num_servers; ++i) {
-      for (size_t c = 0; c < afe_->k_prime(); ++c) {
-        sigma[c] += servers_[i].accumulator[c];
-      }
-      if (i != 0) send(i, 0, afe_->k_prime() * F::kByteLen);
-    }
-    net_.end_round();
-    return afe_->decode(sigma, accepted_);
-  }
-
- private:
   struct ServerState {
     VerificationContext<F> ctx;  // for the triple-check SNIP
     std::vector<F> accumulator;
   };
-
-  void send(size_t from, size_t to, size_t payload_len) {
-    framed_send(net_, from, to, payload_len);
-  }
 
   const Afe* afe_;
   DeploymentOptions opts_;

@@ -164,11 +164,9 @@ std::vector<std::vector<u8>> seal_shared_vector(const SubmissionSealer& sealer,
 
 // Opens a sealed blob and decodes it into the caller-owned `out` buffer
 // (PRG-seed shares are bulk-expanded in place, explicit shares parsed
-// element by element) -- the batch pipelines point this at their
-// SnipVerifier's landing buffer so decryption feeds verification with no
-// intermediate vector. Returns false (leaving `out` unspecified) on any
-// malformed blob. Decodes exactly the blobs open_sealed_share does, to
-// identical elements.
+// element by element) -- the batch pipelines point this at a row of a
+// buffer they own, so decryption feeds verification with no intermediate
+// vector. Returns false (leaving `out` unspecified) on any malformed blob.
 template <PrimeField F>
 bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
                             size_t server, std::span<const u8> blob,
@@ -190,22 +188,6 @@ bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
     return r.ok() && r.at_end();
   }
   return false;
-}
-
-// Opens a sealed blob and decodes it into a length-`len` share vector
-// (PRG-seed shares are expanded, explicit shares parsed).
-template <PrimeField F>
-std::optional<std::vector<F>> open_sealed_share(const SubmissionSealer& sealer,
-                                                u64 client_id, size_t server,
-                                                std::span<const u8> blob,
-                                                size_t len,
-                                                u64* seq_out = nullptr) {
-  std::vector<F> out(len, F::zero());
-  if (!open_sealed_share_into<F>(sealer, client_id, server, blob,
-                                 std::span<F>(out), seq_out)) {
-    return std::nullopt;
-  }
-  return out;
 }
 
 // Server-side replay guard (replicated high-water mark over the cleartext

@@ -79,7 +79,9 @@ struct ServerNodeConfig {
   size_t num_servers = 0;
   size_t self = 0;
   u64 master_seed = 1;
-  size_t refresh_every = 1024;  // resample r after this many submissions
+  // Resample r after this many submissions. A batch is verified under one
+  // r, so it may hold at most this many submissions.
+  size_t refresh_every = 1024;
   // Sharded runtime (server/shard.h): which batch lane this node runs on.
   // Lane 0 is byte-for-byte the unsharded protocol (same context seed,
   // same channel endpoints); lanes > 0 mix the lane id into the context
@@ -175,9 +177,13 @@ class ServerNode {
   //
   // All nodes must process the same ordered batch (same client ids, each
   // holding its own blob); the runtime's leader announcement guarantees
-  // that. Returns one 0/1 verdict per submission, identical on every node.
+  // that. A batch larger than the refresh window throws before any state
+  // moves or any frame is sent. Returns one 0/1 verdict per submission,
+  // identical on every node.
   // -------------------------------------------------------------------
   std::vector<u8> process_batch(std::span<const SubmissionShare> batch) {
+    require(batch.size() <= cfg_.refresh_every,
+            "ServerNode::process_batch: batch exceeds the refresh window");
     PreparedBatch prep;
     prepare(batch, prep);
     const u64 counter_before = batch_counter_;
@@ -515,13 +521,15 @@ class ServerNode {
   // node agreed on -- without any network rounds. Reproduces exactly the
   // state transitions process_batch would have made: batch counter, the
   // deterministic r-refresh schedule, replay floors, accumulator, and the
-  // accepted/processed counts. Returns false (corrupt record) if an
-  // accepted blob fails to open.
+  // accepted/processed counts. Returns false (corrupt record) if the
+  // batch exceeds the refresh window or an accepted blob fails to open.
   // -------------------------------------------------------------------
   bool apply_batch_record(std::span<const SubmissionShare> batch,
                           std::span<const u8> verdicts) {
     const size_t q = batch.size();
-    if (verdicts.size() != q || q == 0) return false;
+    if (verdicts.size() != q || q == 0 || q > cfg_.refresh_every) {
+      return false;
+    }
     const size_t kp = afe_->k_prime();
     // Validate first, commit second: every accepted blob must open before
     // ANY state moves, so a corrupt record leaves the node untouched --

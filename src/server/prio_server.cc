@@ -16,10 +16,13 @@
 //
 // Every server must be started with the same --servers list, --master-seed,
 // --afe, --epoch-size, --batch, --epochs, and --shards (--afe agreement is
-// enforced at mesh sync; the rest fail loudly in-protocol). An unknown
-// flag (a typo, or one a previous release accepted, like --len) fails
-// start-up with its name. Exit code 0 means all epochs completed (and, on
-// server 0, were published).
+// enforced at mesh sync; the rest fail loudly in-protocol). --batch may not
+// exceed the refresh window of 1024 submissions (each batch is verified
+// under one secret point r); a larger value fails start-up. The mesh recv
+// timeout is --announce-wait-ms plus 60 s. An unknown flag (a typo, or one
+// a previous release accepted, like --len, --refresh-every or
+// --recv-timeout-ms) fails start-up with its name. Exit code 0 means all
+// epochs completed (and, on server 0, were published).
 //
 // Sharding (--shards N, default 1): the mesh carries N lanes, and the
 // ServerRouter (server/router.h) builds one ShardRuntime per lane -- client
@@ -102,7 +105,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   base_cfg.num_servers = endpoints.size();
   base_cfg.self = id;
   base_cfg.master_seed = common.master_seed;
-  base_cfg.refresh_every = flags.num("refresh-every", 1024);
 
   server::RuntimeOptions opts;
   opts.epoch_size = flags.num("epoch-size", 64);
@@ -112,12 +114,12 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
       static_cast<int>(flags.num("announce-wait-ms", 60'000));
   opts.linger_ms = static_cast<int>(flags.num("linger-ms", 50));
   opts.afe_spec = spec.canonical();
+  flags.reject_unread();
+  server::require_batch_within_refresh_window(opts, base_cfg);
   // Followers block in recv for the leader's next announcement while the
   // leader may legitimately wait announce_wait_ms for a batch to fill, so
   // the mesh recv timeout must comfortably exceed that.
-  const int recv_timeout_ms = static_cast<int>(
-      flags.num("recv-timeout-ms", opts.announce_wait_ms + 60'000));
-  flags.reject_unread();
+  const int recv_timeout_ms = opts.announce_wait_ms + 60'000;
 
   // Seeded fault injection (--fault-plan SPEC, store/fault.h): armed
   // before any store or mesh exists so the very first I/O can fault.

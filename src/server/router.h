@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,20 @@
 #include "server/shard.h"
 
 namespace prio::server {
+
+// A lane verifies each announced batch under one secret point r, and
+// ServerNode refuses a batch larger than the refresh window, so the
+// announcement cap may not exceed it. The router checks this on
+// construction; prio_server checks it before it opens a socket.
+inline void require_batch_within_refresh_window(const RuntimeOptions& opts,
+                                                const ServerNodeConfig& cfg) {
+  if (opts.max_batch > cfg.refresh_every) {
+    throw std::invalid_argument(
+        "batch cap " + std::to_string(opts.max_batch) +
+        " (--batch) exceeds the refresh window of " +
+        std::to_string(cfg.refresh_every) + " submissions per secret r");
+  }
+}
 
 template <PrimeField F, typename Afe>
 class ServerRouter {
@@ -58,7 +73,8 @@ class ServerRouter {
   // ServerNode starts from (the router fills in lane and metrics).
   // `stores` is empty (in-memory) or holds one store per lane, null for a
   // lane without one; each lane is recovered from its store here, and a
-  // recovery failure throws naming the shard.
+  // recovery failure throws naming the shard. Throws if opts.max_batch
+  // exceeds node_cfg.refresh_every.
   ServerRouter(const Afe* afe, net::Transport* mesh,
                net::TcpListener* client_listener, RuntimeOptions opts,
                ServerNodeConfig node_cfg,
@@ -68,6 +84,7 @@ class ServerRouter {
         listener_(client_listener),
         opts_(opts),
         stores_(std::move(stores)) {
+    require_batch_within_refresh_window(opts_, node_cfg);
     const size_t n = mesh_->lanes();
     require(n >= 1, "ServerRouter: need >= 1 shard");
     require(stores_.empty() || stores_.size() == n,

@@ -1,7 +1,9 @@
-// Batched verification pipeline tests: the coalesced four-round protocol,
-// and -- the key property -- that process_batch and process_submission
-// make identical accept/reject decisions on mixed valid/invalid batches,
-// for both the SNIP and the Prio-MPC pipelines.
+// Batched verification pipeline tests for both the SNIP and the Prio-MPC
+// pipelines: coalesced rounds, refresh-window chunking, the replay floor,
+// and -- the key property -- verdicts that do not depend on batch size.
+// Each deployment verifies through process_batch alone (process_submission
+// is a batch of one), so Q batches of one must decide a mixed
+// valid/invalid batch exactly as one batch of Q does.
 
 #include <gtest/gtest.h>
 
@@ -254,6 +256,8 @@ TEST(BatchPipelineTest, SerialAndBatchedInterleave) {
 
 // ---------- Prio-MPC batch variant ----------
 
+// Q batches of one (process_submission) vs one batch of Q: the verdicts,
+// the accepted count and the published sum must not depend on batch size.
 TEST(MpcBatchPipelineTest, MatchesSerialOnMixedBatch) {
   afe::IntegerSum<F> afe(6);
   PrioMpcDeployment<F, afe::IntegerSum<F>> serial(&afe, {.num_servers = 3});
@@ -308,6 +312,51 @@ TEST(MpcBatchPipelineTest, BeaverRoundsAreLockStepAcrossBatch) {
     return dep.network().rounds();
   };
   EXPECT_EQ(rounds_for(1), rounds_for(8));
+}
+
+TEST(MpcBatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
+  // As for the SNIP pipeline: 10 submissions under refresh_every = 4 run as
+  // three chunks (4 + 4 + 2), each paying one chunk's rounds.
+  afe::IntegerSum<F> afe(4);
+  DeploymentOptions opts;
+  opts.num_servers = 2;
+  opts.refresh_every = 4;
+  SecureRng rng(30);
+  u64 one_chunk_rounds = 0;
+  {
+    PrioMpcDeployment<F, afe::IntegerSum<F>> one(&afe, opts);
+    EXPECT_TRUE(one.process_submission(0, one.client_upload(1, 0, rng)));
+    one_chunk_rounds = one.network().rounds();
+  }
+  PrioMpcDeployment<F, afe::IntegerSum<F>> dep(&afe, opts);
+  std::vector<Submission> batch;
+  for (u64 cid = 0; cid < 10; ++cid) {
+    batch.push_back({cid, dep.client_upload(cid, cid, rng)});
+  }
+  auto verdicts = dep.process_batch(batch);
+  ASSERT_EQ(verdicts.size(), 10u);
+  for (u8 v : verdicts) EXPECT_EQ(v, 1);
+  EXPECT_EQ(dep.network().rounds(), 3 * one_chunk_rounds);
+  EXPECT_EQ(dep.accepted(), 10u);
+  EXPECT_EQ(static_cast<u64>(dep.publish()), 45u);  // 0 + 1 + ... + 9
+}
+
+TEST(MpcBatchPipelineTest, ReplayWithinAndAcrossBatchesRejected) {
+  // An exact replay is refused inside one batch, in a later batch, and via
+  // process_submission; only the first copy is aggregated.
+  afe::IntegerSum<F> afe(4);
+  PrioMpcDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 3});
+  SecureRng rng(31);
+  auto blobs = dep.client_upload(5, 0, rng);
+  std::vector<Submission> batch = {{0, blobs}, {0, blobs}};  // dup in batch
+  EXPECT_EQ(dep.process_batch(batch), (std::vector<u8>{1, 0}));
+  EXPECT_EQ(dep.process_batch(batch), (std::vector<u8>{0, 0}));
+  EXPECT_FALSE(dep.process_submission(0, blobs));
+  // The client's next submission is still fresh.
+  EXPECT_TRUE(dep.process_submission(0, dep.client_upload(2, 0, rng)));
+  EXPECT_EQ(dep.accepted(), 2u);
+  EXPECT_EQ(dep.processed(), 6u);
+  EXPECT_EQ(static_cast<u64>(dep.publish()), 7u);
 }
 
 }  // namespace

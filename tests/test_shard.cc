@@ -381,6 +381,23 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
   EXPECT_GE(regs[2]->total("prio_reject_spec_mismatch_total"), 1u);
 }
 
+// A lane verifies each announced batch under one secret r, so the router
+// refuses an announcement cap above the refresh window when it is built,
+// not at the first full batch.
+TEST(ShardedRouterTest, BatchCapAboveRefreshWindowFailsConstruction) {
+  Afe afe(8);
+  net::LoopbackMesh mesh(kServers);
+  net::LoopbackTransport link(&mesh, 0);
+  ServerNodeConfig cfg = ShardedServer::node_config(kServers, 0);
+  cfg.refresh_every = 8;
+  server::RuntimeOptions opts;
+  opts.max_batch = 9;
+  EXPECT_THROW({ Router r(&afe, &link, nullptr, opts, cfg); },
+               std::invalid_argument);
+  opts.max_batch = 8;
+  EXPECT_NO_THROW({ Router r(&afe, &link, nullptr, opts, cfg); });
+}
+
 // Delays every outbound frame of one peer, so on the other servers one
 // lane thread spends most of the epoch blocked in mesh recvs while its
 // sibling lane keeps verifying. The epoch completing -- within the test

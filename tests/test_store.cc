@@ -299,15 +299,19 @@ void on_all_nodes(size_t n, Fn fn) {
 // ---------------------------------------------------------------------------
 
 // Builds a node with nontrivial state (accumulator, floors, refreshes) and
-// returns {node snapshot, afe} via out-params for the fuzz cases.
+// returns {node snapshot, afe} via out-params for the fuzz cases. The
+// workload runs as two batches of 4 under a refresh window of 4, so the
+// second batch refreshes r.
 std::vector<u8> snapshot_with_state(const Afe& afe) {
   auto w = make_workload(afe, 8);
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/3);
+  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/4);
   on_all_nodes(kServers, [&](size_t i) {
     auto view = node_view(std::span<const Submission>(w.subs), i);
-    nodes[i]->process_batch(std::span<const SubmissionShare>(view));
+    const std::span<const SubmissionShare> all(view);
+    nodes[i]->process_batch(all.first(4));
+    nodes[i]->process_batch(all.subspan(4));
   });
   return nodes[1]->snapshot();
 }
@@ -417,7 +421,9 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
 
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/5);
+  // Batches of 8 fill a refresh window of 8, so every batch after the
+  // first refreshes r and the replay must reproduce that schedule.
+  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/8);
 
   // Nothing recovered from an empty directory; it just opens segment 0.
   {
@@ -474,7 +480,7 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
   cfg.num_servers = kServers;
   cfg.self = 2;
   cfg.master_seed = kMasterSeed;
-  cfg.refresh_every = 5;
+  cfg.refresh_every = 8;
   auto revived_ptr = std::make_unique<Node>(&afe, cfg, &links[2]);
   auto rec = store::recover_node<F, Afe>(revived_ptr.get(), &afe, &est);
   ASSERT_TRUE(rec.ok) << rec.error;

@@ -522,6 +522,32 @@ TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
   EXPECT_EQ(agg->accepted, 9u);  // 3 valid per batch of 4
 }
 
+// A batch is verified under one secret point r, so a node handed more
+// submissions than its refresh window refuses them before any state moves
+// or any frame is sent -- and refuses a committed record of that size too.
+// Server 1 is a non-leader of batch 0: without the check it would send its
+// round-1 frame at once.
+TEST(ServerNodeTest, BatchBeyondRefreshWindowThrowsBeforeAnyFrame) {
+  Afe afe(4);
+  auto w = make_workload(afe, 5);
+  net::LoopbackMesh mesh(kServers);
+  net::LoopbackTransport link(&mesh, 1);
+  ServerNodeConfig cfg;
+  cfg.num_servers = kServers;
+  cfg.self = 1;
+  cfg.master_seed = kMasterSeed;
+  cfg.refresh_every = 4;
+  Node node(&afe, cfg, &link);
+  const std::vector<u8> before = node.snapshot();
+  const auto view = node_view(std::span<const Submission>(w.subs), 1);
+  const std::span<const SubmissionShare> batch(view);
+  EXPECT_THROW(node.process_batch(batch), std::invalid_argument);
+  EXPECT_EQ(mesh.sim().total_messages(), 0u);
+  EXPECT_EQ(node.snapshot(), before);
+  EXPECT_FALSE(node.apply_batch_record(batch, w.expected));
+  EXPECT_EQ(node.snapshot(), before);
+}
+
 // The full socket path: three server threads over a real TCP mesh on
 // ephemeral localhost ports, multi-client batches, epoch publication.
 TEST(ServerNodeTest, TcpMeshEndToEnd) {
