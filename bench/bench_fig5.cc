@@ -54,8 +54,7 @@ double rate_prio_mpc(size_t s, int n) {
 
 double rate_no_robustness(size_t s, int n) {
   afe::BitVectorSum<F> afe(kL);
-  baseline::NoRobustnessDeployment<F, afe::BitVectorSum<F>> dep(&afe, s, 1,
-                                                                250);
+  baseline::NoRobustnessDeployment<F, afe::BitVectorSum<F>> dep(&afe, s, 1);
   SecureRng rng(3);
   auto bits = make_bits();
   std::vector<std::vector<std::vector<u8>>> blobs;
@@ -66,7 +65,7 @@ double rate_no_robustness(size_t s, int n) {
 
 double rate_nizk(size_t s, int n) {
   afe::BitVectorSum<F> afe(kL);
-  baseline::NizkDeployment<F> dep(&afe, s, 250);
+  baseline::NizkDeployment<F> dep(&afe, s);
   SecureRng rng(4);
   auto bits = make_bits();
   std::vector<baseline::NizkDeployment<F>::Upload> ups;

@@ -96,21 +96,28 @@ int main(int argc, char** argv) {
             rate);
   }
 
-  // Snapshot publication: the epoch-boundary write-temp-rename-manifest
-  // dance for a state blob the size a busy server might hold (accumulator
-  // + ~64k replay floors ~= 1 MiB).
+  // Snapshot publication: the epoch-boundary write-temp, fsync, rename,
+  // fsync-dir sequence for a state blob the size a busy server might hold
+  // (accumulator + ~64k replay floors ~= 1 MiB). A failed publish is not
+  // a timing: the bench fails instead.
   {
     TempDir dir;
     store::SnapshotStore snaps(dir.path);
     std::vector<u8> state(1 << 20, 0x5a);
     const int reps = smoke ? 5 : 50;
+    int failed_epoch = -1;
     const double secs = benchutil::time_seconds(
         [&] {
-          for (int i = 0; i < reps; ++i) {
-            snaps.write(static_cast<u32>(i), state);
+          for (int i = 0; i < reps && failed_epoch < 0; ++i) {
+            if (!snaps.write(static_cast<u32>(i), state)) failed_epoch = i;
           }
         },
         /*repeats=*/1);
+    if (failed_epoch >= 0) {
+      std::fprintf(stderr, "bench_store: snapshot publish failed at epoch %d\n",
+                   failed_epoch);
+      return 1;
+    }
     const double ms = 1e3 * secs / reps;
     std::printf("  snapshot publish (1 MiB): %.2f ms\n", ms);
     json.kv("snapshot_publish_1mib_ms", ms);

@@ -28,12 +28,11 @@ namespace prio::baseline {
 template <PrimeField F>
 class NizkDeployment {
  public:
-  NizkDeployment(const afe::BitVectorSum<F>* afe, size_t num_servers,
-                 u64 latency_us = 250)
+  NizkDeployment(const afe::BitVectorSum<F>* afe, size_t num_servers)
       : afe_(afe),
         num_servers_(num_servers),
         params_(ec::PedersenParams::instance()),
-        net_(num_servers, latency_us),
+        net_(num_servers),
         clocks_(num_servers),
         accumulators_(num_servers,
                       std::vector<F>(afe->k_prime(), F::zero())) {}

@@ -17,11 +17,10 @@ namespace prio::baseline {
 template <PrimeField F, typename Afe>
 class NoRobustnessDeployment {
  public:
-  NoRobustnessDeployment(const Afe* afe, size_t num_servers, u64 master_seed,
-                         u64 latency_us = 250)
+  NoRobustnessDeployment(const Afe* afe, size_t num_servers, u64 master_seed)
       : afe_(afe),
         num_servers_(num_servers),
-        net_(num_servers, latency_us),
+        net_(num_servers),
         clocks_(num_servers),
         accumulators_(num_servers,
                       std::vector<F>(afe->k_prime(), F::zero())) {

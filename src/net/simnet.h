@@ -2,9 +2,8 @@
 //
 // SUBSTITUTION NOTE (DESIGN.md §2): the paper runs five servers in five
 // Amazon datacenters. We run server instances in one process and model the
-// network as point-to-point links with (a) exact per-link byte counters --
-// these regenerate Figure 6 -- and (b) a configurable one-way latency used
-// to report pipeline depth. The loopback mesh (net/transport.h) that
+// network as point-to-point links with exact per-link byte counters (these
+// regenerate Figure 6) and a count of protocol rounds. The loopback mesh (net/transport.h) that
 // PrioDeployment's server threads exchange frames over records every frame
 // here; the Prio-MPC variant and the baselines account their messages
 // directly. Throughput in the paper's setup is compute-bound (clients
@@ -35,17 +34,14 @@ struct LinkStats {
 
 class SimNetwork {
  public:
-  // latency_us: one-way latency applied to every link (same-DC ~ 250us,
-  // inter-DC WAN ~ 40'000us in the paper's deployments).
-  explicit SimNetwork(size_t num_nodes, u64 latency_us = 250)
-      : n_(num_nodes), latency_us_(latency_us), links_(num_nodes * num_nodes) {}
+  explicit SimNetwork(size_t num_nodes)
+      : n_(num_nodes), links_(num_nodes * num_nodes) {}
 
   size_t num_nodes() const { return n_; }
-  u64 latency_us() const { return latency_us_; }
 
   // Records and delivers a message; returns the payload for the receiver.
-  // Synchronous delivery -- the pipeline drives rounds explicitly; latency
-  // is accounted in round_trips() rather than by blocking.
+  // Synchronous delivery -- the pipeline drives rounds explicitly with
+  // end_round().
   std::vector<u8> send(size_t from, size_t to, std::vector<u8> payload) {
     require(from < n_ && to < n_, "SimNetwork::send: bad node id");
     LinkStats& link = links_[from * n_ + to];
@@ -65,8 +61,8 @@ class SimNetwork {
     link.logical += logical;
   }
 
-  // Marks the end of a communication round (all sends in a round overlap,
-  // so a round costs one latency). `submissions` is how many protocol
+  // Marks the end of a communication round (all sends in a round
+  // overlap). `submissions` is how many protocol
   // instances the round covered: 1 for the serial pipeline, Q for a batch
   // round, so rounds-per-submission stays comparable across pipelines.
   void end_round(u64 submissions = 1) {
@@ -104,8 +100,6 @@ class SimNetwork {
   // exceeds rounds(), and rounds()/round_submissions() is the per-submission
   // round amortization factor.
   u64 round_submissions() const { return round_submissions_; }
-  // Simulated wall-clock latency cost of the recorded rounds.
-  u64 simulated_latency_us() const { return rounds_ * latency_us_; }
 
   u64 total_messages() const {
     u64 total = 0;
@@ -127,7 +121,6 @@ class SimNetwork {
 
  private:
   size_t n_;
-  u64 latency_us_;
   std::vector<LinkStats> links_;
   u64 rounds_ = 0;
   u64 round_submissions_ = 0;

@@ -63,6 +63,57 @@ struct SubmissionShare {
   std::vector<u8> blob;
 };
 
+// One committed verification batch: the announced (client_id, seq) ids in
+// batch order plus the final accept bitmap every node agreed on. The same
+// bytes are the WAL's kWalBatch payload (store/recovery.h) and the sealed
+// body of the rejoin kCatchUpBatch frame (server/shard.h):
+//
+//   u32 count, count * (u64 client_id, u64 seq), bitmap verdicts
+struct BatchRecord {
+  std::vector<std::pair<u64, u64>> ids;
+  std::vector<u8> verdicts;
+};
+
+// Largest batch record a decoder believes (far above any refresh window).
+inline constexpr u32 kMaxBatchRecord = 1u << 20;
+
+inline std::vector<u8> encode_batch_record(
+    std::span<const std::pair<u64, u64>> ids, std::span<const u8> verdicts) {
+  net::Writer w;
+  w.u32_(static_cast<u32>(ids.size()));
+  for (const auto& [cid, seq] : ids) {
+    w.u64_(cid);
+    w.u64_(seq);
+  }
+  w.bitmap(verdicts);
+  return w.take();
+}
+
+// nullopt unless `bytes` is exactly one canonical record: 1..kMaxBatchRecord
+// ids, a bitmap of the same count with zero padding bits, nothing after it.
+inline std::optional<BatchRecord> decode_batch_record(
+    std::span<const u8> bytes) {
+  net::Reader r(bytes);
+  const u32 count = r.u32_();
+  if (!r.ok() || count == 0 || count > kMaxBatchRecord ||
+      r.remaining() < u64{count} * 16) {
+    return std::nullopt;
+  }
+  BatchRecord rec;
+  rec.ids.reserve(count);
+  for (u32 i = 0; i < count; ++i) {
+    const u64 cid = r.u64_();
+    const u64 seq = r.u64_();
+    rec.ids.push_back({cid, seq});
+  }
+  rec.verdicts = r.bitmap(count);
+  if (!r.ok() || !r.at_end() || rec.verdicts.size() != count ||
+      (count % 8 != 0 && (bytes.back() >> (count % 8)) != 0)) {
+    return std::nullopt;
+  }
+  return rec;
+}
+
 // Projects full Submissions (all blobs) onto server i's view: how
 // PrioDeployment, tests and benches hand each node its own blobs.
 inline std::vector<SubmissionShare> node_view(

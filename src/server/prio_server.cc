@@ -20,9 +20,9 @@
 // exceed the refresh window of 1024 submissions (each batch is verified
 // under one secret point r); a larger value fails start-up. The mesh recv
 // timeout is --announce-wait-ms plus 60 s. An unknown flag (a typo, or one
-// a previous release accepted, like --len, --refresh-every or
-// --recv-timeout-ms) fails start-up with its name. Exit code 0 means all
-// epochs completed (and, on server 0, were published).
+// a previous release accepted, like --len, --refresh-every,
+// --recv-timeout-ms or --linger-ms) fails start-up with its name. Exit
+// code 0 means all epochs completed (and, on server 0, were published).
 //
 // Sharding (--shards N, default 1): the mesh carries N lanes, and the
 // ServerRouter (server/router.h) builds one ShardRuntime per lane -- client
@@ -112,7 +112,6 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   opts.epochs = static_cast<u32>(flags.num("epochs", 1));
   opts.announce_wait_ms =
       static_cast<int>(flags.num("announce-wait-ms", 60'000));
-  opts.linger_ms = static_cast<int>(flags.num("linger-ms", 50));
   opts.afe_spec = spec.canonical();
   flags.reject_unread();
   server::require_batch_within_refresh_window(opts, base_cfg);

@@ -64,9 +64,7 @@
 //   kSyncHello:     u8 type, u32 lane, u32 epoch, u64 processed,
 //                   u64 accepted, u64 generation,
 //                   str afe_spec                   (every node -> every node)
-//   kCatchUpBatch:  u8 type, sealed{u32 count,
-//                   count * (u64 client_id, u64 seq),
-//                   bitmap verdicts}                   (frontier -> behind node)
+//   kCatchUpBatch:  u8 type, sealed{batch record}      (frontier -> behind node)
 //   kCatchUpEpoch:  u8 type, sealed{u32 epoch}         (frontier -> behind node)
 //
 // kSyncHello is plaintext (same rationale as kBatchAnnounce: positions and
@@ -79,6 +77,11 @@
 // commit verdicts directly into a node's accumulator and replay floors, so
 // their bodies are sealed under the just-negotiated generation's control
 // keys (ServerNode::seal_control) -- unforgeable without the mesh secret.
+//
+// The batch record is the one codec in server/node.h
+// (encode_batch_record / decode_batch_record): u32 count,
+// count * (u64 client_id, u64 seq), bitmap verdicts -- the same bytes the
+// WAL's kWalBatch record holds (store/recovery.h).
 //
 // A node can trail the frontier by at most one committed batch and one
 // epoch close (every batch and every publication needs frames from ALL

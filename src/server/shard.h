@@ -71,10 +71,6 @@ struct RuntimeOptions {
   u32 epochs = 1;
   int announce_wait_ms = 60'000;  // leader: deadline for batch traffic
   int assemble_wait_ms = 5'000;   // followers: grace for in-flight blobs
-  // Multi-shard only: once a lane has at least one buffered submission it
-  // lingers this long for a fuller batch before announcing a partial one
-  // (hash-split traffic rarely fills every lane's batch exactly).
-  int linger_ms = 50;
   // Mesh-disruption budget: how many repair+sync attempts a single lane
   // may burn on one failure before it gives up.
   int max_resyncs = 8;
@@ -110,6 +106,11 @@ class ShardRuntime {
  public:
   using Node = ServerNode<F, Afe>;
   using EpochAggregate = typename Node::EpochAggregate;
+
+  // Multi-shard only: once a lane has at least one buffered submission it
+  // lingers this long for a fuller batch before announcing a partial one
+  // (hash-split traffic rarely fills every lane's batch exactly).
+  static constexpr std::chrono::milliseconds kLinger{50};
 
   // `lane_transport` is this lane's single-lane view of the shared mesh
   // (net::LaneTransport; the same transport the node was built over).
@@ -164,8 +165,7 @@ class ShardRuntime {
     intake_order_.clear();
     for (const auto& [key, blob] : buffer_) intake_order_.push_back(key);
     published_ = std::move(rec.published);
-    last_batch_ids_ = std::move(rec.last_batch_ids);
-    last_batch_verdicts_ = std::move(rec.last_batch_verdicts);
+    last_batch_ = std::move(rec.last_batch);
   }
 
   // Recovered per-lane aggregates (router start-up reads these to rebuild
@@ -358,10 +358,7 @@ class ShardRuntime {
           if (shards_ > 1 && !buffer_.empty()) {
             // Hash-split traffic rarely fills every lane exactly: linger
             // briefly for a fuller batch, then announce what we have.
-            if (!linger) {
-              linger = Clock::now() +
-                       std::chrono::milliseconds(opts_.linger_ms);
-            }
+            if (!linger) linger = Clock::now() + kLinger;
             if (Clock::now() >= *linger) {
               grant = host_->quota_acquire(
                   closing, std::min(buffer_.size(), want));
@@ -555,8 +552,7 @@ class ShardRuntime {
       store_->append_batch(std::span<const std::pair<u64, u64>>(ids),
                            std::span<const u8>(verdicts));
     }
-    last_batch_ids_ = ids;
-    last_batch_verdicts_ = verdicts;
+    last_batch_ = {ids, verdicts};
     std::lock_guard<std::mutex> lock(mu_);
     inflight_ids_.clear();
     for (const auto& key : ids) inflight_blobs_.erase(key);
@@ -741,22 +737,17 @@ class ShardRuntime {
   template <typename Pos>
   void send_catch_up(size_t to, const Pos& peer) {
     if (peer.processed < node_->processed()) {
-      if (last_batch_ids_.empty() ||
-          peer.processed + last_batch_ids_.size() != node_->processed()) {
+      if (last_batch_.ids.empty() ||
+          peer.processed + last_batch_.ids.size() != node_->processed()) {
         // The protocol bounds the gap at one batch (no batch completes
         // without every server); a wider gap means lost durable state.
         throw net::TransportError("rejoin: peer too far behind to catch up");
       }
-      net::Writer w;
-      w.u32_(static_cast<u32>(last_batch_ids_.size()));
-      for (const auto& [cid, seq] : last_batch_ids_) {
-        w.u64_(cid);
-        w.u64_(seq);
-      }
-      w.bitmap(last_batch_verdicts_);
       net::Writer f;
       f.u8_(kCatchUpBatch);
-      f.raw(node_->seal_control(to, "cub", w.data()));
+      f.raw(node_->seal_control(
+          to, "cub",
+          encode_batch_record(last_batch_.ids, last_batch_.verdicts)));
       lane_->send(to, f.data(), 1);
     }
     if (peer.epoch < node_->epoch()) {
@@ -783,23 +774,13 @@ class ShardRuntime {
     if (!body) {
       throw net::TransportError("rejoin: catch-up frame failed to open");
     }
-    net::Reader r(*body);
     if (type == kCatchUpBatch) {
-      const u32 count = r.u32_();
-      if (!r.ok() || count == 0 || count > (1u << 20)) {
+      auto batch = decode_batch_record(*body);
+      if (!batch) {
         throw net::TransportError("rejoin: malformed catch-up batch");
       }
-      std::vector<std::pair<u64, u64>> ids;
-      ids.reserve(count);
-      for (u32 i = 0; i < count; ++i) {
-        const u64 cid = r.u64_();
-        const u64 seq = r.u64_();
-        ids.push_back({cid, seq});
-      }
-      auto verdicts = r.bitmap(count);
-      if (!r.ok() || !r.at_end() || verdicts.size() != count) {
-        throw net::TransportError("rejoin: malformed catch-up batch");
-      }
+      const std::vector<std::pair<u64, u64>>& ids = batch->ids;
+      const u32 count = static_cast<u32>(ids.size());
       // The batch runs against this node's OWN blobs -- catch-up carries
       // identifiers and verdicts, never share material.
       std::vector<SubmissionShare> shares(count);
@@ -826,16 +807,17 @@ class ShardRuntime {
         }
       }
       const u32 epoch = node_->epoch();
-      if (!node_->apply_batch_record(shares, verdicts)) {
+      if (!node_->apply_batch_record(shares, batch->verdicts)) {
         throw net::TransportError("rejoin: catch-up batch failed to apply");
       }
       if (node_->self() == 0 && !quota_held) host_->quota_acquire(epoch, count);
-      commit_batch(ids, std::vector<u8>(verdicts.begin(), verdicts.end()));
+      commit_batch(ids, batch->verdicts);
       std::fprintf(stderr,
                    "[server %zu lane %zu] caught up on one batch (%u "
                    "submissions) from server %zu\n",
                    node_->self(), lane_id_, count, from);
     } else if (type == kCatchUpEpoch) {
+      net::Reader r(*body);
       const u32 epoch = r.u32_();
       if (!r.ok() || !r.at_end() || epoch != node_->epoch()) {
         throw net::TransportError("rejoin: malformed catch-up epoch");
@@ -950,8 +932,7 @@ class ShardRuntime {
   std::vector<std::pair<u64, u64>> inflight_ids_;
   std::map<std::pair<u64, u64>, std::vector<u8>> inflight_blobs_;
   // The last committed batch: the catch-up record a behind peer asks for.
-  std::vector<std::pair<u64, u64>> last_batch_ids_;
-  std::vector<u8> last_batch_verdicts_;
+  BatchRecord last_batch_;
   // Server 0: this LANE's published aggregates (the router sums lanes).
   std::map<u32, EpochAggregate> published_;
 

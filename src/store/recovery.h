@@ -2,7 +2,7 @@
 //
 // EpochStore owns one server's --data-dir: the current WAL segment
 // (store/wal.h) and the epoch snapshot set (store/snapshot.h). The runtime
-// (server/shard.h) appends three kinds of records as the epoch runs:
+// (server/shard.h) appends these records as the epoch runs:
 //
 //   kWalIntake      u64 client_id, u64 seq, bytes blob
 //       -- a sealed client blob accepted at intake, written BEFORE the
@@ -10,9 +10,9 @@
 //          already durable on this server.
 //   kWalBatch       u32 count, count * (u64 client_id, u64 seq),
 //                   bitmap verdicts
-//       -- one committed verification batch: the announced submission ids
-//          in batch order plus the final accept bitmap every node agreed
-//          on. Written after process_batch returns.
+//       -- one committed verification batch (encode_batch_record in
+//          server/node.h, the same bytes as the kCatchUpBatch body).
+//          Written after process_batch returns.
 //   kWalEpochClose  u32 epoch, u64 accepted, bytes sigma_enc
 //       -- the epoch was published. sigma_enc is the wire encoding of the
 //          decoded aggregate's accumulator on server 0 (so a restarted
@@ -24,12 +24,14 @@
 //          restart can never renegotiate a generation already used.
 //
 // recover_node() rebuilds a freshly constructed ServerNode from the newest
-// valid snapshot plus a replay of every WAL segment at or after it. A torn
-// or corrupt segment tail is truncated at the first bad CRC and replay
-// continues -- recovery never throws on corrupt input, it returns the
-// clean prefix of history. Accepted submissions are re-opened from their
-// sealed intake blobs to rebuild the accumulator and replay-guard floors
-// exactly as the live run computed them.
+// valid snapshot plus a replay of every WAL segment at or after its epoch;
+// segments below it are never read (rotate() puts the carry-over on disk
+// before it publishes a snapshot, and the next rotation prunes them). A
+// torn or corrupt segment tail is truncated at the first bad CRC and
+// replay continues -- recovery never throws on corrupt input, it returns
+// the clean prefix of history. Accepted submissions are re-opened from
+// their sealed intake blobs to rebuild the accumulator and replay-guard
+// floors exactly as the live run computed them.
 #pragma once
 
 #include <sys/stat.h>
@@ -94,33 +96,23 @@ class EpochStore {
   // False when the segment's intake budget is exhausted (the caller must
   // nack rather than ack an unlogged blob).
   bool append_intake(u64 client_id, u64 seq, std::span<const u8> blob) {
-    net::Writer w;
-    w.u64_(client_id);
-    w.u64_(seq);
-    w.bytes(blob);
+    const std::vector<u8> rec = intake_record(client_id, seq, blob);
     std::lock_guard<std::mutex> lock(mu_);
     require(wal_ != nullptr, "EpochStore: append before open_segment");
-    if (segment_intake_bytes_ + w.size() > kMaxIntakeBytesPerSegment) {
+    if (segment_intake_bytes_ + rec.size() > kMaxIntakeBytesPerSegment) {
       return false;
     }
-    segment_intake_bytes_ += w.size();
+    segment_intake_bytes_ += rec.size();
     {
       obs::ScopedTimer t(m_append_);
-      wal_->append(kWalIntake, w.data());
+      wal_->append(kWalIntake, rec);
     }
     return true;
   }
 
   void append_batch(std::span<const std::pair<u64, u64>> ids,
                     std::span<const u8> verdicts) {
-    net::Writer w;
-    w.u32_(static_cast<u32>(ids.size()));
-    for (const auto& [cid, seq] : ids) {
-      w.u64_(cid);
-      w.u64_(seq);
-    }
-    w.bitmap(verdicts);
-    append(kWalBatch, w.data());
+    append(kWalBatch, encode_batch_record(ids, verdicts));
   }
 
   static std::string aggregates_path(const std::string& dir) {
@@ -179,16 +171,20 @@ class EpochStore {
     std::span<const u8> blob;
   };
 
-  // Epoch boundary: fsync the closed segment (policies always/epoch),
-  // publish the boundary snapshot, start the next segment, re-log the
-  // intake blobs the closed epoch acked but never consumed (their only
-  // durable copy lives in the segments about to be pruned), and only then
-  // drop segments and snapshots the new snapshot makes unreachable. If
-  // the snapshot cannot be published, nothing is pruned -- recovery still
-  // reaches the same state from the older snapshot plus every retained
-  // segment. Idempotent for a repeated (new_epoch, same inputs) call,
-  // which the rejoin path relies on: duplicate carry-over records dedup
-  // at recovery exactly like duplicate intake records.
+  // Epoch boundary, in crash-safe order: fsync the closed segment (and
+  // server 0's aggregates log), start the next segment, re-log the intake
+  // blobs the closed epoch acked but never consumed (their only durable
+  // copy lives in the segments about to be pruned), fsync them, and only
+  // then publish the boundary snapshot and drop the segments and
+  // snapshots it makes unreachable. A published snapshot therefore always
+  // has its carry-over on disk, and recovery never reads a segment below
+  // it. Any failed sync (EIO and friends) withholds the snapshot, so
+  // recovery replays the old snapshot plus every retained segment, where
+  // the only copies that verifiably reached the disk still are. A failed
+  // publish withholds the prune. Idempotent for a repeated (new_epoch,
+  // same inputs) call, which the rejoin path relies on: duplicate
+  // carry-over records dedup at recovery exactly like duplicate intake
+  // records.
   void rotate(u32 new_epoch, std::span<const u8> node_snapshot,
               std::span<const CarryOver> carry_over = {}) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -199,33 +195,32 @@ class EpochStore {
       synced = !wal_ || wal_->sync();
       if (agg_log_) synced = agg_log_->sync() && synced;
     }
-    const bool snap_ok = snapshots_.write(new_epoch, node_snapshot);
     open_segment_locked(new_epoch);
     for (const CarryOver& c : carry_over) {
-      net::Writer w;
-      w.u64_(c.client_id);
-      w.u64_(c.seq);
-      w.bytes(c.blob);
-      segment_intake_bytes_ += w.size();  // bounded by the runtime buffer
-      wal_->append(kWalIntake, w.data());
+      const std::vector<u8> rec = intake_record(c.client_id, c.seq, c.blob);
+      segment_intake_bytes_ += rec.size();  // bounded by the runtime buffer
+      wal_->append(kWalIntake, rec);
     }
-    // The carry-over must be durable (per policy) before the old segments
-    // holding the originals can go. Any failed sync (EIO and friends)
-    // blocks the prune the same way a failed snapshot write does: deleting
-    // the only copies that verifiably reached the disk, on the strength of
-    // replacements that may still be stuck in a failing page cache, is how
-    // a recoverable I/O hiccup becomes data loss at the next power cut.
     {
       obs::ScopedTimer t(m_fsync_);
       synced = wal_->sync() && synced;
     }
-    if (snap_ok && synced) {
+    if (synced && snapshots_.write(new_epoch, node_snapshot)) {
       prune_wal_segments(dir_, new_epoch);
       snapshots_.prune(new_epoch);
     }
   }
 
  private:
+  static std::vector<u8> intake_record(u64 client_id, u64 seq,
+                                       std::span<const u8> blob) {
+    net::Writer w;
+    w.u64_(client_id);
+    w.u64_(seq);
+    w.bytes(blob);
+    return w.take();
+  }
+
   void open_segment_locked(u32 epoch) {
     wal_ = std::make_unique<WalWriter>(dir_, epoch, policy_);
     segment_intake_bytes_ = 0;
@@ -255,7 +250,8 @@ class EpochStore {
 
 // What recovery hands back to the runtime, beyond the restored node: the
 // unconsumed intake buffer, the published-epoch history (server 0), and
-// the last committed batch (the rejoin catch-up record peers may ask for).
+// the last batch the replay applied (the rejoin catch-up record peers may
+// ask for; empty if the replayed segments hold none).
 template <PrimeField F, typename Afe>
 struct RecoveryResult {
   bool ok = false;
@@ -263,8 +259,7 @@ struct RecoveryResult {
 
   std::map<std::pair<u64, u64>, std::vector<u8>> buffer;
   std::map<u32, typename ServerNode<F, Afe>::EpochAggregate> published;
-  std::vector<std::pair<u64, u64>> last_batch_ids;
-  std::vector<u8> last_batch_verdicts;
+  BatchRecord last_batch;
 
   bool used_snapshot = false;
   u32 segments_replayed = 0;
@@ -288,7 +283,29 @@ template <PrimeField F, typename Afe>
 RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
                                     EpochStore* store,
                                     size_t max_buffer = 1 << 16) {
+  using EpochAggregate = typename ServerNode<F, Afe>::EpochAggregate;
   RecoveryResult<F, Afe> out;
+
+  // One decoder for kWalEpochClose payloads, in a segment or in
+  // aggregates.log. An empty sigma_enc (servers other than 0) leaves
+  // sigma empty.
+  auto decode_close =
+      [afe](std::span<const u8> payload) -> std::optional<EpochAggregate> {
+    net::Reader r(payload);
+    EpochAggregate agg{};
+    agg.epoch = r.u32_();
+    agg.accepted = r.u64_();
+    const auto sigma_enc = r.bytes();
+    if (!r.ok() || !r.at_end()) return std::nullopt;
+    if (sigma_enc.empty()) return agg;
+    net::Reader sr(sigma_enc);
+    agg.sigma = sr.template field_vector<F>(afe->k_prime());
+    if (!sr.ok() || !sr.at_end() || agg.sigma.size() != afe->k_prime()) {
+      return std::nullopt;
+    }
+    agg.result = afe->decode(std::span<const F>(agg.sigma), agg.accepted);
+    return agg;
+  };
 
   if (auto snap = store->snapshots().load_newest()) {
     if (!node->restore_state(snap->bytes)) {
@@ -299,17 +316,11 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
     out.used_snapshot = true;
   }
 
-  const u32 snap_epoch = out.used_snapshot ? node->epoch() : 0;
+  // Segments below the snapshot's epoch are already inside it, carry-over
+  // included (see EpochStore::rotate); the next rotation prunes them.
+  const u32 snap_epoch = node->epoch();
   for (u32 seg_epoch : list_wal_epochs(store->dir())) {
-    // Segments below the snapshot epoch survive only when a crash
-    // interrupted rotate() between the snapshot publish and the carry-over
-    // sync (or the prune). Their batches and epoch closes are already
-    // inside the snapshot, but their intake records may hold the ONLY
-    // durable copy of acked-but-unconsumed blobs (the carry-over that
-    // would have re-logged them never happened), so they replay in
-    // buffer-only mode: intake records fill the buffer, batch records
-    // consume the blobs they named, and node state is never touched.
-    const bool buffer_only = out.used_snapshot && seg_epoch < snap_epoch;
+    if (seg_epoch < snap_epoch) continue;
     const std::string path = wal_segment_path(store->dir(), seg_epoch);
     WalSegment seg = read_segment(path);
     if (seg.torn_tail) {
@@ -342,87 +353,47 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
         out.buffer.try_emplace({cid, seq}, std::move(blob));
         ++out.intake_records;
       } else if (rec.type == kWalBatch) {
-        const u32 count = r.u32_();
-        if (!r.ok() || count == 0 || count > (1u << 20)) {
+        auto batch = decode_batch_record(rec.payload);
+        if (!batch) {
           out.error = "malformed batch record";
           return out;
-        }
-        std::vector<std::pair<u64, u64>> ids;
-        ids.reserve(count);
-        for (u32 i = 0; i < count; ++i) {
-          const u64 cid = r.u64_();
-          const u64 seq = r.u64_();
-          ids.push_back({cid, seq});
-        }
-        auto verdicts = r.bitmap(count);
-        if (!r.ok() || !r.at_end() || verdicts.size() != count) {
-          out.error = "malformed batch record";
-          return out;
-        }
-        if (buffer_only) {
-          // The snapshot already reflects this batch; just consume the
-          // blobs it named (a blob from an even older, pruned segment may
-          // legitimately be absent) and keep it as the catch-up record --
-          // a live node, too, remembers its last committed batch across a
-          // rotation.
-          for (const auto& id : ids) out.buffer.erase(id);
-          out.last_batch_ids = std::move(ids);
-          out.last_batch_verdicts.assign(verdicts.begin(), verdicts.end());
-          continue;
         }
         // Reassemble this server's view of the batch from the intake
         // records, consuming the named blobs like the live assemble did.
+        const size_t count = batch->ids.size();
         std::vector<SubmissionShare> shares(count);
-        for (u32 i = 0; i < count; ++i) {
-          shares[i].client_id = ids[i].first;
-          auto it = out.buffer.find(ids[i]);
+        for (size_t i = 0; i < count; ++i) {
+          shares[i].client_id = batch->ids[i].first;
+          auto it = out.buffer.find(batch->ids[i]);
           if (it != out.buffer.end()) {
             shares[i].blob = std::move(it->second);
             out.buffer.erase(it);
-          } else if (verdicts[i]) {
+          } else if (batch->verdicts[i]) {
             out.error = "batch record accepts a blob the WAL never logged";
             return out;
           }
         }
-        if (!node->apply_batch_record(shares, verdicts)) {
+        if (!node->apply_batch_record(shares, batch->verdicts)) {
           out.error = "accepted blob failed to re-open during replay";
           return out;
         }
-        out.last_batch_ids = std::move(ids);
-        out.last_batch_verdicts.assign(verdicts.begin(), verdicts.end());
+        out.last_batch = std::move(*batch);
         ++out.batches_applied;
       } else if (rec.type == kWalEpochClose) {
-        const u32 epoch = r.u32_();
-        const u64 accepted = r.u64_();
-        auto sigma_enc = r.bytes();
-        if (!r.ok() || !r.at_end()) {
+        auto agg = decode_close(rec.payload);
+        if (!agg) {
           out.error = "malformed epoch-close record";
           return out;
         }
-        if (buffer_only) {
-          continue;  // inside the snapshot; server 0's aggregate history
-        }            // is reloaded from aggregates.log below
-        if (epoch + 1 == node->epoch()) {
+        if (agg->epoch + 1 == node->epoch()) {
           continue;  // duplicate from a retried publish; already applied
         }
-        if (epoch != node->epoch()) {
+        if (agg->epoch != node->epoch()) {
           out.error = "epoch-close record out of order";
           return out;
         }
-        if (node->self() == 0 && !sigma_enc.empty()) {
-          net::Reader sr(sigma_enc);
-          auto sigma = sr.template field_vector<F>(afe->k_prime());
-          if (!sr.ok() || !sr.at_end() || sigma.size() != afe->k_prime()) {
-            out.error = "malformed published accumulator in epoch record";
-            return out;
-          }
-          typename ServerNode<F, Afe>::EpochAggregate agg;
-          agg.epoch = epoch;
-          agg.accepted = accepted;
-          agg.sigma = std::move(sigma);
-          agg.result =
-              afe->decode(std::span<const F>(agg.sigma), agg.accepted);
-          out.published.emplace(epoch, std::move(agg));
+        if (node->self() == 0 && !agg->sigma.empty()) {
+          out.published.emplace(agg->epoch, std::move(*agg));
         }
         node->close_epoch_local();
         ++out.epochs_closed;
@@ -458,27 +429,15 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
       ++out.truncated_tails;
     }
     for (const WalRecord& rec : agg_log.records) {
-      net::Reader r(rec.payload);
-      const u32 epoch = r.u32_();
-      const u64 accepted = r.u64_();
-      auto sigma_enc = r.bytes();
-      if (rec.type != kWalEpochClose || !r.ok() || !r.at_end()) {
+      auto agg = rec.type == kWalEpochClose ? decode_close(rec.payload)
+                                            : std::nullopt;
+      if (!agg || agg->sigma.empty()) {
         out.error = "malformed aggregates-log record";
         return out;
       }
-      if (epoch >= node->epoch() || out.published.count(epoch) > 0) continue;
-      net::Reader sr(sigma_enc);
-      auto sigma = sr.template field_vector<F>(afe->k_prime());
-      if (!sr.ok() || !sr.at_end() || sigma.size() != afe->k_prime()) {
-        out.error = "malformed aggregates-log record";
-        return out;
+      if (agg->epoch < node->epoch()) {
+        out.published.try_emplace(agg->epoch, std::move(*agg));
       }
-      typename ServerNode<F, Afe>::EpochAggregate agg;
-      agg.epoch = epoch;
-      agg.accepted = accepted;
-      agg.sigma = std::move(sigma);
-      agg.result = afe->decode(std::span<const F>(agg.sigma), agg.accepted);
-      out.published.emplace(epoch, std::move(agg));
     }
   }
 

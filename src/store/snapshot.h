@@ -3,9 +3,8 @@
 // A snapshot is the raw ServerNode::snapshot() byte string (server/node.h)
 // taken at an epoch boundary, wrapped in a CRC-checked container and
 // published crash-atomically: the file is written to a temp name, fsynced,
-// then renamed into place, and only then does the MANIFEST (same
-// write-temp-then-rename dance) start pointing at it. A crash at any
-// instant leaves either the old snapshot set or the new one -- never a
+// renamed into place, and the directory fsynced. A crash at any instant
+// leaves either the old snapshot set or the new one -- never a
 // half-written file a reader could believe.
 //
 // File layout, snapshot-<epoch 8 hex>.snap:
@@ -13,10 +12,9 @@
 //   [u32 magic "PSNP"] [u32 epoch] [u32 len] [u32 crc32(epoch||len||bytes)]
 //   [bytes]
 //
-// MANIFEST holds one line -- "<epoch hex> <filename>" -- naming the newest
-// published snapshot. load_newest() prefers the manifest entry but falls
-// back to scanning the directory for the newest file that validates, so a
-// lost or stale manifest degrades to a scan, not to data loss.
+// The newest snapshot is found by scanning the directory: load_newest()
+// returns the highest-epoch file that validates, so a rotted newest file
+// degrades to the one before it. Nothing else in the directory is read.
 #pragma once
 
 #include <dirent.h>
@@ -69,14 +67,7 @@ class SnapshotStore {
     put_le32(file, crc);
     file.insert(file.end(), bytes.begin(), bytes.end());
 
-    const std::string final_path = dir_ + "/" + file_name(epoch);
-    if (!write_rename(final_path, file)) return false;
-    // The manifest flips only after the snapshot itself is durable.
-    char line[64];
-    std::snprintf(line, sizeof(line), "%08x %s\n", epoch,
-                  file_name(epoch).c_str());
-    std::vector<u8> manifest(line, line + std::strlen(line));
-    return write_rename(dir_ + "/MANIFEST", manifest);
+    return write_rename(dir_ + "/" + file_name(epoch), file);
   }
 
   // Parses and validates one snapshot file; nullopt on any mismatch.
@@ -105,12 +96,9 @@ class SnapshotStore {
     return snap;
   }
 
-  // Newest valid snapshot: the manifest's entry if it validates, else the
-  // highest-epoch file in the directory that does.
+  // Newest valid snapshot: the highest-epoch file in the directory that
+  // validates.
   std::optional<LoadedSnapshot> load_newest() const {
-    if (auto name = manifest_entry()) {
-      if (auto snap = load_file(*name)) return snap;
-    }
     auto epochs = list_epochs();
     for (auto it = epochs.rbegin(); it != epochs.rend(); ++it) {
       if (auto snap = load_file(file_name(*it))) return snap;
@@ -172,19 +160,6 @@ class SnapshotStore {
     }
     if (fsync_) fsync_dir(dir_);
     return true;
-  }
-
-  std::optional<std::string> manifest_entry() const {
-    std::FILE* f = std::fopen((dir_ + "/MANIFEST").c_str(), "rb");
-    if (f == nullptr) return std::nullopt;
-    char line[128] = {0};
-    const bool ok = std::fgets(line, sizeof(line), f) != nullptr;
-    std::fclose(f);
-    if (!ok) return std::nullopt;
-    unsigned epoch = 0;
-    char name[96] = {0};
-    if (std::sscanf(line, "%8x %95s", &epoch, name) != 2) return std::nullopt;
-    return std::string(name);
   }
 
   std::string dir_;

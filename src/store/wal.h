@@ -63,8 +63,9 @@ inline u32 get_le32(const u8* p) {
 void fsync_dir(const std::string& dir);
 
 // Records a WAL segment can hold. Payload encodings use net/wire.h and are
-// owned by the layer that writes them (server/shard.h): the store only
-// frames and checksums bytes.
+// owned by EpochStore (store/recovery.h; the batch record's codec is
+// encode_batch_record in server/node.h): this file only frames and
+// checksums bytes.
 inline constexpr u8 kWalIntake = 1;      // sealed client blob accepted at intake
 inline constexpr u8 kWalBatch = 2;       // committed batch: ids + verdicts
 inline constexpr u8 kWalEpochClose = 3;  // epoch published/closed

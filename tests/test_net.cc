@@ -198,7 +198,7 @@ TEST(ChannelTest, ReplayAndCrossChannelRejected) {
 }
 
 TEST(SimNetworkTest, CountsBytesPerLinkAndRounds) {
-  net::SimNetwork n(3, /*latency_us=*/40000);
+  net::SimNetwork n(3);
   n.send(0, 1, std::vector<u8>(100));
   n.send(0, 2, std::vector<u8>(50));
   n.end_round();
@@ -210,7 +210,6 @@ TEST(SimNetworkTest, CountsBytesPerLinkAndRounds) {
   EXPECT_EQ(n.bytes_received_by(0), 10u);
   EXPECT_EQ(n.total_bytes(), 160u);
   EXPECT_EQ(n.rounds(), 2u);
-  EXPECT_EQ(n.simulated_latency_us(), 80000u);
   n.reset_counters();
   EXPECT_EQ(n.total_bytes(), 0u);
 }

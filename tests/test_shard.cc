@@ -174,7 +174,6 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   opts.epochs = 1;
   opts.announce_wait_ms = 20'000;
   opts.assemble_wait_ms = 5'000;
-  opts.linger_ms = 25;
 
   const std::string trace_path =
       ::testing::TempDir() + "/prio_shard_trace.jsonl";
@@ -273,7 +272,6 @@ TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   opts.epochs = 1;
   opts.announce_wait_ms = 5'000;
   opts.assemble_wait_ms = 500;
-  opts.linger_ms = 25;
   opts.max_resyncs = 1;  // loopback cannot reestablish; fail fast
 
   net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/1'000, kShards);
@@ -344,7 +342,6 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
   opts.max_batch = 4;
   opts.epochs = 1;
   opts.announce_wait_ms = 2'000;
-  opts.linger_ms = 25;
   opts.max_resyncs = 1;
 
   net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/2'000, kShards);
@@ -441,7 +438,6 @@ TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
   opts.epochs = 1;
   opts.announce_wait_ms = 20'000;
   opts.assemble_wait_ms = 5'000;
-  opts.linger_ms = 25;
 
   net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
   SlowTransport slow(&mesh, kServers - 1, /*delay_ms=*/3);

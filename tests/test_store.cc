@@ -1,7 +1,8 @@
 // Durable epoch store + crash-recovery tests: WAL framing and torn-tail
-// truncation, atomic snapshot publication and manifest selection, hostile
-// snapshot rejection in ServerNode::restore_state, and full recovery of a
-// mesh node from snapshot + WAL replay to bit-identical protocol state.
+// truncation, atomic snapshot publication and newest-snapshot selection,
+// hostile snapshot rejection in ServerNode::restore_state, the shared
+// batch-record codec, and full recovery of a mesh node from snapshot + WAL
+// replay to bit-identical protocol state.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <thread>
 
 #include "afe/bitvec_sum.h"
@@ -19,6 +21,7 @@
 #include "store/recovery.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "util/hex.h"
 
 namespace prio {
 namespace {
@@ -193,16 +196,27 @@ TEST(WalTest, SegmentListingAndPruning) {
 // Snapshot store
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotStoreTest, NewestValidWinsAndManifestPointsAtIt) {
+TEST(SnapshotStoreTest, NewestValidWinsAndStrayManifestIsIgnored) {
   TempDir dir;
   store::SnapshotStore snaps(dir.path);
   EXPECT_FALSE(snaps.load_newest().has_value());
   ASSERT_TRUE(snaps.write(1, std::vector<u8>{1, 1, 1}));
   ASSERT_TRUE(snaps.write(2, std::vector<u8>{2, 2}));
+  // The store writes nothing but snapshot files.
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/MANIFEST"));
   auto got = snaps.load_newest();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->epoch, 2u);
   EXPECT_EQ(got->bytes, (std::vector<u8>{2, 2}));
+  // A MANIFEST left by an older build, naming the older snapshot, does
+  // not override the scan.
+  const std::string line =
+      "00000001 " + store::SnapshotStore::file_name(1) + "\n";
+  write_file(dir.path + "/MANIFEST",
+             std::vector<u8>(line.begin(), line.end()));
+  got = snaps.load_newest();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->epoch, 2u);
 }
 
 TEST(SnapshotStoreTest, CorruptNewestFallsBackToOlder) {
@@ -211,7 +225,7 @@ TEST(SnapshotStoreTest, CorruptNewestFallsBackToOlder) {
   ASSERT_TRUE(snaps.write(1, std::vector<u8>{1, 1, 1}));
   ASSERT_TRUE(snaps.write(2, std::vector<u8>{2, 2}));
   // Rot a byte inside snapshot 2's payload: its CRC now fails, so the
-  // manifest entry is rejected and the scan falls back to snapshot 1.
+  // scan falls back to snapshot 1.
   const std::string p2 = dir.path + "/" + store::SnapshotStore::file_name(2);
   auto bytes = file_bytes(p2);
   bytes.back() ^= 0x01;
@@ -219,16 +233,6 @@ TEST(SnapshotStoreTest, CorruptNewestFallsBackToOlder) {
   auto got = snaps.load_newest();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->epoch, 1u);
-}
-
-TEST(SnapshotStoreTest, MissingManifestDegradesToScan) {
-  TempDir dir;
-  store::SnapshotStore snaps(dir.path);
-  ASSERT_TRUE(snaps.write(4, std::vector<u8>{4}));
-  ::unlink((dir.path + "/MANIFEST").c_str());
-  auto got = snaps.load_newest();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->epoch, 4u);
 }
 
 TEST(SnapshotStoreTest, PruneKeepsNewest) {
@@ -406,6 +410,134 @@ TEST(RestoreStateFuzzTest, HostileSnapshotsAllRejectedWithoutUB) {
 }
 
 // ---------------------------------------------------------------------------
+// Batch-record codec: the kWalBatch payload and the kCatchUpBatch body
+// ---------------------------------------------------------------------------
+
+// A record written by EpochStore::append_batch before the codec was shared
+// between the WAL and the rejoin path: the byte format must not move.
+TEST(BatchRecordTest, ByteFormatMatchesPinnedRecord) {
+  const std::vector<std::pair<u64, u64>> ids = {
+      {1, 2}, {0x0102030405060708ull, 0xfffffffffffffffeull}, {42, 0}};
+  const std::vector<u8> verdicts = {1, 0, 1};
+  const std::vector<u8> pinned = from_hex(
+      "03000000"
+      "0100000000000000" "0200000000000000"
+      "0807060504030201" "feffffffffffffff"
+      "2a00000000000000" "0000000000000000"
+      "03000000" "05");
+  EXPECT_EQ(encode_batch_record(ids, verdicts), pinned);
+
+  TempDir dir;
+  store::EpochStore est(dir.path, store::FsyncPolicy::kOff);
+  est.open_segment(0);
+  est.append_batch(ids, verdicts);
+  auto seg = store::read_segment(store::wal_segment_path(dir.path, 0));
+  ASSERT_EQ(seg.records.size(), 1u);
+  EXPECT_EQ(seg.records[0].type, store::kWalBatch);
+  EXPECT_EQ(seg.records[0].payload, pinned);
+
+  auto rec = decode_batch_record(pinned);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->ids, ids);
+  EXPECT_EQ(rec->verdicts, verdicts);
+}
+
+// Hostile batch records, shaped like RestoreStateFuzzTest. The record has
+// no redundancy of its own (the WAL frame's CRC and the catch-up frame's
+// AEAD guard it), so a bit flip inside an id or a verdict bit decodes to
+// a different, well-formed record; every other mutation must be refused.
+TEST(BatchRecordFuzzTest, HostileRecordsAllRejectedWithoutUB) {
+  std::mt19937_64 gen(20);
+  const size_t n = 13;  // not a multiple of 8: the bitmap has padding bits
+  std::vector<std::pair<u64, u64>> ids;
+  std::vector<u8> verdicts;
+  for (size_t i = 0; i < n; ++i) {
+    ids.push_back({gen(), gen()});
+    verdicts.push_back(static_cast<u8>(gen() & 1));
+  }
+  const std::vector<u8> good = encode_batch_record(ids, verdicts);
+  {
+    auto rec = decode_batch_record(good);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->ids, ids);
+    EXPECT_EQ(rec->verdicts, verdicts);
+  }
+
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(decode_batch_record(std::span<const u8>(good.data(), len)))
+        << "truncated to " << len;
+  }
+
+  // Every single-bit flip. Flips in the count, the bitmap's length or a
+  // padding bit are refused; any record the decoder accepts re-encodes to
+  // exactly the bytes it was given.
+  const size_t ids_end = 4 + 16 * n;
+  const size_t bits_begin = ids_end + 4;
+  for (size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<u8> bad = good;
+      bad[byte] ^= static_cast<u8>(1u << bit);
+      const bool payload_bit =
+          (byte >= 4 && byte < ids_end) ||
+          (byte >= bits_begin && (byte - bits_begin) * 8 + bit < n);
+      auto rec = decode_batch_record(bad);
+      EXPECT_EQ(rec.has_value(), payload_bit)
+          << "flip at " << byte << ":" << bit;
+      if (rec) {
+        EXPECT_EQ(encode_batch_record(rec->ids, rec->verdicts), bad);
+      }
+    }
+  }
+
+  // On disk the same flips never reach the decoder: the frame CRC drops
+  // the record.
+  {
+    TempDir dir;
+    store::EpochStore est(dir.path, store::FsyncPolicy::kOff);
+    est.open_segment(0);
+    est.append_batch(ids, verdicts);
+    const std::string path = store::wal_segment_path(dir.path, 0);
+    const std::vector<u8> framed = file_bytes(path);
+    for (size_t byte = 0; byte < framed.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<u8> bad = framed;
+        bad[byte] ^= static_cast<u8>(1u << bit);
+        write_file(path, bad);
+        EXPECT_TRUE(store::read_segment(path).records.empty())
+            << "flip at " << byte << ":" << bit;
+      }
+    }
+  }
+
+  auto header_only = [](u32 count, size_t id_pairs, u32 bitmap_count) {
+    net::Writer w;
+    w.u32_(count);
+    for (size_t i = 0; i < id_pairs; ++i) {
+      w.u64_(i);
+      w.u64_(0);
+    }
+    w.bitmap(std::vector<u8>(bitmap_count, 1));
+    return w.take();
+  };
+  // Count 0: an empty batch never commits.
+  EXPECT_FALSE(decode_batch_record(header_only(0, 0, 0)));
+  // One past the bound, with every byte the count claims present.
+  {
+    const u32 count = kMaxBatchRecord + 1;
+    EXPECT_FALSE(decode_batch_record(header_only(count, count, count)));
+  }
+  // Counts past the remaining bytes.
+  EXPECT_FALSE(decode_batch_record(header_only(5, 2, 5)));
+  EXPECT_FALSE(decode_batch_record(header_only(0xffffffffu, 1, 1)));
+  // One trailing byte.
+  {
+    std::vector<u8> bad = good;
+    bad.push_back(0);
+    EXPECT_FALSE(decode_batch_record(bad));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Recovery: snapshot + WAL replay reproduce a crashed node bit-identically
 // ---------------------------------------------------------------------------
 
@@ -487,7 +619,7 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
   EXPECT_EQ(rec.batches_applied, 2u);
   EXPECT_EQ(rec.intake_records, 16u);
   EXPECT_TRUE(rec.buffer.empty());  // every logged blob was consumed
-  EXPECT_EQ(rec.last_batch_ids.size(), 8u);
+  EXPECT_EQ(rec.last_batch.ids.size(), 8u);
   EXPECT_EQ(revived_ptr->snapshot(), want);
   nodes[2] = std::move(revived_ptr);
 
@@ -653,12 +785,22 @@ TEST(RecoveryTest, GenerationSurvivesRestart) {
   }
 }
 
-// A crash inside rotate() after the snapshot published but before the
-// carry-over intake records were appended to the new segment: the acked-
-// but-unconsumed blobs' only durable copies sit in the (un-pruned) old
-// epoch's segment, which recovery must still mine for intake records --
-// without resurrecting the blobs that epoch's batches consumed.
-TEST(RecoveryTest, CrashBetweenSnapshotAndCarryOverKeepsBufferedBlobs) {
+// rotate() orders an epoch boundary as: carry-over synced into the new
+// segment, then the snapshot published, then older segments pruned. A
+// crash can leave two on-disk states besides a finished rotation; each is
+// rebuilt here from a real rotate() by putting back what its later steps
+// removed:
+//   (a) carry-over synced, snapshot not published: segments 0 and 1, no
+//       snapshot -- recovery replays both segments;
+//   (b) snapshot published, prune not run: segments 0 and 1 plus
+//       snapshot 1 -- recovery loads the snapshot and never reads
+//       segment 0.
+// Either way the acked blob no batch consumed comes back (its carry-over
+// copy is in segment 1), the eight the epoch consumed do not (they would
+// waste announced batch slots and shift the count-delimited epoch
+// boundary), the node lands in epoch 1 bit-identical to the live one, and
+// epoch 0 is reported as published.
+void check_rotation_crash_window(bool snapshot_published) {
   Afe afe(6);
   TempDir dir;
   store::EpochStore est(dir.path, store::FsyncPolicy::kEpoch);
@@ -696,28 +838,40 @@ TEST(RecoveryTest, CrashBetweenSnapshotAndCarryOverKeepsBufferedBlobs) {
   net::Writer sig;
   sig.field_vector<F>(std::span<const F>(agg->sigma));
   est.append_epoch_close(0, agg->accepted, sig.data());
-  // The crash window: the boundary snapshot publishes, then the process
-  // dies before rotate() appends the carry-over or prunes anything.
-  ASSERT_TRUE(est.snapshots().write(1, nodes[0]->snapshot()));
-  EXPECT_EQ(store::list_wal_epochs(dir.path), (std::vector<u32>{0}));
+
+  const std::string seg0 = store::wal_segment_path(dir.path, 0);
+  const std::vector<u8> seg0_bytes = file_bytes(seg0);
+  std::vector<store::EpochStore::CarryOver> carry = {
+      {888, 0, std::span<const u8>(leftover)}};
+  est.rotate(1, nodes[0]->snapshot(),
+             std::span<const store::EpochStore::CarryOver>(carry));
+  ASSERT_EQ(store::list_wal_epochs(dir.path), (std::vector<u32>{1}));
+  ASSERT_EQ(est.snapshots().list_epochs(), (std::vector<u32>{1}));
+  write_file(seg0, seg0_bytes);  // the prune never ran
+  if (!snapshot_published) {
+    ::unlink((dir.path + "/" + store::SnapshotStore::file_name(1)).c_str());
+  }
 
   Node revived = fresh_node(afe, &links[0], 0);
   auto rec = store::recover_node<F, Afe>(&revived, &afe, &est);
   ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_TRUE(rec.used_snapshot);
+  EXPECT_EQ(rec.used_snapshot, snapshot_published);
+  EXPECT_EQ(rec.segments_replayed, snapshot_published ? 1u : 2u);
   EXPECT_EQ(revived.epoch(), 1u);
   EXPECT_EQ(revived.snapshot(), nodes[0]->snapshot());
-  // The unconsumed blob survives; the eight the batch consumed do not
-  // reappear (they would waste announced batch slots and shift the
-  // count-delimited epoch boundary).
   ASSERT_EQ(rec.buffer.size(), 1u);
   EXPECT_EQ(rec.buffer.at({888, 0}), leftover);
-  // The pre-snapshot segment still yields the catch-up record and the
-  // published history (via aggregates.log).
-  EXPECT_EQ(rec.last_batch_ids.size(), 8u);
   ASSERT_EQ(rec.published.size(), 1u);
   EXPECT_EQ(rec.published.at(0).accepted, agg->accepted);
   EXPECT_EQ(rec.published.at(0).result, agg->result);
+}
+
+TEST(RecoveryTest, CrashAfterCarryOverBeforeSnapshotKeepsBufferedBlobs) {
+  check_rotation_crash_window(/*snapshot_published=*/false);
+}
+
+TEST(RecoveryTest, CrashAfterSnapshotBeforePruneKeepsBufferedBlobs) {
+  check_rotation_crash_window(/*snapshot_published=*/true);
 }
 
 // A batch record claiming acceptance of a blob the WAL never logged is
@@ -925,8 +1079,7 @@ TEST(FaultInjectionTest, SnapshotWriteFailureKeepsOldSet) {
     ScopedFaultPlan guard("snap_write:eio");
     EXPECT_FALSE(snaps.write(1, std::vector<u8>(16, 0x22)));
   }
-  // The failed publish left the previous snapshot set intact and the
-  // manifest still pointing at it.
+  // The failed publish left the previous snapshot set intact.
   EXPECT_EQ(snaps.list_epochs(), (std::vector<u32>{0}));
   auto loaded = snaps.load_newest();
   ASSERT_TRUE(loaded.has_value());
@@ -934,25 +1087,39 @@ TEST(FaultInjectionTest, SnapshotWriteFailureKeepsOldSet) {
   EXPECT_EQ(loaded->bytes, old_bytes);
 }
 
-// Rotation under a sync that keeps failing: the new segment + snapshot
-// are written, but nothing may be pruned on the strength of bytes that
-// never verifiably reached the platter -- the old segment's records (the
-// only copies known durable) must still be there for recovery.
+// Rotation under a failed sync -- every sync, or only the carry-over's
+// (the second of the rotation): the new segment is opened and holds the
+// carry-over, but no snapshot publish is even attempted and nothing is
+// pruned on the strength of bytes that never verifiably reached the
+// platter. The old segment's records (the only copies known durable) must
+// still be there for recovery, which replays them because no snapshot
+// claims to cover them.
 TEST(FaultInjectionTest, RotateWithFailedSyncSkipsPrune) {
-  TempDir dir;
-  store::EpochStore est(dir.path, store::FsyncPolicy::kEpoch);
-  est.open_segment(0);
-  est.append_intake(1, 0, std::vector<u8>(24, 0x11));
-  {
-    ScopedFaultPlan guard("wal_sync:eio:count=100");
-    est.rotate(1, std::vector<u8>(16, 0x22));
-    EXPECT_GE(guard.plan->fired(store::FaultOp::kWalSync), 1u);
+  for (const char* spec : {"wal_sync:eio:count=100", "wal_sync:eio:after=1"}) {
+    SCOPED_TRACE(spec);
+    TempDir dir;
+    store::EpochStore est(dir.path, store::FsyncPolicy::kEpoch);
+    est.open_segment(0);
+    const std::vector<u8> blob(24, 0x11);
+    est.append_intake(1, 0, blob);
+    std::vector<store::EpochStore::CarryOver> carry = {
+        {1, 0, std::span<const u8>(blob)}};
+    {
+      ScopedFaultPlan guard(spec);
+      est.rotate(1, std::vector<u8>(16, 0x22),
+                 std::span<const store::EpochStore::CarryOver>(carry));
+      EXPECT_GE(guard.plan->fired(store::FaultOp::kWalSync), 1u);
+      EXPECT_EQ(guard.plan->seen(store::FaultOp::kSnapshotWrite), 0u);
+    }
+    EXPECT_EQ(store::list_wal_epochs(dir.path), (std::vector<u32>{0, 1}));
+    EXPECT_TRUE(est.snapshots().list_epochs().empty());
+    for (u32 epoch : {0u, 1u}) {
+      auto seg = store::read_segment(store::wal_segment_path(dir.path, epoch));
+      EXPECT_FALSE(seg.torn_tail);
+      ASSERT_EQ(seg.records.size(), 1u);
+      EXPECT_EQ(seg.records[0].type, store::kWalIntake);
+    }
   }
-  EXPECT_EQ(store::list_wal_epochs(dir.path), (std::vector<u32>{0, 1}));
-  auto seg = store::read_segment(store::wal_segment_path(dir.path, 0));
-  EXPECT_FALSE(seg.torn_tail);
-  ASSERT_EQ(seg.records.size(), 1u);
-  EXPECT_EQ(seg.records[0].type, store::kWalIntake);
 }
 
 // ---------------------------------------------------------------------------
