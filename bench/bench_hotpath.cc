@@ -5,7 +5,9 @@
 //  * the Lagrange-row inner product: scalar reference (poly/lagrange.h)
 //    vs the lazy-reduction kernel (field/kernels.h);
 //  * PRG share expansion: scalar expand_share_seed vs the bulk
-//    expand_share_seed_into path;
+//    expand_share_seed_into path, plus the bulk path and Aead::open at
+//    bulk's 41 KiB share (5,120 Fp64), both on the ChaCha20 core this CPU
+//    runs (recorded as chacha_core);
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
 //    including heap allocations per check via a counting allocator.
@@ -25,6 +27,8 @@
 
 #include "afe/bitvec_sum.h"
 #include "bench_util.h"
+#include "crypto/aead.h"
+#include "crypto/chacha20.h"
 #include "field/kernels.h"
 #include "poly/lagrange.h"
 #include "snip/snip.h"
@@ -142,6 +146,42 @@ int main(int argc, char** argv) {
                 bulk_rate / ref_rate);
     json.kv("expand_scalar_melems_per_s", ref_rate);
     json.kv("expand_bulk_melems_per_s", bulk_rate);
+  }
+
+  // ---- 41 KiB share: bulk expansion and AEAD open ----------------------
+  // The two keystream-bound steps of prepare on e2e_bench's bulk workload:
+  // s0/s1 expand a seed share, s2 opens the sealed explicit share.
+  {
+    const size_t kBulkLen = 5120;
+    const size_t iters = smoke ? 20 : 2000;
+    std::array<u8, 32> seed{};
+    seed[0] = 7;
+    std::vector<F> buf(kBulkLen);
+    const double t_expand = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        seed[1] = static_cast<u8>(it);
+        expand_share_seed_into<F>(seed, std::span<F>(buf));
+      }
+    }, kReps);
+    const std::array<u8, Aead::kKeyLen> key{7};
+    const std::array<u8, Aead::kNonceLen> nonce{};
+    const std::vector<u8> sealed =
+        Aead::seal(key, nonce, {}, std::vector<u8>(kBulkLen * F::kByteLen, 1));
+    size_t opened = 0;
+    const double t_open = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        opened += Aead::open(key, nonce, {}, sealed).value().size();
+      }
+    }, kReps);
+    require(opened > 0 && !buf[0].is_zero(), "bench: 41 KiB work vanished");
+    const double expand_us = t_expand / iters * 1e6;
+    const double open_us = t_open / iters * 1e6;
+    std::printf("41 KiB share (len=%zu):  expand %6.1f us   aead open %6.1f us"
+                "   (chacha20 core %s)\n", kBulkLen, expand_us, open_us,
+                ChaCha20::core_name());
+    json.kv("expand_41k_us", expand_us);
+    json.kv("aead_open_41k_us", open_us);
+    json.kv("chacha_core", std::string(ChaCha20::core_name()));
   }
 
   // ---- round-1 local check: legacy vs engine ---------------------------

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "afe/registry.h"
+#include "crypto/chacha20.h"
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "server/cli.h"
@@ -169,10 +170,10 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   net::TcpListener peer_listener(endpoints[id].peer_port, bind_host);
   net::TcpListener client_listener(endpoints[id].client_port, bind_host);
   std::fprintf(stderr,
-               "[server %zu] afe=%s peers=%u clients=%u shards=%zu; joining "
-               "mesh...\n",
+               "[server %zu] afe=%s peers=%u clients=%u shards=%zu "
+               "chacha20=%s; joining mesh...\n",
                id, opts.afe_spec.c_str(), peer_listener.port(),
-               client_listener.port(), shards);
+               client_listener.port(), shards, ChaCha20::core_name());
   const std::vector<u8> mesh_secret = master_seed_bytes(base_cfg.master_seed);
   net::TcpMeshTransport mesh(id, server::peer_addrs(endpoints),
                              &peer_listener, mesh_secret, mesh_timeout_ms,
@@ -201,7 +202,8 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
              ", \"shards\": " + std::to_string(shards) +
              ", \"epochs\": " + std::to_string(opts.epochs) +
              ", \"epoch_size\": " + std::to_string(opts.epoch_size) +
-             "},\n  \"shards\": [";
+             ", \"chacha_core\": \"" + ChaCha20::core_name() +
+             "\"},\n  \"shards\": [";
       for (size_t l = 0; l < shards; ++l) {
         const std::string lab = obs::label_kv("shard", l);
         out += l ? ", {" : "{";

@@ -40,11 +40,12 @@ std::vector<F> expand_share_seed(std::span<const u8> seed32, size_t len) {
 }
 
 // Bulk expansion into a caller-owned buffer: whole keystream chunks are
-// generated at once (ChaChaPrg::fill_blocks) and rejection-sampled in
-// bulk, eliminating both the per-element fill(8) round-trips and the
-// returned temporary vector. Consumes the keystream in the same
-// kByteLen-window order as expand_share_seed, so the elements written are
-// bit-identical to the reference for any seed and length.
+// generated at once (ChaChaPrg::fill_blocks, 16 blocks per core call on
+// AVX-512 CPUs, else 4) and rejection-sampled in bulk, eliminating both
+// the per-element fill(8) round-trips and the returned temporary vector.
+// Each 4 KiB chunk is a whole number of x16 calls. Consumes the keystream
+// in the same kByteLen-window order as expand_share_seed, so the elements
+// written are bit-identical to the reference for any seed and length.
 template <PrimeField F>
 void expand_share_seed_into(std::span<const u8> seed32, std::span<F> out) {
   ChaChaPrg prg(seed32);

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/chacha20_cores.h"
 #include "crypto/hkdf.h"
 #include "crypto/pedersen.h"
 #include "crypto/poly1305.h"
@@ -75,9 +78,12 @@ TEST(ChaCha20Test, DifferentSeedsDiverge) {
 TEST(ChaCha20Test, FillBlocksMatchesFill) {
   // The bulk path (multi-block SIMD core, direct writes) must produce the
   // same byte stream as fill() for every request size, including ones
-  // around the 64-byte block and 256-byte bulk-group boundaries.
+  // around the 64-byte block, the 256-byte x4 group and the 1024-byte x16
+  // group, and the 41,000-byte explicit share of a 5,120-element bulk
+  // submission.
   std::vector<u8> seed(32, 0x42);
-  for (size_t n : {1, 63, 64, 65, 255, 256, 257, 1024, 4096}) {
+  for (size_t n : {1, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 1279, 1280,
+                   1281, 2048 + 197, 4096, 41000}) {
     ChaChaPrg a(seed), b(seed);
     std::vector<u8> ref(n), bulk(n);
     a.fill(ref);
@@ -91,11 +97,11 @@ TEST(ChaCha20Test, FillAndFillBlocksInterleave) {
   // the same keystream.
   std::vector<u8> seed(32, 0x17);
   ChaChaPrg a(seed), b(seed);
-  std::vector<u8> ref(800);
+  std::vector<u8> ref(1900);
   a.fill(ref);
   std::vector<u8> got;
   std::vector<u8> chunk;
-  size_t sizes[] = {5, 300, 64, 7, 256, 100, 68};
+  size_t sizes[] = {5, 300, 64, 7, 256, 100, 68, 1100};
   bool use_bulk = false;
   for (size_t n : sizes) {
     chunk.assign(n, 0);
@@ -108,6 +114,74 @@ TEST(ChaCha20Test, FillAndFillBlocksInterleave) {
     got.insert(got.end(), chunk.begin(), chunk.end());
   }
   EXPECT_EQ(to_hex(std::span<const u8>(ref.data(), got.size())), to_hex(got));
+}
+
+// The keystream blocks at counters counter, counter+1, ... from the scalar
+// reference, concatenated.
+std::vector<u8> reference_keystream(std::span<const u8> key, u32 counter,
+                                    std::span<const u8> nonce, size_t blocks) {
+  std::vector<u8> out(blocks * ChaCha20::kBlockLen);
+  for (size_t b = 0; b < blocks; ++b) {
+    ChaCha20::block(key, counter + static_cast<u32>(b), nonce,
+                    std::span<u8>(out).subspan(b * ChaCha20::kBlockLen,
+                                               ChaCha20::kBlockLen));
+  }
+  return out;
+}
+
+// Checks a multi-block core against ChaCha20::block, block by block, at
+// counters 0, 1, 0xfffffff0 and 0xfffffffe (the last wraps past 2^32
+// inside the call).
+void expect_core_matches_block(
+    void (*core)(const u8*, u32, const u8*, u8*), size_t blocks) {
+  auto key = from_hex(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  auto nonce = from_hex("000000090000004a00000000");
+  for (u32 counter : {0u, 1u, 0xfffffff0u, 0xfffffffeu}) {
+    std::vector<u8> got(blocks * ChaCha20::kBlockLen);
+    core(key.data(), counter, nonce.data(), got.data());
+    auto want = reference_keystream(key, counter, nonce, blocks);
+    for (size_t b = 0; b < blocks; ++b) {
+      const size_t at = b * ChaCha20::kBlockLen;
+      EXPECT_EQ(to_hex(std::span<const u8>(&want[at], ChaCha20::kBlockLen)),
+                to_hex(std::span<const u8>(&got[at], ChaCha20::kBlockLen)))
+          << "counter=" << counter << " block " << b;
+    }
+  }
+}
+
+TEST(ChaCha20Test, X4CoreMatchesBlock) {
+  expect_core_matches_block(chacha20_cores::blocks_x4,
+                            chacha20_cores::kX4Blocks);
+}
+
+TEST(ChaCha20Test, X16CoreMatchesBlock) {
+  if (!chacha20_cores::has_x16()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F; the x16 core cannot run here";
+  }
+  EXPECT_STREQ(ChaCha20::core_name(), "x16-avx512");
+  expect_core_matches_block(chacha20_cores::blocks_x16,
+                            chacha20_cores::kX16Blocks);
+}
+
+TEST(ChaCha20Test, ConcurrentFirstUseOfXorStream) {
+  // Run as its own process (one ctest per gtest case), these xor_stream
+  // calls are the process's first: the core is picked while four threads
+  // race to use it, and each must still get the reference keystream.
+  auto key = from_hex(
+      "1c9240a5eb55d38af333888604f6b5f0473917c1402b80099dca5cbc207075c0");
+  auto nonce = from_hex("000000000102030405060708");
+  constexpr size_t kBlocks = 41 * 16 + 3;  // x16, x4 and scalar blocks
+  auto want = reference_keystream(key, 1, nonce, kBlocks);
+  std::vector<std::vector<u8>> got(4, std::vector<u8>(want.size(), 0));
+  std::vector<std::thread> threads;
+  for (auto& g : got) {
+    threads.emplace_back([&key, &nonce, &g] {
+      ChaCha20::xor_stream(key, 1, nonce, g);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(to_hex(want), to_hex(g));
 }
 
 // ---------- Poly1305 ----------
@@ -178,6 +252,44 @@ TEST(AeadTest, TamperedCiphertextRejected) {
   EXPECT_FALSE(
       Aead::open(key, nonce, {}, std::span<const u8>(sealed.data(), 10))
           .has_value());
+}
+
+TEST(AeadTest, BulkSealMatchesScalarConstruction) {
+  // A 41 KiB blob (a bulk submission's explicit share) takes the x16, x4
+  // and scalar keystream paths. Rebuild its RFC 8439 ciphertext and tag
+  // from scalar ChaCha20::block output and Poly1305 alone.
+  auto key = from_hex(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  auto nonce = from_hex("070000004041424344454647");
+  auto aad = from_hex("50515253c0c1c2c3c4c5c6c7");
+  std::vector<u8> pt(41 * 1024 + 37);
+  for (size_t i = 0; i < pt.size(); ++i) pt[i] = static_cast<u8>(i * 131 + 7);
+
+  auto ks = reference_keystream(key, 1, nonce,
+                                pt.size() / ChaCha20::kBlockLen + 1);
+  std::vector<u8> want(pt.size());
+  for (size_t i = 0; i < pt.size(); ++i) want[i] = pt[i] ^ ks[i];
+  auto otk = reference_keystream(key, 0, nonce, 1);
+  Poly1305 mac(std::span<const u8>(otk).first(32));
+  const u8 zeros[16] = {0};
+  auto pad = [&](size_t n) { return std::span<const u8>(zeros, -n % 16); };
+  mac.update(aad).update(pad(aad.size()));
+  mac.update(want).update(pad(want.size()));
+  u8 lens[16];
+  for (int i = 0; i < 8; ++i) {
+    lens[i] = static_cast<u8>(static_cast<u64>(aad.size()) >> (8 * i));
+    lens[8 + i] = static_cast<u8>(static_cast<u64>(want.size()) >> (8 * i));
+  }
+  auto tag = mac.update(lens).finalize();
+  want.insert(want.end(), tag.begin(), tag.end());
+
+  auto sealed = Aead::seal(key, nonce, aad, pt);
+  EXPECT_EQ(to_hex(want), to_hex(sealed));
+  auto opened = Aead::open(key, nonce, aad, sealed);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_TRUE(*opened == pt);
+  sealed[20000] ^= 0x01;
+  EXPECT_FALSE(Aead::open(key, nonce, aad, sealed).has_value());
 }
 
 // ---------- SHA-256 / HMAC / HKDF ----------
