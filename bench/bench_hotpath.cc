@@ -7,7 +7,8 @@
 //  * PRG share expansion: scalar expand_share_seed vs the bulk
 //    expand_share_seed_into path, plus the bulk path and Aead::open at
 //    bulk's 41 KiB share (5,120 Fp64), both on the ChaCha20 core this CPU
-//    runs (recorded as chacha_core);
+//    runs (recorded as chacha_core), and the two non-keystream parts of
+//    opening that share: its Poly1305 tag and its element decode;
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
 //    including heap allocations per check via a counting allocator.
@@ -27,8 +28,10 @@
 
 #include "afe/bitvec_sum.h"
 #include "bench_util.h"
+#include "core/submission.h"
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/poly1305.h"
 #include "field/kernels.h"
 #include "poly/lagrange.h"
 #include "snip/snip.h"
@@ -148,9 +151,11 @@ int main(int argc, char** argv) {
     json.kv("expand_bulk_melems_per_s", bulk_rate);
   }
 
-  // ---- 41 KiB share: bulk expansion and AEAD open ----------------------
+  // ---- 41 KiB share: bulk expansion, AEAD open and its parts -----------
   // The two keystream-bound steps of prepare on e2e_bench's bulk workload:
-  // s0/s1 expand a seed share, s2 opens the sealed explicit share.
+  // s0/s1 expand a seed share, s2 opens the sealed explicit share. Two
+  // parts of s2's work are timed on their own: the Poly1305 tag over the
+  // 40,965 B explicit share and the decode of its 5,120 elements.
   {
     const size_t kBulkLen = 5120;
     const size_t iters = smoke ? 20 : 2000;
@@ -173,14 +178,45 @@ int main(int argc, char** argv) {
         opened += Aead::open(key, nonce, {}, sealed).value().size();
       }
     }, kReps);
-    require(opened > 0 && !buf[0].is_zero(), "bench: 41 KiB work vanished");
+    // The explicit share exactly as seal_shared_vector frames it.
+    SecureRng rng(9);
+    std::vector<F> elems(kBulkLen);
+    for (auto& e : elems) e = rng.field_element<F>();
+    net::Writer w;
+    w.u8_(kShareExplicit);
+    w.field_vector<F>(std::span<const F>(elems));
+    const std::vector<u8> payload = w.take();
+    size_t tag_bits = 0;
+    const double t_poly = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        tag_bits |= Poly1305::mac(std::span<const u8>(key), payload)[it % 16];
+      }
+    }, kReps);
+    size_t decoded = 0;
+    const double t_decode = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        net::Reader r(payload);
+        r.u8_();
+        r.u32_();
+        r.fields_into<F>(std::span<F>(buf));
+        decoded += r.ok() && r.at_end();
+      }
+    }, kReps);
+    require(opened > 0 && !buf[0].is_zero() && tag_bits != 0 && decoded > 0,
+            "bench: 41 KiB work vanished");
     const double expand_us = t_expand / iters * 1e6;
     const double open_us = t_open / iters * 1e6;
+    const double poly_us = t_poly / iters * 1e6;
+    const double decode_us = t_decode / iters * 1e6;
     std::printf("41 KiB share (len=%zu):  expand %6.1f us   aead open %6.1f us"
                 "   (chacha20 core %s)\n", kBulkLen, expand_us, open_us,
                 ChaCha20::core_name());
+    std::printf("  of which:  poly1305 %6.1f us   decode %6.1f us\n", poly_us,
+                decode_us);
     json.kv("expand_41k_us", expand_us);
     json.kv("aead_open_41k_us", open_us);
+    json.kv("poly1305_41k_us", poly_us);
+    json.kv("decode_41k_us", decode_us);
     json.kv("chacha_core", std::string(ChaCha20::core_name()));
   }
 

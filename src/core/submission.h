@@ -163,10 +163,11 @@ std::vector<std::vector<u8>> seal_shared_vector(const SubmissionSealer& sealer,
 }
 
 // Opens a sealed blob and decodes it into the caller-owned `out` buffer
-// (PRG-seed shares are bulk-expanded in place, explicit shares parsed
-// element by element) -- the batch pipelines point this at a row of a
-// buffer they own, so decryption feeds verification with no intermediate
-// vector. Returns false (leaving `out` unspecified) on any malformed blob.
+// (PRG-seed shares are bulk-expanded in place, explicit shares decoded in
+// one Reader::fields_into pass) -- the batch pipelines point this at a row
+// of a buffer they own, so decryption feeds verification with no
+// intermediate vector. Returns false (leaving `out` unspecified) on any
+// malformed blob.
 template <PrimeField F>
 bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
                             size_t server, std::span<const u8> blob,
@@ -184,7 +185,7 @@ bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
   if (kind == kShareExplicit) {
     u32 count = r.u32_();
     if (!r.ok() || count != out.size()) return false;
-    for (size_t i = 0; i < out.size(); ++i) out[i] = r.field<F>();
+    r.fields_into<F>(out);
     return r.ok() && r.at_end();
   }
   return false;

@@ -22,12 +22,18 @@ class Poly1305 {
                                      std::span<const u8> data);
 
  private:
-  void process_block(const u8* block, u32 hibit);
+  // The 2^128 bit appended to every whole 16-byte block, in limb 2.
+  static constexpr u64 kHibit = u64{1} << 40;
 
-  // Accumulator and key in 26-bit limbs (classic floating-limb layout).
-  u32 r_[5];
-  u32 h_[5];
-  u8 pad_[16];
+  // Absorbs the whole 16-byte blocks in `bytes` (a multiple of 16), each
+  // with `hibit` (kHibit, or 0 for the padded final partial block).
+  void process_blocks(const u8* m, size_t bytes, u64 hibit);
+
+  // Accumulator and clamped r in 44/44/42-bit limbs, so each limb product
+  // fits a u128 with room for the three-term sums; s in two u64 words.
+  u64 r_[3];
+  u64 h_[3];
+  u64 pad_[2];
   std::array<u8, 16> buf_;
   size_t buf_len_;
 };

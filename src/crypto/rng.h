@@ -36,9 +36,7 @@ class SecureRng {
     for (;;) {
       prg_.fill(std::span<u8>(buf, F::kByteLen));
       F out;
-      if (F::from_random_bytes(std::span<const u8>(buf, F::kByteLen), &out)) {
-        return out;
-      }
+      if (F::try_from_bytes(buf, &out)) return out;
     }
   }
 

@@ -15,8 +15,8 @@
 namespace prio {
 
 template <typename F>
-concept PrimeField = requires(F a, F b, u64 x, int k, std::span<u8> out,
-                              std::span<const u8> in) {
+concept PrimeField = requires(F a, F b, F* dst, u64 x, int k,
+                              std::span<u8> out, const u8* in) {
   { F::zero() } -> std::convertible_to<F>;
   { F::one() } -> std::convertible_to<F>;
   { F::from_u64(x) } -> std::convertible_to<F>;
@@ -27,7 +27,7 @@ concept PrimeField = requires(F a, F b, u64 x, int k, std::span<u8> out,
   { a.is_zero() } -> std::convertible_to<bool>;
   { F::root_of_unity(k) } -> std::convertible_to<F>;
   { a.to_bytes(out) };
-  { F::from_bytes(in) } -> std::convertible_to<F>;
+  { F::try_from_bytes(in, dst) } -> std::same_as<bool>;
   F::kTwoAdicity;
   F::kByteLen;
   F::kBits;
@@ -50,9 +50,7 @@ F random_field_element(Engine& rng) {
       }
     }
     F out;
-    if (F::from_random_bytes(std::span<const u8>(buf, F::kByteLen), &out)) {
-      return out;
-    }
+    if (F::try_from_bytes(buf, &out)) return out;
   }
 }
 

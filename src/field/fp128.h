@@ -71,10 +71,16 @@ class Fp128 {
 
   // Little-endian canonical (non-Montgomery) encoding, 16 bytes.
   void to_bytes(std::span<u8> out) const;
-  static Fp128 from_bytes(std::span<const u8> in);
 
-  // Uniform sampling from 16 PRG bytes with caller-driven rejection.
-  static bool from_random_bytes(std::span<const u8> in, Fp128* out);
+  // Decodes the kByteLen little-endian bytes at `in`; returns false, leaving
+  // *out untouched, if they encode an integer >= p. Serves both wire
+  // parsing and rejection sampling of PRG output, as Fp64::try_from_bytes.
+  static bool try_from_bytes(const u8* in, Fp128* out) {
+    const u128 v = static_cast<u128>(load_le64(in + 8)) << 64 | load_le64(in);
+    if (v >= modulus()) return false;
+    *out = from_u128(v);
+    return true;
+  }
 
   std::string to_string() const;
 

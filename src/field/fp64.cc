@@ -45,27 +45,6 @@ void Fp64::to_bytes(std::span<u8> out) const {
   }
 }
 
-Fp64 Fp64::from_bytes(std::span<const u8> in) {
-  require(in.size() >= kByteLen, "Fp64::from_bytes: buffer too small");
-  u64 v = 0;
-  for (size_t i = 0; i < kByteLen; ++i) {
-    v |= static_cast<u64>(in[i]) << (8 * i);
-  }
-  require(v < kP, "Fp64::from_bytes: non-canonical encoding");
-  return Fp64(v);
-}
-
-bool Fp64::from_random_bytes(std::span<const u8> in, Fp64* out) {
-  require(in.size() >= kByteLen, "Fp64::from_random_bytes: need 8 bytes");
-  u64 v = 0;
-  for (size_t i = 0; i < kByteLen; ++i) {
-    v |= static_cast<u64>(in[i]) << (8 * i);
-  }
-  if (v >= kP) return false;  // rejection sampling keeps the output uniform
-  *out = Fp64(v);
-  return true;
-}
-
 std::string Fp64::to_string() const { return std::to_string(v_); }
 
 }  // namespace prio

@@ -86,11 +86,18 @@ class Fp64 {
 
   // Little-endian canonical encoding.
   void to_bytes(std::span<u8> out) const;
-  static Fp64 from_bytes(std::span<const u8> in);
 
-  // Uniform field element from 8 bytes of PRG output via rejection sampling
-  // driven by the caller (returns false if the sample must be rejected).
-  static bool from_random_bytes(std::span<const u8> in, Fp64* out);
+  // Decodes the kByteLen little-endian bytes at `in`; returns false, leaving
+  // *out untouched, if they encode an integer >= p. This one test serves
+  // both wire parsing (a non-canonical element is malformed) and rejection
+  // sampling of PRG output (a rejected sample keeps the output uniform).
+  // Inline and non-throwing: the share decoders run it once per element.
+  static bool try_from_bytes(const u8* in, Fp64* out) {
+    const u64 v = load_le64(in);
+    if (v >= kP) return false;
+    *out = Fp64(v);
+    return true;
+  }
 
   std::string to_string() const;
 

@@ -136,21 +136,37 @@ class Reader {
     return out;
   }
 
+  // One canonical field element; a short read or an encoding >= p clears
+  // ok() and returns zero.
   template <PrimeField F>
   F field() {
-    if (remaining() < F::kByteLen) {
+    F v = F::zero();
+    if (remaining() < F::kByteLen ||
+        !F::try_from_bytes(data_.data() + pos_, &v)) {
       ok_ = false;
       return F::zero();
     }
-    // from_bytes throws on non-canonical input; convert to a soft failure.
-    try {
-      F v = F::from_bytes(data_.subspan(pos_, F::kByteLen));
-      pos_ += F::kByteLen;
-      return v;
-    } catch (const std::invalid_argument&) {
+    pos_ += F::kByteLen;
+    return v;
+  }
+
+  // out.size() consecutive canonical field elements (no count prefix): one
+  // length check, then the decode loop. On a short read or a non-canonical
+  // element, ok() turns false and `out` is left partly written.
+  template <PrimeField F>
+  void fields_into(std::span<F> out) {
+    if (!ok_ || remaining() / F::kByteLen < out.size()) {
       ok_ = false;
-      return F::zero();
+      return;
     }
+    const u8* p = data_.data() + pos_;
+    for (size_t i = 0; i < out.size(); ++i, p += F::kByteLen) {
+      if (!F::try_from_bytes(p, &out[i])) {
+        ok_ = false;
+        return;
+      }
+    }
+    pos_ += out.size() * F::kByteLen;
   }
 
   template <PrimeField F>
@@ -188,13 +204,13 @@ class Reader {
   template <PrimeField F>
   std::vector<F> field_vector(size_t max_len = 1u << 24) {
     u32 len = u32_();
-    if (!ok_ || len > max_len || remaining() < len * F::kByteLen) {
+    if (!ok_ || len > max_len || remaining() / F::kByteLen < len) {
       ok_ = false;
       return {};
     }
-    std::vector<F> out;
-    out.reserve(len);
-    for (u32 i = 0; i < len && ok_; ++i) out.push_back(field<F>());
+    std::vector<F> out(len);
+    fields_into<F>(std::span<F>(out));
+    if (!ok_) return {};
     return out;
   }
 

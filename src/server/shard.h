@@ -74,7 +74,7 @@ struct RuntimeOptions {
   // Mesh-disruption budget: how many repair+sync attempts a single lane
   // may burn on one failure before it gives up.
   int max_resyncs = 8;
-  // Intake bound PER SHARD: see the eviction comment on submit().
+  // Intake bound PER SHARD: see the comment on evict_oldest_locked().
   size_t max_buffered = 1 << 16;
   size_t max_blob_bytes = 1 << 20;
   size_t max_connections = 256;  // router-wide, lives here for one Options

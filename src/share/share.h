@@ -32,19 +32,18 @@ std::vector<F> expand_share_seed(std::span<const u8> seed32, size_t len) {
   while (out.size() < len) {
     prg.fill(std::span<u8>(buf, F::kByteLen));
     F elem;
-    if (F::from_random_bytes(std::span<const u8>(buf, F::kByteLen), &elem)) {
-      out.push_back(elem);
-    }
+    if (F::try_from_bytes(buf, &elem)) out.push_back(elem);
   }
   return out;
 }
 
 // Bulk expansion into a caller-owned buffer: whole keystream chunks are
 // generated at once (ChaChaPrg::fill_blocks, 16 blocks per core call on
-// AVX-512 CPUs, else 4) and rejection-sampled in bulk, eliminating both
-// the per-element fill(8) round-trips and the returned temporary vector.
-// Each 4 KiB chunk is a whole number of x16 calls. Consumes the keystream
-// in the same kByteLen-window order as expand_share_seed, so the elements
+// AVX-512 CPUs, else 4) and rejection-sampled in bulk by the inline
+// F::try_from_bytes, so the loop does no fill(8) round-trip and no
+// out-of-line call per element, and returns no temporary vector. Each
+// 4 KiB chunk is a whole number of x16 calls. Consumes the keystream in
+// the same kByteLen-window order as expand_share_seed, so the elements
 // written are bit-identical to the reference for any seed and length.
 template <PrimeField F>
 void expand_share_seed_into(std::span<const u8> seed32, std::span<F> out) {
@@ -64,11 +63,7 @@ void expand_share_seed_into(std::span<const u8> seed32, std::span<F> out) {
     prg.fill_blocks(std::span<u8>(buf, want));
     for (size_t off = 0; off + F::kByteLen <= want && filled < out.size();
          off += F::kByteLen) {
-      F elem;
-      if (F::from_random_bytes(std::span<const u8>(buf + off, F::kByteLen),
-                               &elem)) {
-        out[filled++] = elem;
-      }
+      filled += F::try_from_bytes(buf + off, &out[filled]);
     }
   }
 }

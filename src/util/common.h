@@ -1,8 +1,10 @@
 // Common small utilities shared by every Prio module.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +21,18 @@ using i64 = std::int64_t;
 // Used at public API boundaries; internal invariants use assert().
 inline void require(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
+}
+
+// Little-endian u64 from 8 bytes at any alignment: one load on
+// little-endian hosts, where a shift-or loop over the bytes is not always
+// merged into one.
+inline u64 load_le64(const u8* p) {
+  u64 v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
 }
 
 // Round x up to the next power of two (x must be >= 1).

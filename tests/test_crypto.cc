@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <thread>
 
 #include "crypto/aead.h"
@@ -203,6 +205,142 @@ TEST(Poly1305Test, IncrementalMatchesOneShot) {
   inc.update(as_bytes(msg).subspan(7, 20));
   inc.update(as_bytes(msg).subspan(27));
   EXPECT_EQ(to_hex(inc.finalize()), to_hex(Poly1305::mac(key, as_bytes(msg))));
+}
+
+// h reaches 2^130 - 2 >= p, so the final h + -p select must fire: with
+// r = 1 and two all-0xff blocks, h = (2^128 - 1 + 2^128) + (2^128 - 1 +
+// 2^128) = 2^130 - 2, which is 3 mod p. The tag is 3 + s mod 2^128.
+TEST(Poly1305Test, FinalReductionVectors) {
+  std::vector<u8> msg(32, 0xff);
+  std::vector<u8> key(32, 0);
+  key[0] = 1;
+  EXPECT_EQ(to_hex(Poly1305::mac(key, msg)),
+            "03000000000000000000000000000000");
+  std::fill(key.begin() + 16, key.end(), 0xff);
+  EXPECT_EQ(to_hex(Poly1305::mac(key, msg)),
+            "02000000000000000000000000000000");
+}
+
+// The former 26-bit-limb Poly1305 (five u32 limbs, u64 products), kept here
+// as an independent reference for the 44/44/42-bit implementation.
+std::array<u8, 16> poly1305_ref26(std::span<const u8> key,
+                                  std::span<const u8> msg) {
+  auto le32 = [](const u8* p) {
+    return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
+           static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
+  };
+  u32 t0 = le32(&key[0]), t1 = le32(&key[4]), t2 = le32(&key[8]),
+      t3 = le32(&key[12]);
+  const u64 r0 = t0 & 0x3ffffff, r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
+            r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
+            r3 = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
+            r4 = (t3 >> 8) & 0x00fffff;
+  const u64 s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+  u32 h[5] = {0, 0, 0, 0, 0};
+  auto block = [&](const u8* b, u32 hibit) {
+    u32 m0 = le32(b), m1 = le32(b + 4), m2 = le32(b + 8), m3 = le32(b + 12);
+    u64 h0 = h[0] + (m0 & 0x3ffffff);
+    u64 h1 = h[1] + (((m0 >> 26) | (m1 << 6)) & 0x3ffffff);
+    u64 h2 = h[2] + (((m1 >> 20) | (m2 << 12)) & 0x3ffffff);
+    u64 h3 = h[3] + (((m2 >> 14) | (m3 << 18)) & 0x3ffffff);
+    u64 h4 = h[4] + ((m3 >> 8) | (hibit << 24));
+    u64 d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
+    u64 d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
+    u64 d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
+    u64 d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
+    u64 d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
+    u64 c = d0 >> 26; h0 = d0 & 0x3ffffff;
+    d1 += c; c = d1 >> 26; h1 = d1 & 0x3ffffff;
+    d2 += c; c = d2 >> 26; h2 = d2 & 0x3ffffff;
+    d3 += c; c = d3 >> 26; h3 = d3 & 0x3ffffff;
+    d4 += c; c = d4 >> 26; h4 = d4 & 0x3ffffff;
+    h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+    h1 += c;
+    u64 hs[5] = {h0, h1, h2, h3, h4};
+    for (int i = 0; i < 5; ++i) h[i] = static_cast<u32>(hs[i]);
+  };
+  size_t off = 0;
+  for (; off + 16 <= msg.size(); off += 16) block(msg.data() + off, 1);
+  if (off < msg.size()) {
+    u8 last[16] = {0};
+    std::memcpy(last, msg.data() + off, msg.size() - off);
+    last[msg.size() - off] = 1;
+    block(last, 0);
+  }
+  u32 h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3], h4 = h[4];
+  u32 c = h1 >> 26; h1 &= 0x3ffffff;
+  h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
+  h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
+  h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
+  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+  h1 += c;
+  u32 g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
+  u32 g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
+  u32 g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
+  u32 g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
+  u32 g4 = h4 + c - (1u << 26);
+  u32 mask = (g4 >> 31) - 1;
+  h0 = (h0 & ~mask) | (g0 & mask);
+  h1 = (h1 & ~mask) | (g1 & mask);
+  h2 = (h2 & ~mask) | (g2 & mask);
+  h3 = (h3 & ~mask) | (g3 & mask);
+  h4 = (h4 & ~mask) | (g4 & mask);
+  u32 f[4] = {h0 | (h1 << 26), (h1 >> 6) | (h2 << 20), (h2 >> 12) | (h3 << 14),
+              (h3 >> 18) | (h4 << 8)};
+  std::array<u8, 16> tag;
+  u64 t = 0;
+  for (int i = 0; i < 4; ++i) {
+    t = static_cast<u64>(f[i]) + le32(&key[16 + 4 * i]) + (t >> 32);
+    for (int j = 0; j < 4; ++j) tag[4 * i + j] = static_cast<u8>(t >> (8 * j));
+  }
+  return tag;
+}
+
+TEST(Poly1305Test, MatchesRef26OnRandomKeysLengthsAndSplits) {
+  std::mt19937_64 rng(1305);
+  auto random_bytes = [&](size_t n) {
+    std::vector<u8> b(n);
+    for (auto& x : b) x = static_cast<u8>(rng());
+    return b;
+  };
+  // The reference itself reproduces the RFC 8439 §2.5.2 tag.
+  auto rfc_key = from_hex(
+      "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  EXPECT_EQ(to_hex(poly1305_ref26(
+                rfc_key, as_bytes("Cryptographic Forum Research Group"))),
+            "a8061dc1305136c6c22b8baf0c0127a9");
+  std::vector<u8> max_r(32, 0xff);  // every r bit the clamp leaves set
+  for (size_t len = 0; len <= 300; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      auto key = trial == 0 ? max_r : random_bytes(32);
+      auto msg = trial == 1 ? std::vector<u8>(len, 0xff) : random_bytes(len);
+      const auto want = poly1305_ref26(key, msg);
+      EXPECT_EQ(to_hex(Poly1305::mac(key, msg)), to_hex(want))
+          << "len=" << len << " trial=" << trial;
+      // The same message through 1..4 update() calls at random split
+      // points, including empty pieces.
+      Poly1305 inc(key);
+      size_t off = 0;
+      for (int piece = static_cast<int>(rng() % 4); piece > 0; --piece) {
+        size_t n = len == off ? 0 : rng() % (len - off + 1);
+        inc.update(std::span<const u8>(msg).subspan(off, n));
+        off += n;
+      }
+      inc.update(std::span<const u8>(msg).subspan(off));
+      EXPECT_EQ(to_hex(inc.finalize()), to_hex(want))
+          << "split len=" << len << " trial=" << trial;
+    }
+  }
+  // All-0xff messages under the maximal r and an all-0xff s, the largest
+  // accumulator and tag carries either implementation can see.
+  std::vector<u8> all_ff(32, 0xff);
+  for (size_t len : {size_t{15}, size_t{16}, size_t{17}, size_t{64},
+                     size_t{4096}}) {
+    std::vector<u8> msg(len, 0xff);
+    EXPECT_EQ(to_hex(Poly1305::mac(all_ff, msg)),
+              to_hex(poly1305_ref26(all_ff, msg)))
+        << "len=" << len;
+  }
 }
 
 TEST(Poly1305Test, TagsEqualIsConstantTimeCompare) {

@@ -194,12 +194,25 @@ TEST(Fp64Basics, SerializationRoundTrip) {
     Fp64 a = random_field_element<Fp64>(rng);
     u8 buf[8];
     a.to_bytes(buf);
-    EXPECT_EQ(Fp64::from_bytes(buf), a);
+    Fp64 b;
+    ASSERT_TRUE(Fp64::try_from_bytes(buf, &b));
+    EXPECT_EQ(b, a);
   }
-  // Non-canonical encodings are rejected.
-  u8 bad[8];
-  for (int i = 0; i < 8; ++i) bad[i] = 0xFF;
-  EXPECT_THROW(Fp64::from_bytes(bad), std::invalid_argument);
+  // p - 1 is the largest canonical encoding; p and 2^64 - 1 are rejected
+  // and leave the output untouched.
+  auto le = [](u64 v, u8* out) {
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<u8>(v >> (8 * i));
+  };
+  u8 buf[8];
+  Fp64 out = Fp64::from_u64(5);
+  le(Fp64::kP - 1, buf);
+  ASSERT_TRUE(Fp64::try_from_bytes(buf, &out));
+  EXPECT_EQ(out, -Fp64::one());
+  for (u64 bad : {Fp64::kP, ~u64{0}}) {
+    le(bad, buf);
+    EXPECT_FALSE(Fp64::try_from_bytes(buf, &out));
+    EXPECT_EQ(out, -Fp64::one());
+  }
 }
 
 // Field axioms on random triples, parameterized over seeds.
@@ -306,11 +319,23 @@ TEST(Fp128Basics, SerializationRoundTrip) {
     Fp128 a = random_field_element<Fp128>(rng);
     u8 buf[16];
     a.to_bytes(buf);
-    EXPECT_EQ(Fp128::from_bytes(buf), a);
+    Fp128 b;
+    ASSERT_TRUE(Fp128::try_from_bytes(buf, &b));
+    EXPECT_EQ(b, a);
   }
-  u8 bad[16];
-  for (int i = 0; i < 16; ++i) bad[i] = 0xFF;
-  EXPECT_THROW(Fp128::from_bytes(bad), std::invalid_argument);
+  auto le = [](u128 v, u8* out) {
+    for (int i = 0; i < 16; ++i) out[i] = static_cast<u8>(v >> (8 * i));
+  };
+  u8 buf[16];
+  Fp128 out = Fp128::from_u64(5);
+  le(Fp128::modulus() - 1, buf);
+  ASSERT_TRUE(Fp128::try_from_bytes(buf, &out));
+  EXPECT_EQ(out, -Fp128::one());
+  for (u128 bad : {Fp128::modulus(), ~u128{0}}) {
+    le(bad, buf);
+    EXPECT_FALSE(Fp128::try_from_bytes(buf, &out));
+    EXPECT_EQ(out, -Fp128::one());
+  }
 }
 
 class Fp128Axioms : public ::testing::TestWithParam<int> {};

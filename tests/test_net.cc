@@ -62,11 +62,35 @@ TEST(WireTest, OversizedVectorLengthRejected) {
   EXPECT_TRUE(v.empty());
 }
 
+// Reader::field, fields_into and field_vector turn a non-canonical element
+// into ok() == false without consuming it.
 TEST(WireTest, NonCanonicalFieldElementRejected) {
   std::vector<u8> data(8, 0xFF);  // >= p for Fp64
   net::Reader r(data);
-  r.field<Fp64>();
+  EXPECT_EQ(r.field<Fp64>(), Fp64::zero());
   EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 8u);
+
+  std::vector<u8> p128(16);
+  for (int i = 0; i < 16; ++i) {
+    p128[i] = static_cast<u8>(Fp128::modulus() >> (8 * i));
+  }
+  net::Reader r128(p128);
+  r128.field<Fp128>();
+  EXPECT_FALSE(r128.ok());
+
+  net::Writer w;
+  w.field_vector<Fp64>(std::vector<Fp64>{Fp64::one(), Fp64::one()});
+  auto vec = w.take();
+  std::fill(vec.end() - 8, vec.end(), 0xFF);  // last element = 2^64 - 1
+  net::Reader bulk(std::span<const u8>(vec).subspan(4));
+  std::vector<Fp64> out(2);
+  bulk.fields_into<Fp64>(std::span<Fp64>(out));
+  EXPECT_FALSE(bulk.ok());
+  EXPECT_EQ(bulk.remaining(), 16u);
+  net::Reader counted(vec);
+  EXPECT_TRUE(counted.field_vector<Fp64>().empty());
+  EXPECT_FALSE(counted.ok());
 }
 
 // Fuzz-ish table of corrupt byte streams through the framing decoder: for

@@ -1,7 +1,9 @@
-// Additive secret sharing and PRG share-compression tests.
+// Additive secret sharing and PRG share-compression tests, plus hostile
+// plaintexts through the sealed-share decoder the servers run.
 
 #include <gtest/gtest.h>
 
+#include "core/submission.h"
 #include "crypto/rng.h"
 #include "share/share.h"
 
@@ -105,6 +107,106 @@ TYPED_TEST(ShareTest, RejectsDegenerateShareCounts) {
   std::vector<F> x(3, F::one());
   EXPECT_THROW(share_vector<F>(x, 1, rng), std::invalid_argument);
   EXPECT_THROW(share_vector_compressed<F>(x, 0, rng), std::invalid_argument);
+}
+
+// Hostile but correctly sealed plaintexts through open_sealed_share_into:
+// every malformed share must come back false (and stay UB-free under the
+// sanitizer build), never a partly decoded row that verifies.
+template <typename F>
+class ShareDecodeTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kLen = 37;
+  static constexpr u64 kClient = 9;
+  static constexpr size_t kServer = 2;
+
+  ShareDecodeTest() : sealer_(master_seed_bytes(77)) {
+    SecureRng rng(5);
+    for (size_t i = 0; i < kLen; ++i) elems_.push_back(rng.field_element<F>());
+  }
+
+  // The well-formed explicit share: kind, u32 count, kLen elements.
+  std::vector<u8> explicit_payload() const {
+    net::Writer w;
+    w.u8_(kShareExplicit);
+    w.field_vector<F>(std::span<const F>(elems_));
+    return w.take();
+  }
+
+  // Seals `payload` for kServer, then decodes it into a kLen row.
+  bool open(std::span<const u8> payload, std::vector<F>* row = nullptr) {
+    std::vector<F> out(kLen);
+    const auto blob = sealer_.seal(kClient, kServer, seq_++, payload);
+    bool ok = open_sealed_share_into<F>(sealer_, kClient, kServer, blob,
+                                        std::span<F>(out));
+    if (row) *row = out;
+    return ok;
+  }
+
+  SubmissionSealer sealer_;
+  std::vector<F> elems_;
+  u64 seq_ = 0;
+};
+
+TYPED_TEST_SUITE(ShareDecodeTest, FieldTypes);
+
+TYPED_TEST(ShareDecodeTest, WellFormedSharesDecode) {
+  using F = TypeParam;
+  std::vector<F> row;
+  ASSERT_TRUE(this->open(this->explicit_payload(), &row));
+  EXPECT_EQ(row, this->elems_);
+  std::vector<u8> seed(32, 0x5a);
+  std::vector<u8> payload{kShareSeed};
+  payload.insert(payload.end(), seed.begin(), seed.end());
+  ASSERT_TRUE(this->open(payload, &row));
+  EXPECT_EQ(row, expand_share_seed<F>(seed, this->kLen));
+}
+
+TYPED_TEST(ShareDecodeTest, NonCanonicalElementRejectedAtAnyIndex) {
+  using F = TypeParam;
+  constexpr size_t kHeader = 1 + 4;  // kind byte + u32 count
+  // p = 1 (mod 2^64) in both fields, so p - 1 encodes with a zero low
+  // byte, and bumping that byte gives the encoding of p itself.
+  std::vector<u8> p_bytes(F::kByteLen), ones(F::kByteLen, 0xff);
+  (-F::one()).to_bytes(p_bytes);
+  ++p_bytes[0];
+  for (const auto& bad : {p_bytes, ones}) {
+    for (size_t idx : {size_t{0}, this->kLen / 2, this->kLen - 1}) {
+      auto payload = this->explicit_payload();
+      std::copy(bad.begin(), bad.end(),
+                payload.begin() + kHeader + idx * F::kByteLen);
+      EXPECT_FALSE(this->open(payload)) << "index " << idx;
+    }
+  }
+}
+
+TYPED_TEST(ShareDecodeTest, MalformedFramingRejected) {
+  using F = TypeParam;
+  auto good = this->explicit_payload();
+  // Count one off in either direction, with the element bytes to match.
+  for (size_t n : {this->kLen - 1, this->kLen + 1}) {
+    net::Writer w;
+    w.u8_(kShareExplicit);
+    std::vector<F> v(n, F::one());
+    w.field_vector<F>(std::span<const F>(v));
+    EXPECT_FALSE(this->open(w.data())) << "count " << n;
+  }
+  auto trailing = good;
+  trailing.push_back(0);
+  EXPECT_FALSE(this->open(trailing));
+  auto shorter = good;
+  shorter.pop_back();
+  EXPECT_FALSE(this->open(shorter));
+  for (size_t seed_len : {31, 33}) {
+    std::vector<u8> payload(1 + seed_len, 0x11);
+    payload[0] = kShareSeed;
+    EXPECT_FALSE(this->open(payload)) << "seed length " << seed_len;
+  }
+  for (u8 kind : {u8{2}, u8{0xff}}) {
+    auto payload = good;
+    payload[0] = kind;
+    EXPECT_FALSE(this->open(payload)) << "kind " << int{kind};
+  }
+  EXPECT_FALSE(this->open(std::span<const u8>()));
 }
 
 TEST(ShareSizes, CompressionSavesBandwidth) {
