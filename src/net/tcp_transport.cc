@@ -112,11 +112,10 @@ void FramedConn::shutdown_rw() {
   if (sock_.valid()) ::shutdown(sock_.fd(), SHUT_RDWR);
 }
 
-void FramedConn::send_frame(std::span<const u8> payload) {
-  std::vector<u8> frame = encode_frame(payload);
+void FramedConn::send_raw(std::span<const u8> bytes) {
   size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n = ::send(sock_.fd(), frame.data() + off, frame.size() - off,
+  while (off < bytes.size()) {
+    ssize_t n = ::send(sock_.fd(), bytes.data() + off, bytes.size() - off,
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -126,13 +125,18 @@ void FramedConn::send_frame(std::span<const u8> payload) {
   }
 }
 
+std::optional<std::vector<u8>> FramedConn::next_buffered() {
+  auto frame = decoder_.next();
+  if (!frame && decoder_.corrupt()) {
+    throw TransportError("corrupt frame (length prefix over limit)");
+  }
+  return frame;
+}
+
 std::optional<std::vector<u8>> FramedConn::try_recv_frame(int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
-    if (auto frame = decoder_.next()) return frame;
-    if (decoder_.corrupt()) {
-      throw TransportError("corrupt frame (length prefix over limit)");
-    }
+    if (auto frame = next_buffered()) return frame;
     pollfd pfd{sock_.fd(), POLLIN, 0};
     int rc = ::poll(&pfd, 1, ms_left(deadline));
     if (rc < 0) {

@@ -44,12 +44,19 @@ namespace prio::net {
 // frame is an explicit share vector for a big batch, far below 64 MiB.
 inline constexpr size_t kMaxFrameLen = size_t{1} << 26;
 
+// Appends one frame, [u32 length (LE)] || payload, to `out`.
+inline void append_frame(std::vector<u8>& out, std::span<const u8> payload) {
+  require(payload.size() <= kMaxFrameLen, "append_frame: payload too large");
+  const u32 len = static_cast<u32>(payload.size());
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(len >> (8 * i)));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 inline std::vector<u8> encode_frame(std::span<const u8> payload) {
-  require(payload.size() <= kMaxFrameLen, "encode_frame: payload too large");
-  Writer w;
-  w.u32_(static_cast<u32>(payload.size()));
-  w.raw(payload);
-  return w.take();
+  std::vector<u8> frame;
+  frame.reserve(4 + payload.size());
+  append_frame(frame, payload);
+  return frame;
 }
 
 // Incremental frame decoder. feed() bytes as they arrive, then drain
@@ -174,7 +181,18 @@ class FramedConn {
 
   // Writes one frame, looping over partial writes. Throws TransportError
   // on a broken connection.
-  void send_frame(std::span<const u8> payload);
+  void send_frame(std::span<const u8> payload) {
+    send_raw(encode_frame(payload));
+  }
+
+  // Writes bytes that are already framed (one or more encode_frame
+  // outputs back to back) in one send loop. Throws like send_frame.
+  void send_raw(std::span<const u8> bytes);
+
+  // The next frame the decoder already holds, without touching the
+  // socket; nullopt when no complete frame is buffered. Throws
+  // TransportError on corrupt framing.
+  std::optional<std::vector<u8>> next_buffered();
 
   // Next frame, blocking up to timeout_ms across reads. Throws
   // TransportError on disconnect, corrupt framing, or timeout.

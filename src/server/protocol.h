@@ -27,6 +27,11 @@
 // (registry.h write_result), so a client both decodes sigma itself and
 // checks the server's decode bit-for-bit.
 //
+// Every kClientSubmit gets exactly one kSubmitAck (ok = 0 for a malformed
+// frame or a refused WAL append), in frame order, sent only after that
+// submission's WAL append. A server handles every frame one read brought
+// in before it writes, so several acks may share one TCP write.
+//
 // kGetAggregate blocks server-side until the epoch has been published, so
 // a client can submit and then wait for the result on one connection.
 //

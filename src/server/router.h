@@ -99,6 +99,9 @@ class ServerRouter {
           "prio_intake_rejected_total",
           "Client submissions rejected at intake, by cause",
           obs::label_kv("cause", std::string("wal_refused")));
+      m_ack_writes_ = reg->counter(
+          "prio_intake_ack_writes_total",
+          "Socket writes that carried one or more kSubmitAck frames");
       g_conns_ = reg->gauge("prio_client_connections",
                             "Open client connections");
       m_shed_ = reg->counter(
@@ -472,11 +475,25 @@ class ServerRouter {
     published_[epoch] = std::move(g);
   }
 
+  // Answers one read with one write: every complete frame a read brought
+  // in is handled before the acks it earned go out together, each ack
+  // appended only after its own submit() (and so its WAL append) returned.
   void handle_client(net::FramedConn conn, u64 conn_id) {
+    std::vector<u8> acks;  // encoded kSubmitAck frames not yet written
+    auto flush_acks = [&] {
+      if (acks.empty()) return;
+      conn.send_raw(acks);
+      acks.clear();
+      if (m_ack_writes_) m_ack_writes_->inc();
+    };
     try {
       while (!stopped() && !conn.eof()) {
-        auto frame = conn.try_recv_frame(200);
-        if (!frame) continue;
+        auto frame = conn.next_buffered();
+        if (!frame) {
+          flush_acks();
+          frame = conn.try_recv_frame(200);
+          if (!frame) continue;
+        }
         net::Reader r(*frame);
         const u8 type = r.u8_();
         if (!r.ok()) break;
@@ -492,11 +509,10 @@ class ServerRouter {
           } else if (m_rej_malformed_) {
             m_rej_malformed_->inc();
           }
-          net::Writer ack;
-          ack.u8_(kSubmitAck);
-          ack.u8_(ok ? 1 : 0);
-          conn.send_frame(ack.data());
+          const u8 ack[] = {kSubmitAck, static_cast<u8>(ok)};
+          net::append_frame(acks, ack);
         } else if (type == kGetAggregate) {
+          flush_acks();
           if (m_agg_queries_) m_agg_queries_->inc();
           u32 epoch = r.u32_();
           const u8 want_id = r.u8_();
@@ -543,6 +559,12 @@ class ServerRouter {
       // intake thread; the submission goes un-acked.
       std::fprintf(stderr, "[server %zu] intake error: %s\n", self(),
                    e.what());
+    }
+    // Every exit path still owes the client the acks already earned.
+    try {
+      flush_acks();
+    } catch (const net::TransportError&) {
+      // The client is gone; nobody is left to read them.
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -612,6 +634,7 @@ class ServerRouter {
   std::vector<obs::Counter*> m_intake_ok_;  // indexed by shard
   obs::Counter* m_rej_malformed_ = nullptr;
   obs::Counter* m_rej_wal_ = nullptr;
+  obs::Counter* m_ack_writes_ = nullptr;
   obs::Gauge* g_conns_ = nullptr;
   obs::Counter* m_shed_ = nullptr;
   obs::Counter* m_agg_queries_ = nullptr;

@@ -310,7 +310,9 @@ TEST(Poly1305Test, MatchesRef26OnRandomKeysLengthsAndSplits) {
                 rfc_key, as_bytes("Cryptographic Forum Research Group"))),
             "a8061dc1305136c6c22b8baf0c0127a9");
   std::vector<u8> max_r(32, 0xff);  // every r bit the clamp leaves set
-  for (size_t len = 0; len <= 300; ++len) {
+  // Lengths past 1,024 B run up to 17 passes of the four-block loop, with
+  // every 0..3-block and partial-block tail after it.
+  for (size_t len = 0; len <= 1100; len += len < 300 ? 1 : 7) {
     for (int trial = 0; trial < 4; ++trial) {
       auto key = trial == 0 ? max_r : random_bytes(32);
       auto msg = trial == 1 ? std::vector<u8>(len, 0xff) : random_bytes(len);
@@ -331,11 +333,28 @@ TEST(Poly1305Test, MatchesRef26OnRandomKeysLengthsAndSplits) {
           << "split len=" << len << " trial=" << trial;
     }
   }
+  // update() pieces that leave 1..15 bytes in the block buffer, so the
+  // next piece finishes that block and enters the four-block loop from
+  // there, then leaves its own partial block behind.
+  for (size_t head = 1; head < 16; ++head) {
+    for (size_t mid : {size_t{64}, size_t{80}, size_t{127}, size_t{256}}) {
+      auto key = random_bytes(32);
+      auto msg = random_bytes(head + mid + 70);
+      Poly1305 inc(key);
+      inc.update(std::span<const u8>(msg).first(head));
+      inc.update(std::span<const u8>(msg).subspan(head, mid));
+      inc.update(std::span<const u8>(msg).subspan(head + mid));
+      EXPECT_EQ(to_hex(inc.finalize()), to_hex(poly1305_ref26(key, msg)))
+          << "head=" << head << " mid=" << mid;
+    }
+  }
   // All-0xff messages under the maximal r and an all-0xff s, the largest
-  // accumulator and tag carries either implementation can see.
+  // accumulator and tag carries either implementation can see: over
+  // several 64-byte groups the four-block sums come closest to their bound.
   std::vector<u8> all_ff(32, 0xff);
   for (size_t len : {size_t{15}, size_t{16}, size_t{17}, size_t{64},
-                     size_t{4096}}) {
+                     size_t{65}, size_t{127}, size_t{128}, size_t{192},
+                     size_t{256}, size_t{320}, size_t{1024}, size_t{4096}}) {
     std::vector<u8> msg(len, 0xff);
     EXPECT_EQ(to_hex(Poly1305::mac(all_ff, msg)),
               to_hex(poly1305_ref26(all_ff, msg)))

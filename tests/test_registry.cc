@@ -5,7 +5,8 @@
 // through an in-process sharded 3-server TCP cluster (server/inproc.h)
 // for two epochs, each epoch's published typed aggregate cross-checked
 // bit-for-bit against the plaintext reference, plus the wrong-spec
-// kAggregateReject path and a cross-epoch replay.
+// kAggregateReject path and a cross-epoch replay; and pipelined intake,
+// where one client write carries hundreds of submissions.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "afe/registry.h"
+#include "afe/sum.h"
 #include "baseline/no_privacy.h"
 #include "core/client.h"
 #include "server/cli.h"
@@ -386,6 +388,107 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = info.param.substr(0, info.param.find(':'));
       return name + "_" + std::to_string(info.index);
     });
+
+// ---------------------------------------------------------------------------
+// Pipelined intake: one client write carries a burst of kClientSubmit
+// frames, as bench_e2e's windowed clients send them. Every frame still gets
+// its own ack, in frame order, with the ok bit of its own submit; the acks
+// of one read share writes; and a connection dropped over an unknown frame
+// still delivers every ack it owed first.
+// ---------------------------------------------------------------------------
+
+TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
+  constexpr size_t kServers = 3;
+  constexpr size_t kFrames = 200;
+  constexpr size_t kShort = 37;      // a blob too short to hold its seq
+  constexpr size_t kOversized = 150; // a blob over max_blob_bytes
+  constexpr size_t kMaxBlob = 4096;
+  constexpr u64 kSeed = 11;
+  afe::IntegerSum<F> a(8);
+  const std::string spec = afe::parse_afe_spec("sum:bits=8").canonical();
+
+  PrioClient<F, afe::IntegerSum<F>> client(&a, kServers, kSeed);
+  baseline::PlaintextReference<F, afe::IntegerSum<F>> ref(&a);
+  SecureRng rng(kSeed);
+  std::vector<std::vector<u8>> bursts(kServers);
+  for (u64 pos = 0; pos < kFrames; ++pos) {
+    std::vector<std::vector<u8>> blobs;
+    if (pos == kShort) {
+      blobs.assign(kServers, std::vector<u8>(4, 0));
+    } else if (pos == kOversized) {
+      blobs.assign(kServers, std::vector<u8>(kMaxBlob + 1, 0));
+    } else {
+      blobs = client.upload(pos % 256, pos, rng);
+      ref.add(pos, pos % 256);
+    }
+    for (size_t j = 0; j < kServers; ++j) {
+      net::Writer w;
+      w.u8_(server::kClientSubmit);
+      w.u64_(pos);
+      w.bytes(blobs[j]);
+      net::append_frame(bursts[j], w.data());
+    }
+  }
+  const u8 unknown[] = {0x7f};
+  for (auto& b : bursts) net::append_frame(b, unknown);
+
+  obs::Registry metrics;
+  server::InprocCluster<F, afe::IntegerSum<F>>::Options copts;
+  copts.master_seed = kSeed;
+  copts.runtime.epoch_size = kFrames - 2;
+  copts.runtime.epochs = 1;
+  copts.runtime.max_blob_bytes = kMaxBlob;
+  copts.runtime.afe_spec = spec;
+  copts.runtime.metrics = &metrics;
+  server::InprocCluster<F, afe::IntegerSum<F>> cluster(&a, copts);
+
+  // One write per server: the whole burst, then the unknown frame.
+  std::vector<net::FramedConn> conns;
+  for (size_t j = 0; j < kServers; ++j) {
+    conns.emplace_back(
+        net::connect_tcp("127.0.0.1", cluster.client_port(j), 15'000));
+    conns[j].send_raw(bursts[j]);
+  }
+  for (size_t j = 0; j < kServers; ++j) {
+    for (size_t pos = 0; pos < kFrames; ++pos) {
+      const std::vector<u8> ack = conns[j].recv_frame(15'000);
+      net::Reader r(ack);
+      ASSERT_EQ(r.u8_(), server::kSubmitAck) << "server " << j;
+      EXPECT_EQ(r.u8_(), pos == kShort || pos == kOversized ? 0 : 1)
+          << "server " << j << " frame " << pos;
+      EXPECT_TRUE(r.ok() && r.at_end());
+    }
+    // The unknown frame drops the connection: EOF, with no further frame.
+    EXPECT_FALSE(conns[j].try_recv_frame(15'000).has_value());
+    EXPECT_TRUE(conns[j].eof()) << "server " << j;
+  }
+  // The three servers together made fewer ack writes than one burst has
+  // frames.
+  const u64 ack_writes = metrics.total("prio_intake_ack_writes_total");
+  EXPECT_GE(ack_writes, kServers);
+  EXPECT_LT(ack_writes, kFrames);
+
+  net::FramedConn ask_conn(
+      net::connect_tcp("127.0.0.1", cluster.client_port(0), 15'000));
+  net::Writer ask;
+  ask.u8_(server::kGetAggregate);
+  ask.u32_(0);
+  ask.u8_(afe::afe_wire_id(a));
+  ask.str_(spec);
+  ask_conn.send_frame(ask.data());
+  const std::vector<u8> frame = ask_conn.recv_frame(120'000);
+  net::Reader r(frame);
+  ASSERT_EQ(r.u8_(), server::kAggregate);
+  EXPECT_EQ(r.u32_(), 0u);
+  EXPECT_EQ(r.u64_(), ref.accepted());
+  r.u8_();
+  r.str_();
+  EXPECT_EQ(r.field_vector<F>(a.k_prime()), ref.sigma());
+  EXPECT_TRUE(r.ok());
+  conns.clear();
+  ask_conn = net::FramedConn();
+  cluster.finish();
+}
 
 }  // namespace
 }  // namespace prio
