@@ -45,7 +45,8 @@ using F = Fp64;
 bool tampered(u64 cid, u64 every) { return every > 0 && cid % every == every - 1; }
 
 // Asks server 0 for the epoch aggregate under a spec that is NOT the
-// deployment's and requires the loud reject naming the server's spec.
+// deployment's (and wire id 0xff, which no catalogue entry has) and
+// requires the loud reject naming the server's spec.
 // Runs on its own connection: the server drops the connection after a
 // reject, so the probe must never share the submission channel.
 template <typename Afe>
@@ -54,28 +55,17 @@ int probe_wrong_spec(const Afe& afe, const afe::AfeSpec& spec,
   net::FramedConn conn(net::connect_tcp(ep.host, ep.client_port, 15'000));
   const std::string wrong = spec.name == "sum" ? "bitvec_sum:len=16"
                                                : "sum:bits=12";
-  net::Writer ask;
-  ask.u8_(server::kGetAggregate);
-  ask.u32_(epoch);
-  ask.u8_(0xff);  // no catalogue entry has this wire id
-  ask.str_(wrong);
-  conn.send_frame(ask.data());
-  const auto reply = conn.recv_frame(15'000);
-  net::Reader r(reply);
-  if (r.u8_() != server::kAggregateReject) {
-    std::fprintf(stderr, "probe: wrong-spec query was NOT rejected\n");
-    return 1;
-  }
-  const u8 their_id = r.u8_();
-  const std::string their_spec = r.str_();
-  if (!r.ok() || !r.at_end() || their_id != afe::afe_wire_id(afe) ||
-      their_spec != spec.canonical()) {
-    std::fprintf(stderr, "probe: reject frame malformed or names spec '%s'\n",
-                 their_spec.c_str());
+  conn.send_frame(server::encode(server::GetAggregate{epoch, 0xff, wrong}));
+  const auto reply =
+      server::decode_aggregate_reply<F>(conn.recv_frame(15'000), afe.k_prime());
+  const auto& reject = reply.rejected;
+  if (!reject || reject->afe_id != afe::afe_wire_id(afe) ||
+      reject->afe_spec != spec.canonical()) {
+    std::fprintf(stderr, "probe: no reject naming the server's spec\n");
     return 1;
   }
   std::printf("[client] wrong-spec probe rejected (server runs '%s')\n",
-              their_spec.c_str());
+              reject->afe_spec.c_str());
   return 0;
 }
 
@@ -116,16 +106,12 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
     auto blobs = encoder.upload(afe::sample_input(afe, cid), cid, rng);
     if (tampered(cid, tamper_every)) blobs[cid % s][12] ^= 1;
     for (size_t j = 0; j < s; ++j) {
-      net::Writer w;
-      w.u8_(server::kClientSubmit);
-      w.u64_(cid);
-      w.bytes(blobs[j]);
-      conns[j].send_frame(w.data());
+      conns[j].send_frame(
+          server::encode(server::ClientSubmit{cid, std::move(blobs[j])}));
     }
     for (size_t j = 0; j < s; ++j) {
-      const auto ack_frame = conns[j].recv_frame(15'000);
-      net::Reader r(ack_frame);
-      if (r.u8_() != server::kSubmitAck || r.u8_() != 1 || !r.ok()) {
+      const auto ack = server::decode_submit_ack(conns[j].recv_frame(15'000));
+      if (!ack.value_or(false)) {
         std::fprintf(stderr, "server %zu refused client %llu\n", j,
                      static_cast<unsigned long long>(cid));
         return 1;
@@ -142,57 +128,47 @@ int run_client(const Afe& afe, const afe::AfeSpec& spec,
   // Fetch the published aggregate from server 0 (blocks until the epoch
   // closes server-side). The query names our AFE; a disagreeing server
   // rejects instead of replying.
-  net::Writer ask;
-  ask.u8_(server::kGetAggregate);
-  ask.u32_(epoch);
-  ask.u8_(afe::afe_wire_id(afe));
-  ask.str_(spec.canonical());
-  conns[0].send_frame(ask.data());
-  const auto reply = conns[0].recv_frame(60'000);
-  net::Reader r(reply);
-  const u8 type = r.u8_();
-  if (type == server::kAggregateReject) {
-    const u8 their_id = r.u8_();
+  conns[0].send_frame(server::encode(server::GetAggregate{
+      epoch, afe::afe_wire_id(afe), spec.canonical()}));
+  const auto reply = server::decode_aggregate_reply<F>(
+      conns[0].recv_frame(60'000), afe.k_prime());
+  if (reply.rejected) {
     std::fprintf(stderr,
                  "server 0 rejected our spec '%s' (it runs id=%u '%s')\n",
-                 spec.canonical().c_str(), their_id, r.str_().c_str());
+                 spec.canonical().c_str(), reply.rejected->afe_id,
+                 reply.rejected->afe_spec.c_str());
     return 1;
   }
-  const u32 got_epoch = r.u32_();
-  const u64 accepted = r.u64_();
-  const u8 got_id = r.u8_();
-  const std::string got_spec = r.str_();
-  auto sigma = r.field_vector<F>(afe.k_prime());
-  const std::vector<u8> typed = r.bytes();
-  if (type != server::kAggregate || got_epoch != epoch || !r.ok() ||
-      !r.at_end() || sigma.size() != afe.k_prime() ||
-      got_id != afe::afe_wire_id(afe) || got_spec != spec.canonical()) {
+  const auto& agg = reply.published;
+  if (!agg || agg->epoch != epoch || agg->afe_id != afe::afe_wire_id(afe) ||
+      agg->afe_spec != spec.canonical()) {
     std::fprintf(stderr, "malformed aggregate reply\n");
     return 1;
   }
 
   // Check 2: our decode of sigma == the server's typed payload, bit for
   // bit (doubles compare as IEEE patterns).
-  auto tcp_result = afe.decode(std::span<const F>(sigma), accepted);
+  auto tcp_result = afe.decode(std::span<const F>(agg->sigma), agg->accepted);
   const auto local_bytes = afe::result_bytes(afe, tcp_result);
-  const bool typed_match = local_bytes == typed;
+  const bool typed_match = local_bytes == agg->typed_result;
 
   // Check 3: the plaintext reference over the same M clients' inputs.
   baseline::PlaintextReference<F, Afe> ref(&afe);
   for (u64 cid = 0; cid < expect; ++cid) {
     if (!tampered(cid, tamper_every)) ref.add(cid, afe::sample_input(afe, cid));
   }
-  const bool ref_match = sigma == ref.sigma() && accepted == ref.accepted() &&
+  const bool ref_match = agg->sigma == ref.sigma() &&
+                         agg->accepted == ref.accepted() &&
                          afe::result_bytes(afe, ref.result()) == local_bytes;
 
   std::printf("[client] epoch %u: accepted %llu/%llu (reference %llu)\n",
-              epoch, static_cast<unsigned long long>(accepted),
+              epoch, static_cast<unsigned long long>(agg->accepted),
               static_cast<unsigned long long>(expect),
               static_cast<unsigned long long>(ref.accepted()));
-  const size_t show = std::min<size_t>(sigma.size(), 8);
+  const size_t show = std::min<size_t>(agg->sigma.size(), 8);
   for (size_t i = 0; i < show; ++i) {
     std::printf("  sigma[%zu] = %llu\n", i,
-                static_cast<unsigned long long>(sigma[i].to_u64()));
+                static_cast<unsigned long long>(agg->sigma[i].to_u64()));
   }
   std::printf(
       "[client] typed result (%zu bytes) %s server decode; TCP aggregate %s "

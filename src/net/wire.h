@@ -106,6 +106,8 @@ class Reader {
   explicit Reader(std::span<const u8> data) : data_(data) {}
 
   bool ok() const { return ok_; }
+  // Marks the input malformed, for a bound the caller checks itself.
+  void fail() { ok_ = false; }
   size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }
 

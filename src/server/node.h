@@ -50,6 +50,7 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "server/protocol.h"
 #include "snip/snip.h"
 #include "store/wal.h"
 
@@ -66,48 +67,31 @@ struct SubmissionShare {
 // One committed verification batch: the announced (client_id, seq) ids in
 // batch order plus the final accept bitmap every node agreed on. The same
 // bytes are the WAL's kWalBatch payload (store/recovery.h) and the sealed
-// body of the rejoin kCatchUpBatch frame (server/shard.h):
-//
-//   u32 count, count * (u64 client_id, u64 seq), bitmap verdicts
+// body of the rejoin kCatchUpBatch frame (server/shard.h).
 struct BatchRecord {
   std::vector<std::pair<u64, u64>> ids;
   std::vector<u8> verdicts;
 };
 
-// Largest batch record a decoder believes (far above any refresh window).
-inline constexpr u32 kMaxBatchRecord = 1u << 20;
-
 inline std::vector<u8> encode_batch_record(
     std::span<const std::pair<u64, u64>> ids, std::span<const u8> verdicts) {
-  net::Writer w;
-  w.u32_(static_cast<u32>(ids.size()));
-  for (const auto& [cid, seq] : ids) {
-    w.u64_(cid);
-    w.u64_(seq);
-  }
-  w.bitmap(verdicts);
-  return w.take();
+  server::FieldWriter out;
+  out.put(ids);
+  out.w.bitmap(verdicts);
+  return out.w.take();
 }
 
-// nullopt unless `bytes` is exactly one canonical record: 1..kMaxBatchRecord
-// ids, a bitmap of the same count with zero padding bits, nothing after it.
+// nullopt unless `bytes` is exactly one canonical record: a kBatchAnnounce's
+// ids (server/protocol.h), a bitmap of the same count with zero padding
+// bits, nothing after it.
 inline std::optional<BatchRecord> decode_batch_record(
     std::span<const u8> bytes) {
-  net::Reader r(bytes);
-  const u32 count = r.u32_();
-  if (!r.ok() || count == 0 || count > kMaxBatchRecord ||
-      r.remaining() < u64{count} * 16) {
-    return std::nullopt;
-  }
+  server::FieldReader in{net::Reader(bytes)};
   BatchRecord rec;
-  rec.ids.reserve(count);
-  for (u32 i = 0; i < count; ++i) {
-    const u64 cid = r.u64_();
-    const u64 seq = r.u64_();
-    rec.ids.push_back({cid, seq});
-  }
-  rec.verdicts = r.bitmap(count);
-  if (!r.ok() || !r.at_end() || rec.verdicts.size() != count ||
+  in.get(rec.ids);
+  const size_t count = rec.ids.size();
+  rec.verdicts = in.r.bitmap(count);
+  if (!in.r.ok() || !in.r.at_end() || rec.verdicts.size() != count ||
       (count % 8 != 0 && (bytes.back() >> (count % 8)) != 0)) {
     return std::nullopt;
   }

@@ -494,60 +494,41 @@ class ServerRouter {
           frame = conn.try_recv_frame(200);
           if (!frame) continue;
         }
-        net::Reader r(*frame);
-        const u8 type = r.u8_();
-        if (!r.ok()) break;
+        const u8 type = frame_type(*frame);
         if (type == kClientSubmit) {
-          u64 cid = r.u64_();
-          auto blob = r.bytes();
-          bool ok = r.ok() && r.at_end() && blob.size() >= 8 &&
-                    blob.size() <= opts_.max_blob_bytes;
+          auto sub = decode<ClientSubmit>(*frame);
+          bool ok = sub && sub->blob.size() >= 8 &&
+                    sub->blob.size() <= opts_.max_blob_bytes;
           if (ok) {
-            net::Reader seq_r(blob);
-            const u64 seq = seq_r.u64_();
-            ok = submit(cid, seq, std::move(blob));
+            // A sealed blob begins with its u64 seq (core/submission.h).
+            const u64 seq = load_le64(sub->blob.data());
+            ok = submit(sub->client_id, seq, std::move(sub->blob));
           } else if (m_rej_malformed_) {
             m_rej_malformed_->inc();
           }
-          const u8 ack[] = {kSubmitAck, static_cast<u8>(ok)};
-          net::append_frame(acks, ack);
+          net::append_frame(acks, encode_submit_ack(ok));
         } else if (type == kGetAggregate) {
           flush_acks();
           if (m_agg_queries_) m_agg_queries_->inc();
-          u32 epoch = r.u32_();
-          const u8 want_id = r.u8_();
-          const std::string want_spec = r.str_();
-          if (!r.ok() || !r.at_end()) break;
+          const auto query = decode<GetAggregate>(*frame);
           // Only server 0 publishes; a follower drops the connection
           // instead of blocking on an epoch that never appears here.
-          if (self() != 0) break;
+          if (!query || self() != 0) break;
           // A client configured with a different AFE must fail loudly
           // here, not decode this deployment's field elements as its own
           // encoding; the reject names our spec so the operator sees both
           // sides of the disagreement.
-          if (want_id != afe::afe_wire_id(*afe_) ||
-              want_spec != opts_.afe_spec) {
+          const u8 afe_id = afe::afe_wire_id(*afe_);
+          if (query->afe_id != afe_id || query->afe_spec != opts_.afe_spec) {
             if (m_agg_rejects_) m_agg_rejects_->inc();
-            net::Writer w;
-            w.u8_(kAggregateReject);
-            w.u8_(afe::afe_wire_id(*afe_));
-            w.str_(opts_.afe_spec);
-            conn.send_frame(w.data());
+            conn.send_frame(encode(AggregateReject{afe_id, opts_.afe_spec}));
             break;
           }
-          auto agg = wait_published(epoch);
+          auto agg = wait_published(query->epoch);
           if (!agg) break;  // shutting down before the epoch closed
-          net::Writer w;
-          w.u8_(kAggregate);
-          w.u32_(agg->epoch);
-          w.u64_(agg->accepted);
-          w.u8_(afe::afe_wire_id(*afe_));
-          w.str_(opts_.afe_spec);
-          w.field_vector<F>(std::span<const F>(agg->sigma));
-          net::Writer typed;
-          afe::write_result(*afe_, agg->result, typed);
-          w.bytes(typed.data());
-          conn.send_frame(w.data());
+          conn.send_frame(encode(Aggregate<F>{
+              agg->epoch, agg->accepted, afe_id, opts_.afe_spec,
+              std::move(agg->sigma), afe::result_bytes(*afe_, agg->result)}));
         } else {
           break;  // unknown frame: drop the connection
         }

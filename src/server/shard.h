@@ -281,7 +281,7 @@ class ShardRuntime {
       while (node_->epoch() == closing) {
         try {
           if (node_->self() == 0) {
-            broadcast_close(closing);
+            broadcast(encode(LaneClose{static_cast<u32>(lane_id_), closing}));
           } else {
             consume_close(closing);
           }
@@ -401,17 +401,7 @@ class ShardRuntime {
         inflight_ids_ = ids;
       }
     }
-    net::Writer w;
-    w.u8_(kBatchAnnounce);
-    w.u32_(static_cast<u32>(lane_id_));
-    w.u32_(static_cast<u32>(ids.size()));
-    for (const auto& [cid, seq] : ids) {
-      w.u64_(cid);
-      w.u64_(seq);
-    }
-    for (size_t j = 1; j < lane_->num_nodes(); ++j) {
-      lane_->send(j, w.data(), 1);
-    }
+    broadcast(encode(BatchAnnounce{static_cast<u32>(lane_id_), ids}));
     if (opts_.trace) {
       opts_.trace->event("batch_announced",
                          {{"server", static_cast<long long>(node_->self())},
@@ -431,12 +421,8 @@ class ShardRuntime {
                                                               bool* close) {
     *close = false;
     const auto frame = lane_->recv(0);
-    net::Reader r(frame);
-    const u8 type = r.u8_();
-    if (type == kLaneClose) {
-      const u32 lane = r.u32_();
-      const u32 epoch = r.u32_();
-      if (!r.ok() || !r.at_end() || lane != lane_id_ || epoch != closing) {
+    if (const auto marker = decode<LaneClose>(frame)) {
+      if (marker->lane != lane_id_ || marker->epoch != closing) {
         throw net::TransportError("malformed lane-close frame");
       }
       {
@@ -446,19 +432,11 @@ class ShardRuntime {
       *close = true;
       return {};
     }
-    if (type != kBatchAnnounce) {
-      throw net::TransportError("expected batch announcement");
-    }
-    const u32 lane = r.u32_();
-    const u32 count = r.u32_();
-    if (!r.ok() || lane != lane_id_ || count == 0 || count > (1u << 20)) {
+    auto announced = decode<BatchAnnounce>(frame);
+    if (!announced || announced->lane != lane_id_) {
       throw net::TransportError("malformed batch announcement");
     }
-    std::vector<std::pair<u64, u64>> ids;
-    ids.reserve(count);
-    for (u32 i = 0; i < count; ++i) {
-      const u64 cid = r.u64_();
-      const u64 seq = r.u64_();
+    for (const auto& [cid, seq] : announced->ids) {
       if (shard_of(cid, shards_) != lane_id_) {
         if (m_misroute_) m_misroute_->inc();
         std::fprintf(stderr,
@@ -470,22 +448,13 @@ class ShardRuntime {
         throw net::TransportError(
             "announced client id routed to the wrong shard");
       }
-      ids.push_back({cid, seq});
     }
-    if (!r.ok() || !r.at_end()) {
-      throw net::TransportError("malformed batch announcement");
-    }
-    return ids;
+    return std::move(announced->ids);
   }
 
-  void broadcast_close(u32 closing) {
-    net::Writer w;
-    w.u8_(kLaneClose);
-    w.u32_(static_cast<u32>(lane_id_));
-    w.u32_(closing);
-    for (size_t j = 1; j < lane_->num_nodes(); ++j) {
-      lane_->send(j, w.data(), 1);
-    }
+  // Server 0's sequencer frames go to every follower on this lane.
+  void broadcast(const std::vector<u8>& frame) {
+    for (size_t j = 1; j < lane_->num_nodes(); ++j) lane_->send(j, frame, 1);
   }
 
   // Follower's side of the close handshake: each publish attempt consumes
@@ -499,10 +468,8 @@ class ShardRuntime {
         return;
       }
     }
-    const auto frame = lane_->recv(0);
-    net::Reader r(frame);
-    if (r.u8_() != kLaneClose || r.u32_() != lane_id_ ||
-        r.u32_() != closing || !r.ok() || !r.at_end()) {
+    const auto marker = decode<LaneClose>(lane_->recv(0));
+    if (!marker || marker->lane != lane_id_ || marker->epoch != closing) {
       throw net::TransportError("expected lane-close frame");
     }
   }
@@ -626,41 +593,21 @@ class ShardRuntime {
   void lane_sync() {
     const size_t n = lane_->num_nodes();
     const size_t me = node_->self();
-    struct Pos {
-      u64 epoch = 0;
-      u64 processed = 0;
-      u64 accepted = 0;
-      u64 gen = 0;
-    };
-    std::vector<Pos> pos(n);
-    pos[me] = {node_->epoch(), node_->processed(), node_->accepted(),
-               node_->generation()};
-    net::Writer w;
-    w.u8_(kSyncHello);
-    w.u32_(static_cast<u32>(lane_id_));
-    w.u32_(static_cast<u32>(pos[me].epoch));
-    w.u64_(pos[me].processed);
-    w.u64_(pos[me].accepted);
-    w.u64_(pos[me].gen);
-    w.str_(opts_.afe_spec);
+    std::vector<SyncHello> pos(n);
+    pos[me] = {static_cast<u32>(lane_id_), node_->epoch(), node_->processed(),
+               node_->accepted(), node_->generation(), opts_.afe_spec};
+    const std::vector<u8> hello = encode(pos[me]);
     for (size_t j = 0; j < n; ++j) {
-      if (j != me) lane_->send(j, w.data(), 1);
+      if (j != me) lane_->send(j, hello, 1);
     }
     for (size_t j = 0; j < n; ++j) {
       if (j == me) continue;
-      const auto frame = lane_->recv(j);
-      net::Reader r(frame);
-      if (r.u8_() != kSyncHello || r.u32_() != lane_id_) {
-        throw net::TransportError("rejoin: expected sync hello");
-      }
-      pos[j].epoch = r.u32_();
-      pos[j].processed = r.u64_();
-      pos[j].accepted = r.u64_();
-      pos[j].gen = r.u64_();
-      const std::string peer_spec = r.str_();
-      if (!r.ok() || !r.at_end()) {
+      auto peer = decode<SyncHello>(lane_->recv(j));
+      if (!peer || peer->lane != lane_id_) {
         throw net::TransportError("rejoin: malformed sync hello");
       }
+      pos[j] = std::move(*peer);
+      const std::string& peer_spec = pos[j].afe_spec;
       // Divergent AFE configuration is unrecoverable misconfiguration:
       // the circuits would disagree on every batch. Not a TransportError
       // on purpose -- retrying the sync cannot fix it, so it escapes the
@@ -684,7 +631,7 @@ class ShardRuntime {
     // unlogged bump would let a retried batch reseal different plaintext
     // under a reused (key, nonce).
     u64 gen = 0;
-    for (const auto& p : pos) gen = std::max(gen, p.gen);
+    for (const auto& p : pos) gen = std::max(gen, p.generation);
     if (store_) store_->append_generation(gen + 1);
     node_->set_generation(gen + 1);
 
@@ -701,7 +648,7 @@ class ShardRuntime {
 
     // The frontier is the furthest committed position; its lowest-id
     // holder catches everyone else up.
-    auto key = [](const Pos& p) {
+    auto key = [](const SyncHello& p) {
       return std::pair<u64, u64>(p.epoch, p.processed);
     };
     size_t helper = 0;
@@ -734,8 +681,7 @@ class ShardRuntime {
   // control keys (lane-scoped, ServerNode::seal_control): unlike the
   // id-only announcement they commit verdicts directly into a node's
   // accumulator and replay floors.
-  template <typename Pos>
-  void send_catch_up(size_t to, const Pos& peer) {
+  void send_catch_up(size_t to, const SyncHello& peer) {
     if (peer.processed < node_->processed()) {
       if (last_batch_.ids.empty() ||
           peer.processed + last_batch_.ids.size() != node_->processed()) {
@@ -743,38 +689,33 @@ class ShardRuntime {
         // without every server); a wider gap means lost durable state.
         throw net::TransportError("rejoin: peer too far behind to catch up");
       }
-      net::Writer f;
-      f.u8_(kCatchUpBatch);
-      f.raw(node_->seal_control(
+      const auto sealed = node_->seal_control(
           to, "cub",
-          encode_batch_record(last_batch_.ids, last_batch_.verdicts)));
-      lane_->send(to, f.data(), 1);
+          encode_batch_record(last_batch_.ids, last_batch_.verdicts));
+      lane_->send(to, encode_catch_up(kCatchUpBatch, sealed), 1);
     }
     if (peer.epoch < node_->epoch()) {
       if (peer.epoch + 1 != node_->epoch()) {
         throw net::TransportError("rejoin: peer too many epochs behind");
       }
-      net::Writer w;
-      w.u32_(static_cast<u32>(peer.epoch));
-      net::Writer f;
-      f.u8_(kCatchUpEpoch);
-      f.raw(node_->seal_control(to, "cue", w.data()));
-      lane_->send(to, f.data(), 1);
+      const auto sealed = node_->seal_control(
+          to, "cue", encode_catch_up_epoch_body(peer.epoch));
+      lane_->send(to, encode_catch_up(kCatchUpEpoch, sealed), 1);
     }
   }
 
   void apply_catch_up(size_t from, const std::vector<u8>& frame) {
-    if (frame.empty()) {
-      throw net::TransportError("rejoin: empty catch-up frame");
+    const auto sealed_batch = decode_catch_up(kCatchUpBatch, frame);
+    const auto sealed_epoch = decode_catch_up(kCatchUpEpoch, frame);
+    if (!sealed_batch && !sealed_epoch) {
+      throw net::TransportError("rejoin: unexpected catch-up frame");
     }
-    const u8 type = frame[0];
-    auto body = node_->open_control(
-        from, type == kCatchUpBatch ? "cub" : "cue",
-        std::span<const u8>(frame.data() + 1, frame.size() - 1));
+    auto body = sealed_batch ? node_->open_control(from, "cub", *sealed_batch)
+                             : node_->open_control(from, "cue", *sealed_epoch);
     if (!body) {
       throw net::TransportError("rejoin: catch-up frame failed to open");
     }
-    if (type == kCatchUpBatch) {
+    if (sealed_batch) {
       auto batch = decode_batch_record(*body);
       if (!batch) {
         throw net::TransportError("rejoin: malformed catch-up batch");
@@ -816,12 +757,12 @@ class ShardRuntime {
                    "[server %zu lane %zu] caught up on one batch (%u "
                    "submissions) from server %zu\n",
                    node_->self(), lane_id_, count, from);
-    } else if (type == kCatchUpEpoch) {
-      net::Reader r(*body);
-      const u32 epoch = r.u32_();
-      if (!r.ok() || !r.at_end() || epoch != node_->epoch()) {
+    } else {
+      const auto closed = decode_catch_up_epoch_body(*body);
+      if (!closed || *closed != node_->epoch()) {
         throw net::TransportError("rejoin: malformed catch-up epoch");
       }
+      const u32 epoch = *closed;
       if (node_->self() == 0) {
         // Server 0 can only be one commit-broadcast behind, in which case
         // its durable hook already ran and the aggregate is in published_.
@@ -843,8 +784,6 @@ class ShardRuntime {
                    "[server %zu lane %zu] caught up on epoch %u's close from "
                    "server %zu\n",
                    node_->self(), lane_id_, epoch, from);
-    } else {
-      throw net::TransportError("rejoin: unexpected catch-up frame");
     }
   }
 

@@ -291,34 +291,25 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
   {
     net::FramedConn probe(
         net::connect_tcp("127.0.0.1", cluster.client_port(0), 15'000));
-    net::Writer ask;
-    ask.u8_(server::kGetAggregate);
-    ask.u32_(0);
-    ask.u8_(0xfe);  // not a catalogue wire id
-    ask.str_("freq:domain=4");
-    probe.send_frame(ask.data());
-    const std::vector<u8> frame = probe.recv_frame(15'000);
-    net::Reader r(frame);
-    EXPECT_EQ(r.u8_(), server::kAggregateReject);
-    EXPECT_EQ(r.u8_(), afe::afe_wire_id(a));
-    EXPECT_EQ(r.str_(), spec.canonical());
-    EXPECT_TRUE(r.ok() && r.at_end());
+    // 0xfe: not a catalogue wire id.
+    probe.send_frame(
+        server::encode(server::GetAggregate{0, 0xfe, "freq:domain=4"}));
+    const auto reply = server::decode_aggregate_reply<F>(
+        probe.recv_frame(15'000), a.k_prime());
+    ASSERT_TRUE(reply.rejected.has_value());
+    EXPECT_EQ(reply.rejected->afe_id, afe::afe_wire_id(a));
+    EXPECT_EQ(reply.rejected->afe_spec, spec.canonical());
   }
 
   auto submit_all = [&](const std::vector<Submission>& batch) {
     for (const auto& sub : batch) {
       for (size_t j = 0; j < kServers; ++j) {
-        net::Writer w;
-        w.u8_(server::kClientSubmit);
-        w.u64_(sub.client_id);
-        w.bytes(sub.blobs[j]);
-        conns[j].send_frame(w.data());
+        conns[j].send_frame(server::encode(
+            server::ClientSubmit{sub.client_id, sub.blobs[j]}));
       }
       for (size_t j = 0; j < kServers; ++j) {
-        const std::vector<u8> ack = conns[j].recv_frame(15'000);
-        net::Reader r(ack);
-        ASSERT_EQ(r.u8_(), server::kSubmitAck);
-        ASSERT_EQ(r.u8_(), 1);
+        ASSERT_EQ(server::decode_submit_ack(conns[j].recv_frame(15'000)),
+                  std::optional<bool>(true));
       }
     }
   };
@@ -329,28 +320,22 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
   // the published sigma.
   auto check_epoch = [&](u32 epoch,
                          const baseline::PlaintextReference<F, Afe>& want) {
-    net::Writer ask;
-    ask.u8_(server::kGetAggregate);
-    ask.u32_(epoch);
-    ask.u8_(afe::afe_wire_id(a));
-    ask.str_(spec.canonical());
-    conns[0].send_frame(ask.data());
-    const std::vector<u8> frame = conns[0].recv_frame(120'000);
-    net::Reader r(frame);
-    ASSERT_EQ(r.u8_(), server::kAggregate);
-    EXPECT_EQ(r.u32_(), epoch);
-    const u64 accepted = r.u64_();
-    EXPECT_EQ(r.u8_(), afe::afe_wire_id(a));
-    EXPECT_EQ(r.str_(), spec.canonical());
-    auto sigma = r.field_vector<F>(a.k_prime());
-    const std::vector<u8> typed = r.bytes();
-    ASSERT_TRUE(r.ok() && r.at_end());
-    ASSERT_EQ(sigma.size(), a.k_prime());
-    EXPECT_EQ(accepted, want.accepted()) << "epoch " << epoch;
-    EXPECT_EQ(sigma, want.sigma()) << "epoch " << epoch;
-    EXPECT_EQ(typed, afe::result_bytes(a, want.result())) << "epoch " << epoch;
-    auto local = a.decode(std::span<const F>(sigma), accepted);
-    EXPECT_EQ(afe::result_bytes(a, local), typed) << "epoch " << epoch;
+    conns[0].send_frame(server::encode(server::GetAggregate{
+        epoch, afe::afe_wire_id(a), spec.canonical()}));
+    const auto agg = server::decode_aggregate_reply<F>(
+                         conns[0].recv_frame(120'000), a.k_prime())
+                         .published;
+    ASSERT_TRUE(agg.has_value());
+    EXPECT_EQ(agg->epoch, epoch);
+    EXPECT_EQ(agg->afe_id, afe::afe_wire_id(a));
+    EXPECT_EQ(agg->afe_spec, spec.canonical());
+    EXPECT_EQ(agg->accepted, want.accepted()) << "epoch " << epoch;
+    EXPECT_EQ(agg->sigma, want.sigma()) << "epoch " << epoch;
+    EXPECT_EQ(agg->typed_result, afe::result_bytes(a, want.result()))
+        << "epoch " << epoch;
+    auto local = a.decode(std::span<const F>(agg->sigma), agg->accepted);
+    EXPECT_EQ(afe::result_bytes(a, local), agg->typed_result)
+        << "epoch " << epoch;
   };
 
   EXPECT_EQ(ref.accepted(), kClients - 2);  // the tampered and bad proof out
@@ -422,11 +407,8 @@ TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
       ref.add(pos, pos % 256);
     }
     for (size_t j = 0; j < kServers; ++j) {
-      net::Writer w;
-      w.u8_(server::kClientSubmit);
-      w.u64_(pos);
-      w.bytes(blobs[j]);
-      net::append_frame(bursts[j], w.data());
+      net::append_frame(bursts[j],
+                        server::encode(server::ClientSubmit{pos, blobs[j]}));
     }
   }
   const u8 unknown[] = {0x7f};
@@ -451,12 +433,10 @@ TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
   }
   for (size_t j = 0; j < kServers; ++j) {
     for (size_t pos = 0; pos < kFrames; ++pos) {
-      const std::vector<u8> ack = conns[j].recv_frame(15'000);
-      net::Reader r(ack);
-      ASSERT_EQ(r.u8_(), server::kSubmitAck) << "server " << j;
-      EXPECT_EQ(r.u8_(), pos == kShort || pos == kOversized ? 0 : 1)
+      const auto ack = server::decode_submit_ack(conns[j].recv_frame(15'000));
+      ASSERT_TRUE(ack.has_value()) << "server " << j;
+      EXPECT_EQ(*ack, pos != kShort && pos != kOversized)
           << "server " << j << " frame " << pos;
-      EXPECT_TRUE(r.ok() && r.at_end());
     }
     // The unknown frame drops the connection: EOF, with no further frame.
     EXPECT_FALSE(conns[j].try_recv_frame(15'000).has_value());
@@ -470,21 +450,15 @@ TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
 
   net::FramedConn ask_conn(
       net::connect_tcp("127.0.0.1", cluster.client_port(0), 15'000));
-  net::Writer ask;
-  ask.u8_(server::kGetAggregate);
-  ask.u32_(0);
-  ask.u8_(afe::afe_wire_id(a));
-  ask.str_(spec);
-  ask_conn.send_frame(ask.data());
-  const std::vector<u8> frame = ask_conn.recv_frame(120'000);
-  net::Reader r(frame);
-  ASSERT_EQ(r.u8_(), server::kAggregate);
-  EXPECT_EQ(r.u32_(), 0u);
-  EXPECT_EQ(r.u64_(), ref.accepted());
-  r.u8_();
-  r.str_();
-  EXPECT_EQ(r.field_vector<F>(a.k_prime()), ref.sigma());
-  EXPECT_TRUE(r.ok());
+  ask_conn.send_frame(
+      server::encode(server::GetAggregate{0, afe::afe_wire_id(a), spec}));
+  const auto agg = server::decode_aggregate_reply<F>(
+                       ask_conn.recv_frame(120'000), a.k_prime())
+                       .published;
+  ASSERT_TRUE(agg.has_value());
+  EXPECT_EQ(agg->epoch, 0u);
+  EXPECT_EQ(agg->accepted, ref.accepted());
+  EXPECT_EQ(agg->sigma, ref.sigma());
   conns.clear();
   ask_conn = net::FramedConn();
   cluster.finish();

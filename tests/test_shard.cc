@@ -1,6 +1,7 @@
 // Sharded-runtime tests: the client-id -> shard routing invariants, the
 // multi-lane router over a loopback mesh checked against the plaintext
 // reference (and its metrics and trace against the same ground truth),
+// the frame codecs' pinned bytes and their hostile-input fuzz,
 // cross-shard replay/misroute rejection, lanes under a slow peer, a
 // recovered sequencer caught up one batch over the mesh, and the TCP lane
 // multiplexer's per-lane ordering.
@@ -8,9 +9,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -24,6 +28,7 @@
 #include "server/router.h"
 #include "store/recovery.h"
 #include "store/wal.h"
+#include "util/hex.h"
 
 namespace prio {
 namespace {
@@ -67,6 +72,270 @@ TEST(ShardOfTest, SequentialIdsSpreadAcrossShards) {
     EXPECT_GT(hist[s], kIds / kShards / 2) << "shard " << s;
     EXPECT_LT(hist[s], kIds / kShards * 2) << "shard " << s;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Frame codecs (server/protocol.h): the client frames and the plaintext
+// mesh frames, plus the outer type byte of the sealed catch-up frames
+// ---------------------------------------------------------------------------
+
+// One pinned frame per type: the layout is a wire contract between servers
+// and clients built from different trees, so a codec change that moves a
+// byte fails here. Every decoder round-trips its frame.
+TEST(FrameCodecTest, ByteFormatMatchesPinnedFrames) {
+  const std::string spec = "sum:bits=8";
+  const std::string spec_hex = "0a000000" "73756d3a626974733d38";
+  // encode(frame) == pinned, and decode<T>(pinned) re-encodes to it.
+  auto pinned = [](const auto& frame, const std::string& hex) {
+    using Frame = std::decay_t<decltype(frame)>;
+    const std::vector<u8> bytes = from_hex(hex);
+    EXPECT_EQ(to_hex(server::encode(frame)), hex);
+    const auto back = server::decode<Frame>(bytes);
+    EXPECT_TRUE(back.has_value()) << hex;
+    if (back) {
+      EXPECT_EQ(server::encode(*back), bytes);
+    }
+    return back;
+  };
+
+  const auto sub = pinned(
+      server::ClientSubmit{0x0102030405060708ull,
+                           from_hex("8877665544332211" "deadbeef")},
+      "11" "0807060504030201" "0c000000" "8877665544332211deadbeef");
+  ASSERT_TRUE(sub.has_value());
+  EXPECT_EQ(sub->client_id, 0x0102030405060708ull);
+  EXPECT_EQ(load_le64(sub->blob.data()), 0x1122334455667788ull);
+
+  for (bool ok : {true, false}) {
+    const auto ack = server::encode_submit_ack(ok);
+    EXPECT_EQ(to_hex(ack), ok ? "1201" : "1200");
+    EXPECT_EQ(server::decode_submit_ack(ack), std::optional<bool>(ok));
+  }
+
+  const auto query =
+      pinned(server::GetAggregate{7, 3, spec}, "13" "07000000" "03" + spec_hex);
+  ASSERT_TRUE(query.has_value());
+  EXPECT_EQ(query->afe_spec, spec);
+
+  const std::vector<F> sigma = {F::from_u64(1), F::from_u64(2), -F::one()};
+  const std::string agg_hex =
+      "14" "07000000" "0500000000000000" "03" + spec_hex + "03000000"
+      "0100000000000000" "0200000000000000" "00000000ffffffff"
+      "04000000" "05000000";
+  pinned(server::Aggregate<F>{7, 5, 3, spec, sigma, from_hex("05000000")},
+         agg_hex);
+  const std::string reject_hex = "15" "03" + spec_hex;
+  pinned(server::AggregateReject{3, spec}, reject_hex);
+  // The reply decoder tells the two apart, and an aggregate with a sigma of
+  // another length is not this deployment's.
+  const std::vector<u8> agg = from_hex(agg_hex);
+  const auto published = server::decode_aggregate_reply<F>(agg, 3);
+  ASSERT_TRUE(published.published.has_value());
+  EXPECT_FALSE(published.rejected.has_value());
+  EXPECT_EQ(published.published->sigma, sigma);
+  EXPECT_FALSE(server::decode_aggregate_reply<F>(agg, 4).published);
+  const auto rejected =
+      server::decode_aggregate_reply<F>(from_hex(reject_hex), 3);
+  EXPECT_FALSE(rejected.published.has_value());
+  ASSERT_TRUE(rejected.rejected.has_value());
+  EXPECT_EQ(rejected.rejected->afe_spec, spec);
+
+  pinned(server::BatchAnnounce{
+             1, {{1, 2}, {0x0102030405060708ull, 0xfffffffffffffffeull}}},
+         "21" "01000000" "02000000" "0100000000000000" "0200000000000000"
+         "0807060504030201" "feffffffffffffff");
+  pinned(server::LaneClose{2, 9}, "22" "02000000" "09000000");
+  pinned(server::SyncHello{1, 3, 640, 600, 12, spec},
+         "31" "01000000" "03000000" "8002000000000000" "5802000000000000"
+         "0c00000000000000" + spec_hex);
+
+  // The catch-up decoders return views into the frame, so it outlives them.
+  const std::vector<u8> sealed = from_hex("aabbcc");
+  for (u8 type : {server::kCatchUpBatch, server::kCatchUpEpoch}) {
+    const std::vector<u8> frame = server::encode_catch_up(type, sealed);
+    EXPECT_EQ(to_hex(frame),
+              (type == server::kCatchUpBatch ? "32" : "33") + to_hex(sealed));
+    const auto body = server::decode_catch_up(type, frame);
+    ASSERT_TRUE(body.has_value());
+    EXPECT_EQ(std::vector<u8>(body->begin(), body->end()), sealed);
+  }
+  EXPECT_EQ(to_hex(server::encode_catch_up_epoch_body(5)), "05000000");
+  EXPECT_EQ(server::decode_catch_up_epoch_body(from_hex("05000000")),
+            std::optional<u32>(5));
+}
+
+// Hostile frames for every decoder, shaped like BatchRecordFuzzTest. A
+// frame a decoder accepts must re-encode to exactly the bytes it was given;
+// everything else is refused without throwing. The sealed catch-up frames
+// are fuzzed through the AEAD open the runtime puts behind their outer
+// codec, so any change to the sealed body is refused there.
+TEST(FrameCodecFuzzTest, HostileFramesAllRejectedWithoutUB) {
+  using Bytes = std::vector<u8>;
+  // Decodes, and on acceptance re-encodes; nullopt iff the decoder refused.
+  using Reencode = std::function<std::optional<Bytes>(std::span<const u8>)>;
+  struct Case {
+    std::string name;
+    Bytes good;
+    std::vector<u8> types;  // the type bytes the decoder accepts
+    Reencode reencode;
+  };
+  // The generic codec pair of one frame struct.
+  auto generic = [](std::string name, auto frame) {
+    using Frame = decltype(frame);
+    return Case{std::move(name), server::encode(frame), {Frame::kType},
+                [](std::span<const u8> b) -> std::optional<Bytes> {
+                  auto f = server::decode<Frame>(b);
+                  if (!f) return std::nullopt;
+                  return server::encode(*f);
+                }};
+  };
+  std::mt19937_64 gen(26);
+  auto random_bytes = [&](size_t n) {
+    Bytes b(n);
+    for (auto& x : b) x = static_cast<u8>(gen());
+    return b;
+  };
+  constexpr size_t kPrime = 3;
+  std::vector<F> sigma;
+  for (size_t i = 0; i < kPrime; ++i) sigma.push_back(F::from_u64(gen()));
+  server::BatchIds ids;
+  for (int i = 0; i < 5; ++i) ids.push_back({gen(), gen()});
+  const std::string spec = "bitvec_sum:len=16";
+
+  const Reencode ack = [](std::span<const u8> b) -> std::optional<Bytes> {
+    auto ok = server::decode_submit_ack(b);
+    if (!ok) return std::nullopt;
+    const auto enc = server::encode_submit_ack(*ok);
+    return Bytes(enc.begin(), enc.end());
+  };
+  const Reencode reply = [](std::span<const u8> b) -> std::optional<Bytes> {
+    auto r = server::decode_aggregate_reply<F>(b, kPrime);
+    EXPECT_FALSE(r.published && r.rejected);
+    if (r.published) return server::encode(*r.published);
+    if (r.rejected) return server::encode(*r.rejected);
+    return std::nullopt;
+  };
+  // The catch-up bodies travel sealed under a per-(generation, tag,
+  // direction) control channel that seals from nonce 0, so re-sealing an
+  // accepted body on a fresh channel reproduces the frame exactly.
+  const Bytes secret = random_bytes(32);
+  auto control = [&](const char* tag) {
+    return net::SecureChannel(secret, "s0/g1/" + std::string(tag),
+                              "s1/g1/" + std::string(tag));
+  };
+  const Reencode catch_up_batch =
+      [&](std::span<const u8> b) -> std::optional<Bytes> {
+    auto sealed = server::decode_catch_up(server::kCatchUpBatch, b);
+    if (!sealed) return std::nullopt;
+    auto body = control("cub").open(*sealed);
+    if (!body) return std::nullopt;
+    auto rec = decode_batch_record(*body);
+    if (!rec) return std::nullopt;
+    return server::encode_catch_up(
+        server::kCatchUpBatch,
+        control("cub").seal(encode_batch_record(rec->ids, rec->verdicts)));
+  };
+  const Reencode catch_up_epoch =
+      [&](std::span<const u8> b) -> std::optional<Bytes> {
+    auto sealed = server::decode_catch_up(server::kCatchUpEpoch, b);
+    if (!sealed) return std::nullopt;
+    auto body = control("cue").open(*sealed);
+    if (!body) return std::nullopt;
+    auto epoch = server::decode_catch_up_epoch_body(*body);
+    if (!epoch) return std::nullopt;
+    return server::encode_catch_up(
+        server::kCatchUpEpoch,
+        control("cue").seal(server::encode_catch_up_epoch_body(*epoch)));
+  };
+  const std::vector<u8> replies = {server::kAggregate,
+                                   server::kAggregateReject};
+
+  const std::vector<Case> cases = {
+      generic("client_submit", server::ClientSubmit{gen(), random_bytes(40)}),
+      {"submit_ack_ok", {server::kSubmitAck, 1}, {server::kSubmitAck}, ack},
+      {"submit_ack_nack", {server::kSubmitAck, 0}, {server::kSubmitAck}, ack},
+      generic("get_aggregate",
+              server::GetAggregate{static_cast<u32>(gen()), 2, spec}),
+      {"aggregate",
+       server::encode(server::Aggregate<F>{4, gen(), 2, spec, sigma,
+                                           random_bytes(9)}),
+       replies, reply},
+      {"aggregate_reject", server::encode(server::AggregateReject{2, spec}),
+       replies, reply},
+      generic("batch_announce", server::BatchAnnounce{3, ids}),
+      generic("lane_close", server::LaneClose{3, 17}),
+      generic("sync_hello",
+              server::SyncHello{3, 17, gen(), gen(), gen(), spec}),
+      {"catch_up_batch",
+       server::encode_catch_up(
+           server::kCatchUpBatch,
+           control("cub").seal(
+               encode_batch_record(ids, std::vector<u8>{1, 0, 1, 1, 0}))),
+       {server::kCatchUpBatch},
+       catch_up_batch},
+      {"catch_up_epoch",
+       server::encode_catch_up(
+           server::kCatchUpEpoch,
+           control("cue").seal(server::encode_catch_up_epoch_body(17))),
+       {server::kCatchUpEpoch},
+       catch_up_epoch},
+      {"catch_up_epoch_body",
+       server::encode_catch_up_epoch_body(17),
+       {},  // sealed plaintext: no type byte of its own
+       [](std::span<const u8> b) -> std::optional<Bytes> {
+         auto e = server::decode_catch_up_epoch_body(b);
+         if (!e) return std::nullopt;
+         return server::encode_catch_up_epoch_body(*e);
+       }},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.reencode(c.good), std::optional<Bytes>(c.good));
+    for (size_t len = 0; len < c.good.size(); ++len) {
+      EXPECT_FALSE(c.reencode(std::span<const u8>(c.good.data(), len)))
+          << "truncated to " << len;
+    }
+    for (size_t byte = 0; byte < c.good.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes bad = c.good;
+        bad[byte] ^= static_cast<u8>(1u << bit);
+        if (auto again = c.reencode(bad)) {
+          EXPECT_EQ(*again, bad) << "flip at " << byte << ":" << bit;
+        }
+      }
+    }
+    Bytes trailing = c.good;
+    trailing.push_back(0);
+    EXPECT_FALSE(c.reencode(trailing)) << "one trailing byte";
+    if (c.types.empty()) continue;
+    for (int t = 0; t < 256; ++t) {
+      if (std::count(c.types.begin(), c.types.end(), t) != 0) continue;
+      Bytes wrong = c.good;
+      wrong[0] = static_cast<u8>(t);
+      EXPECT_FALSE(c.reencode(wrong)) << "type byte " << t;
+    }
+  }
+
+  // Acks carry ok = 0 or 1, nothing else.
+  EXPECT_FALSE(server::decode_submit_ack(Bytes{server::kSubmitAck, 2}));
+
+  // Announcement counts: 0, one past the bound with every byte the count
+  // claims present, and past the remaining bytes.
+  auto announce = [](u32 count, size_t id_pairs) {
+    Bytes b = server::encode(
+        server::BatchAnnounce{0, server::BatchIds(id_pairs, {1, 2})});
+    for (int i = 0; i < 4; ++i) b[5 + i] = static_cast<u8>(count >> (8 * i));
+    return b;
+  };
+  EXPECT_TRUE(server::decode<server::BatchAnnounce>(announce(3, 3)));
+  EXPECT_FALSE(server::decode<server::BatchAnnounce>(announce(0, 0)));
+  {
+    const u32 count = server::kMaxBatchRecord + 1;
+    EXPECT_FALSE(server::decode<server::BatchAnnounce>(announce(count, count)));
+  }
+  EXPECT_FALSE(server::decode<server::BatchAnnounce>(announce(5, 2)));
+  EXPECT_FALSE(server::decode<server::BatchAnnounce>(announce(0xffffffffu, 1)));
 }
 
 // ---------------------------------------------------------------------------

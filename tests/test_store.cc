@@ -523,7 +523,7 @@ TEST(BatchRecordFuzzTest, HostileRecordsAllRejectedWithoutUB) {
   EXPECT_FALSE(decode_batch_record(header_only(0, 0, 0)));
   // One past the bound, with every byte the count claims present.
   {
-    const u32 count = kMaxBatchRecord + 1;
+    const u32 count = server::kMaxBatchRecord + 1;
     EXPECT_FALSE(decode_batch_record(header_only(count, count, count)));
   }
   // Counts past the remaining bytes.

@@ -516,16 +516,10 @@ class Driver {
           conns_[j].emplace(net::connect_tcp(
               "127.0.0.1", (u16)(base_ + 100 + (int)j), 3000));
         }
-        net::Writer w;
-        w.u8_(server::kClientSubmit);
-        w.u64_(cid);
-        w.bytes(blob);
-        conns_[j]->send_frame(w.data());
-        const auto ack = conns_[j]->recv_frame(15'000);
-        net::Reader r(ack);
-        if (r.u8_() == server::kSubmitAck && r.u8_() == 1 && r.ok()) {
-          return true;
-        }
+        conns_[j]->send_frame(server::encode(server::ClientSubmit{cid, blob}));
+        const auto ack =
+            server::decode_submit_ack(conns_[j]->recv_frame(15'000));
+        if (ack.value_or(false)) return true;
         // Nack (WAL budget / malformed): give the server a beat and retry.
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
       } catch (const net::TransportError&) {
@@ -541,14 +535,10 @@ class Driver {
 
   // Fetches epoch e's published aggregate from server 0, reconnecting
   // through crashes. Returns nullopt only on run failure.
-  struct Fetched {
-    u64 accepted = 0;
-    std::vector<F> sigma;
-    std::vector<u8> typed;
-  };
   template <typename Afe>
-  std::optional<Fetched> fetch(const Afe& afe, const afe::AfeSpec& spec,
-                               u32 epoch) {
+  std::optional<server::Aggregate<F>> fetch(const Afe& afe,
+                                            const afe::AfeSpec& spec,
+                                            u32 epoch) {
     // Generous: after a kill the three servers' reestablish rounds are
     // only loosely coupled and can ping-pong (each new round closing the
     // links a peer just rebuilt) for several 20s-timeout cycles before
@@ -564,35 +554,23 @@ class Driver {
           conns_[0].emplace(
               net::connect_tcp("127.0.0.1", (u16)(base_ + 100), 3000));
         }
-        net::Writer ask;
-        ask.u8_(server::kGetAggregate);
-        ask.u32_(epoch);
-        ask.u8_(afe::afe_wire_id(afe));
-        ask.str_(spec.canonical());
-        conns_[0]->send_frame(ask.data());
-        const auto reply = conns_[0]->recv_frame(60'000);
-        net::Reader r(reply);
-        const u8 type = r.u8_();
-        if (type == server::kAggregateReject) {
+        conns_[0]->send_frame(server::encode(server::GetAggregate{
+            epoch, afe::afe_wire_id(afe), spec.canonical()}));
+        auto reply = server::decode_aggregate_reply<F>(
+            conns_[0]->recv_frame(60'000), afe.k_prime());
+        if (reply.rejected) {
           ctx_->fail("server 0 rejected our AFE spec");
           return std::nullopt;
         }
-        Fetched out;
-        const u32 got_epoch = r.u32_();
-        out.accepted = r.u64_();
-        const u8 got_id = r.u8_();
-        const std::string got_spec = r.str_();
-        out.sigma = r.field_vector<F>(afe.k_prime());
-        out.typed = r.bytes();
-        if (type != server::kAggregate || got_epoch != epoch || !r.ok() ||
-            !r.at_end() || out.sigma.size() != afe.k_prime() ||
-            got_id != afe::afe_wire_id(afe) ||
-            got_spec != spec.canonical()) {
+        const auto& agg = reply.published;
+        if (!agg || agg->epoch != epoch ||
+            agg->afe_id != afe::afe_wire_id(afe) ||
+            agg->afe_spec != spec.canonical()) {
           ctx_->fail("malformed aggregate reply for epoch " +
                      std::to_string(epoch));
           return std::nullopt;
         }
-        return out;
+        return std::move(reply.published);
       } catch (const net::TransportError&) {
         conns_[0].reset();
         std::this_thread::sleep_for(std::chrono::milliseconds(250));
@@ -781,7 +759,7 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
     const auto got = driver.fetch(afe, spec, (u32)e);
     if (!got) break;
     if (got->accepted != ref.accepted() || got->sigma != ref.sigma() ||
-        got->typed != afe::result_bytes(afe, ref.result())) {
+        got->typed_result != afe::result_bytes(afe, ref.result())) {
       ctx.fail("epoch " + std::to_string(e) + " aggregate DIVERGES from the "
                "plaintext reference (accepted " +
                std::to_string(got->accepted) + " vs " +
