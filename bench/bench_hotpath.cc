@@ -11,7 +11,9 @@
 //    opening that share: its Poly1305 tag and its element decode;
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
-//    including heap allocations per check via a counting allocator.
+//    including heap allocations per check via a counting allocator, on
+//    the 64-bit circuit and on bulk's 1,024-bit one, plus the refresh of
+//    r that composes the engine's rows for bulk's circuit.
 //    Exits 1 if the engine allocates at all once warmed up.
 //
 // End-to-end throughput is e2e_bench's job (real prio_server processes).
@@ -60,6 +62,12 @@ namespace {
 
 using F = Fp64;
 using Afe = afe::BitVectorSum<F>;
+
+// Sums every computed field of a local state, so the optimizer cannot drop
+// the inner products whose results a timed loop would otherwise ignore.
+F check_sum(const SnipLocalState<F>& st) {
+  return st.d_share + st.e_share + st.rh_share + st.out_combo;
+}
 
 unsigned long long allocs_during(const std::function<void()>& fn) {
   const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
@@ -233,21 +241,21 @@ int main(int argc, char** argv) {
 
     // The engine sizes its scratch on first use; that one call is outside
     // the counted span, every timed call after it must allocate nothing.
-    F sink = ver.local_check(ctx, 0, std::span<const F>(shares[0])).d_share;
+    F sink = check_sum(ver.local_check(ctx, 0, std::span<const F>(shares[0])));
     unsigned long long legacy_allocs = 0, engine_allocs = 0;
     const double t_legacy = benchutil::time_seconds([&] {
       legacy_allocs += allocs_during([&] {
         for (size_t it = 0; it < iters; ++it) {
-          auto st = snip_local_check(ctx, 0, std::span<const F>(shares[0]));
-          sink += st.d_share;
+          sink += check_sum(
+              snip_local_check(ctx, 0, std::span<const F>(shares[0])));
         }
       });
     }, kReps);
     const double t_engine = benchutil::time_seconds([&] {
       engine_allocs += allocs_during([&] {
         for (size_t it = 0; it < iters; ++it) {
-          auto st = ver.local_check(ctx, 0, std::span<const F>(shares[0]));
-          sink += st.d_share;
+          sink += check_sum(
+              ver.local_check(ctx, 0, std::span<const F>(shares[0])));
         }
       });
     }, kReps);
@@ -270,6 +278,62 @@ int main(int argc, char** argv) {
     json.kv("local_check_engine_per_s", engine_rate);
     json.kv("local_check_legacy_allocs", legacy_allocs / calls);
     json.kv("local_check_engine_allocs", engine_allocs);
+  }
+
+  // ---- bulk's circuit: local check and the refresh that composes it ----
+  // e2e_bench's bulk workload verifies bitvec_sum:len=1024 (4,096 gates,
+  // ext_len 5,125): the engine's four inner products against the
+  // reference's wire-by-wire evaluation, and one refresh of r (Lagrange
+  // rows plus their composition with the circuit).
+  {
+    const size_t kBulkBits = 1024;
+    const size_t iters = smoke ? 20 : 2000;
+    const size_t refresh_iters = smoke ? 2 : 100;
+    Afe bulk_afe(kBulkBits);
+    const Circuit<F>& bulk = bulk_afe.valid_circuit();
+    SnipProver<F> bulk_prover(&bulk);
+    SecureRng rng(13);
+    VerificationContext<F> ctx(&bulk, kServers, 98);
+    auto ext = bulk_prover.build_extended_input(
+        bulk_afe.encode(std::vector<u8>(kBulkBits, 1)), rng);
+    auto shares = share_vector<F>(ext, kServers, rng);
+    const std::span<const F> share(shares[0]);
+    SnipVerifier<F> ver(&bulk);
+
+    F sink = check_sum(ver.local_check(ctx, 0, share));
+    unsigned long long engine_allocs = 0;
+    const double t_engine = benchutil::time_seconds([&] {
+      engine_allocs += allocs_during([&] {
+        for (size_t it = 0; it < iters; ++it) {
+            sink += check_sum(ver.local_check(ctx, 0, share));
+        }
+      });
+    }, kReps);
+    const double t_ref = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        sink += check_sum(snip_local_check(ctx, 0, share));
+      }
+    }, kReps);
+    const double t_refresh = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < refresh_iters; ++it) ctx.refresh();
+    }, kReps);
+    require(!sink.is_zero(), "bench: bulk checks vanished");
+    const double engine_us = t_engine / iters * 1e6;
+    const double ref_us = t_ref / iters * 1e6;
+    const double refresh_us = t_refresh / refresh_iters * 1e6;
+    std::printf("local check, bulk (len=%zu): reference %6.1f us   engine"
+                " %6.2f us   (%.1fx)   refresh %6.0f us\n", kBulkBits, ref_us,
+                engine_us, ref_us / engine_us, refresh_us);
+    if (engine_allocs != 0) {
+      std::fprintf(stderr,
+                   "bench_hotpath: SnipVerifier::local_check made %llu heap "
+                   "allocations on bulk's circuit; it must make none\n",
+                   engine_allocs);
+      return 1;
+    }
+    json.kv("local_check_bulk_us", engine_us);
+    json.kv("local_check_bulk_reference_us", ref_us);
+    json.kv("refresh_bulk_us", refresh_us);
   }
 
   std::string payload = json.finish();

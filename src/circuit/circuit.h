@@ -84,20 +84,10 @@ class Circuit {
   std::vector<F> eval_shares(std::span<const F> input_share,
                              std::span<const F> mul_outputs,
                              bool first_server) const {
-    std::vector<F> w(gates_.size());
-    eval_shares_into(input_share, mul_outputs, first_server, std::span<F>(w));
-    return w;
-  }
-
-  // Allocation-free variant for the batched verifier: `wires` must have
-  // exactly num_wires() slots and receives every wire value.
-  void eval_shares_into(std::span<const F> input_share,
-                        std::span<const F> mul_outputs, bool first_server,
-                        std::span<F> w) const {
     require(input_share.size() == num_inputs_, "Circuit::eval_shares: arity");
     require(mul_outputs.size() == mul_gates_.size(),
             "Circuit::eval_shares: mul share count");
-    require(w.size() == gates_.size(), "Circuit::eval_shares: wire count");
+    std::vector<F> w(gates_.size());
     size_t mul_idx = 0;
     for (size_t i = 0; i < gates_.size(); ++i) {
       const Gate<F>& g = gates_[i];
@@ -110,6 +100,7 @@ class Circuit {
         case GateOp::kMulConst: w[i] = w[g.a] * g.constant; break;
       }
     }
+    return w;
   }
 
   // The values on the left/right input wires of each multiplication gate,
@@ -119,20 +110,10 @@ class Circuit {
                        std::vector<F>* right) const {
     left->resize(mul_gates_.size());
     right->resize(mul_gates_.size());
-    mul_gate_inputs_into(wires, std::span<F>(*left), std::span<F>(*right));
-  }
-
-  // Allocation-free variant: `left`/`right` must each have num_mul_gates()
-  // slots.
-  void mul_gate_inputs_into(std::span<const F> wires, std::span<F> left,
-                            std::span<F> right) const {
-    require(left.size() == mul_gates_.size() &&
-                right.size() == mul_gates_.size(),
-            "Circuit::mul_gate_inputs: slot count");
     for (size_t t = 0; t < mul_gates_.size(); ++t) {
       const Gate<F>& g = gates_[mul_gates_[t]];
-      left[t] = wires[g.a];
-      right[t] = wires[g.b];
+      (*left)[t] = wires[g.a];
+      (*right)[t] = wires[g.b];
     }
   }
 

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <thread>
@@ -90,6 +91,9 @@ std::optional<Socket> TcpListener::accept_conn(int timeout_ms) {
 Socket connect_tcp(const std::string& host, u16 port, int total_timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(total_timeout_ms);
   sockaddr_in addr = make_addr(host, port);
+  // A peer that is merely starting up usually listens within a few ms, so
+  // the retry sleep starts at 1 ms and doubles up to a 20 ms cap.
+  int backoff_ms = 1;
   for (;;) {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) fail("socket()");
@@ -104,7 +108,8 @@ Socket connect_tcp(const std::string& host, u16 port, int total_timeout_ms) {
       throw TransportError("connect to " + host + ":" + std::to_string(port) +
                            " timed out");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+    backoff_ms = std::min(2 * backoff_ms, 20);
   }
 }
 

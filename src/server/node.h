@@ -168,6 +168,9 @@ class ServerNode {
           "Batch verification latency (local checks + 4 mesh rounds); "
           "committed attempts only",
           label);
+      m_local_check_ = reg->histogram(
+          "prio_stage_local_check_seconds",
+          "Batch round-1 local checks (part of the rounds stage)", label);
       m_accepted_ = reg->counter("prio_verify_accepted_total",
                                  "Submissions accepted by verification",
                                  label);
@@ -219,17 +222,17 @@ class ServerNode {
   std::vector<u8> process_batch(std::span<const SubmissionShare> batch) {
     require(batch.size() <= cfg_.refresh_every,
             "ServerNode::process_batch: batch exceeds the refresh window");
-    PreparedBatch prep;
-    prepare(batch, prep);
+    prepare(batch, prep_);
     const u64 counter_before = batch_counter_;
     const u64 refreshes_before = refreshes_;
     const size_t since_before = ctx_.submissions_since_refresh();
     try {
-      return run_rounds(batch, prep);
+      return run_rounds(batch, prep_);
     } catch (const net::TransportError&) {
       batch_counter_ = counter_before;
       if (refreshes_ != refreshes_before) {
-        rebuild_context(refreshes_before);
+        ctx_.replay_refreshes(refreshes_before);
+        refreshes_ = refreshes_before;
       }
       ctx_.set_submissions_since_refresh(since_before);
       throw;
@@ -240,9 +243,11 @@ class ServerNode {
   // The network-free front half of a batch: every sealed blob decrypted
   // and PRG-expanded into ONE flat buffer (q * ext_len field elements; the
   // x-share aggregation slice is the prefix of each row), plus the
-  // per-submission sequence numbers and the parse bitmap.
+  // per-submission sequence numbers and the parse bitmap. The node keeps
+  // one across batches, so the buffer is allocated once for the largest
+  // batch, not zero-filled per batch.
   struct PreparedBatch {
-    std::vector<F> ext;      // count * ext_len expanded shares, row-major
+    std::vector<F> ext;      // >= count * ext_len expanded shares, row-major
     std::vector<u64> seqs;   // per-submission client sequence numbers
     std::vector<u8> parsed;  // 1 iff the blob opened and parsed
     size_t ext_len = 0;
@@ -254,12 +259,13 @@ class ServerNode {
     }
   };
 
-  // Touches no protocol state (sealer keys only).
+  // Touches no protocol state (sealer keys only). The row of a blob that
+  // fails to open keeps stale bytes, but nothing reads an unparsed row.
   void prepare(std::span<const SubmissionShare> batch, PreparedBatch& prep) {
     obs::ScopedTimer prepare_timer(m_prepare_);
     const size_t q = batch.size();
     prep.ext_len = ctx_.layout().total_len();
-    prep.ext.assign(q * prep.ext_len, F::zero());
+    if (prep.ext.size() < q * prep.ext_len) prep.ext.resize(q * prep.ext_len);
     prep.seqs.assign(q, 0);
     prep.parsed.assign(q, 0);
     for (size_t v = 0; v < q; ++v) {
@@ -297,8 +303,13 @@ class ServerNode {
     // slice is the row prefix, so nothing is copied out.
     std::vector<std::optional<SnipLocalState<F>>> states(q);
     const std::vector<u8>& parsed = prep.parsed;
-    for (size_t v = 0; v < q; ++v) {
-      if (parsed[v]) states[v] = verifier_.local_check(ctx_, me, prep.share(v));
+    {
+      obs::ScopedTimer local_check_timer(m_local_check_);
+      for (size_t v = 0; v < q; ++v) {
+        if (parsed[v]) {
+          states[v] = verifier_.local_check(ctx_, me, prep.share(v));
+        }
+      }
     }
 
     std::string tag = "b";  // per-batch channel-key tag (gcc 12 dislikes
@@ -468,19 +479,6 @@ class ServerNode {
       seed ^= u64{cfg.lane} * 0x9e3779b97f4a7c15ull + 0x5eedULL;
     }
     return seed;
-  }
-
-  // Rebuilds the verification context by replaying its deterministic
-  // refresh schedule up to `refreshes` (rollback of an aborted batch that
-  // had already resampled r).
-  void rebuild_context(u64 refreshes) {
-    ctx_ = VerificationContext<F>(&afe_->valid_circuit(), cfg_.num_servers,
-                                  context_seed(cfg_));
-    refreshes_ = 1;  // the context constructor performs the first refresh
-    while (refreshes_ < refreshes) {
-      ctx_.refresh();
-      ++refreshes_;
-    }
   }
 
  public:
@@ -716,9 +714,9 @@ class ServerNode {
     gen_ = gen;
     accumulator_ = std::move(acc);
     for (const auto& [cid, floor] : floor_list) replay_.set_floor(cid, floor);
-    while (refreshes_ < refreshes) {
-      ctx_.refresh();
-      ++refreshes_;
+    if (refreshes != refreshes_) {
+      ctx_.replay_refreshes(refreshes);
+      refreshes_ = refreshes;
     }
     ctx_.note_submissions(since);
     return true;
@@ -805,8 +803,10 @@ class ServerNode {
   ReplayGuard replay_;
   std::vector<F> accumulator_;
   SnipVerifier<F> verifier_;  // engine scratch, reused across batches
+  PreparedBatch prep_;        // prepare's buffer, reused across batches
   obs::Histogram* m_prepare_ = nullptr;
   obs::Histogram* m_rounds_ = nullptr;
+  obs::Histogram* m_local_check_ = nullptr;
   obs::Counter* m_accepted_ = nullptr;
   obs::Counter* m_rejected_ = nullptr;
   obs::Counter* m_replay_hits_ = nullptr;

@@ -9,6 +9,12 @@
 //     point-value form on the double domain, and the servers evaluate
 //     f-hat, g-hat, h-hat at the fixed secret point r with precomputed
 //     Lagrange rows (Theta(M) multiplications, no FFT on the server).
+//     Once r is fixed, every round-1 value is a fixed linear function of
+//     the server's share, so the rows are composed with the circuit's
+//     affine wiring once per r (VerificationContext::refresh) and the
+//     local check is four inner products: f-hat(r), g-hat(r) and the
+//     output combination against the composed rows, h-hat(r) against
+//     row_2n (SnipVerifier).
 //  3. Valid circuits have zero-valued outputs and the servers test a random
 //     linear combination of all outputs against zero.
 //
@@ -32,6 +38,8 @@
 // simulated network.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -147,11 +155,41 @@ class SnipProver {
 // Verification context (secret state shared by the servers)
 // ---------------------------------------------------------------------------
 
+// One weight row of the composed local check, over the share prefix
+// [x | f(0) | g(0) | h]: the value is <weights, share> plus `constant` on
+// server 0 only (the circuit's constants ride on the first server's
+// share). The weights are zero outside [lo, hi), so only that span is read.
+template <PrimeField F>
+struct CheckRow {
+  std::vector<F> weights;
+  size_t lo = 0, hi = 0;
+  F constant = F::zero();
+
+  F eval(std::span<const F> share, bool first_server) const {
+    const F v = kernels::inner_product<F>(
+        std::span<const F>(weights).subspan(lo, hi - lo),
+        share.subspan(lo, hi - lo));
+    return first_server ? v + constant : v;
+  }
+
+  // Narrows [lo, hi) to the nonzero weights.
+  void trim() {
+    auto nonzero = [](const F& v) { return !v.is_zero(); };
+    const auto first = std::find_if(weights.begin(), weights.end(), nonzero);
+    const auto last =
+        std::find_if(weights.rbegin(), weights.rend(), nonzero).base();
+    lo = first < last ? static_cast<size_t>(first - weights.begin()) : 0;
+    hi = first < last ? static_cast<size_t>(last - weights.begin()) : 0;
+  }
+
+  bool operator==(const CheckRow&) const = default;
+};
+
 // The servers share a secret evaluation point r plus random output-wire
 // combination coefficients, derived from a common seed the clients never
 // see. Per Appendix I, r is reused across a batch of Q submissions and
-// resampled periodically; the Lagrange rows for r are precomputed here once
-// per refresh.
+// resampled periodically; the Lagrange rows for r, and the check rows
+// composed from them, are built here once per refresh.
 template <PrimeField F>
 class VerificationContext {
  public:
@@ -163,22 +201,29 @@ class VerificationContext {
         num_servers_(num_servers),
         dom_n_(layout_.n),
         dom_2n_(layout_.h_len),
+        seed_(shared_seed),
         rng_(shared_seed) {
     require(num_servers >= 2, "VerificationContext: need >= 2 servers");
     s_inv_ = F::from_u64(num_servers).inv();
     refresh();
   }
 
-  // Resamples r and the output coefficients; rebuilds the Lagrange rows.
+  // Resamples r and the output coefficients; rebuilds the rows.
   void refresh() {
-    do {
-      r_ = rng_.field_element<F>();
-    } while (in_domain(r_));
-    row_n_ = lagrange_eval_row(dom_n_, r_);
-    row_2n_ = lagrange_eval_row(dom_2n_, r_);
-    out_coeffs_.resize(circuit_->outputs().size());
-    for (F& c : out_coeffs_) c = rng_.field_element<F>();
-    since_refresh_ = 0;
+    draw();
+    build_rows();
+  }
+
+  // Rewinds the seeded schedule to its `count`-th refresh (the
+  // constructor's is the first): repeats every draw of r and the
+  // coefficients but builds the rows once, for the last. The result equals
+  // a fresh context refreshed count - 1 times; the abort rollback and the
+  // snapshot restore (server/node.h) replay through here.
+  void replay_refreshes(u64 count) {
+    require(count >= 1, "VerificationContext: replay of zero refreshes");
+    rng_ = SecureRng(seed_);
+    for (u64 i = 0; i < count; ++i) draw();
+    build_rows();
   }
 
   // Batch-friendly refresh policy. r may be reused for at most
@@ -203,6 +248,12 @@ class VerificationContext {
   const std::vector<F>& row_n() const { return row_n_; }
   const std::vector<F>& row_2n() const { return row_2n_; }
   const std::vector<F>& out_coeffs() const { return out_coeffs_; }
+  // The composed rows: f-hat(r), g-hat(r) and the output-wire
+  // combination, each as a function of one server's share. h-hat(r) needs
+  // no composition: it is row_2n against the share's h points.
+  const CheckRow<F>& f_row() const { return f_row_; }
+  const CheckRow<F>& g_row() const { return g_row_; }
+  const CheckRow<F>& out_row() const { return out_row_; }
 
  private:
   bool in_domain(const F& r) const {
@@ -213,17 +264,90 @@ class VerificationContext {
     return x == F::one();
   }
 
+  void draw() {
+    do {
+      r_ = rng_.field_element<F>();
+    } while (in_domain(r_));
+    out_coeffs_.resize(circuit_->outputs().size());
+    for (F& c : out_coeffs_) c = rng_.field_element<F>();
+    since_refresh_ = 0;
+  }
+
+  // Composes the Lagrange rows with the circuit's affine wiring. Each wire
+  // share is an affine function of the share prefix (inputs read x,
+  // mul-gate outputs read h's even points, constants ride on server 0), so
+  // the f-hat(r), g-hat(r) and output-combination functionals are pulled
+  // back through the gates in reverse order: a wire's weight is final once
+  // every later gate that reads it has passed it on. The factor r of
+  // r * g-hat(r) and r * h-hat(r) is applied per check, one multiplication
+  // each, rather than to every row weight at each refresh.
+  void build_rows() {
+    row_n_ = lagrange_eval_row(dom_n_, r_);
+    row_2n_ = lagrange_eval_row(dom_2n_, r_);
+    const std::vector<Gate<F>>& gates = circuit_->gates();
+    const std::vector<u32>& muls = circuit_->mul_gates();
+    const std::vector<u32>& outs = circuit_->outputs();
+    constexpr size_t kFns = 3;  // f-hat(r), g-hat(r), output combination
+    const std::array<CheckRow<F>*, kFns> rows{&f_row_, &g_row_, &out_row_};
+    for (CheckRow<F>* row : rows) {
+      row->weights.assign(layout_.off_a(), F::zero());
+      row->constant = F::zero();
+    }
+    f_row_.weights[layout_.off_f0()] = row_n_[0];
+    g_row_.weights[layout_.off_g0()] = row_n_[0];
+    // adj[kFns * w + k]: weight of wire w in functional k.
+    std::vector<F> adj(kFns * gates.size(), F::zero());
+    for (size_t t = 0; t < muls.size(); ++t) {
+      const Gate<F>& m = gates[muls[t]];
+      adj[kFns * m.a] += row_n_[1 + t];
+      adj[kFns * m.b + 1] += row_n_[1 + t];
+    }
+    for (size_t j = 0; j < outs.size(); ++j) {
+      adj[kFns * outs[j] + 2] += out_coeffs_[j];
+    }
+    size_t t = muls.size();
+    for (size_t i = gates.size(); i-- > 0;) {
+      const Gate<F>& gate = gates[i];
+      if (gate.op == GateOp::kMul) --t;
+      const F* a = &adj[kFns * i];
+      F* left = &adj[kFns * gate.a];
+      F* right = &adj[kFns * gate.b];
+      for (size_t k = 0; k < kFns; ++k) {
+        if (a[k].is_zero()) continue;
+        switch (gate.op) {
+          case GateOp::kInput: rows[k]->weights[gate.a] += a[k]; break;
+          case GateOp::kConst: rows[k]->constant += a[k] * gate.constant; break;
+          case GateOp::kAdd:
+            left[k] += a[k];
+            right[k] += a[k];
+            break;
+          case GateOp::kSub:
+            left[k] += a[k];
+            right[k] -= a[k];
+            break;
+          case GateOp::kMul:
+            rows[k]->weights[layout_.off_h() + 2 * (1 + t)] += a[k];
+            break;
+          case GateOp::kMulConst: left[k] += a[k] * gate.constant; break;
+        }
+      }
+    }
+    for (CheckRow<F>* row : rows) row->trim();
+  }
+
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   size_t num_servers_;
   NttDomain<F> dom_n_;
   NttDomain<F> dom_2n_;
+  u64 seed_;
   SecureRng rng_;
   F r_;
   F s_inv_;
   std::vector<F> row_n_;
   std::vector<F> row_2n_;
   std::vector<F> out_coeffs_;
+  CheckRow<F> f_row_, g_row_, out_row_;
   size_t since_refresh_ = 0;
 };
 
@@ -297,17 +421,17 @@ SnipLocalState<F> snip_local_check(const VerificationContext<F>& ctx,
 // Batch verification engine
 // ---------------------------------------------------------------------------
 
-// Allocation-free round-1 engine: a SnipVerifier owns every scratch buffer
-// the local check needs (wires, f/g evaluation tables, mul-gate outputs
-// and left/right input rows, plus an extended-share landing buffer for the
-// decrypt/expand step), sized once from the circuit and reused for every
-// submission in a batch. The pipelines keep one SnipVerifier per worker
-// thread, so the steady-state per-submission cost is zero heap
-// allocations, and the three evaluate-at-r inner products run through the
-// lazy-reduction kernels (field/kernels.h).
+// Allocation-free round-1 engine. With r fixed, the local check is four
+// inner products of the server's share, through the lazy-reduction kernel
+// (field/kernels.h): against the context's three composed rows
+// (VerificationContext::f_row etc.), each over its nonzero span, and
+// against row_2n for h-hat(r). No wire is evaluated per submission. A
+// SnipVerifier owns only an extended-share landing buffer for the
+// decrypt/expand step, sized once from the circuit, so the steady-state
+// per-submission cost is zero heap allocations.
 //
 // local_check computes bit-identical SnipLocalState to the reference
-// snip_local_check free function below (tests/test_kernels.cc holds the
+// snip_local_check free function above (tests/test_kernels.cc holds the
 // regression), so routing a pipeline through the engine can never change
 // an accept/reject decision.
 template <PrimeField F>
@@ -316,16 +440,7 @@ class SnipVerifier {
   explicit SnipVerifier(const Circuit<F>* circuit)
       : layout_(SnipLayout::for_circuit_dims(circuit->num_inputs(),
                                              circuit->num_mul_gates())),
-        ext_(layout_.total_len(), F::zero()),
-        wires_(circuit->num_wires(), F::zero()),
-        mul_outputs_(layout_.num_mul, F::zero()),
-        left_(layout_.num_mul, F::zero()),
-        right_(layout_.num_mul, F::zero()),
-        // Slots past 1 + num_mul are the zero padding of the f/g tables;
-        // local_check rewrites only the prefix, so they stay zero for the
-        // lifetime of the verifier.
-        f_evals_(layout_.n, F::zero()),
-        g_evals_(layout_.n, F::zero()) {}
+        ext_(layout_.total_len(), F::zero()) {}
 
   const SnipLayout& layout() const { return layout_; }
 
@@ -342,60 +457,28 @@ class SnipVerifier {
 
   SnipLocalState<F> local_check(const VerificationContext<F>& ctx,
                                 size_t server_index,
-                                std::span<const F> ext_share) {
+                                std::span<const F> ext_share) const {
     const SnipLayout& lay = ctx.layout();
     require(lay.total_len() == layout_.total_len() && lay.n == layout_.n,
             "SnipVerifier: context/circuit mismatch");
     require(ext_share.size() == lay.total_len(), "SnipVerifier: length");
-    const Circuit<F>& circuit = ctx.circuit();
-
-    std::span<const F> x = ext_share.subspan(0, lay.input_len);
-    std::span<const F> h = ext_share.subspan(lay.off_h(), lay.h_len);
-
-    // Shares of mul-gate outputs are h at even domain points (gate t sits
-    // at w_{2N}^{2(1+t)} = w_N^{1+t}).
-    for (size_t t = 0; t < lay.num_mul; ++t) mul_outputs_[t] = h[2 * (1 + t)];
-    circuit.eval_shares_into(x, mul_outputs_, /*first_server=*/server_index == 0,
-                             std::span<F>(wires_));
-
-    f_evals_[0] = ext_share[lay.off_f0()];
-    g_evals_[0] = ext_share[lay.off_g0()];
-    circuit.mul_gate_inputs_into(wires_, std::span<F>(left_),
-                                 std::span<F>(right_));
-    for (size_t t = 0; t < left_.size(); ++t) {
-      f_evals_[1 + t] = left_[t];
-      g_evals_[1 + t] = right_[t];
-    }
-
-    F f_r = kernels::inner_product<F>(ctx.row_n(), f_evals_);
-    F g_r = kernels::inner_product<F>(ctx.row_n(), g_evals_);
-    F h_r = kernels::inner_product<F>(ctx.row_2n(), h);
-
+    const bool first = server_index == 0;
     SnipLocalState<F> st;
     st.a_share = ext_share[lay.off_a()];
     st.b_share = ext_share[lay.off_b()];
     st.c_share = ext_share[lay.off_c()];
-    st.d_share = f_r - st.a_share;
-    st.e_share = ctx.r() * g_r - st.b_share;
+    const F h_r = kernels::inner_product<F>(
+        ctx.row_2n(), ext_share.subspan(lay.off_h(), lay.h_len));
+    st.d_share = ctx.f_row().eval(ext_share, first) - st.a_share;
+    st.e_share = ctx.r() * ctx.g_row().eval(ext_share, first) - st.b_share;
     st.rh_share = ctx.r() * h_r;
-
-    st.out_combo = F::zero();
-    const std::vector<u32>& outs = circuit.outputs();
-    for (size_t j = 0; j < outs.size(); ++j) {
-      st.out_combo += ctx.out_coeffs()[j] * wires_[outs[j]];
-    }
+    st.out_combo = ctx.out_row().eval(ext_share, first);
     return st;
   }
 
  private:
   SnipLayout layout_;
   std::vector<F> ext_;
-  std::vector<F> wires_;
-  std::vector<F> mul_outputs_;
-  std::vector<F> left_;
-  std::vector<F> right_;
-  std::vector<F> f_evals_;
-  std::vector<F> g_evals_;
 };
 
 // Round-2: each server computes its sigma share from the publicly summed

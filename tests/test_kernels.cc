@@ -3,10 +3,11 @@
 // must compute exactly the same field elements as the scalar reference
 // implementation, on random spans and on boundary values, and the engine
 // must produce bit-identical SnipLocalState to the legacy
-// snip_local_check on random circuits.
+// snip_local_check on random circuits and on every catalogue AFE.
 
 #include <gtest/gtest.h>
 
+#include "afe/registry.h"
 #include "circuit/circuit.h"
 #include "crypto/rng.h"
 #include "field/kernels.h"
@@ -160,6 +161,10 @@ TEST(Fp64Reduce, BranchlessReduce128Boundaries) {
 // Engine regression: SnipVerifier must be bit-identical to the legacy path.
 // ---------------------------------------------------------------------------
 
+// Random circuit over every gate kind. Operands are drawn from all earlier
+// wires, so wires fan out and mul gates take mul outputs. The outputs mix
+// mul outputs, affine wires and a constant-only chain (a wire only
+// server 0's constants reach).
 template <PrimeField F>
 Circuit<F> random_circuit(SecureRng& rng, size_t n_inputs, size_t n_gates) {
   CircuitBuilder<F> b(n_inputs);
@@ -175,9 +180,16 @@ Circuit<F> random_circuit(SecureRng& rng, size_t n_inputs, size_t n_gates) {
       case 4: wires.push_back(b.constant(rng.field_element<F>())); break;
     }
   }
-  wires.push_back(b.mul(pick(), pick()));  // ensure at least one mul gate
+  // At least two mul gates, the second reading the first's output.
+  wires.push_back(b.mul(pick(), pick()));
+  wires.push_back(b.mul(wires.back(), pick()));
   b.assert_zero(wires.back());
-  b.assert_zero(pick());
+  const u32 c = b.add(b.constant(rng.field_element<F>()),
+                      b.mul_const(b.constant(rng.field_element<F>()),
+                                  rng.field_element<F>()));
+  b.assert_zero(c);
+  b.assert_zero(b.sub(pick(), c));
+  for (size_t o = rng.next_below(4); o > 0; --o) b.assert_zero(pick());
   return b.build();
 }
 
@@ -193,37 +205,107 @@ void expect_states_identical(const SnipLocalState<F>& a,
   EXPECT_EQ(a.out_combo, b.out_combo);
 }
 
+// The engine's composed rows against the reference, which evaluates every
+// wire: every server index, across several refreshes of r.
 TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnRandomCircuits) {
   using F = TypeParam;
   SecureRng rng(7);
   const size_t kServers = 3;
-  for (int trial = 0; trial < 6; ++trial) {
-    const size_t n_inputs = 1 + rng.next_below(8);
-    const size_t n_gates = 1 + rng.next_below(24);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t n_inputs = 1 + rng.next_below(trial < 12 ? 8 : 64);
+    const size_t n_gates =
+        1 + rng.next_below(trial < 12 ? 24 : 400);  // up to a few hundred
     Circuit<F> circuit = random_circuit<F>(rng, n_inputs, n_gates);
     SnipProver<F> prover(&circuit);
     VerificationContext<F> ctx(&circuit, kServers, 1000 + trial);
     SnipVerifier<F> verifier(&circuit);  // one scratch reused throughout
 
-    for (int sub = 0; sub < 3; ++sub) {
-      auto x = random_vec<F>(rng, n_inputs);  // validity is irrelevant here
-      auto ext = prover.build_extended_input(x, rng);
-      auto shares = share_vector<F>(ext, kServers, rng);
-      for (size_t i = 0; i < kServers; ++i) {
-        auto legacy =
-            snip_local_check(ctx, i, std::span<const F>(shares[i]));
-        auto engine =
-            verifier.local_check(ctx, i, std::span<const F>(shares[i]));
-        expect_states_identical(legacy, engine);
+    for (int refresh = 0; refresh < 4; ++refresh) {
+      for (int sub = 0; sub < 2; ++sub) {
+        auto x = random_vec<F>(rng, n_inputs);  // validity is irrelevant here
+        auto ext = prover.build_extended_input(x, rng);
+        auto shares = share_vector<F>(ext, kServers, rng);
+        for (size_t i = 0; i < kServers; ++i) {
+          auto legacy =
+              snip_local_check(ctx, i, std::span<const F>(shares[i]));
+          auto engine =
+              verifier.local_check(ctx, i, std::span<const F>(shares[i]));
+          expect_states_identical(legacy, engine);
 
-        // The landing-buffer entry point must agree as well.
-        std::copy(shares[i].begin(), shares[i].end(),
-                  verifier.ext_buffer().begin());
-        expect_states_identical(legacy, verifier.local_check(ctx, i));
+          // The landing-buffer entry point must agree as well.
+          std::copy(shares[i].begin(), shares[i].end(),
+                    verifier.ext_buffer().begin());
+          expect_states_identical(legacy, verifier.local_check(ctx, i));
+        }
       }
-      // r rotates between submissions, as the real refresh schedule does.
-      if (sub == 1) ctx.refresh();
+      ctx.refresh();  // r rotates, as the real refresh schedule does
     }
+  }
+}
+
+// The rollback/restore replay draws every r but builds the rows once; it
+// must land on exactly the state of the same context refreshed k times.
+TYPED_TEST(KernelTest, ReplayedContextEqualsRefreshedContext) {
+  using F = TypeParam;
+  SecureRng rng(8);
+  Circuit<F> circuit = random_circuit<F>(rng, 6, 60);
+  VerificationContext<F> refreshed(&circuit, 3, 555);
+  for (u64 k = 1; k <= 5; ++k) {
+    VerificationContext<F> replayed(&circuit, 3, 555);
+    replayed.refresh();  // any state; the replay rewinds the schedule
+    replayed.replay_refreshes(k);
+    EXPECT_EQ(replayed.r(), refreshed.r()) << k;
+    EXPECT_EQ(replayed.out_coeffs(), refreshed.out_coeffs()) << k;
+    EXPECT_EQ(replayed.row_n(), refreshed.row_n()) << k;
+    EXPECT_EQ(replayed.row_2n(), refreshed.row_2n()) << k;
+    EXPECT_EQ(replayed.f_row(), refreshed.f_row()) << k;
+    EXPECT_EQ(replayed.g_row(), refreshed.g_row()) << k;
+    EXPECT_EQ(replayed.out_row(), refreshed.out_row()) << k;
+    refreshed.refresh();
+  }
+}
+
+// Every catalogue AFE's Valid circuit: the engine equals the reference on
+// honest shares and on shares of a tampered proof, and the whole protocol
+// run on engine states accepts the first and rejects the second.
+TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnEveryCatalogueAfe) {
+  using F = TypeParam;
+  const size_t kServers = 3;
+  for (const auto& text : afe::catalogue_specs()) {
+    afe::with_afe<F>(afe::parse_afe_spec(text), [&](const auto& a,
+                                                    const afe::AfeSpec&) {
+      SecureRng rng(21);
+      const Circuit<F>& circuit = a.valid_circuit();
+      SnipProver<F> prover(&circuit);
+      VerificationContext<F> ctx(&circuit, kServers, 4242);
+      SnipVerifier<F> verifier(&circuit);
+      const SnipLayout& lay = prover.layout();
+      for (u64 cid = 0; cid < 4; ++cid) {
+        auto ext = prover.build_extended_input(
+            a.encode(afe::sample_input(a, cid)), rng);
+        for (int honest = 1; honest >= 0; --honest) {
+          if (!honest) {
+            // Tamper one proof element: f(0), g(0) or a point of h.
+            ext[lay.off_f0() + rng.next_below(2 + lay.h_len)] += F::one();
+          }
+          auto shares = share_vector<F>(ext, kServers, rng);
+          std::vector<SnipLocalState<F>> states;
+          for (size_t i = 0; i < kServers; ++i) {
+            states.push_back(
+                verifier.local_check(ctx, i, std::span<const F>(shares[i])));
+            expect_states_identical(
+                snip_local_check(ctx, i, std::span<const F>(shares[i])),
+                states.back());
+          }
+          EXPECT_EQ(
+              snip_decide(ctx, std::span<const SnipLocalState<F>>(states)),
+              honest == 1)
+              << text << " cid " << cid;
+        }
+        ctx.refresh();
+      }
+      return 0;
+    });
   }
 }
 

@@ -157,6 +157,28 @@ TEST(TcpTest, ConnectToClosedPortTimesOut) {
                net::TransportError);
 }
 
+// A dialer that starts before its peer listens keeps retrying (with a
+// backoff) and connects once the listener appears -- how servers that
+// start in any order, or a restarted peer, form the mesh.
+TEST(TcpTest, DialerStartedBeforeListenerConnects) {
+  u16 port;
+  {
+    net::TcpListener probe(0);
+    port = probe.port();
+  }
+  std::thread dialer([&] {
+    net::FramedConn conn(net::connect_tcp("127.0.0.1", port, 20'000));
+    conn.send_frame(std::vector<u8>{7});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  net::TcpListener listener(port);
+  auto sock = listener.accept_conn(20'000);
+  ASSERT_TRUE(sock.has_value());
+  net::FramedConn conn(std::move(*sock));
+  EXPECT_EQ(conn.recv_frame(20'000), std::vector<u8>{7});
+  dialer.join();
+}
+
 // ---------------------------------------------------------------------------
 // Loopback transport semantics
 // ---------------------------------------------------------------------------
