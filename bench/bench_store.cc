@@ -1,16 +1,22 @@
 // Durable store bench: WAL append throughput (submissions/second) per
 // fsync policy, plus snapshot publication latency -- the numbers an
 // operator needs to pick --fsync for a deployment (see README "Durability
-// & crash recovery"). Writes BENCH_store.json (or --out <path>) so CI
-// accumulates the trajectory next to BENCH_hotpath.json; --smoke shrinks
-// the workload for the CI leg.
+// & crash recovery"). Two rows time the record e2e_bench's steady workload
+// logs on the server holding explicit shares (linreg:bits=14,dims=8):
+// the CRC-32 of 5,750 bytes on the core this CPU runs (crc_core) and one
+// fsync=epoch append of that record. Writes BENCH_store.json (or --out
+// <path>) so CI accumulates the trajectory next to BENCH_hotpath.json;
+// --smoke shrinks the workload for the CI leg.
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include <algorithm>
+
 #include "afe/bitvec_sum.h"
+#include "afe/linreg.h"
 #include "bench_util.h"
 #include "core/client.h"
 #include "crypto/rng.h"
@@ -121,6 +127,52 @@ int main(int argc, char** argv) {
     const double ms = 1e3 * secs / reps;
     std::printf("  snapshot publish (1 MiB): %.2f ms\n", ms);
     json.kv("snapshot_publish_1mib_ms", ms);
+  }
+
+  // steady's explicit share: server 2's blob of a linreg:bits=14,dims=8
+  // upload, the largest record an intake WAL carries in e2e_bench.
+  {
+    afe::LinearRegression<F> linreg(/*d=*/8, /*bits=*/14);
+    PrioClient<F, afe::LinearRegression<F>> lr_encoder(&linreg, 3, 1);
+    const auto lr_blobs = lr_encoder.upload(
+        {std::vector<u64>(8, 1000), 2000}, /*client_id=*/7, rng);
+    const std::vector<u8>& explicit_blob = lr_blobs.back();
+
+    const size_t kCrcBytes = 5'750;
+    std::vector<u8> crc_buf(kCrcBytes);
+    for (size_t i = 0; i < crc_buf.size(); ++i) {
+      crc_buf[i] = static_cast<u8>(i * 131 + 7);
+    }
+    const int crc_reps = smoke ? 2'000 : 50'000;
+    u32 sink = 0;
+    const double crc_secs = benchutil::time_seconds([&] {
+      for (int i = 0; i < crc_reps; ++i) sink = store::crc32(crc_buf, sink);
+    });
+    const double crc_us = 1e6 * crc_secs / crc_reps;
+
+    const size_t n = smoke ? 500 : 10'000;
+    TempDir dir;
+    store::EpochStore est(dir.path, store::FsyncPolicy::kEpoch);
+    est.open_segment(0);
+    const double append_secs = benchutil::time_seconds(
+        [&] {
+          for (size_t i = 0; i < n; ++i) {
+            est.append_intake(/*client_id=*/i, /*seq=*/0, explicit_blob);
+          }
+        },
+        /*repeats=*/1);
+    const double append_us = 1e6 * append_secs / n;
+
+    std::printf("  crc32 (%s core) of %zu B: %.3f us  [sink %08x]\n",
+                store::crc32_core_name(), kCrcBytes, crc_us, sink);
+    std::printf(
+        "  fsync=epoch append of a %zu B explicit-share blob: %.2f us\n",
+        explicit_blob.size(), append_us);
+    json.kv("crc_core", std::string(store::crc32_core_name()));
+    json.kv("explicit_blob_bytes",
+            static_cast<unsigned long long>(explicit_blob.size()));
+    json.kv("crc32_5750b_us", crc_us);
+    json.kv("wal_append_explicit_us", append_us);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "wb");

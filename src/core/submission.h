@@ -4,20 +4,19 @@
 // multi-process runtime (server/node.h).
 //
 // A submission is one sealed blob per server. One PRF-derived key per
-// (client, server) pair -- cacheable, so the verification hot path pays
-// the key derivation at most once per client instead of once per blob -- and
-// the submission counter supplies the AEAD nonce, so two submissions from
-// an honest client never reuse a (key, nonce) pair, and a blob sealed for
-// server j never opens at server i != j. Blob layout: [u64 seq (LE)] ||
-// AEAD ciphertext; tampering with the cleartext seq changes the nonce and
-// the AEAD open fails. (A malicious client could re-seal different
-// payloads under its own repeated seq and leak the XOR of its own
-// plaintexts to the server that legitimately decrypts them -- a
-// self-inflicted non-issue, and the replay floor keeps at most one of
+// (client, server) pair -- one ChaCha20 block, derived afresh for every
+// blob -- and the submission counter supplies the AEAD nonce, so two
+// submissions from an honest client never reuse a (key, nonce) pair, and
+// a blob sealed for server j never opens at server i != j. Blob layout:
+// [u64 seq (LE)] || AEAD ciphertext; tampering with the cleartext seq
+// changes the nonce and the AEAD open fails. (A malicious client could
+// re-seal different payloads under its own repeated seq and leak the XOR
+// of its own plaintexts to the server that legitimately decrypts them --
+// a self-inflicted non-issue, and the replay floor keeps at most one of
 // them aggregatable.)
 #pragma once
 
-#include <map>
+#include <array>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -86,22 +85,16 @@ class SubmissionSealer {
   }
 
  private:
-  // Derives (and caches) the key sealing client->server traffic: one
-  // ChaCha20 block under the 32-byte master secret, with the (client,
-  // server) pair as the nonce. The master secret is itself uniform, so a
-  // single keyed-PRF invocation yields independent per-pair keys --
-  // HKDF's SHA256 extract+expand added several microseconds per cold
-  // derivation to the verification hot path for no additional security.
-  // The seq is deliberately NOT part of the derivation: it varies per
-  // submission, and keying on it would defeat the cache. Uniqueness of
-  // the (key, nonce) pair comes from seq supplying the AEAD nonce.
+  // Derives the key sealing client->server traffic: one ChaCha20 block
+  // under the 32-byte master secret, with the (client, server) pair as the
+  // nonce. The master secret is itself uniform, so a single keyed-PRF
+  // invocation yields independent per-pair keys -- HKDF's SHA256
+  // extract+expand added several microseconds per derivation to the
+  // verification hot path for no additional security. The block costs less
+  // than a cache lookup would, so nothing is cached. The seq is
+  // deliberately NOT part of the derivation: uniqueness of the (key,
+  // nonce) pair comes from seq supplying the AEAD nonce.
   std::array<u8, 32> key(u64 client_id, size_t server) const {
-    const std::pair<u64, u64> id{client_id, server};
-    {
-      std::lock_guard<std::mutex> lock(key_mu_);
-      auto it = key_cache_.find(id);
-      if (it != key_cache_.end()) return it->second;
-    }
     std::array<u8, 12> label{};
     for (int i = 0; i < 8; ++i) label[i] = static_cast<u8>(client_id >> (8 * i));
     for (int i = 0; i < 4; ++i) {
@@ -111,11 +104,6 @@ class SubmissionSealer {
     ChaCha20::block(master_, /*counter=*/0, label, block);
     std::array<u8, 32> out;
     std::copy(block, block + 32, out.begin());
-    std::lock_guard<std::mutex> lock(key_mu_);
-    // Hard cap so a flood of distinct client ids cannot exhaust memory;
-    // dropping the cache only costs re-derivation.
-    if (key_cache_.size() >= kMaxCachedKeys) key_cache_.clear();
-    key_cache_.emplace(id, out);
     return out;
   }
 
@@ -125,13 +113,9 @@ class SubmissionSealer {
     return n;
   }
 
-  static constexpr size_t kMaxCachedKeys = 1 << 16;
-
   std::vector<u8> master_;
   mutable std::mutex mu_;
   mutable std::unordered_map<u64, u64> next_seq_;
-  mutable std::mutex key_mu_;
-  mutable std::map<std::pair<u64, u64>, std::array<u8, 32>> key_cache_;
 };
 
 // Splits a flat extended vector into PRG-compressed per-server shares

@@ -171,9 +171,10 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
   net::TcpListener client_listener(endpoints[id].client_port, bind_host);
   std::fprintf(stderr,
                "[server %zu] afe=%s peers=%u clients=%u shards=%zu "
-               "chacha20=%s; joining mesh...\n",
+               "chacha20=%s crc32=%s; joining mesh...\n",
                id, opts.afe_spec.c_str(), peer_listener.port(),
-               client_listener.port(), shards, ChaCha20::core_name());
+               client_listener.port(), shards, ChaCha20::core_name(),
+               store::crc32_core_name());
   const std::vector<u8> mesh_secret = master_seed_bytes(base_cfg.master_seed);
   net::TcpMeshTransport mesh(id, server::peer_addrs(endpoints),
                              &peer_listener, mesh_secret, mesh_timeout_ms,
@@ -203,6 +204,7 @@ int run_server(const Afe& afe, const afe::AfeSpec& spec,
              ", \"epochs\": " + std::to_string(opts.epochs) +
              ", \"epoch_size\": " + std::to_string(opts.epoch_size) +
              ", \"chacha_core\": \"" + ChaCha20::core_name() +
+             "\", \"crc_core\": \"" + store::crc32_core_name() +
              "\"},\n  \"shards\": [";
       for (size_t l = 0; l < shards; ++l) {
         const std::string lab = obs::label_kv("shard", l);

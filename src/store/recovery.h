@@ -96,18 +96,22 @@ class EpochStore {
   // False when the segment's intake budget is exhausted (the caller must
   // nack rather than ack an unlogged blob).
   bool append_intake(u64 client_id, u64 seq, std::span<const u8> blob) {
-    const std::vector<u8> rec = intake_record(client_id, seq, blob);
     std::lock_guard<std::mutex> lock(mu_);
     require(wal_ != nullptr, "EpochStore: append before open_segment");
-    if (segment_intake_bytes_ + rec.size() > kMaxIntakeBytesPerSegment) {
+    if (segment_intake_bytes_ + kIntakeFixedBytes + blob.size() >
+        kMaxIntakeBytesPerSegment) {
       return false;
     }
-    segment_intake_bytes_ += rec.size();
-    {
-      obs::ScopedTimer t(m_append_);
-      wal_->append(kWalIntake, rec);
-    }
+    obs::ScopedTimer t(m_append_);
+    append_intake_locked(client_id, seq, blob);
     return true;
+  }
+
+  // Intake payload bytes logged to the open segment (what the budget
+  // above is charged against).
+  size_t segment_intake_bytes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return segment_intake_bytes_;
   }
 
   void append_batch(std::span<const std::pair<u64, u64>> ids,
@@ -196,10 +200,9 @@ class EpochStore {
       if (agg_log_) synced = agg_log_->sync() && synced;
     }
     open_segment_locked(new_epoch);
+    // Bounded by the runtime buffer, so never refused for budget.
     for (const CarryOver& c : carry_over) {
-      const std::vector<u8> rec = intake_record(c.client_id, c.seq, c.blob);
-      segment_intake_bytes_ += rec.size();  // bounded by the runtime buffer
-      wal_->append(kWalIntake, rec);
+      append_intake_locked(c.client_id, c.seq, c.blob);
     }
     {
       obs::ScopedTimer t(m_fsync_);
@@ -212,13 +215,23 @@ class EpochStore {
   }
 
  private:
-  static std::vector<u8> intake_record(u64 client_id, u64 seq,
-                                       std::span<const u8> blob) {
-    net::Writer w;
-    w.u64_(client_id);
-    w.u64_(seq);
-    w.bytes(blob);
-    return w.take();
+  // u64 client_id, u64 seq, u32 blob length: the fixed head of a
+  // kWalIntake payload (net::Writer layout), ahead of the blob itself.
+  static constexpr size_t kIntakeFixedBytes = 20;
+
+  // Logs one kWalIntake record as two pieces, the fixed head and the
+  // caller's blob, so the blob is never copied in user space. Only a
+  // record that reached the file is charged to the intake budget: a
+  // failed append throws before the budget moves.
+  void append_intake_locked(u64 client_id, u64 seq, std::span<const u8> blob) {
+    u8 fixed[kIntakeFixedBytes];
+    const u64 fields[] = {client_id, seq, blob.size()};
+    for (size_t i = 0; i < kIntakeFixedBytes; ++i) {
+      fixed[i] = static_cast<u8>(fields[i / 8] >> (8 * (i % 8)));
+    }
+    const std::span<const u8> pieces[] = {fixed, blob};
+    wal_->append(kWalIntake, pieces);
+    segment_intake_bytes_ += kIntakeFixedBytes + blob.size();
   }
 
   void open_segment_locked(u32 epoch) {

@@ -11,8 +11,11 @@
 //   [u32 len (LE)] [u32 crc32 (LE)] [u8 type || payload (len bytes)]
 //
 // with crc32 (IEEE, reflected) computed over the len prefix and the body,
-// so a bit flip in either is caught. A torn tail -- a record cut short by
-// a crash, or trailing garbage -- is detected by a short read, an
+// so a bit flip in either is caught. The writer computes that CRC over the
+// record's pieces by seed chaining and lands the 8-byte prefix, the type
+// byte and the pieces with one writev(2) on an O_APPEND descriptor, so the
+// kernel makes the only copy of the payload. A torn tail -- a record cut
+// short by a crash, or trailing garbage -- is detected by a short read, an
 // implausible length, or a CRC mismatch; read_segment stops at the first
 // bad record and reports the clean prefix length so recovery can truncate
 // the file there and continue. Corruption never throws out of the reader.
@@ -23,9 +26,10 @@
 //              may lose the open epoch, but a process crash (kill -9)
 //              loses nothing: written bytes live in the OS page cache.
 //   kOff    -- never fsync; durable against process death only.
+// Every append is a write(2) straight into the page cache (no user-space
+// buffer), so under every policy a kill -9 loses no acked record.
 #pragma once
 
-#include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,7 +47,23 @@ const char* fsync_policy_name(FsyncPolicy policy);
 
 // CRC-32 (IEEE 802.3, reflected, init/xorout 0xffffffff) -- the ubiquitous
 // zlib polynomial, implemented locally so the store has no new deps.
+// Chaining seeds concatenates: crc32(b, crc32(a)) == crc32(a || b). Runs
+// crc32_pclmul where the CPU has PCLMULQDQ (probed once per process), else
+// crc32_bytewise; both give the same value on every input.
 u32 crc32(std::span<const u8> data, u32 seed = 0);
+
+// The two cores behind crc32, exposed so tests/test_store.cc can check each
+// against a reference. crc32_bytewise is the table-driven byte loop.
+// crc32_pclmul folds four 128-bit lanes with carry-less multiplies (Gopal
+// et al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+// Instruction", Intel, 2009) over the longest 16-byte multiple of an input
+// of 64 B or more, and leaves shorter inputs and the tail to the byte loop.
+// Call crc32_pclmul only when crc32_core_name() is "pclmul": on any other
+// CPU it faults with an illegal instruction.
+u32 crc32_bytewise(std::span<const u8> data, u32 seed = 0);
+u32 crc32_pclmul(std::span<const u8> data, u32 seed = 0);
+// "pclmul" or "bytewise": the core crc32 runs on this CPU.
+const char* crc32_core_name();
 
 // Little-endian u32 framing helpers shared by the WAL and snapshot
 // containers.
@@ -88,6 +108,10 @@ std::string wal_segment_path(const std::string& dir, u32 epoch);
 
 // Appends framed records to one segment file, honoring the fsync policy.
 // Not thread-safe; the caller (EpochStore) serializes appends.
+//
+// A record's payload may be handed over in pieces (at most kMaxWalPieces),
+// which are written back to back: EpochStore passes an intake record's
+// fixed fields and the client's blob without concatenating them.
 class WalWriter {
  public:
   // Opens (creating or appending to) the segment for `epoch`. Throws
@@ -112,10 +136,15 @@ class WalWriter {
   // stops at the first bad CRC) could not cross. If the disk refuses even
   // the repair, the writer poisons itself and every further append throws
   // -- nothing may be acked into an unreachable suffix.
-  void append(u8 type, std::span<const u8> payload);
+  void append(u8 type, std::span<const std::span<const u8>> pieces);
+  void append(u8 type, std::span<const u8> payload) {
+    append(type, std::span<const std::span<const u8>>(&payload, 1));
+  }
 
-  // Flushes and fsyncs regardless of policy except kOff (epoch boundaries).
-  // Returns false if the flush/fsync failed -- the caller must NOT prune
+  static constexpr size_t kMaxWalPieces = 2;
+
+  // Fsyncs regardless of policy except kOff (epoch boundaries).
+  // Returns false if the fsync failed -- the caller must NOT prune
   // older copies whose replacement never verifiably reached the platter.
   bool sync();
 
@@ -129,7 +158,7 @@ class WalWriter {
   std::string path_;
   u32 epoch_ = 0;
   FsyncPolicy policy_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;  // O_APPEND: every write lands at the current end
   size_t clean_bytes_ = 0;  // offset after the last fully written record
   bool poisoned_ = false;   // a failed append could not be repaired
 };

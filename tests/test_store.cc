@@ -75,6 +75,57 @@ TEST(StoreCrcTest, MatchesKnownVector) {
   EXPECT_EQ(store::crc32({}), 0u);
 }
 
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial), sharing no code with
+// either core under test.
+u32 reference_crc32(std::span<const u8> data, u32 seed = 0) {
+  u32 c = ~seed;
+  for (u8 b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+  }
+  return ~c;
+}
+
+using CrcCore = u32 (*)(std::span<const u8>, u32);
+
+// Every length 0..1,100 (each fold-loop exit and tail length), random
+// lengths up to 64 KiB, start offsets 1..15 off a 16-byte boundary, and
+// chained seeds: core(b, core(a)) == core(a || b) == reference.
+void expect_core_matches_reference(CrcCore core) {
+  std::mt19937_64 gen(2009);
+  std::vector<u8> buf((size_t{1} << 16) + 64);
+  for (u8& b : buf) b = static_cast<u8>(gen());
+  const std::span<const u8> all(buf);
+  for (size_t len = 0; len <= 1100; ++len) {
+    ASSERT_EQ(core(all.first(len), 0), reference_crc32(all.first(len)))
+        << "len " << len;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const size_t off = 1 + gen() % 15;
+    const size_t len = gen() % ((size_t{1} << 16) + 1);
+    const auto data = all.subspan(off, len);
+    const u32 seed = static_cast<u32>(gen());
+    ASSERT_EQ(core(data, seed), reference_crc32(data, seed))
+        << "off " << off << " len " << len;
+    const size_t split = len ? gen() % len : 0;
+    ASSERT_EQ(core(data.subspan(split), core(data.first(split), 0)),
+              reference_crc32(data))
+        << "off " << off << " len " << len << " split " << split;
+  }
+}
+
+TEST(StoreCrcTest, BytewiseCoreMatchesBitwiseReference) {
+  expect_core_matches_reference(store::crc32_bytewise);
+}
+
+TEST(StoreCrcTest, PclmulCoreMatchesBitwiseReference) {
+  if (std::string(store::crc32_core_name()) != "pclmul") {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ; crc32 runs the byte loop";
+  }
+  expect_core_matches_reference(store::crc32_pclmul);
+  expect_core_matches_reference(store::crc32);  // the dispatcher picks it
+}
+
 TEST(WalTest, AppendReplayRoundTrip) {
   TempDir dir;
   {
@@ -117,6 +168,38 @@ TEST(WalTest, DropLastRecordCutsOnlyAMatchingRecord) {
   ASSERT_EQ(seg.records.size(), 1u);
   EXPECT_EQ(seg.records[0].payload, (std::vector<u8>{1, 2, 3}));
   EXPECT_EQ(file_bytes(path).size(), seg.clean_bytes);
+}
+
+// The WAL byte format, pinned: an intake record written through
+// EpochStore's gathered append is [u32 len][u32 crc][u8 type] followed by
+// [u64 client_id][u64 seq][u32 blob len][blob], all little-endian, with
+// the CRC over the length prefix and the body. A segment written by any
+// earlier build must keep reading back.
+TEST(WalTest, IntakeRecordByteFormatIsPinned) {
+  TempDir dir;
+  store::EpochStore est(dir.path, store::FsyncPolicy::kOff);
+  est.open_segment(0);
+  std::vector<u8> blob(300);
+  for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<u8>(i * 7);
+  ASSERT_TRUE(est.append_intake(0x0102030405060708ull, 0x1112131415161718ull,
+                                blob));
+
+  std::vector<u8> body = {store::kWalIntake,
+                          0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+                          0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+                          0x2c, 0x01, 0x00, 0x00};  // blob length 300
+  body.insert(body.end(), blob.begin(), blob.end());
+  std::vector<u8> len_le = {static_cast<u8>(body.size()),
+                            static_cast<u8>(body.size() >> 8), 0, 0};
+  std::vector<u8> covered = len_le;
+  covered.insert(covered.end(), body.begin(), body.end());
+  const u32 crc = reference_crc32(covered);
+  std::vector<u8> want = len_le;
+  for (int i = 0; i < 4; ++i) want.push_back(static_cast<u8>(crc >> (8 * i)));
+  want.insert(want.end(), body.begin(), body.end());
+
+  EXPECT_EQ(file_bytes(store::wal_segment_path(dir.path, 0)), want);
+  EXPECT_EQ(est.segment_intake_bytes(), body.size() - 1);
 }
 
 TEST(WalTest, MissingSegmentReadsEmpty) {
@@ -1041,26 +1124,73 @@ TEST(FaultInjectionTest, AppendEioThrowsAndWriterStaysUsable) {
   EXPECT_EQ(seg.records[1].payload, (std::vector<u8>{3}));
 }
 
+// A short write of a gathered record, cut anywhere -- inside the 9-byte
+// header, on its boundary, inside either payload piece, one byte short of
+// whole, or asked for past the end (capped there) -- is cut back in
+// place, so the next append lands on a clean record boundary and replay
+// never meets the tear.
 TEST(FaultInjectionTest, ShortWriteIsRepairedToACleanBoundary) {
-  TempDir dir;
-  const std::string path = store::wal_segment_path(dir.path, 0);
-  store::WalWriter w(dir.path, 0, store::FsyncPolicy::kOff);
-  w.append(store::kWalIntake, std::vector<u8>{1, 2, 3});
-  const size_t clean = file_bytes(path).size();
-  {
-    ScopedFaultPlan guard("wal_append:short_write:bytes=5");
-    EXPECT_THROW(w.append(store::kWalBatch, std::vector<u8>(40, 0xab)),
-                 std::runtime_error);
+  const std::vector<u8> fixed(20, 0xcd);
+  const std::vector<u8> blob(40, 0xab);
+  const std::span<const u8> pieces[] = {fixed, blob};
+  const size_t rec_len = 9 + fixed.size() + blob.size();
+  for (size_t cut : {size_t{1}, size_t{5}, size_t{8}, size_t{9}, size_t{15},
+                     size_t{29}, size_t{40}, rec_len - 1, size_t{1000}}) {
+    SCOPED_TRACE(cut);
+    TempDir dir;
+    const std::string path = store::wal_segment_path(dir.path, 0);
+    store::WalWriter w(dir.path, 0, store::FsyncPolicy::kOff);
+    w.append(store::kWalIntake, std::vector<u8>{1, 2, 3});
+    const size_t clean = file_bytes(path).size();
+    {
+      ScopedFaultPlan guard("wal_append:short_write:bytes=" +
+                            std::to_string(cut));
+      EXPECT_THROW(w.append(store::kWalBatch, pieces), std::runtime_error);
+    }
+    EXPECT_EQ(file_bytes(path).size(), clean);
+    w.append(store::kWalEpochClose, std::vector<u8>{9});
+    w.append(store::kWalBatch, pieces);
+    auto seg = store::read_segment(path);
+    EXPECT_FALSE(seg.torn_tail);
+    ASSERT_EQ(seg.records.size(), 3u);
+    EXPECT_EQ(seg.records[0].type, store::kWalIntake);
+    EXPECT_EQ(seg.records[1].type, store::kWalEpochClose);
+    const std::vector<u8>& payload = seg.records[2].payload;
+    ASSERT_EQ(payload.size(), fixed.size() + blob.size());
+    EXPECT_TRUE(std::equal(fixed.begin(), fixed.end(), payload.begin()));
+    EXPECT_TRUE(std::equal(blob.begin(), blob.end(),
+                           payload.begin() + fixed.size()));
+    EXPECT_EQ(seg.clean_bytes, clean + 9 + 1 + rec_len);
   }
-  // The torn 5-byte prefix was cut back in place, so the next append
-  // lands on a clean record boundary -- replay never meets the tear.
-  EXPECT_EQ(file_bytes(path).size(), clean);
-  w.append(store::kWalEpochClose, std::vector<u8>{9});
-  auto seg = store::read_segment(path);
-  EXPECT_FALSE(seg.torn_tail);
-  ASSERT_EQ(seg.records.size(), 2u);
-  EXPECT_EQ(seg.records[0].type, store::kWalIntake);
-  EXPECT_EQ(seg.records[1].type, store::kWalEpochClose);
+}
+
+// A failed intake append (EIO, or a short write repaired in place) logs
+// nothing, so it must not use up the segment's intake budget either.
+TEST(FaultInjectionTest, FailedIntakeAppendsChargeNoBudget) {
+  for (const char* spec :
+       {"wal_append:eio:count=3", "wal_append:short_write:count=3"}) {
+    SCOPED_TRACE(spec);
+    TempDir dir;
+    store::EpochStore est(dir.path, store::FsyncPolicy::kOff);
+    est.open_segment(0);
+    const std::vector<u8> blob(100, 0x5a);
+    ASSERT_TRUE(est.append_intake(1, 0, blob));
+    const size_t charged = est.segment_intake_bytes();
+    EXPECT_EQ(charged, 20 + blob.size());
+    {
+      ScopedFaultPlan guard(spec);
+      for (u64 seq = 1; seq <= 3; ++seq) {
+        EXPECT_THROW(est.append_intake(1, seq, blob), std::runtime_error);
+      }
+      EXPECT_EQ(guard.plan->fired(store::FaultOp::kWalAppend), 3u);
+    }
+    EXPECT_EQ(est.segment_intake_bytes(), charged);
+    ASSERT_TRUE(est.append_intake(1, 4, blob));
+    EXPECT_EQ(est.segment_intake_bytes(), 2 * charged);
+    EXPECT_EQ(store::read_segment(store::wal_segment_path(dir.path, 0))
+                  .records.size(),
+              2u);
+  }
 }
 
 TEST(FaultInjectionTest, DirFsyncFaultIsBestEffortByContract) {
@@ -1129,7 +1259,8 @@ TEST(FaultInjectionTest, RotateWithFailedSyncSkipsPrune) {
 
 // The documented trade: under kEpoch/kOff a POWER FAILURE may lose the
 // un-fsynced suffix of the open epoch's WAL (kill -9 alone loses nothing;
-// appends are fflushed out of stdio). The contract this test pins down:
+// every append is a write(2) straight into the page cache). The contract
+// this test pins down:
 //   - the loss is bounded at a record boundary the replay can see -- the
 //     trio recovers bit-identically to the last fully committed batch,
 //     never to a torn half-applied one;
