@@ -30,8 +30,7 @@
 // one peer mesh concurrently (the mesh multiplexes lanes over its framed
 // connections). This file only reads flags and opens the stores,
 // listeners, mesh and stats endpoint; the router assembles the lanes. All
-// servers must agree on N. With --shards 1 the wire protocol and epoch
-// semantics are exactly the unsharded runtime's.
+// servers must agree on N.
 //
 // Durability: with --data-dir DIR the server WAL-logs every accepted
 // intake blob and every committed batch, snapshots its protocol state at

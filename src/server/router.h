@@ -23,13 +23,12 @@
 // net::LaneTransport view of the mesh, a ServerNode and a ShardRuntime,
 // each recovered from its own store when one is given. A lane's node
 // verifies its batches on that lane's own thread. Every caller --
-// prio_server, the in-process cluster, the tests -- gets the same wiring
+// prio_server and the tests' in-process cluster -- gets the same wiring
 // from the one constructor.
 //
 // Lane threads are spawned by run_epochs, one per shard; the router
 // rethrows the first lane error after all lanes finish, so a fatal lane
-// (resync budget exhausted, traffic starvation) fails the server the way
-// the single-lane runtime did.
+// (resync budget exhausted, traffic starvation) fails the whole server.
 #pragma once
 
 #include <cstdio>

@@ -1,17 +1,16 @@
 // Per-shard server runtime: one batch lane of a sharded prio_server.
 //
-// The pre-sharding ServerRuntime was a single monolith: one intake buffer,
-// one in-flight batch, one WAL stream, one protocol loop. A ShardRuntime is
-// that same machine scoped to ONE shard of the client-id space: it owns the
-// shard's intake buffer and eviction queue, the shard's replay floors (held
-// inside its ServerNode), the shard's in-flight batch, and the shard's own
-// WAL segment stream (a per-shard store::EpochStore). N ShardRuntimes run N
-// independent batch lanes through the shared mesh concurrently -- each lane
-// is a net::LaneTransport view of the one multiplexed TcpMeshTransport --
-// behind a thin ServerRouter (server/router.h) that owns the client
-// listener, hashes client_id -> shard (protocol.h shard_of), and
-// coordinates the pieces that must be global: the epoch submission quota,
-// mesh repair, and the cross-lane published aggregate.
+// A ShardRuntime is one protocol loop scoped to ONE shard of the client-id
+// space: it owns the shard's intake buffer and eviction queue, the shard's
+// replay floors (held inside its ServerNode), the shard's in-flight batch,
+// and the shard's own WAL segment stream (a per-shard store::EpochStore).
+// N ShardRuntimes run N independent batch lanes through the shared mesh
+// concurrently -- each lane is a net::LaneTransport view of the one
+// multiplexed TcpMeshTransport -- behind a thin ServerRouter
+// (server/router.h) that owns the client listener, hashes client_id ->
+// shard (protocol.h shard_of), and coordinates the pieces that must be
+// global: the epoch submission quota, mesh repair, and the cross-lane
+// published aggregate.
 //
 // What is per-lane and what is global:
 //   per-lane: batch membership + order (server 0's lane-i thread announces
@@ -34,11 +33,9 @@
 // attempt, a follower consumes exactly one marker per attempt
 // (pending_close_ tracks a marker consumed early, in the batch loop).
 //
-// With --shards 1 this file IS the old runtime: lane 0 keeps the unsharded
-// channel endpoints and context seed, the quota degenerates to the old
-// (epoch_size - processed) arithmetic including the full-batch announce
-// wait and its exact fatal message, and the kLaneClose marker is the only
-// new frame on the wire.
+// With --shards 1 there is one lane, lane 0, whose channel endpoint names
+// and context seed carry no lane suffix (ServerNode), and the quota is
+// simply epoch_size minus what the epoch has already processed.
 //
 // Each lane is ONE thread running one batch at a time (announce or
 // receive -> assemble -> ServerNode::process_batch -> commit_batch).
@@ -369,7 +366,7 @@ class ShardRuntime {
             // Deliberately NOT a TransportError: the mesh is healthy, the
             // deployment just lacks client traffic; this propagates as a
             // fatal exit (the followers then fail their resync budget and
-            // exit too), exactly the pre-sharding behavior.
+            // exit too).
             throw std::runtime_error(
                 "leader: batch never filled (insufficient client traffic)");
           }
@@ -474,11 +471,11 @@ class ShardRuntime {
     }
   }
 
-  // Builds the node's view of the announced batch; identical to the
-  // unsharded assemble except the straggler wait also wakes on a mesh
-  // interrupt -- it then proceeds with whatever it has (empty shares vote
-  // reject) and lets the batch's own mesh rounds surface the failure, so
-  // the blob-return-to-inflight logic in run_lane covers both cases.
+  // Builds the node's view of the announced batch. The straggler wait also
+  // wakes on a mesh interrupt -- it then proceeds with whatever it has
+  // (empty shares vote reject) and lets the batch's own mesh rounds surface
+  // the failure, so the blob-return-to-inflight logic in run_lane covers
+  // both cases.
   std::vector<SubmissionShare> assemble(
       const std::vector<std::pair<u64, u64>>& ids) {
     std::vector<SubmissionShare> shares(ids.size());
@@ -627,9 +624,9 @@ class ShardRuntime {
     }
     // Fresh channel-key generation, strictly above anything any node has
     // used on this lane. WAL-logged (and synced) BEFORE the node seals
-    // anything under it; see the unsharded runtime's argument -- an
-    // unlogged bump would let a retried batch reseal different plaintext
-    // under a reused (key, nonce).
+    // anything under it, so a restart recovers at least this generation:
+    // an unlogged bump would let a retried batch reseal different
+    // plaintext under a reused (key, nonce).
     u64 gen = 0;
     for (const auto& p : pos) gen = std::max(gen, p.generation);
     if (store_) store_->append_generation(gen + 1);
@@ -865,9 +862,10 @@ class ShardRuntime {
   bool pending_close_ = false;  // close marker consumed in the batch loop
   std::map<std::pair<u64, u64>, std::vector<u8>> buffer_;
   std::deque<std::pair<u64, u64>> intake_order_;
-  // The announced-but-uncommitted batch; see the unsharded runtime's
-  // rationale: intake pressure must never evict a submission the mesh was
-  // promised, and an aborted attempt (or a catch-up) re-runs these blobs.
+  // The announced-but-uncommitted batch, held apart from buffer_ and so
+  // exempt from eviction: intake pressure must never evict a submission the
+  // mesh was promised, and an aborted attempt (or a catch-up) re-runs these
+  // blobs.
   std::vector<std::pair<u64, u64>> inflight_ids_;
   std::map<std::pair<u64, u64>, std::vector<u8>> inflight_blobs_;
   // The last committed batch: the catch-up record a behind peer asks for.

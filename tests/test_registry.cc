@@ -2,7 +2,7 @@
 // normalization, the negative/fuzz table, flag-level config parsing,
 // typed Result serialization round-trips for every AFE, the new Gf2Xor
 // encoding, and -- the big one -- every catalogue spec driven end to end
-// through an in-process sharded 3-server TCP cluster (server/inproc.h)
+// through an in-process sharded 3-server TCP cluster (tests/cluster.h)
 // for two epochs, each epoch's published typed aggregate cross-checked
 // bit-for-bit against the plaintext reference, plus the wrong-spec
 // kAggregateReject path and a cross-epoch replay; and pipelined intake,
@@ -16,13 +16,15 @@
 #include "afe/registry.h"
 #include "afe/sum.h"
 #include "baseline/no_privacy.h"
+#include "cluster.h"
 #include "core/client.h"
 #include "server/cli.h"
-#include "server/inproc.h"
 #include "server/protocol.h"
 
 namespace prio {
 namespace {
+
+using namespace test;
 
 using F = Fp64;
 
@@ -232,7 +234,6 @@ TEST(ResultCodecTest, RoundTripEveryCatalogueAfe) {
 
 template <typename Afe>
 void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
-  constexpr size_t kServers = 3;
   constexpr size_t kClients = 12;
   constexpr u64 kSeed = 7;
 
@@ -270,14 +271,15 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
     subs1.push_back({cid, client.upload(afe::sample_input(a, cid), cid, rng)});
   }
 
-  typename server::InprocCluster<F, Afe>::Options copts;
+  ClusterOptions copts;
   copts.shards = 2;
   copts.master_seed = kSeed;
   copts.runtime.epoch_size = kClients;
   copts.runtime.epochs = 2;
   copts.runtime.max_batch = 8;
   copts.runtime.afe_spec = spec.canonical();
-  server::InprocCluster<F, Afe> cluster(&a, copts);
+  Cluster<F, Afe> cluster(&a, Mesh::kTcp, copts);
+  cluster.start();
 
   std::vector<net::FramedConn> conns;
   conns.reserve(kServers);
@@ -353,7 +355,7 @@ void run_spec_e2e(const Afe& a, const afe::AfeSpec& spec) {
   // Close our connections before finish(): drain_and_stop grants open
   // clients a 10 s grace, which would otherwise pad every test with it.
   conns.clear();
-  cluster.finish();
+  expect_clean(cluster.finish());
 }
 
 class RegistryE2E : public ::testing::TestWithParam<std::string> {};
@@ -383,7 +385,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
-  constexpr size_t kServers = 3;
   constexpr size_t kFrames = 200;
   constexpr size_t kShort = 37;      // a blob too short to hold its seq
   constexpr size_t kOversized = 150; // a blob over max_blob_bytes
@@ -415,14 +416,15 @@ TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
   for (auto& b : bursts) net::append_frame(b, unknown);
 
   obs::Registry metrics;
-  server::InprocCluster<F, afe::IntegerSum<F>>::Options copts;
+  ClusterOptions copts;
   copts.master_seed = kSeed;
   copts.runtime.epoch_size = kFrames - 2;
   copts.runtime.epochs = 1;
   copts.runtime.max_blob_bytes = kMaxBlob;
   copts.runtime.afe_spec = spec;
   copts.runtime.metrics = &metrics;
-  server::InprocCluster<F, afe::IntegerSum<F>> cluster(&a, copts);
+  Cluster<F, afe::IntegerSum<F>> cluster(&a, Mesh::kTcp, copts);
+  cluster.start();
 
   // One write per server: the whole burst, then the unknown frame.
   std::vector<net::FramedConn> conns;
@@ -461,7 +463,7 @@ TEST(TcpIntakeTest, PipelinedBurstAcksEveryFrameInOrder) {
   EXPECT_EQ(agg->sigma, ref.sigma());
   conns.clear();
   ask_conn = net::FramedConn();
-  cluster.finish();
+  expect_clean(cluster.finish());
 }
 
 }  // namespace

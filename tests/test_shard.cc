@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "afe/bitvec_sum.h"
+#include "cluster.h"
 #include "baseline/no_privacy.h"
 #include "core/client.h"
 #include "net/tcp_transport.h"
@@ -33,13 +34,15 @@
 namespace prio {
 namespace {
 
+using namespace test;
+
 using F = Fp64;
 using Afe = afe::BitVectorSum<F>;
-using Node = ServerNode<F, Afe>;
 using Router = server::ServerRouter<F, Afe>;
+using TestCluster = Cluster<F, Afe>;
 
-constexpr size_t kServers = 3;
-constexpr u64 kMasterSeed = 91;
+// Bad proofs ride along with the tampered ciphertexts.
+constexpr Seeds kSeeds{.master_seed = 91, .rng_seed = 321, .bad_proofs = true};
 
 // ---------------------------------------------------------------------------
 // shard_of: the one routing function every server (and the client-facing
@@ -342,85 +345,29 @@ TEST(FrameCodecFuzzTest, HostileFramesAllRejectedWithoutUB) {
 // Multi-lane router over a loopback mesh
 // ---------------------------------------------------------------------------
 
-// One server process' worth of sharded runtime over the loopback mesh: the
-// same router prio_server builds, minus sockets. Submissions go through
-// Router::submit, the router's own intake path. `mesh_view` overrides the
-// server's view of the mesh (a test interposes slow links); `stores` (one
-// per lane) makes the server durable and recovers it from them.
-struct ShardedServer {
-  ShardedServer(const Afe& afe, net::LoopbackMesh& mesh, size_t self,
-                server::RuntimeOptions opts,
-                net::Transport* mesh_view = nullptr,
-                std::vector<std::unique_ptr<store::EpochStore>> stores = {})
-      : base(&mesh, self),
-        router(&afe, mesh_view ? mesh_view : &base,
-               /*client_listener=*/nullptr, opts,
-               node_config(mesh.num_nodes(), self), std::move(stores)) {}
-
-  static ServerNodeConfig node_config(size_t servers, size_t self) {
-    ServerNodeConfig cfg;
-    cfg.num_servers = servers;
-    cfg.self = self;
-    cfg.master_seed = kMasterSeed;
-    return cfg;
-  }
-
-  net::LoopbackTransport base;
-  Router router;
-};
-
-struct Workload {
-  std::vector<Submission> subs;
-  std::vector<u8> expected;  // 1 = must be accepted
-};
-
-std::vector<u8> input_for(const Afe& afe, u64 cid) {
-  std::vector<u8> bits(afe.length(), 0);
-  bits[cid % afe.length()] = 1;
-  return bits;
+// A loopback cluster with `shards` lanes per server, every server running
+// `opts`.
+ClusterOptions loopback(size_t shards, int recv_timeout_ms,
+                        const server::RuntimeOptions& opts) {
+  ClusterOptions c;
+  c.shards = shards;
+  c.master_seed = kSeeds.master_seed;
+  c.recv_timeout_ms = recv_timeout_ms;
+  c.runtime = opts;
+  return c;
 }
 
-// Honest submissions, tampered ciphertexts (cid % 4 == 3: the AEAD fails
-// before any round) and bad proofs (cid % 8 == 5: genuine sealing over an
-// encoding that fails Valid, so only the SNIP rounds can reject it).
-Workload make_workload(const Afe& afe, size_t n) {
-  PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
-  SecureRng rng(321);
-  Workload w;
-  for (u64 cid = 0; cid < n; ++cid) {
-    std::vector<F> enc = afe.encode(input_for(afe, cid));
-    u8 expect = 1;
-    if (cid % 8 == 5) {
-      enc[0] += F::from_u64(2);  // a "bit" of 2 or 3
-      expect = 0;
+// Every server gets its own sealed view of submissions [from, to), through
+// the router's intake.
+void submit(TestCluster& cluster, const Workload& w, size_t from = 0,
+            size_t to = SIZE_MAX) {
+  to = std::min(to, w.subs.size());
+  for (size_t i = 0; i < kServers; ++i) {
+    for (size_t k = from; k < to; ++k) {
+      const auto& blob = w.subs[k].blobs[i];
+      cluster.router(i).submit(w.subs[k].client_id, blob_seq(blob), blob);
     }
-    auto blobs = encoder.upload_encoding(enc, cid, rng);
-    if (cid % 4 == 3) {
-      blobs[cid % kServers][12] ^= 1;
-      expect = 0;
-    }
-    w.subs.push_back({cid, std::move(blobs)});
-    w.expected.push_back(expect);
   }
-  return w;
-}
-
-// What the servers must publish for a workload: its honest inputs only.
-baseline::PlaintextReference<F, Afe> reference(const Afe& afe,
-                                               const Workload& w) {
-  baseline::PlaintextReference<F, Afe> ref(&afe);
-  for (size_t k = 0; k < w.subs.size(); ++k) {
-    const u64 cid = w.subs[k].client_id;
-    if (w.expected[k]) ref.add(cid, input_for(afe, cid));
-  }
-  return ref;
-}
-
-// The blob's cleartext prefix is the submission counter (core/submission.h);
-// the intake path uses it as the buffer key, identical on every server.
-u64 blob_seq(const std::vector<u8>& blob) {
-  net::Reader r(blob);
-  return r.u64_();
 }
 
 // Two lanes, three servers: the sharded runtime's global aggregate must be
@@ -434,7 +381,7 @@ u64 blob_seq(const std::vector<u8>& blob) {
 TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   Afe afe(8);
   constexpr size_t kShards = 2;
-  auto w = make_workload(afe, 24);
+  auto w = make_workload(afe, 24, kSeeds);
   const auto ref = reference(afe, w);
 
   server::RuntimeOptions opts;
@@ -450,39 +397,27 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   auto trace = obs::TraceLog::open(trace_path);
   ASSERT_NE(trace, nullptr);
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
-  std::vector<std::unique_ptr<obs::Registry>> regs;
-  std::vector<std::unique_ptr<ShardedServer>> servers;
-  for (size_t i = 0; i < kServers; ++i) {
-    regs.push_back(std::make_unique<obs::Registry>());
-    server::RuntimeOptions sopts = opts;
-    sopts.metrics = regs.back().get();
-    if (i == 0) sopts.trace = trace.get();
-    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
-  }
+  std::vector<obs::Registry> regs(kServers);
+  ClusterOptions copts = loopback(kShards, 20'000, opts);
+  copts.runtime_for = [&](size_t i, server::RuntimeOptions& o) {
+    o.metrics = &regs[i];
+    if (i == 0) o.trace = trace.get();
+  };
+  TestCluster cluster(&afe, Mesh::kLoopback, copts);
 
   // Every server gets its own sealed view of every submission, plus one
   // replay of an honest client's blob under a bumped intake seq.
+  submit(cluster, w);
   const u64 replay_cid = 1;
   for (size_t i = 0; i < kServers; ++i) {
-    Router& router = servers[i]->router;
-    for (const auto& sub : w.subs) {
-      router.submit(sub.client_id, blob_seq(sub.blobs[i]), sub.blobs[i]);
-    }
     const auto& replay = w.subs[replay_cid].blobs[i];
-    router.submit(replay_cid, blob_seq(replay) + 1, replay);
+    cluster.router(i).submit(replay_cid, blob_seq(replay) + 1, replay);
   }
+  cluster.start();
+  const auto& results = cluster.finish();
+  expect_clean(results);
 
-  std::optional<Node::EpochAggregate> agg;
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      auto a = servers[i]->router.run_epochs();
-      if (i == 0) agg = std::move(a);
-    });
-  }
-  for (auto& t : threads) t.join();
-
+  const auto& agg = results[0].last;
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->accepted, ref.accepted());  // replay not double counted
   EXPECT_EQ(agg->sigma, ref.sigma());
@@ -491,7 +426,7 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   for (size_t i = 0; i < kServers; ++i) {
     u64 processed = 0;
     for (size_t l = 0; l < kShards; ++l) {
-      processed += servers[i]->router.shard(l)->node()->processed();
+      processed += cluster.router(i).shard(l)->node()->processed();
     }
     EXPECT_EQ(processed, w.subs.size() + 1) << "server " << i;
   }
@@ -499,7 +434,7 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   // honest ones verify-accepted, the tampered ones and the replay rejected.
   const u64 intake = w.subs.size() + 1;
   for (size_t i = 0; i < kServers; ++i) {
-    const obs::Registry& reg = *regs[i];
+    const obs::Registry& reg = regs[i];
     EXPECT_EQ(reg.total("prio_intake_accepted_total"), intake) << i;
     EXPECT_EQ(reg.total("prio_verify_accepted_total"), ref.accepted()) << i;
     EXPECT_EQ(reg.total("prio_verify_rejected_total"),
@@ -525,12 +460,12 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
 TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   Afe afe(6);
   constexpr size_t kShards = 2;
-  auto w = make_workload(afe, 4);
+  auto w = make_workload(afe, 4, kSeeds);
 
   // A client id that hashes to shard 0, to be injected into shard 1.
   u64 misrouted_cid = 1000;
   while (server::shard_of(misrouted_cid, kShards) != 0) ++misrouted_cid;
-  PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
+  PrioClient<F, Afe> encoder(&afe, kServers, kSeeds.master_seed);
   SecureRng rng(77);
   auto mis_blobs =
       encoder.upload(std::vector<u8>(afe.length(), 0), misrouted_cid, rng);
@@ -543,58 +478,42 @@ TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   opts.assemble_wait_ms = 500;
   opts.max_resyncs = 1;  // loopback cannot reestablish; fail fast
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/1'000, kShards);
-  std::vector<std::unique_ptr<obs::Registry>> regs;
-  std::vector<std::unique_ptr<ShardedServer>> servers;
+  std::vector<obs::Registry> regs(kServers);
+  ClusterOptions copts = loopback(kShards, 1'000, opts);
+  copts.runtime_for = [&](size_t i, server::RuntimeOptions& o) {
+    o.metrics = &regs[i];
+  };
+  TestCluster cluster(&afe, Mesh::kLoopback, copts);
+  submit(cluster, w);
   for (size_t i = 0; i < kServers; ++i) {
-    regs.push_back(std::make_unique<obs::Registry>());
-    server::RuntimeOptions sopts = opts;
-    sopts.metrics = regs.back().get();
-    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
-  }
-  for (size_t i = 0; i < kServers; ++i) {
-    Router& router = servers[i]->router;
-    for (const auto& sub : w.subs) {
-      router.submit(sub.client_id, blob_seq(sub.blobs[i]), sub.blobs[i]);
-    }
     // Injected past the router's hash, into the wrong shard, everywhere.
-    router.shard(1)->submit(misrouted_cid, blob_seq(mis_blobs[i]),
-                            mis_blobs[i]);
+    cluster.router(i).shard(1)->submit(misrouted_cid, blob_seq(mis_blobs[i]),
+                                       mis_blobs[i]);
   }
-
-  std::vector<int> failed(kServers, 0);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        servers[i]->router.run_epochs();
-      } catch (const std::exception&) {
-        failed[i] = 1;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  cluster.start();
+  const auto& results = cluster.finish();
 
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(failed[i], 1) << "server " << i << " accepted a misroute";
+    EXPECT_TRUE(results[i].error) << "server " << i << " accepted a misroute";
   }
   // The misrouted blob never reached any node's accumulator.
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(servers[i]->router.shard(1)->node()->accepted(), 0u)
+    EXPECT_EQ(cluster.router(i).shard(1)->node()->accepted(), 0u)
         << "server " << i;
   }
   // The reject is visible in the followers' metrics: the announcement
   // names the bad id, so every receiving server counts one misroute on
   // the injected lane. The announcer (server 0) never receives its own
   // announcement and counts nothing.
-  EXPECT_EQ(regs[0]->total("prio_reject_misroute_total"), 0u);
+  EXPECT_EQ(regs[0].total("prio_reject_misroute_total"), 0u);
   for (size_t i = 1; i < kServers; ++i) {
-    EXPECT_GE(regs[i]->total("prio_reject_misroute_total"), 1u)
+    EXPECT_GE(regs[i].total("prio_reject_misroute_total"), 1u)
         << "server " << i;
   }
+  // Every server aborted the poisoned batch.
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(regs[i]->total("prio_reject_spec_mismatch_total"), 0u);
-    EXPECT_GE(regs[i]->total("prio_batch_aborts_total"), 0u);
+    EXPECT_EQ(regs[i].total("prio_reject_spec_mismatch_total"), 0u);
+    EXPECT_GE(regs[i].total("prio_batch_aborts_total"), 1u) << "server " << i;
   }
 }
 
@@ -613,38 +532,25 @@ TEST(ShardedRouterTest, SpecMismatchFailsSyncAndCountsReject) {
   opts.announce_wait_ms = 2'000;
   opts.max_resyncs = 1;
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/2'000, kShards);
-  std::vector<std::unique_ptr<obs::Registry>> regs;
-  std::vector<std::unique_ptr<ShardedServer>> servers;
-  for (size_t i = 0; i < kServers; ++i) {
-    regs.push_back(std::make_unique<obs::Registry>());
-    server::RuntimeOptions sopts = opts;
-    sopts.metrics = regs.back().get();
+  std::vector<obs::Registry> regs(kServers);
+  ClusterOptions copts = loopback(kShards, 2'000, opts);
+  copts.runtime_for = [&](size_t i, server::RuntimeOptions& o) {
+    o.metrics = &regs[i];
     // Server 1 is misconfigured with a different AFE spec.
-    sopts.afe_spec = i == 1 ? "bitvec_sum:len=7" : "bitvec_sum:len=6";
-    servers.push_back(std::make_unique<ShardedServer>(afe, mesh, i, sopts));
-  }
-
-  std::vector<int> failed(kServers, 0);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        servers[i]->router.run_epochs();
-      } catch (const std::exception&) {
-        failed[i] = 1;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+    o.afe_spec = i == 1 ? "bitvec_sum:len=7" : "bitvec_sum:len=6";
+  };
+  TestCluster cluster(&afe, Mesh::kLoopback, copts);
+  cluster.start();
+  const auto& results = cluster.finish();
 
   for (size_t i = 0; i < kServers; ++i) {
-    EXPECT_EQ(failed[i], 1) << "server " << i << " survived a spec mismatch";
+    EXPECT_TRUE(results[i].error)
+        << "server " << i << " survived a spec mismatch";
   }
   // Servers 0 and 2 each saw server 1's divergent hello; server 1 saw two.
-  EXPECT_GE(regs[0]->total("prio_reject_spec_mismatch_total"), 1u);
-  EXPECT_GE(regs[1]->total("prio_reject_spec_mismatch_total"), 1u);
-  EXPECT_GE(regs[2]->total("prio_reject_spec_mismatch_total"), 1u);
+  EXPECT_GE(regs[0].total("prio_reject_spec_mismatch_total"), 1u);
+  EXPECT_GE(regs[1].total("prio_reject_spec_mismatch_total"), 1u);
+  EXPECT_GE(regs[2].total("prio_reject_spec_mismatch_total"), 1u);
 }
 
 // A lane verifies each announced batch under one secret r, so the router
@@ -654,7 +560,7 @@ TEST(ShardedRouterTest, BatchCapAboveRefreshWindowFailsConstruction) {
   Afe afe(8);
   net::LoopbackMesh mesh(kServers);
   net::LoopbackTransport link(&mesh, 0);
-  ServerNodeConfig cfg = ShardedServer::node_config(kServers, 0);
+  ServerNodeConfig cfg = node_config(0, kSeeds.master_seed);
   cfg.refresh_every = 8;
   server::RuntimeOptions opts;
   opts.max_batch = 9;
@@ -672,10 +578,10 @@ TEST(ShardedRouterTest, BatchCapAboveRefreshWindowFailsConstruction) {
 TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
   // Wraps one node's mesh view, sleeping before every send.
   struct SlowTransport final : net::Transport {
-    net::LoopbackTransport inner;
+    net::Transport& inner;
     std::chrono::milliseconds delay;
-    SlowTransport(net::LoopbackMesh* mesh, size_t self, int delay_ms)
-        : inner(mesh, self), delay(delay_ms) {}
+    SlowTransport(net::Transport& mesh, int delay_ms)
+        : inner(mesh), delay(delay_ms) {}
     size_t num_nodes() const override { return inner.num_nodes(); }
     size_t self() const override { return inner.self(); }
     size_t lanes() const override { return inner.lanes(); }
@@ -697,7 +603,7 @@ TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
 
   Afe afe(8);
   constexpr size_t kShards = 2;
-  auto w = make_workload(afe, 24);
+  auto w = make_workload(afe, 24, kSeeds);
   size_t expected_accepted = 0;
   for (u8 e : w.expected) expected_accepted += e;
 
@@ -708,32 +614,20 @@ TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
   opts.announce_wait_ms = 20'000;
   opts.assemble_wait_ms = 5'000;
 
-  net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/20'000, kShards);
-  SlowTransport slow(&mesh, kServers - 1, /*delay_ms=*/3);
-  std::vector<std::unique_ptr<ShardedServer>> servers;
-  for (size_t i = 0; i < kServers; ++i) {
-    servers.push_back(std::make_unique<ShardedServer>(
-        afe, mesh, i, opts, i == kServers - 1 ? &slow : nullptr));
-  }
-  for (size_t i = 0; i < kServers; ++i) {
-    for (const auto& sub : w.subs) {
-      servers[i]->router.submit(sub.client_id, blob_seq(sub.blobs[i]),
-                                sub.blobs[i]);
-    }
-  }
+  ClusterOptions copts = loopback(kShards, 20'000, opts);
+  copts.wrap_mesh = [](size_t i, net::Transport& mesh)
+      -> std::unique_ptr<net::Transport> {
+    if (i != kServers - 1) return nullptr;
+    return std::make_unique<SlowTransport>(mesh, /*delay_ms=*/3);
+  };
+  TestCluster cluster(&afe, Mesh::kLoopback, copts);
+  submit(cluster, w);
+  cluster.start();
+  const auto& results = cluster.finish();
+  expect_clean(results);
 
-  std::optional<Node::EpochAggregate> agg;
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kServers; ++i) {
-    threads.emplace_back([&, i] {
-      auto a = servers[i]->router.run_epochs();
-      if (i == 0) agg = std::move(a);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_TRUE(agg.has_value());
-  EXPECT_EQ(agg->accepted, expected_accepted);
+  ASSERT_TRUE(results[0].last.has_value());
+  EXPECT_EQ(results[0].last->accepted, expected_accepted);
 }
 
 // A restarted sequencer that recovers one batch short is caught up on it
@@ -747,7 +641,7 @@ TEST(RouterRecoveryTest, CaughtUpSequencerDebitsEpochQuota) {
   Afe afe(8);
   constexpr size_t kEpoch = 8;
   constexpr size_t kBatch = 4;
-  auto w = make_workload(afe, 2 * kEpoch);
+  auto w = make_workload(afe, 2 * kEpoch, kSeeds);
 
   server::RuntimeOptions opts;
   opts.epoch_size = kEpoch;
@@ -763,50 +657,47 @@ TEST(RouterRecoveryTest, CaughtUpSequencerDebitsEpochQuota) {
   auto dir = [&](size_t i) { return root + "/s" + std::to_string(i); };
 
   // Runs the three servers from their stores over a fresh mesh, feeding
-  // submissions [from, to) first; returns server 0's last aggregate.
+  // submissions [from, to) first; returns every server's result.
+  ClusterOptions copts = loopback(/*shards=*/1, 2'000, opts);
+  copts.stores_for = [&](size_t i) {
+    Stores stores;
+    stores.push_back(std::make_unique<store::EpochStore>(
+        dir(i), store::FsyncPolicy::kOff));
+    return stores;
+  };
   auto run = [&](size_t from, size_t to) {
-    net::LoopbackMesh mesh(kServers, /*recv_timeout_ms=*/2'000);
-    std::vector<std::unique_ptr<ShardedServer>> servers;
-    for (size_t i = 0; i < kServers; ++i) {
-      std::vector<std::unique_ptr<store::EpochStore>> stores;
-      stores.push_back(std::make_unique<store::EpochStore>(
-          dir(i), store::FsyncPolicy::kOff));
-      servers.push_back(std::make_unique<ShardedServer>(
-          afe, mesh, i, opts, nullptr, std::move(stores)));
-      for (size_t k = from; k < to; ++k) {
-        const auto& blob = w.subs[k].blobs[i];
-        servers[i]->router.submit(w.subs[k].client_id, blob_seq(blob), blob);
-      }
-    }
-    std::optional<Node::EpochAggregate> agg;
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < kServers; ++i) {
-      threads.emplace_back([&, i] {
-        try {
-          auto a = servers[i]->router.run_epochs();
-          if (i == 0) agg = std::move(a);
-        } catch (const std::exception&) {
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    return agg;
+    TestCluster cluster(&afe, Mesh::kLoopback, copts);
+    submit(cluster, w, from, to);
+    cluster.start();
+    return cluster.finish();
+  };
+  auto failed_with = [](const auto& result, const std::string& what) {
+    return result.error && result.error->find(what) != std::string::npos;
   };
 
   // Epoch 0 and the first batch of epoch 1; then server 0's announce
   // wait runs dry and every server stops.
-  EXPECT_FALSE(run(0, kEpoch + kBatch).has_value());
+  const auto first = run(0, kEpoch + kBatch);
+  EXPECT_FALSE(first[0].last.has_value());
+  EXPECT_TRUE(failed_with(first[0], "leader: batch never filled"))
+      << first[0].error.value_or("no error");
+  for (size_t i = 1; i < kServers; ++i) {
+    EXPECT_TRUE(failed_with(first[i], "resync failed"))
+        << "server " << i << ": " << first[i].error.value_or("no error");
+  }
 
   // Cut server 0's trailing record: epoch 1's one committed batch.
   ASSERT_TRUE(store::drop_last_record(store::wal_segment_path(dir(0), 1),
                                       store::kWalBatch));
 
-  const auto agg = run(kEpoch + kBatch, 2 * kEpoch);
+  const auto second = run(kEpoch + kBatch, 2 * kEpoch);
+  expect_clean(second);
   baseline::PlaintextReference<F, Afe> ref(&afe);
   for (size_t k = kEpoch; k < 2 * kEpoch; ++k) {
     const u64 cid = w.subs[k].client_id;
     if (w.expected[k]) ref.add(cid, input_for(afe, cid));
   }
+  const auto& agg = second[0].last;
   ASSERT_TRUE(agg.has_value()) << "epoch 1 never published";
   EXPECT_EQ(agg->epoch, 1u);
   EXPECT_EQ(agg->accepted, ref.accepted());
@@ -824,19 +715,14 @@ TEST(RouterRecoveryTest, CaughtUpSequencerDebitsEpochQuota) {
 TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
   constexpr size_t kLanes = 3;
   constexpr size_t kPerLane = 16;
-  std::vector<std::unique_ptr<net::TcpListener>> listeners;
-  std::vector<net::TcpMeshTransport::PeerAddr> addrs;
-  for (size_t i = 0; i < 2; ++i) {
-    listeners.push_back(std::make_unique<net::TcpListener>(0));
-    addrs.push_back({"127.0.0.1", listeners.back()->port()});
-  }
-  const std::vector<u8> secret = master_seed_bytes(kMasterSeed);
+  Listeners peers = listen_loopback(2);
+  const std::vector<u8> secret = master_seed_bytes(kSeeds.master_seed);
 
   std::vector<std::thread> nodes;
   for (size_t i = 0; i < 2; ++i) {
     nodes.emplace_back([&, i] {
-      net::TcpMeshTransport mesh(i, addrs, listeners[i].get(), secret,
-                                 10'000, 10'000, kLanes);
+      net::TcpMeshTransport mesh(i, peers.addrs, peers.sockets[i].get(),
+                                 secret, 10'000, 10'000, kLanes);
       if (i == 0) {
         // Round-robin across lanes, so consecutive frames on the wire
         // belong to different lanes.
@@ -874,20 +760,15 @@ TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
 // interrupt() must wake a reader blocked in recv (it would otherwise sit
 // out its full timeout) and fail fast until the links are re-established.
 TEST(TcpLaneMuxTest, InterruptWakesBlockedLaneReader) {
-  std::vector<std::unique_ptr<net::TcpListener>> listeners;
-  std::vector<net::TcpMeshTransport::PeerAddr> addrs;
-  for (size_t i = 0; i < 2; ++i) {
-    listeners.push_back(std::make_unique<net::TcpListener>(0));
-    addrs.push_back({"127.0.0.1", listeners.back()->port()});
-  }
-  const std::vector<u8> secret = master_seed_bytes(kMasterSeed);
+  Listeners peers = listen_loopback(2);
+  const std::vector<u8> secret = master_seed_bytes(kSeeds.master_seed);
   std::optional<net::TcpMeshTransport> peer;
   std::thread other([&] {
-    peer.emplace(1, addrs, listeners[1].get(), secret, 10'000, 60'000,
-                 size_t{2});
+    peer.emplace(1, peers.addrs, peers.sockets[1].get(), secret, 10'000,
+                 60'000, size_t{2});
   });
-  net::TcpMeshTransport mesh(0, addrs, listeners[0].get(), secret, 10'000,
-                             60'000, 2);
+  net::TcpMeshTransport mesh(0, peers.addrs, peers.sockets[0].get(), secret,
+                             10'000, 60'000, 2);
   other.join();
 
   const auto start = std::chrono::steady_clock::now();

@@ -14,7 +14,7 @@
 #include <thread>
 
 #include "afe/bitvec_sum.h"
-#include "core/client.h"
+#include "cluster.h"
 #include "net/transport.h"
 #include "server/node.h"
 #include "store/fault.h"
@@ -26,12 +26,13 @@
 namespace prio {
 namespace {
 
+using namespace test;
+
 using F = Fp64;
 using Afe = afe::BitVectorSum<F>;
 using Node = ServerNode<F, Afe>;
 
-constexpr size_t kServers = 3;
-constexpr u64 kMasterSeed = 77;
+constexpr Seeds kSeeds{.master_seed = 77, .rng_seed = 321};
 
 // A fresh scratch directory per test, removed on destruction.
 struct TempDir {
@@ -327,61 +328,6 @@ TEST(SnapshotStoreTest, PruneKeepsNewest) {
 }
 
 // ---------------------------------------------------------------------------
-// Mesh workload helpers (mirrors test_transport.cc)
-// ---------------------------------------------------------------------------
-
-struct Workload {
-  std::vector<Submission> subs;
-  std::vector<u8> expected;
-};
-
-Workload make_workload(const Afe& afe, size_t n, u64 first_cid = 0) {
-  PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
-  SecureRng rng(321 + first_cid);
-  Workload w;
-  const size_t len = afe.length();
-  for (u64 k = 0; k < n; ++k) {
-    const u64 cid = first_cid + k;
-    std::vector<u8> bits(len, 0);
-    bits[cid % len] = 1;
-    auto blobs = encoder.upload(bits, cid, rng);
-    u8 expect = 1;
-    if (k % 4 == 3) {
-      blobs[cid % kServers][12] ^= 1;  // tampered ciphertext -> reject
-      expect = 0;
-    }
-    w.subs.push_back({cid, std::move(blobs)});
-    w.expected.push_back(expect);
-  }
-  return w;
-}
-
-std::vector<std::unique_ptr<Node>> make_nodes(
-    const Afe& afe, net::LoopbackMesh& mesh,
-    std::vector<net::LoopbackTransport>& links, size_t refresh_every = 1024) {
-  links.clear();
-  links.reserve(kServers);
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (size_t i = 0; i < kServers; ++i) links.emplace_back(&mesh, i);
-  for (size_t i = 0; i < kServers; ++i) {
-    ServerNodeConfig cfg;
-    cfg.num_servers = kServers;
-    cfg.self = i;
-    cfg.master_seed = kMasterSeed;
-    cfg.refresh_every = refresh_every;
-    nodes.push_back(std::make_unique<Node>(&afe, cfg, &links[i]));
-  }
-  return nodes;
-}
-
-template <typename Fn>
-void on_all_nodes(size_t n, Fn fn) {
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < n; ++i) threads.emplace_back([&fn, i] { fn(i); });
-  for (auto& t : threads) t.join();
-}
-
-// ---------------------------------------------------------------------------
 // restore_state hardening: hostile snapshots from disk
 // ---------------------------------------------------------------------------
 
@@ -390,10 +336,11 @@ void on_all_nodes(size_t n, Fn fn) {
 // workload runs as two batches of 4 under a refresh window of 4, so the
 // second batch refreshes r.
 std::vector<u8> snapshot_with_state(const Afe& afe) {
-  auto w = make_workload(afe, 8);
+  auto w = make_workload(afe, 8, kSeeds);
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/4);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed,
+                          /*refresh_every=*/4);
   on_all_nodes(kServers, [&](size_t i) {
     auto view = node_view(std::span<const Submission>(w.subs), i);
     const std::span<const SubmissionShare> all(view);
@@ -404,11 +351,7 @@ std::vector<u8> snapshot_with_state(const Afe& afe) {
 }
 
 Node fresh_node(const Afe& afe, net::LoopbackTransport* link, size_t self) {
-  ServerNodeConfig cfg;
-  cfg.num_servers = kServers;
-  cfg.self = self;
-  cfg.master_seed = kMasterSeed;
-  return Node(&afe, cfg, link);
+  return Node(&afe, node_config(self, kSeeds.master_seed), link);
 }
 
 TEST(RestoreStateFuzzTest, HostileSnapshotsAllRejectedWithoutUB) {
@@ -638,7 +581,8 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
   std::vector<net::LoopbackTransport> links;
   // Batches of 8 fill a refresh window of 8, so every batch after the
   // first refreshes r and the replay must reproduce that schedule.
-  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/8);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed,
+                          /*refresh_every=*/8);
 
   // Nothing recovered from an empty directory; it just opens segment 0.
   {
@@ -654,8 +598,8 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
     EXPECT_EQ(rec.batches_applied, 0u);
   }
 
-  auto w1 = make_workload(afe, 8, 0);
-  auto w2 = make_workload(afe, 8, 100);
+  auto w1 = make_workload(afe, 8, kSeeds, 0);
+  auto w2 = make_workload(afe, 8, kSeeds, 100);
   std::vector<std::vector<u8>> verdicts_by_batch(2);
   on_all_nodes(kServers, [&](size_t i) {
     size_t b = 0;
@@ -667,13 +611,8 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
     }
   });
 
-  // Write node 2's WAL the way ServerRuntime does: every blob at intake,
-  // then each committed batch's ids + verdicts. (Blobs carry their seq in
-  // the first 8 bytes of the cleartext prefix.)
-  auto blob_seq = [](const std::vector<u8>& blob) {
-    net::Reader r(blob);
-    return r.u64_();
-  };
+  // Write node 2's WAL the way a shard lane does: every blob at intake,
+  // then each committed batch's ids + verdicts.
   size_t b = 0;
   for (auto* w : {&w1, &w2}) {
     std::vector<std::pair<u64, u64>> ids;
@@ -691,10 +630,7 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
   const std::vector<u8> want = nodes[2]->snapshot();
   nodes[2].reset();  // kill -9
 
-  ServerNodeConfig cfg;
-  cfg.num_servers = kServers;
-  cfg.self = 2;
-  cfg.master_seed = kMasterSeed;
+  ServerNodeConfig cfg = node_config(2, kSeeds.master_seed);
   cfg.refresh_every = 8;
   auto revived_ptr = std::make_unique<Node>(&afe, cfg, &links[2]);
   auto rec = store::recover_node<F, Afe>(revived_ptr.get(), &afe, &est);
@@ -708,7 +644,7 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
 
   // The revived node keeps running live protocol batches and the mesh
   // publishes a coherent epoch.
-  auto w3 = make_workload(afe, 8, 200);
+  auto w3 = make_workload(afe, 8, kSeeds, 200);
   std::optional<Node::EpochAggregate> agg;
   on_all_nodes(kServers, [&](size_t i) {
     auto view = node_view(std::span<const Submission>(w3.subs), i);
@@ -762,9 +698,9 @@ TEST(RecoveryTest, EpochCloseAndRotationReplay) {
 
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
 
-  auto w1 = make_workload(afe, 8, 0);
+  auto w1 = make_workload(afe, 8, kSeeds, 0);
   std::vector<u8> verdicts0;
   std::optional<Node::EpochAggregate> agg;
   on_all_nodes(kServers, [&](size_t i) {
@@ -890,9 +826,9 @@ void check_rotation_crash_window(bool snapshot_published) {
 
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
 
-  auto w1 = make_workload(afe, 8, 0);
+  auto w1 = make_workload(afe, 8, kSeeds, 0);
   std::vector<u8> verdicts0;
   std::optional<Node::EpochAggregate> agg;
   on_all_nodes(kServers, [&](size_t i) {
@@ -1276,15 +1212,15 @@ class FsyncWindowTest
 TEST_P(FsyncWindowTest, PowerCutLosesAtMostTheOpenWindowNeverCorrectness) {
   const store::FsyncPolicy policy = GetParam();
   Afe afe(8);
-  auto w1 = make_workload(afe, 8, 0);
-  auto w2 = make_workload(afe, 8, 100);
+  auto w1 = make_workload(afe, 8, kSeeds, 0);
+  auto w2 = make_workload(afe, 8, kSeeds, 100);
 
   // Oracle: the same two batches on a trio that never crashes.
   std::optional<Node::EpochAggregate> want;
   {
     net::LoopbackMesh mesh(kServers);
     std::vector<net::LoopbackTransport> links;
-    auto nodes = make_nodes(afe, mesh, links);
+    auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
     on_all_nodes(kServers, [&](size_t i) {
       for (auto* w : {&w1, &w2}) {
         auto view = node_view(std::span<const Submission>(w->subs), i);
@@ -1313,7 +1249,7 @@ TEST_P(FsyncWindowTest, PowerCutLosesAtMostTheOpenWindowNeverCorrectness) {
   {
     net::LoopbackMesh mesh(kServers);
     std::vector<net::LoopbackTransport> links;
-    auto nodes = make_nodes(afe, mesh, links);
+    auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
     std::vector<std::unique_ptr<store::EpochStore>> stores;
     for (size_t i = 0; i < kServers; ++i) {
       stores.push_back(
@@ -1360,7 +1296,7 @@ TEST_P(FsyncWindowTest, PowerCutLosesAtMostTheOpenWindowNeverCorrectness) {
   // Recovery lands every node EXACTLY at the batch-1 boundary.
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
   for (size_t i = 0; i < kServers; ++i) {
     store::EpochStore est(store_dir(i), policy);
     auto rec = store::recover_node<F, Afe>(nodes[i].get(), &afe, &est);

@@ -9,14 +9,15 @@
 #include <thread>
 
 #include "afe/bitvec_sum.h"
-#include "baseline/no_privacy.h"
-#include "core/client.h"
+#include "cluster.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "server/node.h"
 
 namespace prio {
 namespace {
+
+using namespace test;
 
 using F = Fp64;
 using Afe = afe::BitVectorSum<F>;
@@ -210,90 +211,18 @@ TEST(ReplayGuardTest, MaxCounterNeverFresh) {
 // Distributed protocol nodes
 // ---------------------------------------------------------------------------
 
-constexpr size_t kServers = 3;
-constexpr u64 kMasterSeed = 77;
-
-struct Workload {
-  std::vector<Submission> subs;
-  std::vector<u8> expected;  // 1 = must be accepted
-};
-
-std::vector<u8> input_for(const Afe& afe, u64 cid) {
-  std::vector<u8> bits(afe.length(), 0);
-  bits[cid % afe.length()] = 1;
-  return bits;
-}
-
-// Mixed valid/tampered submissions from many distinct clients, generated
-// through the standalone client encoder (core/client.h).
-Workload make_workload(const Afe& afe, size_t n, u64 first_cid = 0) {
-  PrioClient<F, Afe> encoder(&afe, kServers, kMasterSeed);
-  SecureRng rng(123 + first_cid);
-  Workload w;
-  for (u64 k = 0; k < n; ++k) {
-    const u64 cid = first_cid + k;
-    auto blobs = encoder.upload(input_for(afe, cid), cid, rng);
-    u8 expect = 1;
-    if (k % 4 == 3) {
-      blobs[cid % kServers][12] ^= 1;  // tampered ciphertext -> reject
-      expect = 0;
-    }
-    w.subs.push_back({cid, std::move(blobs)});
-    w.expected.push_back(expect);
-  }
-  return w;
-}
-
-// What the servers must publish for a workload: its honest inputs only.
-baseline::PlaintextReference<F, Afe> reference(const Afe& afe,
-                                               const Workload& w) {
-  baseline::PlaintextReference<F, Afe> ref(&afe);
-  for (size_t k = 0; k < w.subs.size(); ++k) {
-    const u64 cid = w.subs[k].client_id;
-    if (w.expected[k]) ref.add(cid, input_for(afe, cid));
-  }
-  return ref;
-}
+constexpr Seeds kSeeds{.master_seed = 77, .rng_seed = 123};
 
 using Node = ServerNode<F, Afe>;
 
-std::vector<std::unique_ptr<Node>> make_nodes(const Afe& afe,
-                                              net::LoopbackMesh& mesh,
-                                              std::vector<net::LoopbackTransport>& links,
-                                              size_t refresh_every = 1024) {
-  links.clear();
-  links.reserve(kServers);
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (size_t i = 0; i < kServers; ++i) {
-    links.emplace_back(&mesh, i);
-  }
-  for (size_t i = 0; i < kServers; ++i) {
-    ServerNodeConfig cfg;
-    cfg.num_servers = kServers;
-    cfg.self = i;
-    cfg.master_seed = kMasterSeed;
-    cfg.refresh_every = refresh_every;
-    nodes.push_back(std::make_unique<Node>(&afe, cfg, &links[i]));
-  }
-  return nodes;
-}
-
-// Runs fn(i) concurrently on every node, as separate server threads.
-template <typename Fn>
-void on_all_nodes(size_t n, Fn fn) {
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < n; ++i) threads.emplace_back([&fn, i] { fn(i); });
-  for (auto& t : threads) t.join();
-}
-
 TEST(ServerNodeTest, MatchesPlaintextReferenceVerdictsAndAggregate) {
   Afe afe(10);
-  auto w = make_workload(afe, 24);
+  auto w = make_workload(afe, 24, kSeeds);
   const auto ref = reference(afe, w);
 
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
 
   std::vector<std::vector<u8>> node_verdicts(kServers);
   std::optional<Node::EpochAggregate> agg;
@@ -324,10 +253,10 @@ TEST(ServerNodeTest, MatchesPlaintextReferenceVerdictsAndAggregate) {
 
 TEST(ServerNodeTest, ReplayedSubmissionsRejectedAcrossBatches) {
   Afe afe(6);
-  auto w = make_workload(afe, 8);
+  auto w = make_workload(afe, 8, kSeeds);
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
 
   std::vector<std::vector<u8>> first(kServers), replay(kServers);
   on_all_nodes(kServers, [&](size_t i) {
@@ -343,15 +272,15 @@ TEST(ServerNodeTest, ReplayedSubmissionsRejectedAcrossBatches) {
 
 TEST(ServerNodeTest, RestartWithinEpochViaSnapshot) {
   Afe afe(8);
-  auto batch1 = make_workload(afe, 8, /*first_cid=*/0);
-  auto batch2 = make_workload(afe, 8, /*first_cid=*/100);
+  auto batch1 = make_workload(afe, 8, kSeeds, /*first_cid=*/0);
+  auto batch2 = make_workload(afe, 8, kSeeds, /*first_cid=*/100);
 
   // Reference: an uninterrupted mesh over both batches.
   std::vector<u64> expected_counts;
   {
     net::LoopbackMesh mesh(kServers);
     std::vector<net::LoopbackTransport> links;
-    auto nodes = make_nodes(afe, mesh, links);
+    auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
     std::optional<Node::EpochAggregate> agg;
     on_all_nodes(kServers, [&](size_t i) {
       for (auto* w : {&batch1, &batch2}) {
@@ -369,7 +298,7 @@ TEST(ServerNodeTest, RestartWithinEpochViaSnapshot) {
   // its snapshot before batch 2.
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
   on_all_nodes(kServers, [&](size_t i) {
     auto view = node_view(std::span<const Submission>(batch1.subs), i);
     nodes[i]->process_batch(std::span<const SubmissionShare>(view));
@@ -377,11 +306,8 @@ TEST(ServerNodeTest, RestartWithinEpochViaSnapshot) {
 
   std::vector<u8> snap = nodes[2]->snapshot();
   nodes[2].reset();  // the server process dies
-  ServerNodeConfig cfg;
-  cfg.num_servers = kServers;
-  cfg.self = 2;
-  cfg.master_seed = kMasterSeed;
-  nodes[2] = std::make_unique<Node>(&afe, cfg, &links[2]);
+  nodes[2] = std::make_unique<Node>(&afe, node_config(2, kSeeds.master_seed),
+                                    &links[2]);
   ASSERT_TRUE(nodes[2]->restore_state(snap));
 
   std::optional<Node::EpochAggregate> agg;
@@ -398,11 +324,11 @@ TEST(ServerNodeTest, RestartWithinEpochViaSnapshot) {
 
 TEST(ServerNodeTest, MissingBlobVotesRejectWithoutDesync) {
   Afe afe(6);
-  auto w = make_workload(afe, 6);
+  auto w = make_workload(afe, 6, kSeeds);
   // Server 1 never received client 2's blob (delivery failure).
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed);
   std::vector<std::vector<u8>> verdicts(kServers);
   on_all_nodes(kServers, [&](size_t i) {
     auto view = node_view(std::span<const Submission>(w.subs), i);
@@ -440,7 +366,7 @@ TEST(ServerNodeTest, AbortRollsBackToPreBatchStateAndRetries) {
   };
 
   Afe afe(8);
-  auto w = make_workload(afe, 8);
+  auto w = make_workload(afe, 8, kSeeds);
 
   // Short recv timeout: the followers' blocked recvs must fail fast once
   // the leader's broadcast never arrives.
@@ -450,12 +376,9 @@ TEST(ServerNodeTest, AbortRollsBackToPreBatchStateAndRetries) {
   std::vector<std::unique_ptr<Node>> nodes;
   for (size_t i = 0; i < kServers; ++i) {
     links.push_back(std::make_unique<net::LoopbackTransport>(&mesh, i));
-    ServerNodeConfig cfg;
-    cfg.num_servers = kServers;
-    cfg.self = i;
-    cfg.master_seed = kMasterSeed;
     nodes.push_back(std::make_unique<Node>(
-        &afe, cfg, i == 0 ? static_cast<net::Transport*>(&leader_link)
+        &afe, node_config(i, kSeeds.master_seed),
+        i == 0 ? static_cast<net::Transport*>(&leader_link)
                           : links[i].get()));
   }
   std::vector<std::vector<u8>> pre_snap(kServers);
@@ -508,12 +431,13 @@ TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
   // restarts after the second batch, when its context has refreshed twice,
   // so restore_state must actually replay the refresh schedule (refreshes
   // > 1) to hold the same secret r as its peers for batch 3.
-  auto w1 = make_workload(afe, 4, 0);
-  auto w2 = make_workload(afe, 4, 50);
-  auto w3 = make_workload(afe, 4, 90);
+  auto w1 = make_workload(afe, 4, kSeeds, 0);
+  auto w2 = make_workload(afe, 4, kSeeds, 50);
+  auto w3 = make_workload(afe, 4, kSeeds, 90);
   net::LoopbackMesh mesh(kServers);
   std::vector<net::LoopbackTransport> links;
-  auto nodes = make_nodes(afe, mesh, links, /*refresh_every=*/5);
+  auto nodes = make_nodes(afe, mesh, links, kSeeds.master_seed,
+                          /*refresh_every=*/5);
   on_all_nodes(kServers, [&](size_t i) {
     for (auto* w : {&w1, &w2}) {
       auto view = node_view(std::span<const Submission>(w->subs), i);
@@ -524,10 +448,7 @@ TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
 
   std::vector<u8> snap = nodes[2]->snapshot();
   nodes[2].reset();
-  ServerNodeConfig cfg;
-  cfg.num_servers = kServers;
-  cfg.self = 2;
-  cfg.master_seed = kMasterSeed;
+  ServerNodeConfig cfg = node_config(2, kSeeds.master_seed);
   cfg.refresh_every = 5;
   nodes[2] = std::make_unique<Node>(&afe, cfg, &links[2]);
   ASSERT_TRUE(nodes[2]->restore_state(snap));
@@ -551,13 +472,10 @@ TEST(ServerNodeTest, RefreshScheduleSurvivesBatchesAndRestart) {
 // round-1 frame at once.
 TEST(ServerNodeTest, BatchBeyondRefreshWindowThrowsBeforeAnyFrame) {
   Afe afe(4);
-  auto w = make_workload(afe, 5);
+  auto w = make_workload(afe, 5, kSeeds);
   net::LoopbackMesh mesh(kServers);
   net::LoopbackTransport link(&mesh, 1);
-  ServerNodeConfig cfg;
-  cfg.num_servers = kServers;
-  cfg.self = 1;
-  cfg.master_seed = kMasterSeed;
+  ServerNodeConfig cfg = node_config(1, kSeeds.master_seed);
   cfg.refresh_every = 4;
   Node node(&afe, cfg, &link);
   const std::vector<u8> before = node.snapshot();
@@ -574,27 +492,17 @@ TEST(ServerNodeTest, BatchBeyondRefreshWindowThrowsBeforeAnyFrame) {
 // ephemeral localhost ports, multi-client batches, epoch publication.
 TEST(ServerNodeTest, TcpMeshEndToEnd) {
   Afe afe(8);
-  auto w = make_workload(afe, 16);
+  auto w = make_workload(afe, 16, kSeeds);
   const auto ref = reference(afe, w);
 
-  std::vector<std::unique_ptr<net::TcpListener>> listeners;
-  std::vector<net::TcpMeshTransport::PeerAddr> addrs;
-  for (size_t i = 0; i < kServers; ++i) {
-    listeners.push_back(std::make_unique<net::TcpListener>(0));
-    addrs.push_back({"127.0.0.1", listeners.back()->port()});
-  }
-
-  const std::vector<u8> mesh_secret = master_seed_bytes(kMasterSeed);
+  Listeners peers = listen_loopback(kServers);
+  const std::vector<u8> mesh_secret = master_seed_bytes(kSeeds.master_seed);
   std::vector<std::vector<u8>> verdicts(kServers);
   std::optional<Node::EpochAggregate> agg;
   on_all_nodes(kServers, [&](size_t i) {
-    net::TcpMeshTransport mesh(i, addrs, listeners[i].get(), mesh_secret,
-                               10'000, 10'000);
-    ServerNodeConfig cfg;
-    cfg.num_servers = kServers;
-    cfg.self = i;
-    cfg.master_seed = kMasterSeed;
-    Node node(&afe, cfg, &mesh);
+    net::TcpMeshTransport mesh(i, peers.addrs, peers.sockets[i].get(),
+                               mesh_secret, 10'000, 10'000);
+    Node node(&afe, node_config(i, kSeeds.master_seed), &mesh);
     auto view = node_view(std::span<const Submission>(w.subs), i);
     verdicts[i] = node.process_batch(std::span<const SubmissionShare>(view));
     auto a = node.publish_epoch();
@@ -611,20 +519,15 @@ TEST(ServerNodeTest, TcpMeshEndToEnd) {
 // three nodes rendezvousing concurrently finish well inside one 200 ms
 // accept slice, every time.
 TEST(TcpTest, ConcurrentMeshSetupIsFast) {
-  const std::vector<u8> mesh_secret = master_seed_bytes(kMasterSeed);
+  const std::vector<u8> mesh_secret = master_seed_bytes(kSeeds.master_seed);
   for (int run = 0; run < 10; ++run) {
-    std::vector<std::unique_ptr<net::TcpListener>> listeners;
-    std::vector<net::TcpMeshTransport::PeerAddr> addrs;
-    for (size_t i = 0; i < kServers; ++i) {
-      listeners.push_back(std::make_unique<net::TcpListener>(0));
-      addrs.push_back({"127.0.0.1", listeners.back()->port()});
-    }
+    Listeners peers = listen_loopback(kServers);
     std::vector<long> setup_ms(kServers);
     std::latch all_up(kServers);  // keep every mesh open until all are up
     on_all_nodes(kServers, [&](size_t i) {
       const auto t0 = std::chrono::steady_clock::now();
-      net::TcpMeshTransport mesh(i, addrs, listeners[i].get(), mesh_secret,
-                                 5'000, 5'000);
+      net::TcpMeshTransport mesh(i, peers.addrs, peers.sockets[i].get(),
+                                 mesh_secret, 5'000, 5'000);
       setup_ms[i] = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
