@@ -28,7 +28,6 @@
 //
 //   afe_wire_id(afe)                 -> u8: stable id in publish frames
 //   write_result(afe, result, w)     -> typed Result serialization
-//   read_result(afe, r, &out)        -> bounded parse of the same
 //   result_bytes(afe, result)        -> canonical bytes (bit-exact compare)
 //   sample_input(afe, cid)           -> deterministic workload input, so a
 //                                       verifier that knows only the
@@ -257,8 +256,8 @@ constexpr u8 afe_wire_id(const Gf2Xor<F>&) { return kIdGf2; }
 
 // ---------------------------------------------------------------------------
 // Typed Result serialization. Formats are per-AFE and length-delimited by
-// the enclosing frame; read_result bounds every count by the AFE's own
-// dimensions so a hostile payload cannot force large allocations.
+// the enclosing frame. Nothing parses them back: every reader compares a
+// published aggregate with its reference through result_bytes.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -266,20 +265,10 @@ namespace detail {
 inline void write_f64(net::Writer& w, double v) {
   w.u64_(std::bit_cast<u64>(v));
 }
-inline double read_f64(net::Reader& r) {
-  return std::bit_cast<double>(r.u64_());
-}
 
 inline void write_u64_vec(net::Writer& w, const std::vector<u64>& v) {
   w.u32_(static_cast<u32>(v.size()));
   for (u64 x : v) w.u64_(x);
-}
-inline bool read_u64_vec(net::Reader& r, size_t expect, std::vector<u64>* out) {
-  const u32 n = r.u32_();
-  if (!r.ok() || n != expect) return false;
-  out->resize(n);
-  for (u32 i = 0; i < n; ++i) (*out)[i] = r.u64_();
-  return r.ok();
 }
 
 }  // namespace detail
@@ -289,33 +278,17 @@ void write_result(const BitVectorSum<F>&, const std::vector<u64>& res,
                   net::Writer& w) {
   detail::write_u64_vec(w, res);
 }
-template <PrimeField F>
-bool read_result(const BitVectorSum<F>& a, net::Reader& r,
-                 std::vector<u64>* out) {
-  return detail::read_u64_vec(r, a.length(), out);
-}
 
 template <PrimeField F>
 void write_result(const IntegerSum<F>&, u128 res, net::Writer& w) {
   w.u64_(static_cast<u64>(res));
   w.u64_(static_cast<u64>(res >> 64));
 }
-template <PrimeField F>
-bool read_result(const IntegerSum<F>&, net::Reader& r, u128* out) {
-  const u64 lo = r.u64_(), hi = r.u64_();
-  *out = (static_cast<u128>(hi) << 64) | lo;
-  return r.ok();
-}
 
 template <PrimeField F>
 void write_result(const FrequencyCount<F>&, const std::vector<u64>& res,
                   net::Writer& w) {
   detail::write_u64_vec(w, res);
-}
-template <PrimeField F>
-bool read_result(const FrequencyCount<F>& a, net::Reader& r,
-                 std::vector<u64>* out) {
-  return detail::read_u64_vec(r, a.domain_size(), out);
 }
 
 template <PrimeField F>
@@ -328,16 +301,6 @@ void write_result(const CountMinSketch<F>&,
   detail::write_u64_vec(w, res.hash_a);
   detail::write_u64_vec(w, res.hash_b);
 }
-template <PrimeField F>
-bool read_result(const CountMinSketch<F>& a, net::Reader& r,
-                 typename CountMinSketch<F>::Result* out) {
-  out->rows = r.u32_();
-  out->cols = r.u32_();
-  if (!r.ok() || out->rows != a.rows() || out->cols != a.cols()) return false;
-  return detail::read_u64_vec(r, a.k(), &out->counters) &&
-         detail::read_u64_vec(r, a.rows(), &out->hash_a) &&
-         detail::read_u64_vec(r, a.rows(), &out->hash_b);
-}
 
 template <PrimeField F>
 void write_result(const LinearRegression<F>&, const LinRegModel& res,
@@ -346,25 +309,10 @@ void write_result(const LinearRegression<F>&, const LinRegModel& res,
   w.u32_(static_cast<u32>(res.coeffs.size()));
   for (double c : res.coeffs) detail::write_f64(w, c);
 }
-template <PrimeField F>
-bool read_result(const LinearRegression<F>& a, net::Reader& r,
-                 LinRegModel* out) {
-  out->solvable = r.u8_() != 0;
-  const u32 n = r.u32_();
-  if (!r.ok() || (n != 0 && n != a.dims() + 1)) return false;
-  out->coeffs.resize(n);
-  for (u32 i = 0; i < n; ++i) out->coeffs[i] = detail::read_f64(r);
-  return r.ok();
-}
 
 template <PrimeField F>
 void write_result(const RSquared<F>&, double res, net::Writer& w) {
   detail::write_f64(w, res);
-}
-template <PrimeField F>
-bool read_result(const RSquared<F>&, net::Reader& r, double* out) {
-  *out = detail::read_f64(r);
-  return r.ok();
 }
 
 template <PrimeField F>
@@ -373,22 +321,10 @@ void write_result(const Variance<F>&, const MomentStats& res, net::Writer& w) {
   detail::write_f64(w, res.variance);
   detail::write_f64(w, res.stddev);
 }
-template <PrimeField F>
-bool read_result(const Variance<F>&, net::Reader& r, MomentStats* out) {
-  out->mean = detail::read_f64(r);
-  out->variance = detail::read_f64(r);
-  out->stddev = detail::read_f64(r);
-  return r.ok();
-}
 
 template <PrimeField F>
 void write_result(const MostPopularString<F>&, u64 res, net::Writer& w) {
   w.u64_(res);
-}
-template <PrimeField F>
-bool read_result(const MostPopularString<F>&, net::Reader& r, u64* out) {
-  *out = r.u64_();
-  return r.ok();
 }
 
 template <PrimeField F>
@@ -398,22 +334,10 @@ void write_result(const ProductGeoMean<F>&,
   detail::write_f64(w, res.product);
   detail::write_f64(w, res.geometric_mean);
 }
-template <PrimeField F>
-bool read_result(const ProductGeoMean<F>&, net::Reader& r,
-                 typename ProductGeoMean<F>::Result* out) {
-  out->product = detail::read_f64(r);
-  out->geometric_mean = detail::read_f64(r);
-  return r.ok();
-}
 
 template <PrimeField F>
 void write_result(const Gf2Xor<F>&, u64 res, net::Writer& w) {
   w.u64_(res);
-}
-template <PrimeField F>
-bool read_result(const Gf2Xor<F>&, net::Reader& r, u64* out) {
-  *out = r.u64_();
-  return r.ok();
 }
 
 // Canonical serialized form; bit-exact equality of two Results is equality

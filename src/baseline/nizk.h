@@ -89,10 +89,9 @@ class NizkDeployment {
       // homomorphic aggregate-consistency check of the Kursawe scheme, then
       // sends its slice verdict. This is the per-server transfer that grows
       // linearly with L in Figure 6.
-      if (i != 0) net_.send(i, 0, std::vector<u8>(33 * l + 16));
-      if (i != 0) net_.send(i, 0, std::vector<u8>(1 + 16));
+      if (i != 0) net_.record(i, 0, 33 * l + 16);
+      if (i != 0) net_.record(i, 0, 1 + 16);
     }
-    net_.end_round();
     if (!all_ok) return false;
     for (size_t i = 0; i < num_servers_; ++i) {
       auto scope = clocks_.measure(i);

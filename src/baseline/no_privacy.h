@@ -10,11 +10,8 @@
 #include <unordered_set>
 
 #include "afe/afe.h"
-#include "crypto/aead.h"
-#include "crypto/hkdf.h"
-#include "crypto/rng.h"
+#include "core/submission.h"
 #include "net/simnet.h"
-#include "net/wire.h"
 
 namespace prio::baseline {
 
@@ -60,27 +57,25 @@ template <PrimeField F, typename Afe>
 class NoPrivacyDeployment {
  public:
   NoPrivacyDeployment(const Afe* afe, u64 master_seed)
-      : afe_(afe), clocks_(1), accumulator_(afe->k_prime(), F::zero()) {
-    master_.resize(32);
-    for (int i = 0; i < 8; ++i) master_[i] = static_cast<u8>(master_seed >> (8 * i));
-  }
+      : afe_(afe), clocks_(1), sealer_(master_seed_bytes(master_seed)),
+        accumulator_(afe->k_prime(), F::zero()) {}
 
   net::BusyClock& clocks() { return clocks_; }
   size_t accepted() const { return accepted_; }
 
+  // The encoding in the clear, sealed for the one server under the
+  // client's next submission counter (core/submission.h).
   std::vector<u8> client_upload(const typename Afe::Input& in,
                                 u64 client_id) const {
     std::vector<F> encoding = afe_->encode(in);
     net::Writer w;
     w.field_vector<F>(std::span<const F>(encoding));
-    std::array<u8, 12> nonce{};
-    return Aead::seal(key_for(client_id), nonce, {}, w.data());
+    return sealer_.seal(client_id, 0, sealer_.next_seq(client_id), w.data());
   }
 
   bool process_submission(u64 client_id, std::span<const u8> blob) {
     auto scope = clocks_.measure(0);
-    std::array<u8, 12> nonce{};
-    auto pt = Aead::open(key_for(client_id), nonce, {}, blob);
+    auto pt = sealer_.open(client_id, 0, blob);
     if (!pt) return false;
     net::Reader r(*pt);
     auto enc = r.template field_vector<F>();
@@ -95,18 +90,9 @@ class NoPrivacyDeployment {
   }
 
  private:
-  std::array<u8, 32> key_for(u64 client_id) const {
-    net::Writer label;
-    label.u64_(client_id);
-    auto k = hkdf_sha256(master_, label.data(), {}, 32);
-    std::array<u8, 32> out;
-    std::copy(k.begin(), k.end(), out.begin());
-    return out;
-  }
-
   const Afe* afe_;
   net::BusyClock clocks_;
-  std::vector<u8> master_;
+  SubmissionSealer sealer_;
   std::vector<F> accumulator_;
   size_t accepted_ = 0;
 };

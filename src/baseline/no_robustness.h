@@ -5,12 +5,8 @@
 #pragma once
 
 #include "afe/afe.h"
-#include "crypto/aead.h"
-#include "crypto/hkdf.h"
-#include "crypto/rng.h"
+#include "core/submission.h"
 #include "net/simnet.h"
-#include "net/wire.h"
-#include "share/share.h"
 
 namespace prio::baseline {
 
@@ -22,63 +18,36 @@ class NoRobustnessDeployment {
         num_servers_(num_servers),
         net_(num_servers),
         clocks_(num_servers),
+        sealer_(master_seed_bytes(master_seed)),
         accumulators_(num_servers,
                       std::vector<F>(afe->k_prime(), F::zero())) {
     require(num_servers >= 2, "NoRobustnessDeployment: need >= 2 servers");
-    master_.resize(32);
-    for (int i = 0; i < 8; ++i) master_[i] = static_cast<u8>(master_seed >> (8 * i));
   }
 
   net::SimNetwork& network() { return net_; }
   net::BusyClock& clocks() { return clocks_; }
   size_t accepted() const { return accepted_; }
 
+  // PRG-compressed shares of the bare encoding, sealed per server under
+  // the client's next submission counter -- Prio's upload path
+  // (core/submission.h) without the SNIP.
   std::vector<std::vector<u8>> client_upload(const typename Afe::Input& in,
                                              u64 client_id,
                                              SecureRng& rng) const {
     std::vector<F> encoding = afe_->encode(in);
-    auto cs = share_vector_compressed<F>(encoding, num_servers_, rng);
-    std::vector<std::vector<u8>> blobs;
-    for (size_t j = 0; j < num_servers_; ++j) {
-      net::Writer w;
-      if (j + 1 < num_servers_) {
-        w.u8_(0);
-        w.raw(cs.seeds[j]);
-      } else {
-        w.u8_(1);
-        w.field_vector<F>(std::span<const F>(cs.explicit_share));
-      }
-      std::array<u8, 12> nonce{};
-      blobs.push_back(
-          Aead::seal(key_for(client_id, j), nonce, {}, w.data()));
-    }
-    return blobs;
+    return seal_shared_vector<F>(sealer_, std::span<const F>(encoding),
+                                 num_servers_, client_id,
+                                 sealer_.next_seq(client_id), rng);
   }
 
   bool process_submission(u64 client_id,
                           const std::vector<std::vector<u8>>& blobs) {
     bool ok = true;
+    std::vector<F> share(afe_->k());
     for (size_t i = 0; i < num_servers_; ++i) {
       auto scope = clocks_.measure(i);
-      std::array<u8, 12> nonce{};
-      auto pt = Aead::open(key_for(client_id, i), nonce, {}, blobs[i]);
-      if (!pt) {
-        ok = false;
-        continue;
-      }
-      net::Reader r(*pt);
-      u8 kind = r.u8_();
-      std::vector<F> share;
-      if (kind == 0 && r.remaining() == 32) {
-        std::vector<u8> seed = {pt->begin() + 1, pt->end()};
-        share = expand_share_seed<F>(seed, afe_->k());
-      } else if (kind == 1) {
-        share = r.template field_vector<F>();
-        if (!r.ok() || share.size() != afe_->k()) {
-          ok = false;
-          continue;
-        }
-      } else {
+      if (!open_sealed_share_into<F>(sealer_, client_id, i, blobs[i],
+                                     std::span<F>(share))) {
         ok = false;
         continue;
       }
@@ -96,31 +65,17 @@ class NoRobustnessDeployment {
       for (size_t c = 0; c < afe_->k_prime(); ++c) {
         sigma[c] += accumulators_[i][c];
       }
-      if (i != 0) {
-        std::vector<u8> msg(afe_->k_prime() * F::kByteLen + 16);
-        net_.send(i, 0, std::move(msg));
-      }
+      if (i != 0) net_.record(i, 0, afe_->k_prime() * F::kByteLen + 16);
     }
-    net_.end_round();
     return afe_->decode(sigma, accepted_);
   }
 
  private:
-  std::array<u8, 32> key_for(u64 client_id, size_t server) const {
-    net::Writer label;
-    label.u64_(client_id);
-    label.u64_(server);
-    auto k = hkdf_sha256(master_, label.data(), {}, 32);
-    std::array<u8, 32> out;
-    std::copy(k.begin(), k.end(), out.begin());
-    return out;
-  }
-
   const Afe* afe_;
   size_t num_servers_;
   net::SimNetwork net_;
   net::BusyClock clocks_;
-  std::vector<u8> master_;
+  SubmissionSealer sealer_;
   std::vector<std::vector<F>> accumulators_;
   size_t accepted_ = 0;
 };

@@ -5,8 +5,8 @@
 // the same protocol node the prio_server binary runs, connected by one
 // LoopbackMesh. Each node runs on its own thread and exchanges real sealed
 // frames with its peers, so the four SNIP rounds exist once, in
-// ServerNode::run_rounds. The mesh's SimNetwork accounts every frame
-// (network()), and clocks() credits each server with its node thread's CPU
+// ServerNode::run_rounds. The mesh's SimNetwork counts every frame and its
+// bytes per link (network()), and clocks() credits each server with its node thread's CPU
 // time, so time a node spends blocked waiting for a peer is not busy time.
 //
 // Batch b is led by server b mod s (Section 6.1's load balancing: the

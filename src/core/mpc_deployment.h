@@ -26,20 +26,17 @@
 
 namespace prio {
 
-// Wire accounting for server-to-server traffic (TLS in the paper): payload
-// plus AEAD framing, one physical message carrying `logical` protocol-level
-// messages.
+// Wire accounting for server-to-server traffic (TLS in the paper): one
+// frame of payload plus AEAD framing.
 inline void framed_send(net::SimNetwork& net, size_t from, size_t to,
-                        size_t payload_len, u64 logical = 1) {
-  net.send_coalesced(from, to, payload_len + net::SecureChannel::kOverhead,
-                     logical);
+                        size_t payload_len) {
+  net.record(from, to, payload_len + net::SecureChannel::kOverhead);
 }
 
 inline void framed_broadcast(net::SimNetwork& net, size_t num_servers,
-                             size_t from, size_t payload_len,
-                             u64 logical = 1) {
+                             size_t from, size_t payload_len) {
   for (size_t to = 0; to < num_servers; ++to) {
-    if (to != from) framed_send(net, from, to, payload_len, logical);
+    if (to != from) framed_send(net, from, to, payload_len);
   }
 }
 
@@ -120,7 +117,6 @@ class PrioMpcDeployment {
       }
       if (i != 0) framed_send(net_, i, 0, afe_->k_prime() * F::kByteLen);
     }
-    net_.end_round();
     return afe_->decode(sigma, accepted_);
   }
 
@@ -185,11 +181,9 @@ class PrioMpcDeployment {
         d_total[v] += st.d_share;
         e_total[v] += st.e_share;
       }
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql), ql);
+      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql));
     }
-    net_.end_round(ql);
-    framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ql), ql);
-    net_.end_round(ql);
+    framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ql));
 
     std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
     for (size_t task = 0; task < ql * s; ++task) {
@@ -201,11 +195,9 @@ class PrioMpcDeployment {
       out_shares[task] = st.out_combo;
     }
     for (size_t i = 0; i < s; ++i) {
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql), ql);
+      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql));
     }
-    net_.end_round(ql);
-    framed_broadcast(net_, s, leader, net::bitmap_len(ql), ql);
-    net_.end_round(ql);
+    framed_broadcast(net_, s, leader, net::bitmap_len(ql));
 
     // Submissions whose triple SNIP verified advance to the Beaver MPC.
     std::vector<size_t> mpc_live;
@@ -252,12 +244,10 @@ class PrioMpcDeployment {
       }
       for (size_t i = 0; i < s; ++i) {
         if (i != leader) {
-          framed_send(net_, i, leader, net::field_pairs_len<F>(ml * gates), ml);
+          framed_send(net_, i, leader, net::field_pairs_len<F>(ml * gates));
         }
       }
-      net_.end_round(ml);
-      framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ml * gates), ml);
-      net_.end_round(ml);
+      framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ml * gates));
       for (size_t task = 0; task < ml * s; ++task) {
         auto scope = clocks_.measure(task % s);
         sessions[task]->resolve_round(totals[task / s]);
@@ -283,12 +273,10 @@ class PrioMpcDeployment {
     }
     for (size_t i = 0; i < s; ++i) {
       if (i != leader) {
-        framed_send(net_, i, leader, 4 + ml * n_out * F::kByteLen, ml);
+        framed_send(net_, i, leader, 4 + ml * n_out * F::kByteLen);
       }
     }
-    net_.end_round(ml);
-    framed_broadcast(net_, s, leader, net::bitmap_len(ml), ml);
-    net_.end_round(ml);
+    framed_broadcast(net_, s, leader, net::bitmap_len(ml));
 
     // Aggregation, in submission order with the replay floor applied:
     // replayed counters flip to reject, accepts advance the floor, so a

@@ -6,10 +6,9 @@
 // operators in fp64.h/fp128.h are the reference implementation; the
 // kernels here are the batch entry points the pipelines call:
 //
-//  * vec_add / vec_sub / vec_mul / vec_axpy run the branchless scalar ops
-//    in straight-line loops over spans. For Fp64 every correction in the
-//    scalar op is mask arithmetic, so Release builds auto-vectorize the
-//    add/sub/axpy loops.
+//  * vec_add_inplace / vec_sub_inplace run the branchless scalar ops in
+//    straight-line loops over spans. For Fp64 every correction in the
+//    scalar op is mask arithmetic, so Release builds auto-vectorize them.
 //  * inner_product uses lazy reduction for Fp64: the 128-bit products are
 //    accumulated into independent 192-bit lanes (a u128 plus an overflow
 //    counter) and reduced ONCE per span instead of once per element,
@@ -29,24 +28,6 @@
 
 namespace prio::kernels {
 
-// out[i] = a[i] + b[i].
-template <PrimeField F>
-inline void vec_add(std::span<const F> a, std::span<const F> b,
-                    std::span<F> out) {
-  require(a.size() == b.size() && a.size() == out.size(),
-          "kernels::vec_add: size mismatch");
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-}
-
-// out[i] = a[i] - b[i].
-template <PrimeField F>
-inline void vec_sub(std::span<const F> a, std::span<const F> b,
-                    std::span<F> out) {
-  require(a.size() == b.size() && a.size() == out.size(),
-          "kernels::vec_sub: size mismatch");
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-}
-
 // a[i] -= b[i]; the share-compression form (subtract an expanded PRG share
 // from the running explicit share without a temporary).
 template <PrimeField F>
@@ -60,22 +41,6 @@ template <PrimeField F>
 inline void vec_add_inplace(std::span<F> a, std::span<const F> b) {
   require(a.size() == b.size(), "kernels::vec_add_inplace: size mismatch");
   for (size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-}
-
-// out[i] = a[i] * b[i].
-template <PrimeField F>
-inline void vec_mul(std::span<const F> a, std::span<const F> b,
-                    std::span<F> out) {
-  require(a.size() == b.size() && a.size() == out.size(),
-          "kernels::vec_mul: size mismatch");
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-}
-
-// y[i] += alpha * x[i].
-template <PrimeField F>
-inline void vec_axpy(const F& alpha, std::span<const F> x, std::span<F> y) {
-  require(x.size() == y.size(), "kernels::vec_axpy: size mismatch");
-  for (size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 // <a, b>: generic reference path -- one mul + add (with its per-element

@@ -1,11 +1,11 @@
 // Traffic accounting for in-process Prio servers.
 //
-// SUBSTITUTION NOTE (DESIGN.md §2): the paper runs five servers in five
-// Amazon datacenters. We run server instances in one process and model the
-// network as point-to-point links with exact per-link byte counters (these
-// regenerate Figure 6) and a count of protocol rounds. The loopback mesh (net/transport.h) that
+// SUBSTITUTION NOTE: the paper runs five servers in five Amazon
+// datacenters. We run server instances in one process and model the network
+// as point-to-point links, each with exact byte and frame counters (the
+// bytes regenerate Figure 6). The loopback mesh (net/transport.h) that
 // PrioDeployment's server threads exchange frames over records every frame
-// here; the Prio-MPC variant and the baselines account their messages
+// here; the Prio-MPC variant and the baselines record their frames
 // directly. Throughput in the paper's setup is compute-bound (clients
 // stream over persistent connections), so the harness reports throughput
 // from per-server busy time, not from latency.
@@ -13,8 +13,8 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -24,12 +24,7 @@ namespace prio::net {
 
 struct LinkStats {
   u64 bytes = 0;
-  u64 messages = 0;  // physical wire messages
-  // Protocol-level messages carried. The serial pipeline sends one physical
-  // message per protocol message (logical == messages); the batch pipeline
-  // coalesces Q per-submission messages into one wire message, so logical
-  // grows by Q while messages grows by 1.
-  u64 logical = 0;
+  u64 frames = 0;
 };
 
 class SimNetwork {
@@ -37,37 +32,12 @@ class SimNetwork {
   explicit SimNetwork(size_t num_nodes)
       : n_(num_nodes), links_(num_nodes * num_nodes) {}
 
-  size_t num_nodes() const { return n_; }
-
-  // Records and delivers a message; returns the payload for the receiver.
-  // Synchronous delivery -- the pipeline drives rounds explicitly with
-  // end_round().
-  std::vector<u8> send(size_t from, size_t to, std::vector<u8> payload) {
-    require(from < n_ && to < n_, "SimNetwork::send: bad node id");
-    LinkStats& link = links_[from * n_ + to];
-    link.bytes += payload.size();
-    link.messages += 1;
-    link.logical += 1;
-    return payload;
-  }
-
-  // Coalesced send: one wire message carrying `logical` protocol-level
-  // messages (the batch pipeline ships Q (d, e) pairs in one message).
-  void send_coalesced(size_t from, size_t to, size_t bytes, u64 logical) {
-    require(from < n_ && to < n_, "SimNetwork::send_coalesced: bad node id");
+  // Records one frame of `bytes` bytes on the directed link from -> to.
+  void record(size_t from, size_t to, size_t bytes) {
+    require(from < n_ && to < n_, "SimNetwork::record: bad node id");
     LinkStats& link = links_[from * n_ + to];
     link.bytes += bytes;
-    link.messages += 1;
-    link.logical += logical;
-  }
-
-  // Marks the end of a communication round (all sends in a round
-  // overlap). `submissions` is how many protocol
-  // instances the round covered: 1 for the serial pipeline, Q for a batch
-  // round, so rounds-per-submission stays comparable across pipelines.
-  void end_round(u64 submissions = 1) {
-    ++rounds_;
-    round_submissions_ += submissions;
+    link.frames += 1;
   }
 
   const LinkStats& link(size_t from, size_t to) const {
@@ -81,49 +51,21 @@ class SimNetwork {
     return total;
   }
 
-  u64 bytes_received_by(size_t node) const {
-    u64 total = 0;
-    for (size_t from = 0; from < n_; ++from) {
-      total += links_[from * n_ + node].bytes;
-    }
-    return total;
-  }
-
   u64 total_bytes() const {
     u64 total = 0;
     for (const auto& l : links_) total += l.bytes;
     return total;
   }
 
-  u64 rounds() const { return rounds_; }
-  // Protocol instances covered by the recorded rounds; with batching this
-  // exceeds rounds(), and rounds()/round_submissions() is the per-submission
-  // round amortization factor.
-  u64 round_submissions() const { return round_submissions_; }
-
-  u64 total_messages() const {
+  u64 total_frames() const {
     u64 total = 0;
-    for (const auto& l : links_) total += l.messages;
+    for (const auto& l : links_) total += l.frames;
     return total;
-  }
-
-  u64 total_logical_messages() const {
-    u64 total = 0;
-    for (const auto& l : links_) total += l.logical;
-    return total;
-  }
-
-  void reset_counters() {
-    for (auto& l : links_) l = LinkStats{};
-    rounds_ = 0;
-    round_submissions_ = 0;
   }
 
  private:
   size_t n_;
   std::vector<LinkStats> links_;
-  u64 rounds_ = 0;
-  u64 round_submissions_ = 0;
 };
 
 // Accumulates per-server compute time; the throughput harness divides work

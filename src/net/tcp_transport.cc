@@ -319,19 +319,18 @@ void TcpMeshTransport::establish(int timeout_ms) {
   }
 }
 
-void TcpMeshTransport::send(size_t to, std::vector<u8> frame, u64 logical) {
-  send_lane(0, to, std::move(frame), logical);
+void TcpMeshTransport::send(size_t to, std::vector<u8> frame) {
+  send_lane(0, to, std::move(frame));
 }
 
 std::vector<u8> TcpMeshTransport::recv(size_t from) {
   return recv_lane(0, from);
 }
 
-void TcpMeshTransport::send_lane(size_t lane, size_t to, std::vector<u8> frame,
-                                 u64 logical) {
+void TcpMeshTransport::send_lane(size_t lane, size_t to,
+                                 std::vector<u8> frame) {
   require(to < n_ && to != self_ && lane < lanes_,
           "TcpMeshTransport::send_lane: bad peer or lane");
-  (void)logical;  // wire accounting only distinguishes physical frames here
   if (mesh_down_.load(std::memory_order_acquire)) {
     throw TransportError("mesh is down (awaiting reestablish)");
   }

@@ -251,12 +251,10 @@ class TcpMeshTransport final : public Transport {
   size_t num_nodes() const override { return n_; }
   size_t self() const override { return self_; }
   size_t lanes() const override { return lanes_; }
-  void send(size_t to, std::vector<u8> frame, u64 logical) override;
+  void send(size_t to, std::vector<u8> frame) override;
   std::vector<u8> recv(size_t from) override;
-  void send_lane(size_t lane, size_t to, std::vector<u8> frame,
-                 u64 logical) override;
+  void send_lane(size_t lane, size_t to, std::vector<u8> frame) override;
   std::vector<u8> recv_lane(size_t lane, size_t from) override;
-  void end_round(u64) override {}
 
   // Crash recovery: closes every peer link (waking any peer still blocked
   // on one) and re-runs the dial/accept rendezvous, waiting up to

@@ -5,9 +5,10 @@
 // its view of the network. Two implementations exist:
 //
 //   - LoopbackMesh/LoopbackTransport (here): s in-process nodes connected
-//     by blocking per-link queues, with SimNetwork accounting (net/
-//     simnet.h). PrioDeployment (core/deployment.h), tests and benches run
-//     real multi-threaded protocol nodes over it without sockets.
+//     by blocking per-link queues; a SimNetwork (net/simnet.h) counts
+//     every frame and its bytes per link. PrioDeployment
+//     (core/deployment.h), tests and benches run real multi-threaded
+//     protocol nodes over it without sockets.
 //   - TcpMeshTransport (net/tcp_transport.h): length-prefixed frames over
 //     real TCP sockets, one OS process per server.
 //
@@ -56,8 +57,8 @@ class Transport {
   // How many lanes this transport multiplexes per link (>= 1).
   virtual size_t lanes() const { return 1; }
 
-  // Ships one framed message carrying `logical` protocol-level messages.
-  virtual void send(size_t to, std::vector<u8> frame, u64 logical) = 0;
+  // Ships one frame to `to`.
+  virtual void send(size_t to, std::vector<u8> frame) = 0;
 
   // Blocks until the next frame from `from` arrives; throws TransportError
   // on link failure or timeout.
@@ -65,19 +66,14 @@ class Transport {
 
   // Lane-addressed variants. The defaults make every transport a valid
   // 1-lane transport; multiplexing implementations override all three.
-  virtual void send_lane(size_t lane, size_t to, std::vector<u8> frame,
-                         u64 logical) {
+  virtual void send_lane(size_t lane, size_t to, std::vector<u8> frame) {
     if (lane != 0) throw TransportError("transport has a single lane");
-    send(to, std::move(frame), logical);
+    send(to, std::move(frame));
   }
   virtual std::vector<u8> recv_lane(size_t lane, size_t from) {
     if (lane != 0) throw TransportError("transport has a single lane");
     return recv(from);
   }
-
-  // Marks the end of a communication round covering `submissions` protocol
-  // instances (accounting hook; see SimNetwork::end_round).
-  virtual void end_round(u64 submissions) = 0;
 
   // Tears down and re-establishes every peer link (crash recovery: a peer
   // died and is restarting, so the survivors drop their broken links and
@@ -116,13 +112,12 @@ class LaneTransport final : public Transport {
   size_t self() const override { return base_->self(); }
   size_t lane() const { return lane_; }
 
-  void send(size_t to, std::vector<u8> frame, u64 logical) override {
-    base_->send_lane(lane_, to, std::move(frame), logical);
+  void send(size_t to, std::vector<u8> frame) override {
+    base_->send_lane(lane_, to, std::move(frame));
   }
   std::vector<u8> recv(size_t from) override {
     return base_->recv_lane(lane_, from);
   }
-  void end_round(u64 submissions) override { base_->end_round(submissions); }
 
  private:
   Transport* base_;
@@ -130,8 +125,8 @@ class LaneTransport final : public Transport {
 };
 
 // Shared state for s in-process nodes: one FIFO of frames per directed
-// link, plus a SimNetwork that accounts every frame's bytes and rounds --
-// the numbers behind the paper-figure benches.
+// link, plus a SimNetwork that counts every frame and its bytes per link --
+// the numbers behind the paper-figure benches and the tests' frame counts.
 class LoopbackMesh {
  public:
   explicit LoopbackMesh(size_t num_nodes, u64 recv_timeout_ms = 10'000,
@@ -146,13 +141,12 @@ class LoopbackMesh {
   size_t lanes() const { return lanes_; }
   SimNetwork& sim() { return sim_; }
 
-  void send(size_t from, size_t to, std::vector<u8> frame, u64 logical,
-            size_t lane = 0) {
+  void send(size_t from, size_t to, std::vector<u8> frame, size_t lane = 0) {
     require(from < n_ && to < n_ && lane < lanes_,
             "LoopbackMesh::send: bad node or lane id");
     {
       std::lock_guard<std::mutex> lock(mu_);
-      sim_.send_coalesced(from, to, frame.size(), logical);
+      sim_.record(from, to, frame.size());
       queues_[(from * n_ + to) * lanes_ + lane].push_back(std::move(frame));
     }
     arrived_[to].notify_all();
@@ -170,16 +164,6 @@ class LoopbackMesh {
     std::vector<u8> frame = std::move(q.front());
     q.pop_front();
     return frame;
-  }
-
-  // Round accounting: every node reports its rounds; the mesh records the
-  // slowest node's count once (node 0's calls stand in for the mesh --
-  // every node performs the same number of rounds in this protocol).
-  void end_round(size_t node, u64 submissions) {
-    if (node == 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      sim_.end_round(submissions);
-    }
   }
 
  private:
@@ -205,25 +189,20 @@ class LoopbackTransport final : public Transport {
   size_t self() const override { return self_; }
   size_t lanes() const override { return mesh_->lanes(); }
 
-  void send(size_t to, std::vector<u8> frame, u64 logical) override {
-    mesh_->send(self_, to, std::move(frame), logical);
+  void send(size_t to, std::vector<u8> frame) override {
+    mesh_->send(self_, to, std::move(frame));
   }
 
   std::vector<u8> recv(size_t from) override {
     return mesh_->recv(from, self_);
   }
 
-  void send_lane(size_t lane, size_t to, std::vector<u8> frame,
-                 u64 logical) override {
-    mesh_->send(self_, to, std::move(frame), logical, lane);
+  void send_lane(size_t lane, size_t to, std::vector<u8> frame) override {
+    mesh_->send(self_, to, std::move(frame), lane);
   }
 
   std::vector<u8> recv_lane(size_t lane, size_t from) override {
     return mesh_->recv(from, self_, lane);
-  }
-
-  void end_round(u64 submissions) override {
-    mesh_->end_round(self_, submissions);
   }
 
  private:

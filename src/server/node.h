@@ -8,7 +8,9 @@
 // the prio_server binary. Every
 // frame body between servers is sealed with net::SecureChannel (fresh
 // per-batch keys, counter nonces riding on the link's in-order delivery),
-// standing in for the paper's TLS.
+// standing in for the paper's TLS. The node hands the transport frames and
+// nothing else; what the in-process mesh measures is their bytes and count
+// per link (net/simnet.h).
 //
 // Batch flow (leader rotates with the shared batch counter; `q` inputs,
 // `ql` of them parsed by every server):
@@ -345,7 +347,6 @@ class ServerNode {
           e_all[v] += pairs[v].second;
         }
       }
-      transport_->end_round(q);
       for (size_t v = 0; v < q; ++v) {
         if (live[v]) {
           d_total.push_back(d_all[v]);
@@ -355,8 +356,7 @@ class ServerNode {
       net::Writer w;
       w.bitmap(live);
       w.field_pairs<F>(std::span<const std::pair<F, F>>(zip(d_total, e_total)));
-      broadcast_sealed(tag, kRound2, w.data(), d_total.size());
-      transport_->end_round(d_total.size());
+      broadcast_sealed(tag, kRound2, w.data());
     } else {
       net::Writer w;
       w.bitmap(parsed);
@@ -365,8 +365,7 @@ class ServerNode {
         if (parsed[v]) pairs[v] = {states[v]->d_share, states[v]->e_share};
       }
       w.field_pairs<F>(std::span<const std::pair<F, F>>(pairs));
-      send_sealed(leader, tag, kRound1, w.data(), q);
-      transport_->end_round(q);
+      send_sealed(leader, tag, kRound1, w.data());
 
       const auto body = recv_sealed(leader, tag, kRound2);
       net::Reader r(body);
@@ -382,7 +381,6 @@ class ServerNode {
         d_total.push_back(d);
         e_total.push_back(e);
       }
-      transport_->end_round(n_live);
     }
     // A submission the leader marked live must have parsed here too --
     // anything else means the leader equivocated.
@@ -421,20 +419,17 @@ class ServerNode {
           out[v] += pairs[v].second;
         }
       }
-      transport_->end_round(ql);
       for (size_t v = 0; v < ql; ++v) {
         decisions[live_idx[v]] = snip_accept(sigma[v], out[v]) ? 1 : 0;
       }
       net::Writer w;
       w.bitmap(decisions);
-      broadcast_sealed(tag, kRound4, w.data(), ql);
-      transport_->end_round(ql);
+      broadcast_sealed(tag, kRound4, w.data());
     } else {
       net::Writer w;
       w.field_pairs<F>(
           std::span<const std::pair<F, F>>(zip(sigma_shares, out_shares)));
-      send_sealed(leader, tag, kRound3, w.data(), ql);
-      transport_->end_round(ql);
+      send_sealed(leader, tag, kRound3, w.data());
 
       const auto body = recv_sealed(leader, tag, kRound4);
       net::Reader r(body);
@@ -442,7 +437,6 @@ class ServerNode {
       if (!r.ok() || !r.at_end() || decisions.size() != q) {
         throw net::TransportError("round 4: malformed frame from leader");
       }
-      transport_->end_round(ql);
     }
 
     // Replay floor + aggregation, in submission order -- deterministic, so
@@ -524,21 +518,19 @@ class ServerNode {
       if (durable_hook) durable_hook(&agg);
       net::Writer cw;
       cw.u32_(epoch_);
-      broadcast_sealed(tag, kCommit, cw.data(), 1);
-      transport_->end_round(1);
+      broadcast_sealed(tag, kCommit, cw.data());
       out = std::move(agg);
     } else {
       net::Writer w;
       w.u64_(accepted_);
       w.field_vector<F>(std::span<const F>(accumulator_));
-      send_sealed(0, tag, kPublish, w.data(), 1);
+      send_sealed(0, tag, kPublish, w.data());
       const auto body = recv_sealed(0, tag, kCommit);
       net::Reader r(body);
       if (r.u32_() != epoch_ || !r.ok() || !r.at_end()) {
         throw net::TransportError("publish: malformed commit frame");
       }
       if (durable_hook) durable_hook(nullptr);
-      transport_->end_round(1);
     }
     std::fill(accumulator_.begin(), accumulator_.end(), F::zero());
     accepted_ = 0;
@@ -761,18 +753,18 @@ class ServerNode {
   }
 
   void send_sealed(size_t to, const std::string& tag, u8 type,
-                   std::span<const u8> body, u64 logical) {
+                   std::span<const u8> body) {
     net::Writer w;
     w.u8_(type);
     w.raw(body);
-    transport_->send(to, make_channel(cfg_.self, to, tag, type).seal(w.data()),
-                     logical);
+    transport_->send(to,
+                     make_channel(cfg_.self, to, tag, type).seal(w.data()));
   }
 
   void broadcast_sealed(const std::string& tag, u8 type,
-                        std::span<const u8> body, u64 logical) {
+                        std::span<const u8> body) {
     for (size_t j = 0; j < cfg_.num_servers; ++j) {
-      if (j != cfg_.self) send_sealed(j, tag, type, body, logical);
+      if (j != cfg_.self) send_sealed(j, tag, type, body);
     }
   }
 

@@ -451,7 +451,7 @@ class ShardRuntime {
 
   // Server 0's sequencer frames go to every follower on this lane.
   void broadcast(const std::vector<u8>& frame) {
-    for (size_t j = 1; j < lane_->num_nodes(); ++j) lane_->send(j, frame, 1);
+    for (size_t j = 1; j < lane_->num_nodes(); ++j) lane_->send(j, frame);
   }
 
   // Follower's side of the close handshake: each publish attempt consumes
@@ -595,7 +595,7 @@ class ShardRuntime {
                node_->accepted(), node_->generation(), opts_.afe_spec};
     const std::vector<u8> hello = encode(pos[me]);
     for (size_t j = 0; j < n; ++j) {
-      if (j != me) lane_->send(j, hello, 1);
+      if (j != me) lane_->send(j, hello);
     }
     for (size_t j = 0; j < n; ++j) {
       if (j == me) continue;
@@ -671,7 +671,6 @@ class ShardRuntime {
         apply_catch_up(helper, lane_->recv(helper));
       }
     }
-    lane_->end_round(1);
   }
 
   // Catch-up frames are sealed under the just-negotiated generation's
@@ -689,7 +688,7 @@ class ShardRuntime {
       const auto sealed = node_->seal_control(
           to, "cub",
           encode_batch_record(last_batch_.ids, last_batch_.verdicts));
-      lane_->send(to, encode_catch_up(kCatchUpBatch, sealed), 1);
+      lane_->send(to, encode_catch_up(kCatchUpBatch, sealed));
     }
     if (peer.epoch < node_->epoch()) {
       if (peer.epoch + 1 != node_->epoch()) {
@@ -697,7 +696,7 @@ class ShardRuntime {
       }
       const auto sealed = node_->seal_control(
           to, "cue", encode_catch_up_epoch_body(peer.epoch));
-      lane_->send(to, encode_catch_up(kCatchUpEpoch, sealed), 1);
+      lane_->send(to, encode_catch_up(kCatchUpEpoch, sealed));
     }
   }
 

@@ -143,26 +143,24 @@ TEST(BatchPipelineTest, MatchesSerialOnMixedBatch) {
 }
 
 TEST(BatchPipelineTest, CoalescesRoundsAndMessages) {
-  constexpr size_t kQ = 10;
-  afe::IntegerSum<F> afe(8);
-  PrioDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 3});
-  SecureRng rng(22);
-  std::vector<Submission> batch;
-  for (u64 cid = 0; cid < kQ; ++cid) {
-    batch.push_back({cid, dep.client_upload(1, cid, rng)});
-  }
-  auto verdicts = dep.process_batch(batch);
-  for (u8 v : verdicts) EXPECT_EQ(v, 1);
-
   // The whole batch runs in the four protocol rounds (not 4 per
-  // submission), each round covering all kQ submissions.
-  EXPECT_EQ(dep.network().rounds(), 4u);
-  EXPECT_EQ(dep.network().round_submissions(), 4u * kQ);
-  // 3 servers: rounds 1 and 3 are 2 non-leader->leader messages each,
-  // rounds 2 and 4 are 2-peer broadcasts: 8 wire messages total,
-  // regardless of kQ; each carries kQ protocol messages.
-  EXPECT_EQ(dep.network().total_messages(), 8u);
-  EXPECT_EQ(dep.network().total_logical_messages(), 8u * kQ);
+  // submission). 3 servers: rounds 1 and 3 are 2 non-leader->leader
+  // frames each, rounds 2 and 4 are 2-peer broadcasts: 8 frames on the
+  // mesh, whatever the batch size.
+  afe::IntegerSum<F> afe(8);
+  SecureRng rng(22);
+  auto frames_for = [&](size_t q) {
+    PrioDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 3});
+    std::vector<Submission> batch;
+    for (u64 cid = 0; cid < q; ++cid) {
+      batch.push_back({cid, dep.client_upload(1, cid, rng)});
+    }
+    auto verdicts = dep.process_batch(batch);
+    for (u8 v : verdicts) EXPECT_EQ(v, 1);
+    return dep.network().total_frames();
+  };
+  EXPECT_EQ(frames_for(1), 8u);
+  EXPECT_EQ(frames_for(10), 8u);
 }
 
 TEST(BatchPipelineTest, RefreshCrossesBatchBoundaries) {
@@ -188,7 +186,8 @@ TEST(BatchPipelineTest, RefreshCrossesBatchBoundaries) {
 TEST(BatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   // A batch larger than refresh_every must not run under a single secret
   // point r: process_batch chunks it, so the 10 submissions below run as
-  // three chunks (4 + 4 + 2), visible as 3 x 4 protocol rounds.
+  // three chunks (4 + 4 + 2), visible as 3 x 4 frames on the mesh (one
+  // per protocol round at s = 2).
   afe::IntegerSum<F> afe(4);
   DeploymentOptions opts;
   opts.num_servers = 2;
@@ -202,7 +201,7 @@ TEST(BatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   auto verdicts = dep.process_batch(batch);
   ASSERT_EQ(verdicts.size(), 10u);
   for (u8 v : verdicts) EXPECT_EQ(v, 1);
-  EXPECT_EQ(dep.network().rounds(), 3u * 4u);
+  EXPECT_EQ(dep.network().total_frames(), 3u * 4u);
   EXPECT_EQ(dep.accepted(), 10u);
   EXPECT_EQ(static_cast<u64>(dep.publish()), 10u);
 }
@@ -234,7 +233,7 @@ TEST(BatchPipelineTest, EmptyBatchIsANoop) {
   PrioDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 2});
   EXPECT_TRUE(dep.process_batch({}).empty());
   EXPECT_EQ(dep.processed(), 0u);
-  EXPECT_EQ(dep.network().rounds(), 0u);
+  EXPECT_EQ(dep.network().total_frames(), 0u);
 }
 
 TEST(BatchPipelineTest, SerialAndBatchedInterleave) {
@@ -298,10 +297,11 @@ TEST(MpcBatchPipelineTest, MatchesSerialOnMixedBatch) {
 
 TEST(MpcBatchPipelineTest, BeaverRoundsAreLockStepAcrossBatch) {
   // Beaver MPC costs rounds proportional to circuit depth, but a batch
-  // shares each round: total rounds must not grow with batch size.
+  // shares each round's frames: the frame count must not grow with batch
+  // size.
   afe::IntegerSum<F> afe(4);
   SecureRng rng(27);
-  auto rounds_for = [&](size_t q) {
+  auto frames_for = [&](size_t q) {
     PrioMpcDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 2});
     std::vector<Submission> batch;
     for (u64 cid = 0; cid < q; ++cid) {
@@ -309,24 +309,24 @@ TEST(MpcBatchPipelineTest, BeaverRoundsAreLockStepAcrossBatch) {
     }
     auto verdicts = dep.process_batch(batch);
     for (u8 v : verdicts) EXPECT_EQ(v, 1);
-    return dep.network().rounds();
+    return dep.network().total_frames();
   };
-  EXPECT_EQ(rounds_for(1), rounds_for(8));
+  EXPECT_EQ(frames_for(1), frames_for(8));
 }
 
 TEST(MpcBatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   // As for the SNIP pipeline: 10 submissions under refresh_every = 4 run as
-  // three chunks (4 + 4 + 2), each paying one chunk's rounds.
+  // three chunks (4 + 4 + 2), each paying one chunk's frames.
   afe::IntegerSum<F> afe(4);
   DeploymentOptions opts;
   opts.num_servers = 2;
   opts.refresh_every = 4;
   SecureRng rng(30);
-  u64 one_chunk_rounds = 0;
+  u64 one_chunk_frames = 0;
   {
     PrioMpcDeployment<F, afe::IntegerSum<F>> one(&afe, opts);
     EXPECT_TRUE(one.process_submission(0, one.client_upload(1, 0, rng)));
-    one_chunk_rounds = one.network().rounds();
+    one_chunk_frames = one.network().total_frames();
   }
   PrioMpcDeployment<F, afe::IntegerSum<F>> dep(&afe, opts);
   std::vector<Submission> batch;
@@ -336,7 +336,7 @@ TEST(MpcBatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   auto verdicts = dep.process_batch(batch);
   ASSERT_EQ(verdicts.size(), 10u);
   for (u8 v : verdicts) EXPECT_EQ(v, 1);
-  EXPECT_EQ(dep.network().rounds(), 3 * one_chunk_rounds);
+  EXPECT_EQ(dep.network().total_frames(), 3 * one_chunk_frames);
   EXPECT_EQ(dep.accepted(), 10u);
   EXPECT_EQ(static_cast<u64>(dep.publish()), 45u);  // 0 + 1 + ... + 9
 }

@@ -327,6 +327,17 @@ TEST(BaselineTest, NoPrivacySumsInTheClear) {
     expect += x;
     EXPECT_TRUE(dep.process_submission(cid, dep.client_upload(x, cid)));
   }
+  // One client uploading twice seals under counters 0 then 1 (the blob's
+  // seq prefix), so the (key, nonce) pair is fresh: the same input gives a
+  // different ciphertext, and both blobs open.
+  auto first = dep.client_upload(4, 200);
+  auto second = dep.client_upload(4, 200);
+  EXPECT_EQ(net::Reader(first).u64_(), 0u);
+  EXPECT_EQ(net::Reader(second).u64_(), 1u);
+  EXPECT_NE(first, second);
+  EXPECT_TRUE(dep.process_submission(200, first));
+  EXPECT_TRUE(dep.process_submission(200, second));
+  expect += 2 * 4;
   EXPECT_EQ(static_cast<u64>(dep.publish()), expect);
   // Tampered blob rejected by the AEAD.
   auto blob = dep.client_upload(1, 99);
@@ -344,6 +355,17 @@ TEST(BaselineTest, NoRobustnessSharesReconstruct) {
     expect += x;
     EXPECT_TRUE(dep.process_submission(cid, dep.client_upload(x, cid, rng)));
   }
+  // One client uploading twice: every server's blob carries seq 0, then
+  // seq 1, and both submissions open and reconstruct.
+  auto first = dep.client_upload(3, 200, rng);
+  auto second = dep.client_upload(3, 200, rng);
+  for (size_t j = 0; j < 5; ++j) {
+    EXPECT_EQ(net::Reader(first[j]).u64_(), 0u) << j;
+    EXPECT_EQ(net::Reader(second[j]).u64_(), 1u) << j;
+  }
+  EXPECT_TRUE(dep.process_submission(200, first));
+  EXPECT_TRUE(dep.process_submission(200, second));
+  expect += 2 * 3;
   EXPECT_EQ(static_cast<u64>(dep.publish()), expect);
 }
 

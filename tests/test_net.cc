@@ -221,21 +221,23 @@ TEST(ChannelTest, ReplayAndCrossChannelRejected) {
   EXPECT_FALSE(other.open(c2).has_value());
 }
 
-TEST(SimNetworkTest, CountsBytesPerLinkAndRounds) {
+TEST(SimNetworkTest, CountsBytesAndFramesPerLink) {
   net::SimNetwork n(3);
-  n.send(0, 1, std::vector<u8>(100));
-  n.send(0, 2, std::vector<u8>(50));
-  n.end_round();
-  n.send(1, 0, std::vector<u8>(10));
-  n.end_round();
-  EXPECT_EQ(n.link(0, 1).bytes, 100u);
+  n.record(0, 1, 100);
+  n.record(0, 1, 7);
+  n.record(0, 2, 50);
+  n.record(1, 0, 10);
+  EXPECT_EQ(n.link(0, 1).bytes, 107u);
+  EXPECT_EQ(n.link(0, 1).frames, 2u);
   EXPECT_EQ(n.link(0, 2).bytes, 50u);
-  EXPECT_EQ(n.bytes_sent_by(0), 150u);
-  EXPECT_EQ(n.bytes_received_by(0), 10u);
-  EXPECT_EQ(n.total_bytes(), 160u);
-  EXPECT_EQ(n.rounds(), 2u);
-  n.reset_counters();
-  EXPECT_EQ(n.total_bytes(), 0u);
+  EXPECT_EQ(n.link(0, 2).frames, 1u);
+  EXPECT_EQ(n.link(1, 0).frames, 1u);
+  EXPECT_EQ(n.link(2, 0).frames, 0u);
+  EXPECT_EQ(n.bytes_sent_by(0), 157u);
+  EXPECT_EQ(n.bytes_sent_by(1), 10u);
+  EXPECT_EQ(n.total_bytes(), 167u);
+  EXPECT_EQ(n.total_frames(), 4u);
+  EXPECT_THROW(n.record(3, 0, 1), std::invalid_argument);
 }
 
 TEST(BusyClockTest, AccumulatesPerNode) {

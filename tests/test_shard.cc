@@ -585,20 +585,18 @@ TEST(ShardedRouterTest, SlowPeerTwoLanesComplete) {
     size_t num_nodes() const override { return inner.num_nodes(); }
     size_t self() const override { return inner.self(); }
     size_t lanes() const override { return inner.lanes(); }
-    void send(size_t to, std::vector<u8> f, u64 logical) override {
+    void send(size_t to, std::vector<u8> f) override {
       std::this_thread::sleep_for(delay);
-      inner.send(to, std::move(f), logical);
+      inner.send(to, std::move(f));
     }
     std::vector<u8> recv(size_t from) override { return inner.recv(from); }
-    void send_lane(size_t lane, size_t to, std::vector<u8> f,
-                   u64 logical) override {
+    void send_lane(size_t lane, size_t to, std::vector<u8> f) override {
       std::this_thread::sleep_for(delay);
-      inner.send_lane(lane, to, std::move(f), logical);
+      inner.send_lane(lane, to, std::move(f));
     }
     std::vector<u8> recv_lane(size_t lane, size_t from) override {
       return inner.recv_lane(lane, from);
     }
-    void end_round(u64 submissions) override { inner.end_round(submissions); }
   };
 
   Afe afe(8);
@@ -730,8 +728,7 @@ TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
           const size_t lane = k % kLanes;
           mesh.send_lane(lane, 1,
                          {static_cast<u8>(lane),
-                          static_cast<u8>(k / kLanes)},
-                         1);
+                          static_cast<u8>(k / kLanes)});
         }
         for (size_t l = 0; l < kLanes; ++l) {
           EXPECT_EQ(mesh.recv_lane(l, 1),
@@ -747,7 +744,7 @@ TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
               EXPECT_EQ(f[0], static_cast<u8>(l));
               EXPECT_EQ(f[1], static_cast<u8>(k));  // per-lane order holds
             }
-            mesh.send_lane(l, 0, {static_cast<u8>(l), 0xAC}, 1);
+            mesh.send_lane(l, 0, {static_cast<u8>(l), 0xAC});
           });
         }
         for (auto& r : readers) r.join();
@@ -783,7 +780,7 @@ TEST(TcpLaneMuxTest, InterruptWakesBlockedLaneReader) {
                 .count(),
             30'000);  // nowhere near the 60 s recv timeout
   // Until reestablish, every lane operation fails fast.
-  EXPECT_THROW(mesh.send_lane(0, 1, {1}, 1), net::TransportError);
+  EXPECT_THROW(mesh.send_lane(0, 1, {1}), net::TransportError);
 }
 
 }  // namespace

@@ -187,12 +187,12 @@ TEST(TcpTest, DialerStartedBeforeListenerConnects) {
 TEST(LoopbackTest, PerLinkOrderingAndTimeout) {
   net::LoopbackMesh mesh(3, /*recv_timeout_ms=*/100);
   net::LoopbackTransport t0(&mesh, 0), t1(&mesh, 1);
-  t0.send(1, {1}, 1);
-  t0.send(1, {2}, 1);
+  t0.send(1, {1});
+  t0.send(1, {2});
   EXPECT_EQ(t1.recv(0), std::vector<u8>{1});
   EXPECT_EQ(t1.recv(0), std::vector<u8>{2});
   EXPECT_THROW(t1.recv(2), net::TransportError);  // nothing from node 2
-  EXPECT_EQ(mesh.sim().total_messages(), 2u);
+  EXPECT_EQ(mesh.sim().total_frames(), 2u);
 }
 
 // A client-chosen all-ones counter must never be accepted: the floor would
@@ -246,9 +246,10 @@ TEST(ServerNodeTest, MatchesPlaintextReferenceVerdictsAndAggregate) {
   EXPECT_EQ(agg->result, ref.result());
 
   // Traffic is coalesced: per batch the mesh carries 2(s-1) point-to-point
-  // frames and 2(s-1) broadcast frames, i.e. 4 rounds -- not 4 messages
-  // per submission.
-  EXPECT_EQ(mesh.sim().rounds(), 4u * 3u + 1u);  // 3 batches + publish
+  // frames and 2(s-1) broadcast frames -- not 4 frames per submission --
+  // and publish adds s-1 accumulators plus an (s-1)-peer commit broadcast.
+  EXPECT_EQ(mesh.sim().total_frames(),
+            3 * 4 * (kServers - 1) + 2 * (kServers - 1));  // 28 at s = 3
 }
 
 TEST(ServerNodeTest, ReplayedSubmissionsRejectedAcrossBatches) {
@@ -355,14 +356,13 @@ TEST(ServerNodeTest, AbortRollsBackToPreBatchStateAndRetries) {
         : inner(mesh, self) {}
     size_t num_nodes() const override { return inner.num_nodes(); }
     size_t self() const override { return inner.self(); }
-    void send(size_t to, std::vector<u8> f, u64 logical) override {
+    void send(size_t to, std::vector<u8> f) override {
       if (fail_countdown >= 0 && fail_countdown-- == 0) {
         throw net::TransportError("injected send failure");
       }
-      inner.send(to, std::move(f), logical);
+      inner.send(to, std::move(f));
     }
     std::vector<u8> recv(size_t from) override { return inner.recv(from); }
-    void end_round(u64 submissions) override { inner.end_round(submissions); }
   };
 
   Afe afe(8);
@@ -482,7 +482,7 @@ TEST(ServerNodeTest, BatchBeyondRefreshWindowThrowsBeforeAnyFrame) {
   const auto view = node_view(std::span<const Submission>(w.subs), 1);
   const std::span<const SubmissionShare> batch(view);
   EXPECT_THROW(node.process_batch(batch), std::invalid_argument);
-  EXPECT_EQ(mesh.sim().total_messages(), 0u);
+  EXPECT_EQ(mesh.sim().total_frames(), 0u);
   EXPECT_EQ(node.snapshot(), before);
   EXPECT_FALSE(node.apply_batch_record(batch, w.expected));
   EXPECT_EQ(node.snapshot(), before);
