@@ -5,8 +5,8 @@
 //  * the Lagrange-row inner product: scalar reference (poly/lagrange.h)
 //    vs the lazy-reduction kernel (field/kernels.h);
 //  * PRG share expansion: scalar expand_share_seed vs the bulk
-//    expand_share_seed_into path, plus the bulk path and Aead::open at
-//    bulk's 41 KiB share (5,120 Fp64), both on the ChaCha20 core this CPU
+//    expand_share_seed_into path, plus the bulk path and Aead::open at a
+//    fixed 41 KiB share (5,120 Fp64), both on the ChaCha20 core this CPU
 //    runs (recorded as chacha_core), and the two non-keystream parts of
 //    opening that share: its Poly1305 tag and its element decode;
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
@@ -160,10 +160,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- 41 KiB share: bulk expansion, AEAD open and its parts -----------
-  // The two keystream-bound steps of prepare on e2e_bench's bulk workload:
-  // s0/s1 expand a seed share, s2 opens the sealed explicit share. Two
-  // parts of s2's work are timed on their own: the Poly1305 tag over the
-  // 40,965 B explicit share and the decode of its 5,120 elements.
+  // The two keystream-bound steps of prepare: s0/s1 expand a seed share,
+  // s2 opens the sealed explicit share. Two parts of s2's work are timed
+  // on their own: the Poly1305 tag over a 40,965 B explicit share and the
+  // decode of its 5,120 elements. The size is fixed so these rows compare
+  // across commits; it was e2e_bench's bulk share while the proof shipped
+  // all 2N points of h (bulk's share is now 4,102 elements, 32,816 B).
   {
     const size_t kBulkLen = 5120;
     const size_t iters = smoke ? 20 : 2000;

@@ -6,32 +6,44 @@
 //     split with seeds.
 //  2. Verification without interpolation: gate t lives at the domain point
 //     w^t of a power-of-two root-of-unity domain, the client ships h in
-//     point-value form on the double domain, and the servers evaluate
-//     f-hat, g-hat, h-hat at the fixed secret point r with precomputed
-//     Lagrange rows (Theta(M) multiplications, no FFT on the server).
-//     Once r is fixed, every round-1 value is a fixed linear function of
-//     the server's share, so the rows are composed with the circuit's
-//     affine wiring once per r (VerificationContext::refresh) and the
-//     local check is four inner products: f-hat(r), g-hat(r) and the
-//     output combination against the composed rows, h-hat(r) against
-//     row_2n (SnipVerifier).
+//     point-value form on the double domain -- every point except the
+//     N-1-M points where the zero padding of f and g makes h zero
+//     (SnipLayout) -- and the servers evaluate f-hat, g-hat, h-hat at the
+//     fixed secret point r with precomputed Lagrange rows (Theta(M)
+//     multiplications, no FFT on the server). Once r is fixed, every
+//     round-1 value is a fixed linear function of the server's share, so
+//     the rows are composed with the circuit's affine wiring once per r
+//     (VerificationContext::refresh) and the local check is four inner
+//     products: f-hat(r), g-hat(r) and the output combination against the
+//     composed rows, h-hat(r) against row_2n, the weights of the shipped
+//     h points (SnipVerifier).
 //  3. Valid circuits have zero-valued outputs and the servers test a random
 //     linear combination of all outputs against zero.
 //
 // Protocol recap. The client evaluates Valid(x), forms the lowest-degree
 // polynomials f, g through the left/right inputs of the M multiplication
-// gates (randomized at the extra point w^0 for zero knowledge), computes
-// h = f*g, and sends each server additive shares of
+// gates (randomized at the extra point w^0 for zero knowledge, zero at the
+// padding points w^t, t = M+1..N-1), computes h = f*g, and sends each
+// server additive shares of
 //
-//     pi = ( f(0), g(0), h, a, b, c )        with  a*b = c  (Beaver triple).
+//     pi = ( f(0), g(0), h, a, b, c )        with  a*b = c  (Beaver triple),
 //
-// Each server locally reconstructs shares of every wire value (mul-gate
-// outputs come from h's even points), evaluates its shares of f-hat, g-hat,
-// h-hat at r, and the servers run one Beaver multiplication to obtain
-// additive shares of  sigma = r * (f-hat(r) * g-hat(r) - h-hat(r)).  They
-// publish sigma shares plus shares of the combined output wires and accept
-// iff both sums are zero. Soundness error <= (2N+1)/(|F| - 2N) per query
-// point (Appendix D.1); zero-knowledge is information-theoretic (D.2).
+// where h is the N+M+1 points of f*g on the 2N domain that are not known
+// zeros. Each server locally reconstructs shares of every wire value
+// (mul-gate outputs come from h's even points), evaluates its shares of
+// f-hat, g-hat, h-hat at r (h-hat taking the unshipped points as zero), and
+// the servers run one Beaver multiplication to obtain additive shares of
+// sigma = r * (f-hat(r) * g-hat(r) - h-hat(r)).  They publish sigma shares
+// plus shares of the combined output wires and accept iff both sums are
+// zero.
+//
+// Soundness and zero knowledge. A proof in this format is exactly a proof
+// with all 2N points of h whose dropped points are zero: the servers'
+// h-hat(r) is the same Lagrange sum over the 2N domain with those terms
+// zero. So every cheating strategy against this check is one against the
+// full-h check, and the soundness error stays <= (2N+1)/(|F| - 2N) per
+// query point (Appendix D.1). Each server's share is a subset of its
+// full-h share, so zero knowledge stays information-theoretic (D.2).
 //
 // This module is transport-agnostic: it computes the values each server
 // must broadcast, and the pipeline in src/core moves them over the
@@ -52,20 +64,34 @@
 namespace prio {
 
 // Offsets of the proof fields inside the flat extended submission vector
-//   [ x (L) | f(0) | g(0) | h (2N points) | a | b | c ].
+//   [ x (L) | f(0) | g(0) | h (N+M+1 points) | a | b | c ].
+//
+// h = f*g is given in point-value form on the 2N domain, but f and g are
+// zero-padded at w_N^t for t = M+1..N-1, so h vanishes at the 2N-domain
+// even points 2t for those t and the servers know those N-1-M values
+// without reading them. Only the other N+M+1 points are shipped: domain
+// points 0..2M+1 in order, then the odd points 2M+3, 2M+5, ..., 2N-1
+// (h_point maps a shipped index to its domain point). Gate t's output, the
+// domain point 2(1+t), is therefore shipped at off_h() + 2(1+t). When M+1
+// is a power of two nothing is dropped and h_len = 2N.
 struct SnipLayout {
   size_t input_len = 0;  // L
   size_t num_mul = 0;    // M
   size_t n = 0;          // next_pow2(M + 1): size of the f/g domain
-  size_t h_len = 0;      // 2N: h is shipped in point-value form
+  size_t h_len = 0;      // N + M + 1: the shipped points of h
 
   static SnipLayout for_circuit_dims(size_t input_len, size_t num_mul) {
     SnipLayout l;
     l.input_len = input_len;
     l.num_mul = num_mul;
     l.n = next_pow2(num_mul + 1);
-    l.h_len = 2 * l.n;
+    l.h_len = l.n + num_mul + 1;
     return l;
+  }
+
+  // The 2N-domain point of shipped h point i (0 <= i < h_len).
+  size_t h_point(size_t i) const {
+    return i <= 2 * num_mul + 1 ? i : 2 * i - 2 * num_mul - 1;
   }
 
   size_t off_f0() const { return input_len; }
@@ -89,7 +115,7 @@ class SnipProver {
         layout_(SnipLayout::for_circuit_dims(circuit->num_inputs(),
                                              circuit->num_mul_gates())),
         dom_n_(layout_.n),
-        dom_2n_(layout_.h_len) {}
+        dom_2n_(2 * layout_.n) {}
 
   const SnipLayout& layout() const { return layout_; }
 
@@ -117,15 +143,19 @@ class SnipProver {
     }
 
     // Interpolate (inverse NTT), then evaluate on the double-size domain
-    // and multiply pointwise: h = f * g in point-value form. O(M log M).
+    // and multiply pointwise at the shipped points: h = f * g in
+    // point-value form. O(M log M).
     dom_n_.inverse(f_evals);  // now coefficients
     dom_n_.inverse(g_evals);
     f_evals.resize(2 * n, F::zero());
     g_evals.resize(2 * n, F::zero());
     dom_2n_.forward(f_evals);  // now evaluations on the 2N domain
     dom_2n_.forward(g_evals);
-    std::vector<F> h_points(2 * n);
-    for (size_t i = 0; i < 2 * n; ++i) h_points[i] = f_evals[i] * g_evals[i];
+    std::vector<F> h_points(layout_.h_len);
+    for (size_t i = 0; i < layout_.h_len; ++i) {
+      const size_t d = layout_.h_point(i);
+      h_points[i] = f_evals[d] * g_evals[d];
+    }
 
     // Beaver triple.
     F a = rng.field_element<F>();
@@ -200,7 +230,7 @@ class VerificationContext {
                                              circuit->num_mul_gates())),
         num_servers_(num_servers),
         dom_n_(layout_.n),
-        dom_2n_(layout_.h_len),
+        dom_2n_(2 * layout_.n),
         seed_(shared_seed),
         rng_(shared_seed) {
     require(num_servers >= 2, "VerificationContext: need >= 2 servers");
@@ -256,12 +286,16 @@ class VerificationContext {
   const CheckRow<F>& out_row() const { return out_row_; }
 
  private:
+  F pow_2n(const F& r) const {
+    F x = r;
+    for (size_t m = 1; m < dom_2n_.size(); m <<= 1) x *= x;
+    return x;
+  }
+
   bool in_domain(const F& r) const {
     // r must avoid the 2N domain (h-hat row would divide by zero and the
     // gate points must stay hidden for zero knowledge).
-    F x = r;
-    for (size_t m = 1; m < layout_.h_len; m <<= 1) x *= x;
-    return x == F::one();
+    return pow_2n(r) == F::one();
   }
 
   void draw() {
@@ -283,7 +317,7 @@ class VerificationContext {
   // each, rather than to every row weight at each refresh.
   void build_rows() {
     row_n_ = lagrange_eval_row(dom_n_, r_);
-    row_2n_ = lagrange_eval_row(dom_2n_, r_);
+    build_row_2n();
     const std::vector<Gate<F>>& gates = circuit_->gates();
     const std::vector<u32>& muls = circuit_->mul_gates();
     const std::vector<u32>& outs = circuit_->outputs();
@@ -335,6 +369,23 @@ class VerificationContext {
     for (CheckRow<F>* row : rows) row->trim();
   }
 
+  // The Lagrange weights at r of the shipped h points only: the 2N-domain
+  // weight c_d = Z(r) * w^d / (2N * (r - w^d)) with Z(r) = r^(2N) - 1,
+  // for d = h_point(i). The dropped points carry h = 0, so they contribute
+  // nothing to h-hat(r) and their weights are never formed.
+  void build_row_2n() {
+    const size_t m = layout_.h_len;
+    row_2n_.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      row_2n_[i] = r_ - dom_2n_.root(layout_.h_point(i));
+    }
+    batch_invert(row_2n_);
+    const F zn = (pow_2n(r_) - F::one()) * F::from_u64(dom_2n_.size()).inv();
+    for (size_t i = 0; i < m; ++i) {
+      row_2n_[i] *= zn * dom_2n_.root(layout_.h_point(i));
+    }
+  }
+
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   size_t num_servers_;
@@ -356,7 +407,8 @@ class VerificationContext {
 // ---------------------------------------------------------------------------
 
 // Values a server derives locally from its share of the extended submission.
-// d_share/e_share are broadcast in round 1; sigma + out_combo in round 2.
+// d_share/e_share are sent in round 1; sigma + out_combo in round 3
+// (server/node.h).
 template <PrimeField F>
 struct SnipLocalState {
   F d_share, e_share;       // [f-hat(r)] - [a],  [r*g-hat(r)] - [b]
@@ -379,7 +431,8 @@ SnipLocalState<F> snip_local_check(const VerificationContext<F>& ctx,
   std::span<const F> h = ext_share.subspan(lay.off_h(), lay.h_len);
 
   // Shares of mul-gate outputs are h at even domain points: gate t (1-based
-  // point index) sits at w_{2N}^{2(1+t)} = w_N^{1+t}.
+  // point index) sits at w_{2N}^{2(1+t)} = w_N^{1+t}, shipped at index
+  // 2(1+t) of h (SnipLayout).
   std::vector<F> mul_outputs(lay.num_mul);
   for (size_t t = 0; t < lay.num_mul; ++t) mul_outputs[t] = h[2 * (1 + t)];
 

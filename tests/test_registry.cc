@@ -124,6 +124,37 @@ TEST(AfeSpecTest, NegativeTable) {
 }
 
 // ---------------------------------------------------------------------------
+// Upload size: the three sealed blobs of one submission at s = 3, for the
+// end-to-end bench's workloads (bulk, small, steady). These are
+// bench_e2e's upload_bytes_per_sub minus the 51 B of submit framing, so a
+// change in proof size shows up here too.
+// ---------------------------------------------------------------------------
+
+TEST(ClientUploadTest, BlobBytesPinnedForBenchWorkloads) {
+  const std::vector<std::pair<std::string, size_t>> pinned = {
+      {"bitvec_sum:len=1024", 32959},
+      {"bitvec_sum:len=32", 1215},
+      {"linreg:bits=14,dims=8", 5031},
+  };
+  for (const auto& [text, bytes] : pinned) {
+    afe::with_afe<F>(
+        afe::parse_afe_spec(text),
+        [&](const auto& a, const afe::AfeSpec&) {
+          using Afe = std::decay_t<decltype(a)>;
+          PrioClient<F, Afe> client(&a, kServers, /*master_seed=*/7);
+          SecureRng rng(1);
+          size_t total = 0;
+          for (const auto& blob : client.upload(afe::sample_input(a, 0),
+                                                /*client_id=*/0, rng)) {
+            total += blob.size();
+          }
+          EXPECT_EQ(total, bytes) << text;
+          return 0;
+        });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Flag-level deployment config (server/cli.h)
 // ---------------------------------------------------------------------------
 

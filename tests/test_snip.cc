@@ -133,6 +133,128 @@ TYPED_TEST(SnipTest, HonestTripleWrongHStillRejected) {
   EXPECT_EQ(accepted, 0);
 }
 
+// A bits_circuit(16) proof drops 15 known zeros of h, so its shipped h
+// ends in an odd-points-only tail that a random tamper over
+// bits_circuit(3) (which drops nothing) never reaches. Every tail point,
+// tampered in turn, must be rejected by the reference check and the
+// engine alike.
+TYPED_TEST(SnipTest, WrongHInTheOddOnlyTailRejected) {
+  using F = TypeParam;
+  SecureRng rng(13);
+  auto circuit = bits_circuit<F>(16);
+  SnipProver<F> prover(&circuit);
+  VerificationContext<F> ctx(&circuit, 3, 19);
+  SnipVerifier<F> verifier(&circuit);
+  const SnipLayout& lay = prover.layout();
+  const size_t tail = 2 * lay.num_mul + 2;
+  ASSERT_EQ(lay.h_len - tail, 15u);
+  std::vector<F> x(16, F::one());
+  int accepted = 0;
+  for (size_t i = tail; i < lay.h_len; ++i) {
+    ASSERT_EQ(lay.h_point(i) % 2, 1u) << i;
+    auto ext = prover.build_extended_input(x, rng);
+    ext[lay.off_h() + i] += F::from_u64(1 + (rng.next_u64() % 1000));
+    auto shares = share_vector<F>(ext, 3, rng);
+    std::vector<SnipLocalState<F>> states;
+    for (size_t j = 0; j < shares.size(); ++j) {
+      states.push_back(
+          verifier.local_check(ctx, j, std::span<const F>(shares[j])));
+    }
+    accepted += snip_verify_all(ctx, shares) ? 1 : 0;
+    accepted +=
+        snip_decide(ctx, std::span<const SnipLocalState<F>>(states)) ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 0);
+}
+
+// The shipped layout pinned against an independent prover that ships all 2N
+// points of h, with the same RNG draws (u0, v0, then the triple).
+template <PrimeField F>
+std::vector<F> full_h_extended_input(const Circuit<F>& circuit,
+                                     std::span<const F> x, SecureRng& rng) {
+  const size_t n = next_pow2(circuit.num_mul_gates() + 1);
+  std::vector<F> wires = circuit.evaluate(x);
+  std::vector<F> left, right;
+  circuit.mul_gate_inputs(wires, &left, &right);
+  std::vector<F> f(n, F::zero()), g(n, F::zero());
+  const F u0 = rng.field_element<F>();
+  const F v0 = rng.field_element<F>();
+  f[0] = u0;
+  g[0] = v0;
+  for (size_t t = 0; t < left.size(); ++t) {
+    f[1 + t] = left[t];
+    g[1 + t] = right[t];
+  }
+  NttDomain<F> dom_n(n), dom_2n(2 * n);
+  dom_n.inverse(f);
+  dom_n.inverse(g);
+  f.resize(2 * n, F::zero());
+  g.resize(2 * n, F::zero());
+  dom_2n.forward(f);
+  dom_2n.forward(g);
+  std::vector<F> ext(x.begin(), x.end());
+  ext.push_back(u0);
+  ext.push_back(v0);
+  for (size_t d = 0; d < 2 * n; ++d) ext.push_back(f[d] * g[d]);
+  const F a = rng.field_element<F>();
+  const F b = rng.field_element<F>();
+  ext.push_back(a);
+  ext.push_back(b);
+  ext.push_back(a * b);
+  return ext;
+}
+
+TYPED_TEST(SnipTest, ShippedHIsFullHWithoutItsKnownZeros) {
+  using F = TypeParam;
+  for (size_t L : {3, 7, 16}) {
+    auto circuit = bits_circuit<F>(L);
+    SnipProver<F> prover(&circuit);
+    VerificationContext<F> ctx(&circuit, 2, 43);
+    const SnipLayout& lay = prover.layout();
+    const size_t m = lay.num_mul, n = lay.n;
+    ASSERT_EQ(lay.h_len, n + m + 1) << L;
+    // M+1 a power of two: nothing is dropped and the layout is the full one.
+    if (m + 1 == n) {
+      EXPECT_EQ(lay.h_len, 2 * n) << L;
+    }
+
+    SecureRng pick(L);
+    std::vector<F> x;
+    for (size_t i = 0; i < L; ++i) x.push_back(F::from_u64(pick.next_u64() & 1));
+    SecureRng rng_new(100 + L), rng_full(100 + L);
+    const auto ext = prover.build_extended_input(x, rng_new);
+    const auto full = full_h_extended_input<F>(circuit, x, rng_full);
+    ASSERT_EQ(full.size(), lay.total_len() + (2 * n - lay.h_len)) << L;
+
+    // The full vector minus h's even points 2t, t = M+1..N-1.
+    std::vector<F> expect;
+    std::vector<size_t> shipped;
+    for (size_t i = 0; i < full.size(); ++i) {
+      const bool in_h = i >= lay.off_h() && i < lay.off_h() + 2 * n;
+      const size_t d = i - lay.off_h();
+      if (in_h && d % 2 == 0 && d / 2 > m) {
+        EXPECT_TRUE(full[i].is_zero()) << "L=" << L << " d=" << d;
+        continue;
+      }
+      if (in_h) shipped.push_back(d);
+      expect.push_back(full[i]);
+    }
+    EXPECT_EQ(ext, expect) << L;
+    ASSERT_EQ(shipped.size(), lay.h_len) << L;
+    for (size_t i = 0; i < lay.h_len; ++i) {
+      EXPECT_EQ(lay.h_point(i), shipped[i]) << "L=" << L << " i=" << i;
+    }
+
+    // h-hat(r) over the shipped points equals the full 2N-point sum.
+    const auto full_row = lagrange_eval_row(NttDomain<F>(2 * n), ctx.r());
+    EXPECT_EQ(inner_product(ctx.row_2n(), std::span<const F>(ext).subspan(
+                                              lay.off_h(), lay.h_len)),
+              inner_product(full_row, std::span<const F>(full).subspan(
+                                          lay.off_h(), 2 * n)))
+        << L;
+  }
+}
+
 TYPED_TEST(SnipTest, WorksWithCompressedShares) {
   using F = TypeParam;
   SecureRng rng(6);
