@@ -14,7 +14,11 @@
 //    including heap allocations per check via a counting allocator, on
 //    the 64-bit circuit and on bulk's 1,024-bit one, plus the refresh of
 //    r that composes the engine's rows for bulk's circuit.
-//    Exits 1 if the engine allocates at all once warmed up.
+//    Exits 1 if the engine allocates at all once warmed up;
+//  * the client's prover on bulk's circuit: one size-2048 forward NTT on
+//    0/1 and on uniform input, one whole proof, and a Welch t statistic
+//    over proof times on all-zero against random-bit input (printed, not
+//    gated).
 //
 // End-to-end throughput is e2e_bench's job (real prio_server processes).
 // Writes BENCH_hotpath.json (or --out <path>); --smoke shrinks the
@@ -22,6 +26,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -36,6 +42,7 @@
 #include "crypto/poly1305.h"
 #include "field/kernels.h"
 #include "poly/lagrange.h"
+#include "poly/ntt.h"
 #include "snip/snip.h"
 
 // ---------------------------------------------------------------------------
@@ -73,6 +80,22 @@ unsigned long long allocs_during(const std::function<void()>& fn) {
   const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
   fn();
   return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+// Welch's t statistic for the difference of two samples' means.
+double welch_t(const std::vector<double>& a, const std::vector<double>& b) {
+  auto mean_var = [](const std::vector<double>& v) {
+    double mean = 0;
+    for (double x : v) mean += x;
+    mean /= static_cast<double>(v.size());
+    double var = 0;
+    for (double x : v) var += (x - mean) * (x - mean);
+    return std::pair{mean, var / static_cast<double>(v.size() - 1)};
+  };
+  const auto [ma, va] = mean_var(a);
+  const auto [mb, vb] = mean_var(b);
+  return (ma - mb) / std::sqrt(va / static_cast<double>(a.size()) +
+                               vb / static_cast<double>(b.size()));
 }
 
 }  // namespace
@@ -336,6 +359,84 @@ int main(int argc, char** argv) {
     json.kv("local_check_bulk_us", engine_us);
     json.kv("local_check_bulk_reference_us", ref_us);
     json.kv("refresh_bulk_us", refresh_us);
+  }
+
+  // ---- bulk's prover: its NTT, one proof, and a timing-channel print ---
+  // The client side of bulk. SnipProver runs four size-2048 transforms:
+  // the inverse ones see the raw 0/1 encoding, the forward ones twisted
+  // coefficients that look uniform. A forward transform is timed on both
+  // kinds of input (each call copies the input in first); with no
+  // data-dependent branch in the field arithmetic the two times agree.
+  // The Welch t statistic compares per-call proof times on an all-zero
+  // input with those on fresh random bits, the two classes interleaved in
+  // random order (Reparaz, Balasch and Verbauwhede, "Dude, is my code
+  // constant time?", DATE 2017; |t| > 4.5 is their leak threshold). It is
+  // printed, never gated: timings on a shared host are too noisy.
+  {
+    const size_t kBulkBits = 1024;
+    Afe bulk_afe(kBulkBits);
+    SnipProver<F> bulk_prover(&bulk_afe.valid_circuit());
+    const size_t n = bulk_prover.layout().n;
+    const NttDomain<F> dom(n);
+    SecureRng rng(17);
+    auto random_bits = [&] {
+      std::vector<u8> bits(kBulkBits);
+      for (u8& b : bits) b = static_cast<u8>(rng.next_u64() & 1);
+      return bulk_afe.encode(bits);
+    };
+    std::vector<F> bits_in(n), random_in(n), buf(n);
+    for (size_t i = 0; i < n; ++i) {
+      bits_in[i] = F::from_u64(rng.next_u64() & 1);
+      random_in[i] = rng.field_element<F>();
+    }
+    const size_t ntt_iters = smoke ? 20 : 2000;
+    auto ntt_us = [&](const std::vector<F>& in) {
+      return benchutil::time_seconds([&] {
+        for (size_t it = 0; it < ntt_iters; ++it) {
+          std::copy(in.begin(), in.end(), buf.begin());
+          dom.forward(buf);
+        }
+      }, kReps) / ntt_iters * 1e6;
+    };
+    const double ntt_bits_us = ntt_us(bits_in);
+    const double ntt_random_us = ntt_us(random_in);
+
+    const size_t prove_iters = smoke ? 5 : 500;
+    const std::vector<F> x_random = random_bits();
+    F sink = buf[0];
+    const double prove_us = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < prove_iters; ++it) {
+        sink += bulk_prover.build_extended_input(x_random, rng).back();
+      }
+    }, kReps) / prove_iters * 1e6;
+
+    const size_t samples = smoke ? 20 : 1000;
+    const std::vector<F> x_zero = bulk_afe.encode(std::vector<u8>(kBulkBits, 0));
+    std::vector<double> times[2];
+    for (size_t s = 0; s < samples; ++s) {
+      const std::vector<F> x_bits = random_bits();
+      const int first = static_cast<int>(rng.next_u64() & 1);
+      for (int c : {first, 1 - first}) {
+        const std::vector<F>& x = c == 0 ? x_zero : x_bits;
+        const auto start = std::chrono::steady_clock::now();
+        sink += bulk_prover.build_extended_input(x, rng).back();
+        times[c].push_back(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+      }
+    }
+    const double t = welch_t(times[0], times[1]);
+    require(!sink.is_zero(), "bench: proofs vanished");
+    std::printf("prover, bulk (len=%zu): %zu-point NTT  0/1 input %6.1f us"
+                "   uniform input %6.1f us   proof %6.0f us\n", kBulkBits, n,
+                ntt_bits_us, ntt_random_us, prove_us);
+    std::printf("  timing channel (printed, not gated): Welch t = %+.2f,"
+                " all-zero vs random-bit input, %zu calls each\n", t,
+                samples);
+    json.kv("ntt_bulk_bits_us", ntt_bits_us);
+    json.kv("ntt_bulk_random_us", ntt_random_us);
+    json.kv("prove_bulk_us", prove_us);
+    json.kv("prove_bulk_welch_t", t);
   }
 
   std::string payload = json.finish();

@@ -42,20 +42,24 @@ class Fp64 {
 
   friend Fp64 operator+(Fp64 a, Fp64 b) {
     // a.v_ + b.v_ < 2p < 2^65 may wrap; 2^64 = p + (2^32 - 1) mod p. The
-    // corrections are mask arithmetic, not branches, so additions inside
-    // the bulk kernels (field/kernels.h) stay straight-line code the
-    // compiler can vectorize.
+    // carry correction is a mask, (0 - cond) & k, and the final subtract a
+    // select, so GCC emits sbb/cmov rather than jumps: the NTT butterflies
+    // and the bulk kernels (field/kernels.h) are straight-line code with no
+    // data-dependent branches, and the kernels still vectorize. Written as
+    // cond * k, GCC 12 turned these into jae/jb, so the claim is checked in
+    // the Release disassembly of the butterfly, portable and with
+    // PRIO_NATIVE_ARCH (SnipProver<Fp64>::coset_evals inlines both NTTs).
     u64 r = a.v_ + b.v_;
-    r += static_cast<u64>(r < a.v_) * 0xFFFFFFFFull;  // fold 2^64 overflow
-    r -= static_cast<u64>(r >= kP) * kP;
+    r += (0 - static_cast<u64>(r < a.v_)) & 0xFFFFFFFFull;  // fold 2^64
+    r = r >= kP ? r - kP : r;
     return Fp64(r);
   }
 
   friend Fp64 operator-(Fp64 a, Fp64 b) {
     // On borrow the wrapped value is a - b + 2^64 = (a - b + p) + (2^32-1),
-    // so subtracting 2^32 - 1 lands in [0, p). Branchless, as above.
+    // so subtracting 2^32 - 1 lands in [0, p). A mask, as above.
     u64 r = a.v_ - b.v_;
-    r -= static_cast<u64>(a.v_ < b.v_) * 0xFFFFFFFFull;
+    r -= (0 - static_cast<u64>(a.v_ < b.v_)) & 0xFFFFFFFFull;
     return Fp64(r);
   }
 
@@ -64,7 +68,10 @@ class Fp64 {
     return Fp64(reduce128(static_cast<u128>(a.v_) * b.v_));
   }
 
-  Fp64 operator-() const { return Fp64(v_ == 0 ? 0 : kP - v_); }
+  // p - v, masked to 0 when v = 0; a mask for the same reason as above.
+  Fp64 operator-() const {
+    return Fp64((kP - v_) & (0 - static_cast<u64>(v_ != 0)));
+  }
 
   Fp64& operator+=(Fp64 o) { return *this = *this + o; }
   Fp64& operator-=(Fp64 o) { return *this = *this - o; }
@@ -105,9 +112,10 @@ class Fp64 {
   explicit constexpr Fp64(u64 v) : v_(v) {}
 
   // Reduces a 128-bit value mod p using 2^64 = 2^32 - 1 and 2^96 = -1 (mod p).
-  // Branchless: every correction is a comparison-derived mask, so back-to-
-  // back reductions (Lagrange-row inner products, the NTT butterflies)
-  // execute as straight-line code with no data-dependent branches.
+  // Every correction is a comparison-derived mask or a select, as in
+  // operator+, so back-to-back reductions (Lagrange-row inner products, the
+  // NTT butterflies) are straight-line code with no data-dependent
+  // branches; checked the same way, in the disassembly of the butterfly.
   static constexpr u64 reduce128(u128 x) {
     u64 lo = static_cast<u64>(x);
     u64 hi = static_cast<u64>(x >> 64);
@@ -118,14 +126,13 @@ class Fp64 {
     // and 2^64 = 2^32 - 1 (mod p); the wrapped value is >= p > 2^32 - 1,
     // so this second subtraction cannot underflow.
     u64 t = lo - hi_hi;
-    t -= static_cast<u64>(lo < hi_hi) * 0xFFFFFFFFull;
+    t -= (0 - static_cast<u64>(lo < hi_hi)) & 0xFFFFFFFFull;
     u64 s = hi_lo * 0xFFFFFFFFull;  // <= (2^32-1)^2 = 2^64 - 2^33 + 1
     u64 r = t + s;
     // Overflow fold: r < 2^64 - 2^33 after a wrap, so adding 2^32 - 1
     // cannot wrap again, and the result stays < 2^64 < 2p.
-    r += static_cast<u64>(r < t) * 0xFFFFFFFFull;
-    r -= static_cast<u64>(r >= kP) * kP;
-    return r;
+    r += (0 - static_cast<u64>(r < t)) & 0xFFFFFFFFull;
+    return r >= kP ? r - kP : r;
   }
 
   u64 v_;

@@ -8,7 +8,10 @@
 //
 //  * vec_add_inplace / vec_sub_inplace run the branchless scalar ops in
 //    straight-line loops over spans. For Fp64 every correction in the
-//    scalar op is mask arithmetic, so Release builds auto-vectorize them.
+//    scalar op is a mask or a select (sbb/cmov, no jumps), so Release
+//    builds with PRIO_NATIVE_ARCH auto-vectorize them; baseline x86-64
+//    has no unsigned 64-bit vector compare, so the portable build runs
+//    them as scalar straight-line code.
 //  * inner_product uses lazy reduction for Fp64: the 128-bit products are
 //    accumulated into independent 192-bit lanes (a u128 plus an overflow
 //    counter) and reduced ONCE per span instead of once per element,

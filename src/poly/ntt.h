@@ -3,10 +3,13 @@
 //
 // The SNIP construction (Section 4.2 + Appendix I of the paper) places the
 // t-th multiplication gate at the domain point w^t, so "interpolate the wire
-// polynomials f and g" is one inverse NTT each, and evaluating h = f*g on
-// the double-size domain is three forward NTTs. This is the FFT fast path
-// the paper implements in C on top of FLINT; here it is a self-contained
-// iterative Cooley-Tukey transform.
+// polynomials f and g" is one inverse NTT each. The prover then needs
+// h = f*g on the double-size domain. Its even points are the size-n
+// domain, where f and g are already known; its odd points are the coset
+// w_2n * <w_n>, which a coset NTT reaches: scale coefficient i by w_2n^i
+// and run a size-n forward transform (SnipProver). This is the FFT fast
+// path the paper implements in C on top of FLINT; here it is a
+// self-contained iterative Cooley-Tukey transform.
 #pragma once
 
 #include <memory>
@@ -39,8 +42,9 @@ class NttDomain {
 
   size_t size() const { return n_; }
 
-  // w^i for the domain generator w.
-  const F& root(size_t i) const { return tables_->roots[i % n_]; }
+  // w^i for the domain generator w (n is a power of two, so i mod n is a
+  // mask, not a division).
+  const F& root(size_t i) const { return tables_->roots[i & (n_ - 1)]; }
 
   // In-place forward transform: coefficients -> evaluations, i.e.
   // a[i] <- sum_j a[j] * w^(ij).

@@ -142,19 +142,18 @@ class SnipProver {
       g_evals[1 + t] = right[t];
     }
 
-    // Interpolate (inverse NTT), then evaluate on the double-size domain
-    // and multiply pointwise at the shipped points: h = f * g in
-    // point-value form. O(M log M).
-    dom_n_.inverse(f_evals);  // now coefficients
-    dom_n_.inverse(g_evals);
-    f_evals.resize(2 * n, F::zero());
-    g_evals.resize(2 * n, F::zero());
-    dom_2n_.forward(f_evals);  // now evaluations on the 2N domain
-    dom_2n_.forward(g_evals);
+    // h = f * g at the shipped points of the 2N domain. Its even point 2k
+    // is w_N^k, where f and g are the values above (u0, v0 and the gate
+    // inputs), so those points are products the client already holds. Its
+    // odd points w_2N * w_N^k form a coset of the N domain, which a coset
+    // NTT reaches: four size-N transforms in all, O(M log M).
+    const std::vector<F> f_odd = coset_evals(f_evals);
+    const std::vector<F> g_odd = coset_evals(g_evals);
     std::vector<F> h_points(layout_.h_len);
     for (size_t i = 0; i < layout_.h_len; ++i) {
       const size_t d = layout_.h_point(i);
-      h_points[i] = f_evals[d] * g_evals[d];
+      h_points[i] = d % 2 == 0 ? f_evals[d / 2] * g_evals[d / 2]
+                               : f_odd[d / 2] * g_odd[d / 2];
     }
 
     // Beaver triple.
@@ -175,10 +174,21 @@ class SnipProver {
   }
 
  private:
+  // The evaluations on the N domain of a polynomial of degree < N, mapped
+  // to its evaluations at w_2N * w_N^k (the 2N domain's odd points):
+  // interpolate, twist coefficient i by w_2N^i, and transform forward.
+  std::vector<F> coset_evals(const std::vector<F>& evals) const {
+    std::vector<F> a = evals;
+    dom_n_.inverse(a);
+    for (size_t i = 1; i < a.size(); ++i) a[i] *= dom_2n_.root(i);
+    dom_n_.forward(a);
+    return a;
+  }
+
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   NttDomain<F> dom_n_;
-  NttDomain<F> dom_2n_;
+  NttDomain<F> dom_2n_;  // only its roots: the twist w_2N^i
 };
 
 // ---------------------------------------------------------------------------

@@ -144,6 +144,45 @@ TEST(Fp64Basics, KnownProducts) {
   }
 }
 
+// +, -, unary - and * against plain u128 integer arithmetic reduced mod p,
+// an oracle that shares no code with the field's carry, borrow and
+// final-subtract corrections: every ordered pair from a boundary set (where
+// those corrections switch on and off), then 10^5 random pairs.
+TEST(Fp64Basics, AddSubMulMatchU128) {
+  const u64 p = Fp64::kP;
+  const u128 big_p = p;
+  auto check = [&](u64 a, u64 b) {
+    const Fp64 fa = Fp64::from_u64(a), fb = Fp64::from_u64(b);
+    EXPECT_EQ((fa + fb).to_u64(), static_cast<u64>((u128{a} + b) % big_p))
+        << a << " + " << b;
+    EXPECT_EQ((fa - fb).to_u64(),
+              static_cast<u64>((u128{a} + big_p - b) % big_p))
+        << a << " - " << b;
+    EXPECT_EQ((-fa).to_u64(), static_cast<u64>((big_p - a) % big_p)) << a;
+    EXPECT_EQ((fa * fb).to_u64(), static_cast<u64>(u128{a} * b % big_p))
+        << a << " * " << b;
+  };
+  const u64 boundary[] = {0,
+                          1,
+                          2,
+                          (u64{1} << 32) - 2,
+                          (u64{1} << 32) - 1,
+                          u64{1} << 32,
+                          u64{1} << 63,
+                          p - (u64{1} << 32),
+                          p - (u64{1} << 32) + 1,
+                          p - 2,
+                          p - 1};
+  for (u64 a : boundary) {
+    for (u64 b : boundary) check(a, b);
+  }
+  std::mt19937_64 rng(19);
+  for (int i = 0; i < 100000; ++i) {
+    const u64 a = rng() % p;
+    check(a, rng() % p);
+  }
+}
+
 TEST(Fp64Basics, PowMatchesRepeatedMul) {
   Fp64 g = Fp64::from_u64(Fp64::kGenerator);
   Fp64 acc = Fp64::one();

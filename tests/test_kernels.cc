@@ -12,6 +12,7 @@
 #include "crypto/rng.h"
 #include "field/kernels.h"
 #include "poly/lagrange.h"
+#include "random_circuit.h"
 #include "snip/snip.h"
 
 namespace prio {
@@ -143,38 +144,6 @@ TEST(Fp64Reduce, BranchlessReduce128Boundaries) {
 // Engine regression: SnipVerifier must be bit-identical to the legacy path.
 // ---------------------------------------------------------------------------
 
-// Random circuit over every gate kind. Operands are drawn from all earlier
-// wires, so wires fan out and mul gates take mul outputs. The outputs mix
-// mul outputs, affine wires and a constant-only chain (a wire only
-// server 0's constants reach).
-template <PrimeField F>
-Circuit<F> random_circuit(SecureRng& rng, size_t n_inputs, size_t n_gates) {
-  CircuitBuilder<F> b(n_inputs);
-  std::vector<u32> wires;
-  for (size_t i = 0; i < n_inputs; ++i) wires.push_back(b.input(i));
-  auto pick = [&]() { return wires[rng.next_below(wires.size())]; };
-  for (size_t g = 0; g < n_gates; ++g) {
-    switch (rng.next_below(5)) {
-      case 0: wires.push_back(b.add(pick(), pick())); break;
-      case 1: wires.push_back(b.sub(pick(), pick())); break;
-      case 2: wires.push_back(b.mul(pick(), pick())); break;
-      case 3: wires.push_back(b.mul_const(pick(), rng.field_element<F>())); break;
-      case 4: wires.push_back(b.constant(rng.field_element<F>())); break;
-    }
-  }
-  // At least two mul gates, the second reading the first's output.
-  wires.push_back(b.mul(pick(), pick()));
-  wires.push_back(b.mul(wires.back(), pick()));
-  b.assert_zero(wires.back());
-  const u32 c = b.add(b.constant(rng.field_element<F>()),
-                      b.mul_const(b.constant(rng.field_element<F>()),
-                                  rng.field_element<F>()));
-  b.assert_zero(c);
-  b.assert_zero(b.sub(pick(), c));
-  for (size_t o = rng.next_below(4); o > 0; --o) b.assert_zero(pick());
-  return b.build();
-}
-
 template <PrimeField F>
 void expect_states_identical(const SnipLocalState<F>& a,
                              const SnipLocalState<F>& b) {
@@ -197,7 +166,7 @@ TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnRandomCircuits) {
     const size_t n_inputs = 1 + rng.next_below(trial < 12 ? 8 : 64);
     const size_t n_gates =
         1 + rng.next_below(trial < 12 ? 24 : 400);  // up to a few hundred
-    Circuit<F> circuit = random_circuit<F>(rng, n_inputs, n_gates);
+    Circuit<F> circuit = test::random_circuit<F>(rng, n_inputs, n_gates);
     SnipProver<F> prover(&circuit);
     VerificationContext<F> ctx(&circuit, kServers, 1000 + trial);
     SnipVerifier<F> verifier(&circuit);  // one scratch reused throughout
@@ -230,7 +199,7 @@ TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnRandomCircuits) {
 TYPED_TEST(KernelTest, ReplayedContextEqualsRefreshedContext) {
   using F = TypeParam;
   SecureRng rng(8);
-  Circuit<F> circuit = random_circuit<F>(rng, 6, 60);
+  Circuit<F> circuit = test::random_circuit<F>(rng, 6, 60);
   VerificationContext<F> refreshed(&circuit, 3, 555);
   for (u64 k = 1; k <= 5; ++k) {
     VerificationContext<F> replayed(&circuit, 3, 555);

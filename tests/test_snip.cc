@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "afe/registry.h"
 #include "circuit/circuit.h"
 #include "crypto/rng.h"
+#include "random_circuit.h"
 #include "snip/mpc.h"
 #include "snip/snip.h"
 
@@ -168,7 +172,9 @@ TYPED_TEST(SnipTest, WrongHInTheOddOnlyTailRejected) {
 }
 
 // The shipped layout pinned against an independent prover that ships all 2N
-// points of h, with the same RNG draws (u0, v0, then the triple).
+// points of h, with the same RNG draws (u0, v0, then the triple). It
+// evaluates f and g on the whole 2N domain with two size-2N transforms, a
+// different route from SnipProver's coset NTT.
 template <PrimeField F>
 std::vector<F> full_h_extended_input(const Circuit<F>& circuit,
                                      std::span<const F> x, SecureRng& rng) {
@@ -204,54 +210,95 @@ std::vector<F> full_h_extended_input(const Circuit<F>& circuit,
   return ext;
 }
 
+// The prover's extended input against full_h_extended_input's, on one
+// circuit, input and RNG seed: bit-identical once h's known zeros (its
+// even points 2t, t = M+1..N-1) are dropped from the full vector, every
+// dropped point zero, h_point mapping each shipped index to its domain
+// point, and h-hat(r) over the shipped points equal to the full 2N-point
+// sum.
+template <PrimeField F>
+void expect_shipped_h_is_full_h(const Circuit<F>& circuit,
+                                std::span<const F> x, u64 seed,
+                                const std::string& what) {
+  SCOPED_TRACE(what + " seed=" + std::to_string(seed));
+  SnipProver<F> prover(&circuit);
+  VerificationContext<F> ctx(&circuit, 2, 43);
+  const SnipLayout& lay = prover.layout();
+  const size_t m = lay.num_mul, n = lay.n;
+  ASSERT_EQ(lay.h_len, n + m + 1);
+  // M+1 a power of two: nothing is dropped and the layout is the full one.
+  if (m + 1 == n) {
+    EXPECT_EQ(lay.h_len, 2 * n);
+  }
+
+  SecureRng rng_new(seed), rng_full(seed);
+  const auto ext = prover.build_extended_input(x, rng_new);
+  const auto full = full_h_extended_input<F>(circuit, x, rng_full);
+  ASSERT_EQ(full.size(), lay.total_len() + (2 * n - lay.h_len));
+
+  std::vector<F> expect;
+  std::vector<size_t> shipped;
+  for (size_t i = 0; i < full.size(); ++i) {
+    const bool in_h = i >= lay.off_h() && i < lay.off_h() + 2 * n;
+    const size_t d = i - lay.off_h();
+    if (in_h && d % 2 == 0 && d / 2 > m) {
+      EXPECT_TRUE(full[i].is_zero()) << "d=" << d;
+      continue;
+    }
+    if (in_h) shipped.push_back(d);
+    expect.push_back(full[i]);
+  }
+  EXPECT_EQ(ext, expect);
+  ASSERT_EQ(shipped.size(), lay.h_len);
+  for (size_t i = 0; i < lay.h_len; ++i) {
+    EXPECT_EQ(lay.h_point(i), shipped[i]) << "i=" << i;
+  }
+
+  const auto full_row = lagrange_eval_row(NttDomain<F>(2 * n), ctx.r());
+  EXPECT_EQ(inner_product(ctx.row_2n(), std::span<const F>(ext).subspan(
+                                            lay.off_h(), lay.h_len)),
+            inner_product(full_row, std::span<const F>(full).subspan(
+                                        lay.off_h(), 2 * n)));
+}
+
+// The prover takes h's even points from the values it holds and its odd
+// points from a size-N coset NTT; the reference evaluates f and g on the
+// whole 2N domain. Pinned on bits circuits, on random circuits (the
+// generator and sizes of KernelTest.SnipVerifierMatchesLegacyOnRandomCircuits)
+// and on the bench workloads' circuits, several RNG seeds each.
 TYPED_TEST(SnipTest, ShippedHIsFullHWithoutItsKnownZeros) {
   using F = TypeParam;
   for (size_t L : {3, 7, 16}) {
-    auto circuit = bits_circuit<F>(L);
-    SnipProver<F> prover(&circuit);
-    VerificationContext<F> ctx(&circuit, 2, 43);
-    const SnipLayout& lay = prover.layout();
-    const size_t m = lay.num_mul, n = lay.n;
-    ASSERT_EQ(lay.h_len, n + m + 1) << L;
-    // M+1 a power of two: nothing is dropped and the layout is the full one.
-    if (m + 1 == n) {
-      EXPECT_EQ(lay.h_len, 2 * n) << L;
-    }
-
+    const auto circuit = bits_circuit<F>(L);
     SecureRng pick(L);
     std::vector<F> x;
     for (size_t i = 0; i < L; ++i) x.push_back(F::from_u64(pick.next_u64() & 1));
-    SecureRng rng_new(100 + L), rng_full(100 + L);
-    const auto ext = prover.build_extended_input(x, rng_new);
-    const auto full = full_h_extended_input<F>(circuit, x, rng_full);
-    ASSERT_EQ(full.size(), lay.total_len() + (2 * n - lay.h_len)) << L;
-
-    // The full vector minus h's even points 2t, t = M+1..N-1.
-    std::vector<F> expect;
-    std::vector<size_t> shipped;
-    for (size_t i = 0; i < full.size(); ++i) {
-      const bool in_h = i >= lay.off_h() && i < lay.off_h() + 2 * n;
-      const size_t d = i - lay.off_h();
-      if (in_h && d % 2 == 0 && d / 2 > m) {
-        EXPECT_TRUE(full[i].is_zero()) << "L=" << L << " d=" << d;
-        continue;
-      }
-      if (in_h) shipped.push_back(d);
-      expect.push_back(full[i]);
+    expect_shipped_h_is_full_h<F>(circuit, x, 100 + L,
+                                  "bits L=" + std::to_string(L));
+  }
+  SecureRng rng(7);
+  for (int trial = 0; trial < 24; ++trial) {
+    const size_t n_inputs = 1 + rng.next_below(trial < 12 ? 8 : 64);
+    const size_t n_gates = 1 + rng.next_below(trial < 12 ? 24 : 400);
+    const auto circuit = test::random_circuit<F>(rng, n_inputs, n_gates);
+    for (u64 seed : {1, 2, 3}) {
+      std::vector<F> x(n_inputs);
+      for (auto& v : x) v = rng.field_element<F>();
+      expect_shipped_h_is_full_h<F>(circuit, x, seed,
+                                    "random trial " + std::to_string(trial));
     }
-    EXPECT_EQ(ext, expect) << L;
-    ASSERT_EQ(shipped.size(), lay.h_len) << L;
-    for (size_t i = 0; i < lay.h_len; ++i) {
-      EXPECT_EQ(lay.h_point(i), shipped[i]) << "L=" << L << " i=" << i;
-    }
-
-    // h-hat(r) over the shipped points equals the full 2N-point sum.
-    const auto full_row = lagrange_eval_row(NttDomain<F>(2 * n), ctx.r());
-    EXPECT_EQ(inner_product(ctx.row_2n(), std::span<const F>(ext).subspan(
-                                              lay.off_h(), lay.h_len)),
-              inner_product(full_row, std::span<const F>(full).subspan(
-                                          lay.off_h(), 2 * n)))
-        << L;
+  }
+  for (const char* spec : {"bitvec_sum:len=1024", "bitvec_sum:len=32",
+                           "linreg:bits=14,dims=8"}) {
+    afe::with_afe<F>(
+        afe::parse_afe_spec(spec), [&](const auto& a, const afe::AfeSpec&) {
+          for (u64 cid : {0, 1, 2}) {
+            const std::vector<F> x = a.encode(afe::sample_input(a, cid));
+            expect_shipped_h_is_full_h<F>(a.valid_circuit(), x, 100 + cid,
+                                          spec);
+          }
+          return 0;
+        });
   }
 }
 
