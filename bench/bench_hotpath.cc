@@ -73,7 +73,7 @@ using Afe = afe::BitVectorSum<F>;
 // Sums every computed field of a local state, so the optimizer cannot drop
 // the inner products whose results a timed loop would otherwise ignore.
 F check_sum(const SnipLocalState<F>& st) {
-  return st.d_share + st.e_share + st.rh_share + st.out_combo;
+  return st.f_r + st.g_r + st.h_r + st.out_combo;
 }
 
 unsigned long long allocs_during(const std::function<void()>& fn) {

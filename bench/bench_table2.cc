@@ -81,8 +81,8 @@ Row measure(size_t m) {
     require(ok, "bench_table2: honest proof rejected");
     row.snip_server_exp = sdelta.group_exp;
     row.snip_server_mul = sdelta.field_mul;
-    // Server transfer: the four broadcast field elements per server
-    // (d, e, sigma, out) -- constant.
+    // Server transfer: the four opened field elements per server
+    // (f-hat(r), g-hat(r), h-hat(r), out) -- constant.
     row.snip_server_transfer = 4 * F::kByteLen;
   }
   return row;

@@ -4,7 +4,7 @@
 // One PrioDeployment is a thin harness over s ServerNodes (server/node.h),
 // the same protocol node the prio_server binary runs, connected by one
 // LoopbackMesh. Each node runs on its own thread and exchanges real sealed
-// frames with its peers, so the four SNIP rounds exist once, in
+// frames with its peers, so the two SNIP rounds exist once, in
 // ServerNode::run_rounds. The mesh's SimNetwork counts every frame and its
 // bytes per link (network()), and clocks() credits each server with its node thread's CPU
 // time, so time a node spends blocked waiting for a peer is not busy time.
@@ -13,7 +13,7 @@
 // leader relays the broadcasts, so rotating it spreads the extra traffic
 // evenly and throughput stays flat as servers are added -- Figure 5).
 // process_submission is a batch of one; process_batch amortizes the rounds
-// over Q submissions (Section 6 / Appendix I): each of the four rounds
+// over Q submissions (Section 6 / Appendix I): each of the two rounds
 // ships one coalesced frame per link. A non-leader transmits a constant
 // number of bytes per submission regardless of submission length -- the
 // flat Prio line of Figure 6.

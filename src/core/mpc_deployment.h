@@ -96,7 +96,7 @@ class PrioMpcDeployment {
   }
 
   // Verifies a batch in refresh-window-sized chunks, each under one r:
-  // the four coalesced triple-SNIP rounds, one coalesced round trip per
+  // the two coalesced triple-SNIP rounds, one coalesced round trip per
   // Beaver depth level, the output check, then the replay floor and
   // aggregation in submission order. Returns one 0/1 verdict per
   // submission.
@@ -144,71 +144,62 @@ class PrioMpcDeployment {
     // Phase 0: decrypt + expand every share into one buffer this chunk
     // owns (row q * s + i: x-encoding, then the triple-SNIP extended
     // input), which the Beaver MPC and the aggregation read later; the
-    // triple-SNIP local check runs on the reusable engine scratch.
+    // triple-SNIP local check runs on the reusable engine scratch. As in
+    // ServerNode, a share counts as parsed only if its announced id (server
+    // 0's blob counter) is above the replay floor and it opens under that
+    // seq, so no triple SNIP is opened twice.
     std::vector<F> ext(q_total * s * flat_len, F::zero());
     auto row = [&](size_t task) {
       return std::span<F>(ext.data() + task * flat_len, flat_len);
     };
     std::vector<std::optional<SnipLocalState<F>>> states(q_total * s);
     std::vector<u64> seqs(q_total, 0);
+    std::vector<size_t> parsed(s, 0);
     for (size_t task = 0; task < q_total * s; ++task) {
       const size_t q = task / s, i = task % s;
       auto scope = clocks_.measure(i);
-      if (open_sealed_share_into<F>(sealer_, batch[q].client_id, i,
-                                    batch[q].blobs[i], row(task),
-                                    i == 0 ? &seqs[q] : nullptr)) {
+      if (i == 0) seqs[q] = sealed_seq(batch[q].blobs[0]);
+      u64 seq = 0;
+      if (replay_.fresh(batch[q].client_id, seqs[q]) &&
+          open_sealed_share_into<F>(sealer_, batch[q].client_id, i,
+                                    batch[q].blobs[i], row(task), &seq) &&
+          seq == seqs[q]) {
         states[task] = verifier_.local_check(servers_[i].ctx, i,
                                              row(task).subspan(k));
+        ++parsed[i];
       }
     }
 
-    std::vector<size_t> live;
-    live.reserve(q_total);
-    for (size_t q = 0; q < q_total; ++q) {
-      bool ok = true;
-      for (size_t i = 0; i < s; ++i) ok = ok && states[q * s + i].has_value();
-      if (ok) live.push_back(q);
+    // Triple-SNIP rounds 1-2, coalesced across the batch: each non-leader
+    // sends its parse bitmap and four value shares per parsed submission,
+    // and the leader broadcasts the decisions.
+    for (size_t i = 0; i < s; ++i) {
+      if (i != leader) {
+        framed_send(net_, i, leader,
+                    net::bitmap_len(q_total) +
+                        net::field_vector_len<F>(4 * parsed[i]));
+      }
     }
+    framed_broadcast(net_, s, leader, net::bitmap_len(q_total));
     processed_ += q_total;
-    if (live.empty()) return verdicts;
-    const size_t ql = live.size();
 
-    // Triple-SNIP rounds 1-4, coalesced across the batch.
-    std::vector<F> d_total(ql, F::zero()), e_total(ql, F::zero());
-    for (size_t i = 0; i < s; ++i) {
-      for (size_t v = 0; v < ql; ++v) {
-        const auto& st = *states[live[v] * s + i];
-        d_total[v] += st.d_share;
-        e_total[v] += st.e_share;
-      }
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql));
-    }
-    framed_broadcast(net_, s, leader, net::field_pairs_len<F>(ql));
-
-    std::vector<F> sigma_shares(ql * s), out_shares(ql * s);
-    for (size_t task = 0; task < ql * s; ++task) {
-      const size_t v = task / s, i = task % s;
-      auto scope = clocks_.measure(i);
-      const auto& st = *states[live[v] * s + i];
-      sigma_shares[task] =
-          snip_sigma_share(servers_[i].ctx, st, d_total[v], e_total[v]);
-      out_shares[task] = st.out_combo;
-    }
-    for (size_t i = 0; i < s; ++i) {
-      if (i != leader) framed_send(net_, i, leader, net::field_pairs_len<F>(ql));
-    }
-    framed_broadcast(net_, s, leader, net::bitmap_len(ql));
-
-    // Submissions whose triple SNIP verified advance to the Beaver MPC.
+    // Submissions every server parsed and whose triple SNIP verified
+    // advance to the Beaver MPC. Every id advances its client's floor,
+    // accepted or not; the aggregation below needs each id's freshness
+    // from before its own advance, so it is recorded here.
     std::vector<size_t> mpc_live;
-    mpc_live.reserve(ql);
-    for (size_t v = 0; v < ql; ++v) {
-      F sigma = F::zero(), out = F::zero();
-      for (size_t i = 0; i < s; ++i) {
-        sigma += sigma_shares[v * s + i];
-        out += out_shares[v * s + i];
+    mpc_live.reserve(q_total);
+    std::vector<u8> fresh(q_total, 0);
+    for (size_t q = 0; q < q_total; ++q) {
+      SnipLocalState<F> total;
+      bool live = true;
+      for (size_t i = 0; i < s && live; ++i) {
+        live = states[q * s + i].has_value();
+        if (live) total += *states[q * s + i];
       }
-      if (snip_accept(sigma, out)) mpc_live.push_back(live[v]);
+      if (live && snip_accept(total)) mpc_live.push_back(q);
+      fresh[q] = replay_.fresh(batch[q].client_id, seqs[q]);
+      replay_.advance(batch[q].client_id, seqs[q]);
     }
     if (mpc_live.empty()) return verdicts;
     const size_t ml = mpc_live.size();
@@ -278,14 +269,12 @@ class PrioMpcDeployment {
     }
     framed_broadcast(net_, s, leader, net::bitmap_len(ml));
 
-    // Aggregation, in submission order with the replay floor applied:
-    // replayed counters flip to reject, accepts advance the floor, so a
-    // duplicate later in the same batch is refused too.
+    // Aggregation, in submission order with the replay floor applied: an
+    // id the floor had passed, such as a duplicate later in the same batch,
+    // is refused.
     for (size_t v = 0; v < ml; ++v) {
-      if (!decisions[v]) continue;
       const size_t q = mpc_live[v];
-      if (!replay_.fresh(batch[q].client_id, seqs[q])) continue;
-      replay_.accept(batch[q].client_id, seqs[q]);
+      if (!decisions[v] || !fresh[q]) continue;
       verdicts[q] = 1;
       for (size_t i = 0; i < s; ++i) {
         auto scope = clocks_.measure(i);

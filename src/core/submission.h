@@ -16,6 +16,7 @@
 // them aggregatable.)
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <mutex>
 #include <optional>
@@ -46,6 +47,14 @@ inline std::vector<u8> master_seed_bytes(u64 seed) {
   std::vector<u8> m(32, 0);
   for (int i = 0; i < 8; ++i) m[i] = static_cast<u8>(seed >> (8 * i));
   return m;
+}
+
+// A sealed blob's cleartext submission counter (its u64 prefix), or 0 for
+// a blob too short to hold one.
+inline u64 sealed_seq(std::span<const u8> blob) {
+  net::Reader r(blob);
+  const u64 seq = r.u64_();
+  return r.ok() ? seq : 0;
 }
 
 // Client->server submission sealing, shared by the pipeline variants.
@@ -177,24 +186,31 @@ bool open_sealed_share_into(const SubmissionSealer& sealer, u64 client_id,
 
 // Server-side replay guard (replicated high-water mark over the cleartext
 // submission counters): a submission is fresh iff its counter is at or
-// above the client's floor. The floor advances only when a submission is
-// accepted, so a byte-identical replay of an accepted submission can never
-// be aggregated twice, while a rejected counter does not burn the slot.
-// Every server in a distributed run applies the same rule to the same
-// (client, seq) stream in the same order, so the floors stay replicated
-// without coordination; floors() / set_floor() serialize them across a
-// server restart.
+// above the client's floor. Every submission a committed batch announced
+// advances the floor past its counter, accepted or not: a byte-identical
+// replay can never be aggregated twice, and a submission whose proof
+// values the servers opened is never opened again (snip/snip.h's
+// open-once condition). Every server applies the same rule to the same
+// announced (client, seq) stream in the same order, so the floors stay
+// replicated without coordination; floors() / set_floor() serialize them
+// across a server restart.
 class ReplayGuard {
  public:
   bool fresh(u64 client_id, u64 seq) const {
-    // The all-ones counter is never fresh: accepting it would wrap the
-    // floor to 0 and make its own replays fresh forever. Honest clients
-    // count up from 0 and cannot reach it.
+    // The all-ones counter is never fresh: no floor can pass it without
+    // wrapping to 0. Honest clients count up from 0 and cannot reach it.
     if (seq == ~u64{0}) return false;
     auto it = floor_.find(client_id);
     return it == floor_.end() || seq >= it->second;
   }
-  void accept(u64 client_id, u64 seq) { floor_[client_id] = seq + 1; }
+  // Moves the floor past `seq` if it is not already. The all-ones counter
+  // leaves it alone: it is never fresh, so it needs no floor, and seq + 1
+  // would wrap.
+  void advance(u64 client_id, u64 seq) {
+    if (seq == ~u64{0}) return;
+    u64& floor = floor_[client_id];
+    floor = std::max(floor, seq + 1);
+  }
 
   const std::unordered_map<u64, u64>& floors() const { return floor_; }
   void set_floor(u64 client_id, u64 floor) { floor_[client_id] = floor; }

@@ -19,10 +19,14 @@
 
 namespace prio::net {
 
-// Encoded sizes of the vectorized round payloads (Writer::field_pairs and
-// Writer::bitmap below). The simulated network accounts message sizes
-// without always materializing the bytes, so these are the single source
-// of truth for the layout arithmetic.
+// Encoded sizes of the vectorized round payloads (Writer::field_vector,
+// Writer::field_pairs and Writer::bitmap below). The simulated network
+// accounts message sizes without always materializing the bytes, so these
+// are the single source of truth for the layout arithmetic.
+template <PrimeField F>
+constexpr size_t field_vector_len(size_t n) {
+  return 4 + n * F::kByteLen;  // u32 count + n elements
+}
 template <PrimeField F>
 constexpr size_t field_pairs_len(size_t n) {
   return 4 + n * 2 * F::kByteLen;  // u32 count + n (a, b) pairs
@@ -63,8 +67,9 @@ class Writer {
     for (const F& v : vs) field(v);
   }
 
-  // Vectorized round payloads for the batch pipeline: Q per-submission
-  // (d, e)-style pairs coalesced into one length-prefixed message.
+  // Vectorized round payloads: per-gate Beaver (d, e) pairs for a whole
+  // batch coalesced into one length-prefixed message (the Prio-MPC
+  // baseline's rounds, core/mpc_deployment.h).
   template <PrimeField F>
   void field_pairs(std::span<const std::pair<F, F>> ps) {
     u32_(static_cast<u32>(ps.size()));
@@ -74,8 +79,8 @@ class Writer {
     }
   }
 
-  // Packed accept/reject bitmap (batch round 4): bit q of the payload is
-  // the decision for submission q.
+  // Packed bitmap (a batch's parse bits, or its round-2 decisions): bit q
+  // of the payload is the bit for submission q.
   void bitmap(std::span<const u8> bits) {
     u32_(static_cast<u32>(bits.size()));
     u8 acc = 0;

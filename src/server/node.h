@@ -1,7 +1,7 @@
 // One Prio server as a distributed protocol node.
 //
 // ServerNode holds ONE server's secret state (verification context,
-// accumulator, replay floors) and runs the batched four-round SNIP
+// accumulator, replay floors) and runs the batched two-round SNIP
 // protocol -- the only implementation of it -- by actually exchanging
 // frames with its peers through a net::Transport: loopback queues in
 // PrioDeployment (core/deployment.h), tests and benches, TCP sockets in
@@ -13,14 +13,24 @@
 // per link (net/simnet.h).
 //
 // Batch flow (leader rotates with the shared batch counter; `q` inputs,
-// `ql` of them parsed by every server):
-//   round 1: non-leader -> leader: parse bitmap(q) + q (d, e) pairs
-//   round 2: leader -> all: live bitmap(q) + ql (d, e) totals
-//   round 3: non-leader -> leader: ql (sigma, out) pairs
-//   round 4: leader -> all: decision bitmap(q)
-// After round 4 every node applies the replay floor and aggregates its own
-// x-shares in submission order, so all nodes return identical verdicts and
-// hold consistent epoch state with no further coordination.
+// `p` of them parsed by the sending server):
+//   round 1: non-leader -> leader: parse bitmap(q) + p (f-hat(r), g-hat(r),
+//            h-hat(r), out) share quadruples, one per parsed submission
+//   round 2: leader -> all: decision bitmap(q)
+// The leader ANDs the parse bitmaps, sums the shares of every submission
+// all servers parsed, and accepts iff F * G == H and O == 0 (snip/snip.h
+// has why opening these sums hides x). After round 2 every node applies
+// the replay floor and aggregates its own x-shares in submission order, so
+// all nodes return identical verdicts and hold consistent epoch state with
+// no further coordination.
+//
+// Open once. A submission's values may be opened under one r only, so a
+// node treats a blob whose counter is below its replay floor (or is not
+// the announced one) as unparsed and sends nothing for it, and every
+// committed batch advances the floor past each (client, seq) it announced,
+// accepted or not -- in run_rounds and in apply_batch_record alike. An
+// aborted batch is retried with the same ids under the same r, so a retry
+// opens nothing new.
 //
 // Epochs: process_batch accumulates; publish_epoch reveals the per-server
 // accumulators to server 0, which decodes and returns the aggregate, and
@@ -58,11 +68,13 @@
 
 namespace prio {
 
-// One server's view of a client submission: its own sealed blob. An empty
-// blob (client never delivered, or intake timed out) parses as malformed
-// and votes reject, which the protocol already handles.
+// One server's view of a client submission: the announced (client, seq)
+// id and its own sealed blob. An empty blob (client never delivered, or
+// intake timed out) parses as malformed and votes reject, which the
+// protocol already handles.
 struct SubmissionShare {
   u64 client_id = 0;
+  u64 seq = 0;
   std::vector<u8> blob;
 };
 
@@ -101,13 +113,16 @@ inline std::optional<BatchRecord> decode_batch_record(
 }
 
 // Projects full Submissions (all blobs) onto server i's view: how
-// PrioDeployment, tests and benches hand each node its own blobs.
+// PrioDeployment, tests and benches hand each node its own blobs. The
+// announced seq is server 0's blob counter, as the runtime's sequencer
+// announces it (server/shard.h).
 inline std::vector<SubmissionShare> node_view(
     std::span<const Submission> batch, size_t server) {
   std::vector<SubmissionShare> out;
   out.reserve(batch.size());
   for (const auto& sub : batch) {
-    out.push_back({sub.client_id, sub.blobs.at(server)});
+    out.push_back(
+        {sub.client_id, sealed_seq(sub.blobs.at(0)), sub.blobs.at(server)});
   }
   return out;
 }
@@ -167,7 +182,7 @@ class ServerNode {
           "Batch prepare latency (decrypt + PRG expansion)", label);
       m_rounds_ = reg->histogram(
           "prio_stage_rounds_seconds",
-          "Batch verification latency (local checks + 4 mesh rounds); "
+          "Batch verification latency (local checks + 2 mesh rounds); "
           "committed attempts only",
           label);
       m_local_check_ = reg->histogram(
@@ -181,7 +196,7 @@ class ServerNode {
           "Submissions rejected by verification (incl. replay hits)", label);
       m_replay_hits_ = reg->counter(
           "prio_replay_hits_total",
-          "Verified submissions dropped by the replay floor", label);
+          "Submissions the replay floor rejected", label);
     }
   }
 
@@ -195,6 +210,10 @@ class ServerNode {
   // because restore + WAL replay rebuild it the same way a live run does).
   u64 epoch_processed() const { return processed_ - epoch_start_; }
   u64 batch_counter() const { return batch_counter_; }
+  // Per-client replay floors (core/submission.h's ReplayGuard).
+  const std::unordered_map<u64, u64>& replay_floors() const {
+    return replay_.floors();
+  }
 
   // Mesh generation: every sealed channel key is scoped by it, and the
   // runtime bumps it (identically on every node, negotiated in the rejoin
@@ -209,7 +228,7 @@ class ServerNode {
 
   // -------------------------------------------------------------------
   // Batched verification: decrypt + PRG-expand every blob (prepare), then
-  // the four mesh rounds and aggregation (run_rounds). A mid-round
+  // the two mesh rounds and aggregation (run_rounds). A mid-round
   // TransportError rolls the node back to its exact pre-batch state (batch
   // counter, r-refresh schedule and all) and rethrows, so the runtime can
   // re-establish the mesh and retry the same batch under a fresh
@@ -244,14 +263,12 @@ class ServerNode {
  private:
   // The network-free front half of a batch: every sealed blob decrypted
   // and PRG-expanded into ONE flat buffer (q * ext_len field elements; the
-  // x-share aggregation slice is the prefix of each row), plus the
-  // per-submission sequence numbers and the parse bitmap. The node keeps
-  // one across batches, so the buffer is allocated once for the largest
-  // batch, not zero-filled per batch.
+  // x-share aggregation slice is the prefix of each row), plus the parse
+  // bitmap. The node keeps one across batches, so the buffer is allocated
+  // once for the largest batch, not zero-filled per batch.
   struct PreparedBatch {
     std::vector<F> ext;      // >= count * ext_len expanded shares, row-major
-    std::vector<u64> seqs;   // per-submission client sequence numbers
-    std::vector<u8> parsed;  // 1 iff the blob opened and parsed
+    std::vector<u8> parsed;  // 1 iff the blob is fresh, opened and parsed
     size_t ext_len = 0;
     std::span<F> share(size_t v) {
       return {ext.data() + v * ext_len, ext_len};
@@ -261,19 +278,26 @@ class ServerNode {
     }
   };
 
-  // Touches no protocol state (sealer keys only). The row of a blob that
-  // fails to open keeps stale bytes, but nothing reads an unparsed row.
+  // Touches no protocol state (sealer keys only; the replay floors are
+  // read, not moved). A blob counts as parsed only if its announced id is
+  // above the replay floor and it opens under that seq: a node never
+  // sends values for a submission the floor has passed, so no proof is
+  // opened twice. The row of an unparsed blob keeps stale bytes, but
+  // nothing reads it.
   void prepare(std::span<const SubmissionShare> batch, PreparedBatch& prep) {
     obs::ScopedTimer prepare_timer(m_prepare_);
     const size_t q = batch.size();
     prep.ext_len = ctx_.layout().total_len();
     if (prep.ext.size() < q * prep.ext_len) prep.ext.resize(q * prep.ext_len);
-    prep.seqs.assign(q, 0);
     prep.parsed.assign(q, 0);
     for (size_t v = 0; v < q; ++v) {
-      prep.parsed[v] = open_sealed_share_into<F>(sealer_, batch[v].client_id,
-                                                 cfg_.self, batch[v].blob,
-                                                 prep.share(v), &prep.seqs[v]);
+      const SubmissionShare& sub = batch[v];
+      u64 seq = 0;
+      prep.parsed[v] = replay_.fresh(sub.client_id, sub.seq) &&
+                       open_sealed_share_into<F>(sealer_, sub.client_id,
+                                                 cfg_.self, sub.blob,
+                                                 prep.share(v), &seq) &&
+                       seq == sub.seq;
     }
   }
 
@@ -300,155 +324,90 @@ class ServerNode {
     }
     ctx_.note_submissions(q);
 
-    // Local checks over the prepared expansion. The check reads the
-    // PreparedBatch rows and allocates nothing; the x-share aggregation
-    // slice is the row prefix, so nothing is copied out.
-    std::vector<std::optional<SnipLocalState<F>>> states(q);
+    // Local checks over the prepared expansion, packed as the round-1
+    // payload: four shares per parsed submission, in submission order. The
+    // check reads the PreparedBatch rows and allocates nothing; the x-share
+    // aggregation slice is the row prefix, so nothing is copied out.
     const std::vector<u8>& parsed = prep.parsed;
+    std::vector<F> values;
+    values.reserve(kValues * q);
     {
       obs::ScopedTimer local_check_timer(m_local_check_);
       for (size_t v = 0; v < q; ++v) {
-        if (parsed[v]) {
-          states[v] = verifier_.local_check(ctx_, me, prep.share(v));
-        }
+        if (!parsed[v]) continue;
+        const SnipLocalState<F> st =
+            verifier_.local_check(ctx_, me, prep.share(v));
+        values.insert(values.end(), {st.f_r, st.g_r, st.h_r, st.out_combo});
       }
     }
 
     std::string tag = "b";  // per-batch channel-key tag (gcc 12 dislikes
     tag += std::to_string(batch_no);  // operator+ chains here: PR 105651)
 
-    // Rounds 1+2: (d, e) pairs to the leader; live set + totals back. A
-    // submission is live iff every server parsed it, so the leader ANDs
-    // the parse bitmaps before summing.
-    std::vector<u8> live(q, 0);
-    std::vector<F> d_total, e_total;
+    // Round 1: parse bitmaps and value shares to the leader. Round 2: the
+    // decisions back. A submission is live iff every server parsed it, so
+    // the leader ANDs the parse bitmaps before deciding.
+    std::vector<u8> decisions(q, 0);
     if (me == leader) {
-      live = parsed;
-      std::vector<F> d_all(q, F::zero()), e_all(q, F::zero());
-      for (size_t v = 0; v < q; ++v) {
-        if (parsed[v]) {
-          d_all[v] = states[v]->d_share;
-          e_all[v] = states[v]->e_share;
-        }
-      }
+      std::vector<u8> live = parsed;
+      std::vector<SnipLocalState<F>> totals(q);
+      add_values(parsed, values, totals);
       for (size_t j = 0; j < s; ++j) {
         if (j == me) continue;
         const auto body = recv_sealed(j, tag, kRound1);
         net::Reader r(body);
-        auto peer_parsed = r.bitmap(q);
-        auto pairs = r.field_pairs<F>(q);
+        const auto peer_parsed = r.bitmap(q);
+        const size_t p = static_cast<size_t>(
+            std::count(peer_parsed.begin(), peer_parsed.end(), u8{1}));
+        const auto peer_values = r.field_vector<F>(kValues * q);
         if (!r.ok() || !r.at_end() || peer_parsed.size() != q ||
-            pairs.size() != q) {
+            peer_values.size() != kValues * p) {
           throw net::TransportError("round 1: malformed frame from peer");
         }
-        for (size_t v = 0; v < q; ++v) {
-          live[v] = live[v] && peer_parsed[v];
-          d_all[v] += pairs[v].first;
-          e_all[v] += pairs[v].second;
-        }
+        for (size_t v = 0; v < q; ++v) live[v] = live[v] && peer_parsed[v];
+        add_values(peer_parsed, peer_values, totals);
       }
       for (size_t v = 0; v < q; ++v) {
-        if (live[v]) {
-          d_total.push_back(d_all[v]);
-          e_total.push_back(e_all[v]);
-        }
+        decisions[v] = live[v] && snip_accept(totals[v]) ? 1 : 0;
       }
       net::Writer w;
-      w.bitmap(live);
-      w.field_pairs<F>(std::span<const std::pair<F, F>>(zip(d_total, e_total)));
+      w.bitmap(decisions);
       broadcast_sealed(tag, kRound2, w.data());
     } else {
       net::Writer w;
       w.bitmap(parsed);
-      std::vector<std::pair<F, F>> pairs(q, {F::zero(), F::zero()});
-      for (size_t v = 0; v < q; ++v) {
-        if (parsed[v]) pairs[v] = {states[v]->d_share, states[v]->e_share};
-      }
-      w.field_pairs<F>(std::span<const std::pair<F, F>>(pairs));
+      w.field_vector<F>(std::span<const F>(values));
       send_sealed(leader, tag, kRound1, w.data());
 
       const auto body = recv_sealed(leader, tag, kRound2);
       net::Reader r(body);
-      live = r.bitmap(q);
-      auto totals = r.field_pairs<F>(q);
-      size_t n_live = 0;
-      for (u8 b : live) n_live += b;
-      if (!r.ok() || !r.at_end() || live.size() != q ||
-          totals.size() != n_live) {
-        throw net::TransportError("round 2: malformed frame from leader");
-      }
-      for (auto& [d, e] : totals) {
-        d_total.push_back(d);
-        e_total.push_back(e);
-      }
-    }
-    // A submission the leader marked live must have parsed here too --
-    // anything else means the leader equivocated.
-    std::vector<size_t> live_idx;
-    for (size_t v = 0; v < q; ++v) {
-      if (live[v]) {
-        if (!parsed[v]) {
-          throw net::TransportError("round 2: leader marked unparsed live");
-        }
-        live_idx.push_back(v);
-      }
-    }
-    const size_t ql = live_idx.size();
-
-    // Round 3: sigma + output-combination shares for the live set.
-    std::vector<F> sigma_shares(ql), out_shares(ql);
-    for (size_t v = 0; v < ql; ++v) {
-      const auto& st = *states[live_idx[v]];
-      sigma_shares[v] = snip_sigma_share(ctx_, st, d_total[v], e_total[v]);
-      out_shares[v] = st.out_combo;
-    }
-
-    std::vector<u8> decisions(q, 0);
-    if (me == leader) {
-      std::vector<F> sigma(sigma_shares), out(out_shares);
-      for (size_t j = 0; j < s; ++j) {
-        if (j == me) continue;
-        const auto body = recv_sealed(j, tag, kRound3);
-        net::Reader r(body);
-        auto pairs = r.field_pairs<F>(ql);
-        if (!r.ok() || !r.at_end() || pairs.size() != ql) {
-          throw net::TransportError("round 3: malformed frame from peer");
-        }
-        for (size_t v = 0; v < ql; ++v) {
-          sigma[v] += pairs[v].first;
-          out[v] += pairs[v].second;
-        }
-      }
-      for (size_t v = 0; v < ql; ++v) {
-        decisions[live_idx[v]] = snip_accept(sigma[v], out[v]) ? 1 : 0;
-      }
-      net::Writer w;
-      w.bitmap(decisions);
-      broadcast_sealed(tag, kRound4, w.data());
-    } else {
-      net::Writer w;
-      w.field_pairs<F>(
-          std::span<const std::pair<F, F>>(zip(sigma_shares, out_shares)));
-      send_sealed(leader, tag, kRound3, w.data());
-
-      const auto body = recv_sealed(leader, tag, kRound4);
-      net::Reader r(body);
       decisions = r.bitmap(q);
       if (!r.ok() || !r.at_end() || decisions.size() != q) {
-        throw net::TransportError("round 4: malformed frame from leader");
+        throw net::TransportError("round 2: malformed frame from leader");
+      }
+      // An accept for a submission this server did not parse means the
+      // leader equivocated.
+      for (size_t v = 0; v < q; ++v) {
+        if (decisions[v] && !parsed[v]) {
+          throw net::TransportError("round 2: leader accepted an unparsed "
+                                    "submission");
+        }
       }
     }
 
     // Replay floor + aggregation, in submission order -- deterministic, so
-    // every node converges on the same verdicts and accumulator updates.
+    // every node converges on the same verdicts, floors and accumulator.
+    // Every announced id advances its client's floor, accepted or not.
     u64 batch_accepted = 0;
     for (size_t v = 0; v < q; ++v) {
-      if (!decisions[v] || !live[v]) continue;
-      if (!replay_.fresh(batch[v].client_id, prep.seqs[v])) {
+      const SubmissionShare& sub = batch[v];
+      const bool fresh = replay_.fresh(sub.client_id, sub.seq);
+      replay_.advance(sub.client_id, sub.seq);
+      if (!fresh) {
         if (m_replay_hits_) m_replay_hits_->inc();
         continue;
       }
-      replay_.accept(batch[v].client_id, prep.seqs[v]);
+      if (!decisions[v]) continue;
       verdicts[v] = 1;
       kernels::vec_add_inplace<F>(std::span<F>(accumulator_),
                                   prep.share(v).first(kp));
@@ -462,6 +421,19 @@ class ServerNode {
       m_rejected_->inc(q - batch_accepted);
     }
     return verdicts;
+  }
+
+  // Adds one server's round-1 values (kValues per parsed submission, in
+  // submission order) into the per-submission totals.
+  static void add_values(std::span<const u8> parsed,
+                         std::span<const F> values,
+                         std::vector<SnipLocalState<F>>& totals) {
+    const F* it = values.data();
+    for (size_t v = 0; v < parsed.size(); ++v) {
+      if (!parsed[v]) continue;
+      totals[v] += {it[0], it[1], it[2], it[3]};
+      it += kValues;
+    }
   }
 
   // Lane-scoped verification-context seed. Lane 0 keeps the unsharded
@@ -545,9 +517,11 @@ class ServerNode {
   // batch -- the announced batch in order, with the final verdicts every
   // node agreed on -- without any network rounds. Reproduces exactly the
   // state transitions process_batch would have made: batch counter, the
-  // deterministic r-refresh schedule, replay floors, accumulator, and the
+  // deterministic r-refresh schedule, replay floors (advanced past every
+  // announced id, as run_rounds does), accumulator, and the
   // accepted/processed counts. Returns false (corrupt record) if the
-  // batch exceeds the refresh window or an accepted blob fails to open.
+  // batch exceeds the refresh window or an accepted blob fails to open
+  // under its announced seq.
   // -------------------------------------------------------------------
   bool apply_batch_record(std::span<const SubmissionShare> batch,
                           std::span<const u8> verdicts) {
@@ -560,19 +534,16 @@ class ServerNode {
     // ANY state moves, so a corrupt record leaves the node untouched --
     // the rejoin path may retry the same record after a resync, and a
     // half-applied batch would double-count its accepted prefix.
-    std::vector<size_t> accepted_idx;
-    std::vector<u64> seqs;
     std::vector<F> x_shares;
     const std::span<F> ext = verifier_.ext_buffer();
     for (size_t v = 0; v < q; ++v) {
       if (!verdicts[v]) continue;
       u64 seq = 0;
       if (!open_sealed_share_into<F>(sealer_, batch[v].client_id, cfg_.self,
-                                     batch[v].blob, ext, &seq)) {
+                                     batch[v].blob, ext, &seq) ||
+          seq != batch[v].seq) {
         return false;
       }
-      accepted_idx.push_back(v);
-      seqs.push_back(seq);
       x_shares.insert(x_shares.end(), ext.begin(), ext.begin() + kp);
     }
     ++batch_counter_;
@@ -581,11 +552,13 @@ class ServerNode {
       ++refreshes_;
     }
     ctx_.note_submissions(q);
-    for (size_t i = 0; i < accepted_idx.size(); ++i) {
-      replay_.accept(batch[accepted_idx[i]].client_id, seqs[i]);
-      kernels::vec_add_inplace<F>(
-          std::span<F>(accumulator_),
-          std::span<const F>(x_shares.data() + i * kp, kp));
+    const F* x = x_shares.data();
+    for (size_t v = 0; v < q; ++v) {
+      replay_.advance(batch[v].client_id, batch[v].seq);
+      if (!verdicts[v]) continue;
+      kernels::vec_add_inplace<F>(std::span<F>(accumulator_),
+                                  std::span<const F>(x, kp));
+      x += kp;
       ++accepted_;
     }
     processed_ += q;
@@ -719,8 +692,6 @@ class ServerNode {
   // frame it expected, so a desynchronized peer fails loudly.
   static constexpr u8 kRound1 = 1;
   static constexpr u8 kRound2 = 2;
-  static constexpr u8 kRound3 = 3;
-  static constexpr u8 kRound4 = 4;
   static constexpr u8 kPublish = 5;
   static constexpr u8 kCommit = 6;
   static constexpr u8 kControl = 7;  // runtime rejoin catch-up frames
@@ -778,13 +749,9 @@ class ServerNode {
     return std::move(*pt);
   }
 
-  static std::vector<std::pair<F, F>> zip(const std::vector<F>& a,
-                                          const std::vector<F>& b) {
-    std::vector<std::pair<F, F>> out;
-    out.reserve(a.size());
-    for (size_t i = 0; i < a.size(); ++i) out.emplace_back(a[i], b[i]);
-    return out;
-  }
+  // Round-1 values per parsed submission: f-hat(r), g-hat(r), h-hat(r) and
+  // the output combination (SnipLocalState).
+  static constexpr size_t kValues = 4;
 
   const Afe* afe_;
   ServerNodeConfig cfg_;

@@ -3,7 +3,7 @@
 // Runs the full distributed pipeline for any AFE in the runtime catalogue
 // (afe/registry.h): accepts sealed client submissions over TCP,
 // coordinates count-delimited epochs with its peer servers, runs the
-// batched four-round SNIP verification protocol over the server mesh, and
+// batched two-round SNIP verification protocol over the server mesh, and
 // (on server 0) publishes each epoch's typed aggregate to asking clients.
 //
 // A three-server deployment on localhost:

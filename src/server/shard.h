@@ -485,6 +485,7 @@ class ShardRuntime {
     inflight_ids_ = ids;
     for (size_t v = 0; v < ids.size(); ++v) {
       shares[v].client_id = ids[v].first;
+      shares[v].seq = ids[v].second;
       auto pit = inflight_blobs_.find(ids[v]);
       if (pit == inflight_blobs_.end()) {
         cv_.wait_until(lock, deadline, [&] {
@@ -731,6 +732,7 @@ class ShardRuntime {
         quota_held = ids == inflight_ids_;
         for (u32 i = 0; i < count; ++i) {
           shares[i].client_id = ids[i].first;
+          shares[i].seq = ids[i].second;
           auto pit = inflight_blobs_.find(ids[i]);
           if (pit != inflight_blobs_.end()) {
             shares[i].blob = std::move(pit->second);

@@ -11,8 +11,8 @@
 //     (SnipLayout) -- and the servers evaluate f-hat, g-hat, h-hat at the
 //     fixed secret point r with precomputed Lagrange rows (Theta(M)
 //     multiplications, no FFT on the server). Once r is fixed, every
-//     round-1 value is a fixed linear function of the server's share, so
-//     the rows are composed with the circuit's affine wiring once per r
+//     local-check value is a fixed linear function of the server's share,
+//     so the rows are composed with the circuit's affine wiring once per r
 //     (VerificationContext::refresh) and the local check is four inner
 //     products: f-hat(r), g-hat(r) and the output combination against the
 //     composed rows, h-hat(r) against row_2n, the weights of the shipped
@@ -26,28 +26,43 @@
 // padding points w^t, t = M+1..N-1), computes h = f*g, and sends each
 // server additive shares of
 //
-//     pi = ( f(0), g(0), h, a, b, c )        with  a*b = c  (Beaver triple),
+//     pi = ( f(0), g(0), h )
 //
 // where h is the N+M+1 points of f*g on the 2N domain that are not known
 // zeros. Each server locally reconstructs shares of every wire value
-// (mul-gate outputs come from h's even points), evaluates its shares of
-// f-hat, g-hat, h-hat at r (h-hat taking the unshipped points as zero), and
-// the servers run one Beaver multiplication to obtain additive shares of
-// sigma = r * (f-hat(r) * g-hat(r) - h-hat(r)).  They publish sigma shares
-// plus shares of the combined output wires and accept iff both sums are
-// zero.
+// (mul-gate outputs come from h's even points) and evaluates its shares of
+// F = f-hat(r), G = g-hat(r), H = h-hat(r) (h-hat taking the unshipped
+// points as zero) and of O, the random combination of the output wires.
+// The servers sum the four shares and accept iff F * G == H and O == 0.
 //
-// Soundness and zero knowledge. A proof in this format is exactly a proof
-// with all 2N points of h whose dropped points are zero: the servers'
-// h-hat(r) is the same Lagrange sum over the 2N domain with those terms
-// zero. So every cheating strategy against this check is one against the
-// full-h check, and the soundness error stays <= (2N+1)/(|F| - 2N) per
-// query point (Appendix D.1). Each server's share is a subset of its
-// full-h share, so zero knowledge stays information-theoretic (D.2).
+// Zero knowledge. The paper's servers run a Beaver multiplication so they
+// learn only sigma = r * (F*G - H); opening F, G and H in the clear hides
+// x just as well (the "strong HVZK" check of fully linear PCPs: Boneh,
+// Boyle, Corrigan-Gibbs, Gilboa, Ishai, CRYPTO 2019). F is the Lagrange
+// sum lambda_0(r) * f(0) + (terms in x), and lambda_0(r) != 0 because
+// r avoids the N domain (VerificationContext rejects any r with
+// r^(2N) = 1, which covers it). So with f(0) and g(0) fresh and uniform, F
+// and G are uniform and independent of x, and for an honest client H =
+// F*G and O = 0: the opened tuple is (U, V, U*V, 0), simulatable without
+// x. Each server's share of a value is the total minus the others', so
+// the shares add nothing. The one condition the argument adds: a proof is
+// opened at most once. Two openings of one (f(0), g(0)) under different
+// points r reveal a linear combination of wire values, so the servers
+// never send values for a submission their replay floor has passed, and
+// every committed batch advances the floor past each submission it
+// announced, accepted or not (server/node.h).
+//
+// Soundness. If h != f*g as polynomials, f*g - h is nonzero of degree
+// <= 2N-1, so it vanishes at the uniform r (drawn from F minus the 2N
+// domain) with probability <= (2N-1)/(|F| - 2N); a nonzero output passes
+// the random combination with probability 1/|F|. A proof in the shipped
+// format is exactly a proof with all 2N points of h whose dropped points
+// are zero: the servers' h-hat(r) is the same Lagrange sum over the 2N
+// domain with those terms zero, so every cheating strategy against this
+// check is one against the full-h check.
 //
 // This module is transport-agnostic: it computes the values each server
-// must broadcast, and the pipeline in src/core moves them over the
-// simulated network.
+// must send, and ServerNode (server/node.h) moves them over the mesh.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +79,7 @@
 namespace prio {
 
 // Offsets of the proof fields inside the flat extended submission vector
-//   [ x (L) | f(0) | g(0) | h (N+M+1 points) | a | b | c ].
+//   [ x (L) | f(0) | g(0) | h (N+M+1 points) ].
 //
 // h = f*g is given in point-value form on the 2N domain, but f and g are
 // zero-padded at w_N^t for t = M+1..N-1, so h vanishes at the 2N-domain
@@ -97,10 +112,7 @@ struct SnipLayout {
   size_t off_f0() const { return input_len; }
   size_t off_g0() const { return input_len + 1; }
   size_t off_h() const { return input_len + 2; }
-  size_t off_a() const { return input_len + 2 + h_len; }
-  size_t off_b() const { return off_a() + 1; }
-  size_t off_c() const { return off_a() + 2; }
-  size_t total_len() const { return input_len + 2 + h_len + 3; }
+  size_t total_len() const { return input_len + 2 + h_len; }
 };
 
 // ---------------------------------------------------------------------------
@@ -156,20 +168,12 @@ class SnipProver {
                                : f_odd[d / 2] * g_odd[d / 2];
     }
 
-    // Beaver triple.
-    F a = rng.field_element<F>();
-    F b = rng.field_element<F>();
-    F c = a * b;
-
     std::vector<F> ext;
     ext.reserve(layout_.total_len());
     ext.insert(ext.end(), x.begin(), x.end());
     ext.push_back(u0);
     ext.push_back(v0);
     ext.insert(ext.end(), h_points.begin(), h_points.end());
-    ext.push_back(a);
-    ext.push_back(b);
-    ext.push_back(c);
     return ext;
   }
 
@@ -195,7 +199,7 @@ class SnipProver {
 // Verification context (secret state shared by the servers)
 // ---------------------------------------------------------------------------
 
-// One weight row of the composed local check, over the share prefix
+// One weight row of the composed local check, over the share
 // [x | f(0) | g(0) | h]: the value is <weights, share> plus `constant` on
 // server 0 only (the circuit's constants ride on the first server's
 // share). The weights are zero outside [lo, hi), so only that span is read.
@@ -244,7 +248,6 @@ class VerificationContext {
         seed_(shared_seed),
         rng_(shared_seed) {
     require(num_servers >= 2, "VerificationContext: need >= 2 servers");
-    s_inv_ = F::from_u64(num_servers).inv();
     refresh();
   }
 
@@ -284,7 +287,6 @@ class VerificationContext {
   const SnipLayout& layout() const { return layout_; }
   size_t num_servers() const { return num_servers_; }
   const F& r() const { return r_; }
-  const F& s_inv() const { return s_inv_; }
   const std::vector<F>& row_n() const { return row_n_; }
   const std::vector<F>& row_2n() const { return row_2n_; }
   const std::vector<F>& out_coeffs() const { return out_coeffs_; }
@@ -303,8 +305,9 @@ class VerificationContext {
   }
 
   bool in_domain(const F& r) const {
-    // r must avoid the 2N domain (h-hat row would divide by zero and the
-    // gate points must stay hidden for zero knowledge).
+    // r must avoid the 2N domain: the h-hat row would divide by zero, and
+    // off the N domain lambda_0(r) != 0, which the zero-knowledge argument
+    // needs (f(0) and g(0) must mask f-hat(r) and g-hat(r)).
     return pow_2n(r) == F::one();
   }
 
@@ -322,9 +325,7 @@ class VerificationContext {
   // mul-gate outputs read h's even points, constants ride on server 0), so
   // the f-hat(r), g-hat(r) and output-combination functionals are pulled
   // back through the gates in reverse order: a wire's weight is final once
-  // every later gate that reads it has passed it on. The factor r of
-  // r * g-hat(r) and r * h-hat(r) is applied per check, one multiplication
-  // each, rather than to every row weight at each refresh.
+  // every later gate that reads it has passed it on.
   void build_rows() {
     row_n_ = lagrange_eval_row(dom_n_, r_);
     build_row_2n();
@@ -334,7 +335,7 @@ class VerificationContext {
     constexpr size_t kFns = 3;  // f-hat(r), g-hat(r), output combination
     const std::array<CheckRow<F>*, kFns> rows{&f_row_, &g_row_, &out_row_};
     for (CheckRow<F>* row : rows) {
-      row->weights.assign(layout_.off_a(), F::zero());
+      row->weights.assign(layout_.total_len(), F::zero());
       row->constant = F::zero();
     }
     f_row_.weights[layout_.off_f0()] = row_n_[0];
@@ -404,7 +405,6 @@ class VerificationContext {
   u64 seed_;
   SecureRng rng_;
   F r_;
-  F s_inv_;
   std::vector<F> row_n_;
   std::vector<F> row_2n_;
   std::vector<F> out_coeffs_;
@@ -416,19 +416,28 @@ class VerificationContext {
 // Verifier (server side)
 // ---------------------------------------------------------------------------
 
-// Values a server derives locally from its share of the extended submission.
-// d_share/e_share are sent in round 1; sigma + out_combo in round 3
-// (server/node.h).
+// A server's shares of the four values the check opens (server/node.h
+// ships them to the batch leader), or, summed over every server, the
+// values themselves.
 template <PrimeField F>
 struct SnipLocalState {
-  F d_share, e_share;       // [f-hat(r)] - [a],  [r*g-hat(r)] - [b]
-  F a_share, b_share, c_share;
-  F rh_share;               // [r * h-hat(r)]
-  F out_combo;              // sum_j coeff_j * [output_j]
+  F f_r = F::zero();        // [f-hat(r)]
+  F g_r = F::zero();        // [g-hat(r)]
+  F h_r = F::zero();        // [h-hat(r)]
+  F out_combo = F::zero();  // sum_j coeff_j * [output_j]
+
+  SnipLocalState& operator+=(const SnipLocalState& o) {
+    f_r += o.f_r;
+    g_r += o.g_r;
+    h_r += o.h_r;
+    out_combo += o.out_combo;
+    return *this;
+  }
 };
 
-// Round-1 local computation. `ext_share` is this server's share of the
-// extended submission vector; `server_index` selects who carries constants.
+// The reference local check: evaluates every wire of the circuit on the
+// share. `ext_share` is this server's share of the extended submission
+// vector; `server_index` selects who carries constants.
 template <PrimeField F>
 SnipLocalState<F> snip_local_check(const VerificationContext<F>& ctx,
                                    size_t server_index,
@@ -460,19 +469,10 @@ SnipLocalState<F> snip_local_check(const VerificationContext<F>& ctx,
     g_evals[1 + t] = right[t];
   }
 
-  F f_r = inner_product(ctx.row_n(), std::span<const F>(f_evals));
-  F g_r = inner_product(ctx.row_n(), std::span<const F>(g_evals));
-  F h_r = inner_product(ctx.row_2n(), h);
-
   SnipLocalState<F> st;
-  st.a_share = ext_share[lay.off_a()];
-  st.b_share = ext_share[lay.off_b()];
-  st.c_share = ext_share[lay.off_c()];
-  st.d_share = f_r - st.a_share;
-  st.e_share = ctx.r() * g_r - st.b_share;
-  st.rh_share = ctx.r() * h_r;
-
-  st.out_combo = F::zero();
+  st.f_r = inner_product(ctx.row_n(), std::span<const F>(f_evals));
+  st.g_r = inner_product(ctx.row_n(), std::span<const F>(g_evals));
+  st.h_r = inner_product(ctx.row_2n(), h);
   std::vector<F> outs = circuit.output_values(wires);
   for (size_t j = 0; j < outs.size(); ++j) {
     st.out_combo += ctx.out_coeffs()[j] * outs[j];
@@ -484,14 +484,14 @@ SnipLocalState<F> snip_local_check(const VerificationContext<F>& ctx,
 // Batch verification engine
 // ---------------------------------------------------------------------------
 
-// Allocation-free round-1 engine. With r fixed, the local check is four
-// inner products of the server's share, through the lazy-reduction kernel
-// (field/kernels.h): against the context's three composed rows
-// (VerificationContext::f_row etc.), each over its nonzero span, and
-// against row_2n for h-hat(r). No wire is evaluated per submission. A
-// SnipVerifier owns only an extended-share landing buffer for the
-// decrypt/expand step, sized once from the circuit, so the steady-state
-// per-submission cost is zero heap allocations.
+// Allocation-free local check. With r fixed, it is four inner products of
+// the server's share, through the lazy-reduction kernel (field/kernels.h):
+// against the context's three composed rows (VerificationContext::f_row
+// etc.), each over its nonzero span, and against row_2n for h-hat(r). No
+// wire is evaluated per submission. A SnipVerifier owns only an
+// extended-share landing buffer for the decrypt/expand step, sized once
+// from the circuit, so the steady-state per-submission cost is zero heap
+// allocations.
 //
 // local_check computes bit-identical SnipLocalState to the reference
 // snip_local_check free function above (tests/test_kernels.cc holds the
@@ -527,14 +527,10 @@ class SnipVerifier {
     require(ext_share.size() == lay.total_len(), "SnipVerifier: length");
     const bool first = server_index == 0;
     SnipLocalState<F> st;
-    st.a_share = ext_share[lay.off_a()];
-    st.b_share = ext_share[lay.off_b()];
-    st.c_share = ext_share[lay.off_c()];
-    const F h_r = kernels::inner_product<F>(
+    st.f_r = ctx.f_row().eval(ext_share, first);
+    st.g_r = ctx.g_row().eval(ext_share, first);
+    st.h_r = kernels::inner_product<F>(
         ctx.row_2n(), ext_share.subspan(lay.off_h(), lay.h_len));
-    st.d_share = ctx.f_row().eval(ext_share, first) - st.a_share;
-    st.e_share = ctx.r() * ctx.g_row().eval(ext_share, first) - st.b_share;
-    st.rh_share = ctx.r() * h_r;
     st.out_combo = ctx.out_row().eval(ext_share, first);
     return st;
   }
@@ -544,21 +540,12 @@ class SnipVerifier {
   std::vector<F> ext_;
 };
 
-// Round-2: each server computes its sigma share from the publicly summed
-// d and e (Beaver multiplication, Appendix C.2).
+// The decision on the opened values (every server's local state summed):
+// accept iff f-hat(r) * g-hat(r) == h-hat(r) (the polynomial identity
+// test) and the combined outputs are 0 (Valid(x) holds).
 template <PrimeField F>
-F snip_sigma_share(const VerificationContext<F>& ctx,
-                   const SnipLocalState<F>& st, const F& d_total,
-                   const F& e_total) {
-  return d_total * e_total * ctx.s_inv() + d_total * st.b_share +
-         e_total * st.a_share + st.c_share - st.rh_share;
-}
-
-// Final decision from the published sums. Accept iff sigma == 0 (polynomial
-// identity test passed) and the combined outputs are 0 (Valid(x) holds).
-template <PrimeField F>
-bool snip_accept(const F& sigma_total, const F& out_combo_total) {
-  return sigma_total.is_zero() && out_combo_total.is_zero();
+bool snip_accept(const SnipLocalState<F>& total) {
+  return total.f_r * total.g_r == total.h_r && total.out_combo.is_zero();
 }
 
 // ---------------------------------------------------------------------------
@@ -566,21 +553,12 @@ bool snip_accept(const F& sigma_total, const F& out_combo_total) {
 // client-time benchmarks; the networked protocol lives in server/node.h).
 // ---------------------------------------------------------------------------
 
-// Rounds 1-4 over every server's local state at once.
+// Sums every server's local state and decides.
 template <PrimeField F>
-bool snip_decide(const VerificationContext<F>& ctx,
-                 std::span<const SnipLocalState<F>> states) {
-  F d = F::zero(), e = F::zero();
-  for (const auto& st : states) {
-    d += st.d_share;
-    e += st.e_share;
-  }
-  F sigma = F::zero(), out = F::zero();
-  for (const auto& st : states) {
-    sigma += snip_sigma_share(ctx, st, d, e);
-    out += st.out_combo;
-  }
-  return snip_accept(sigma, out);
+bool snip_decide(std::span<const SnipLocalState<F>> states) {
+  SnipLocalState<F> total;
+  for (const auto& st : states) total += st;
+  return snip_accept(total);
 }
 
 template <PrimeField F>
@@ -593,7 +571,7 @@ bool snip_verify_all(const VerificationContext<F>& ctx,
   for (size_t i = 0; i < s; ++i) {
     states.push_back(snip_local_check(ctx, i, std::span<const F>(ext_shares[i])));
   }
-  return snip_decide(ctx, std::span<const SnipLocalState<F>>(states));
+  return snip_decide(std::span<const SnipLocalState<F>>(states));
 }
 
 }  // namespace prio

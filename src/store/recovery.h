@@ -30,8 +30,9 @@
 // torn or corrupt segment tail is truncated at the first bad CRC and
 // replay continues -- recovery never throws on corrupt input, it returns
 // the clean prefix of history. Accepted submissions are re-opened from
-// their sealed intake blobs to rebuild the accumulator and replay-guard
-// floors exactly as the live run computed them.
+// their sealed intake blobs to rebuild the accumulator, and the replay-
+// guard floors advance past every id a batch record names, exactly as the
+// live run computed them.
 #pragma once
 
 #include <sys/stat.h>
@@ -377,6 +378,7 @@ RecoveryResult<F, Afe> recover_node(ServerNode<F, Afe>* node, const Afe* afe,
         std::vector<SubmissionShare> shares(count);
         for (size_t i = 0; i < count; ++i) {
           shares[i].client_id = batch->ids[i].first;
+          shares[i].seq = batch->ids[i].second;
           auto it = out.buffer.find(batch->ids[i]);
           if (it != out.buffer.end()) {
             shares[i].blob = std::move(it->second);

@@ -105,13 +105,6 @@ Ref reference(const Afe& afe, const Workload& w) {
   return ref;
 }
 
-// The blob's cleartext prefix is the submission counter (core/submission.h);
-// the intake path uses it as the buffer key, identical on every server.
-inline u64 blob_seq(const std::vector<u8>& blob) {
-  net::Reader r(blob);
-  return r.u64_();
-}
-
 // ---------------------------------------------------------------------------
 // Meshes
 // ---------------------------------------------------------------------------

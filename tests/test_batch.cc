@@ -143,10 +143,9 @@ TEST(BatchPipelineTest, MatchesSerialOnMixedBatch) {
 }
 
 TEST(BatchPipelineTest, CoalescesRoundsAndMessages) {
-  // The whole batch runs in the four protocol rounds (not 4 per
-  // submission). 3 servers: rounds 1 and 3 are 2 non-leader->leader
-  // frames each, rounds 2 and 4 are 2-peer broadcasts: 8 frames on the
-  // mesh, whatever the batch size.
+  // The whole batch runs in the two protocol rounds (not 2 per
+  // submission). 3 servers: round 1 is 2 non-leader->leader frames, round
+  // 2 a 2-peer broadcast: 4 frames on the mesh, whatever the batch size.
   afe::IntegerSum<F> afe(8);
   SecureRng rng(22);
   auto frames_for = [&](size_t q) {
@@ -159,8 +158,8 @@ TEST(BatchPipelineTest, CoalescesRoundsAndMessages) {
     for (u8 v : verdicts) EXPECT_EQ(v, 1);
     return dep.network().total_frames();
   };
-  EXPECT_EQ(frames_for(1), 8u);
-  EXPECT_EQ(frames_for(10), 8u);
+  EXPECT_EQ(frames_for(1), 4u);
+  EXPECT_EQ(frames_for(10), 4u);
 }
 
 TEST(BatchPipelineTest, RefreshCrossesBatchBoundaries) {
@@ -186,7 +185,7 @@ TEST(BatchPipelineTest, RefreshCrossesBatchBoundaries) {
 TEST(BatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   // A batch larger than refresh_every must not run under a single secret
   // point r: process_batch chunks it, so the 10 submissions below run as
-  // three chunks (4 + 4 + 2), visible as 3 x 4 frames on the mesh (one
+  // three chunks (4 + 4 + 2), visible as 3 x 2 frames on the mesh (one
   // per protocol round at s = 2).
   afe::IntegerSum<F> afe(4);
   DeploymentOptions opts;
@@ -201,7 +200,7 @@ TEST(BatchPipelineTest, OversizedBatchIsChunkedToRefreshWindow) {
   auto verdicts = dep.process_batch(batch);
   ASSERT_EQ(verdicts.size(), 10u);
   for (u8 v : verdicts) EXPECT_EQ(v, 1);
-  EXPECT_EQ(dep.network().total_frames(), 3u * 4u);
+  EXPECT_EQ(dep.network().total_frames(), 3u * 2u);
   EXPECT_EQ(dep.accepted(), 10u);
   EXPECT_EQ(static_cast<u64>(dep.publish()), 10u);
 }

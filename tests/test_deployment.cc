@@ -157,17 +157,21 @@ TEST(DeploymentTest, DoubleSubmissionUsesFreshSealingKeys) {
     EXPECT_EQ(seq_of(blobs2[j]), 1u) << j;
   }
 
-  // Grafting submission 2's counter onto submission 1's ciphertext must
-  // fail: the counter is bound into the AEAD nonce, not just carried.
-  auto grafted = blobs1;
-  for (size_t j = 0; j < 3; ++j) {
-    std::copy(blobs2[j].begin(), blobs2[j].begin() + 8, grafted[j].begin());
-  }
-  EXPECT_FALSE(dep.process_submission(7, grafted));
-
-  // The genuine submissions both still verify and aggregate.
+  // The genuine submissions both verify and aggregate.
   EXPECT_TRUE(dep.process_submission(7, blobs1));
   EXPECT_TRUE(dep.process_submission(7, blobs2));
+
+  // Grafting the client's next counter (2, still above its replay floor)
+  // onto submission 1's ciphertext must fail: the counter is bound into
+  // the AEAD nonce, not just carried. The graft goes last because every
+  // processed counter, rejected or not, moves the floor past it.
+  const auto blobs3 = dep.client_upload(1, 7, rng);
+  auto grafted = blobs1;
+  for (size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(seq_of(blobs3[j]), 2u) << j;
+    std::copy(blobs3[j].begin(), blobs3[j].begin() + 8, grafted[j].begin());
+  }
+  EXPECT_FALSE(dep.process_submission(7, grafted));
   EXPECT_EQ(static_cast<u64>(dep.publish()), 8u);
 }
 
@@ -183,8 +187,9 @@ TEST(DeploymentTest, SwappedAndReplayedBlobsRejected) {
   EXPECT_FALSE(dep.process_submission(1, blobs));
 
   // A stale blob replayed from an earlier submission decrypts (it is a
-  // genuine old ciphertext) but its share is inconsistent with the other
-  // servers' shares, so the SNIP rejects the spliced submission.
+  // genuine old ciphertext) but carries the old counter, which is not the
+  // one the other servers' blobs were sealed under: they treat their
+  // shares as unparsed, and the spliced submission is rejected.
   auto old_blobs = dep.client_upload(2, 2, rng);
   auto new_blobs = dep.client_upload(2, 2, rng);
   auto spliced = new_blobs;
@@ -198,7 +203,7 @@ TEST(DeploymentTest, SwappedAndReplayedBlobsRejected) {
 TEST(DeploymentTest, WholesaleReplayRejected) {
   // A byte-identical re-delivery of an accepted submission must not be
   // aggregated twice: the servers track a per-client counter floor that
-  // advances on accept.
+  // every processed submission advances.
   afe::IntegerSum<F> afe(4);
   PrioDeployment<F, afe::IntegerSum<F>> dep(&afe, {.num_servers = 3});
   SecureRng rng(34);

@@ -147,12 +147,9 @@ TEST(Fp64Reduce, BranchlessReduce128Boundaries) {
 template <PrimeField F>
 void expect_states_identical(const SnipLocalState<F>& a,
                              const SnipLocalState<F>& b) {
-  EXPECT_EQ(a.d_share, b.d_share);
-  EXPECT_EQ(a.e_share, b.e_share);
-  EXPECT_EQ(a.a_share, b.a_share);
-  EXPECT_EQ(a.b_share, b.b_share);
-  EXPECT_EQ(a.c_share, b.c_share);
-  EXPECT_EQ(a.rh_share, b.rh_share);
+  EXPECT_EQ(a.f_r, b.f_r);
+  EXPECT_EQ(a.g_r, b.g_r);
+  EXPECT_EQ(a.h_r, b.h_r);
   EXPECT_EQ(a.out_combo, b.out_combo);
 }
 
@@ -249,7 +246,7 @@ TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnEveryCatalogueAfe) {
                 states.back());
           }
           EXPECT_EQ(
-              snip_decide(ctx, std::span<const SnipLocalState<F>>(states)),
+              snip_decide(std::span<const SnipLocalState<F>>(states)),
               honest == 1)
               << text << " cid " << cid;
         }
@@ -262,8 +259,8 @@ TYPED_TEST(KernelTest, SnipVerifierMatchesLegacyOnEveryCatalogueAfe) {
 
 TYPED_TEST(KernelTest, SnipVerifierAcceptsThroughWholeProtocol) {
   using F = TypeParam;
-  // End-to-end sanity on the bits circuit: engine-computed local states
-  // drive the same four-round protocol to the same accept decision.
+  // End-to-end sanity on the bits circuit: engine-computed local states,
+  // summed as the batch leader sums them, reach the same accept decision.
   SecureRng rng(9);
   const size_t kServers = 3, kBits = 8;
   CircuitBuilder<F> b(kBits);
@@ -284,7 +281,7 @@ TYPED_TEST(KernelTest, SnipVerifierAcceptsThroughWholeProtocol) {
       states.push_back(
           verifier.local_check(ctx, i, std::span<const F>(shares[i])));
     }
-    EXPECT_EQ(snip_decide(ctx, std::span<const SnipLocalState<F>>(states)),
+    EXPECT_EQ(snip_decide(std::span<const SnipLocalState<F>>(states)),
               valid == 1);
   }
 }

@@ -132,9 +132,9 @@ TEST(AfeSpecTest, NegativeTable) {
 
 TEST(ClientUploadTest, BlobBytesPinnedForBenchWorkloads) {
   const std::vector<std::pair<std::string, size_t>> pinned = {
-      {"bitvec_sum:len=1024", 32959},
-      {"bitvec_sum:len=32", 1215},
-      {"linreg:bits=14,dims=8", 5031},
+      {"bitvec_sum:len=1024", 32935},
+      {"bitvec_sum:len=32", 1191},
+      {"linreg:bits=14,dims=8", 5007},
   };
   for (const auto& [text, bytes] : pinned) {
     afe::with_afe<F>(

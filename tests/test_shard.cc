@@ -3,8 +3,9 @@
 // reference (and its metrics and trace against the same ground truth),
 // the frame codecs' pinned bytes and their hostile-input fuzz,
 // cross-shard replay/misroute rejection, lanes under a slow peer, a
-// recovered sequencer caught up one batch over the mesh, and the TCP lane
-// multiplexer's per-lane ordering.
+// recovered sequencer caught up one batch over the mesh, no proof opened
+// twice across a restart, and the TCP lane multiplexer's per-lane
+// ordering.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -365,7 +366,7 @@ void submit(TestCluster& cluster, const Workload& w, size_t from = 0,
   for (size_t i = 0; i < kServers; ++i) {
     for (size_t k = from; k < to; ++k) {
       const auto& blob = w.subs[k].blobs[i];
-      cluster.router(i).submit(w.subs[k].client_id, blob_seq(blob), blob);
+      cluster.router(i).submit(w.subs[k].client_id, sealed_seq(blob), blob);
     }
   }
 }
@@ -411,7 +412,7 @@ TEST(ShardedRouterTest, TwoLanesMatchReferenceAndRejectReplay) {
   const u64 replay_cid = 1;
   for (size_t i = 0; i < kServers; ++i) {
     const auto& replay = w.subs[replay_cid].blobs[i];
-    cluster.router(i).submit(replay_cid, blob_seq(replay) + 1, replay);
+    cluster.router(i).submit(replay_cid, sealed_seq(replay) + 1, replay);
   }
   cluster.start();
   const auto& results = cluster.finish();
@@ -487,7 +488,7 @@ TEST(ShardedRouterTest, MisroutedSubmissionFailsLoudlyEverywhere) {
   submit(cluster, w);
   for (size_t i = 0; i < kServers; ++i) {
     // Injected past the router's hash, into the wrong shard, everywhere.
-    cluster.router(i).shard(1)->submit(misrouted_cid, blob_seq(mis_blobs[i]),
+    cluster.router(i).shard(1)->submit(misrouted_cid, sealed_seq(mis_blobs[i]),
                                        mis_blobs[i]);
   }
   cluster.start();
@@ -700,6 +701,166 @@ TEST(RouterRecoveryTest, CaughtUpSequencerDebitsEpochQuota) {
   EXPECT_EQ(agg->epoch, 1u);
   EXPECT_EQ(agg->accepted, ref.accepted());
   EXPECT_EQ(agg->sigma, ref.sigma());
+  std::filesystem::remove_all(root);
+}
+
+// Open once (snip/snip.h): a submission's proof values are opened under
+// one r at most. Batch 0 commits honest, tampered and bad-proof
+// submissions; every server then restarts from its store, and batch 1
+// re-announces (i) a byte-identical replay of accepted client 0, (ii) the
+// bad-proof client 5, which batch 0 opened and rejected, and (iii) client
+// 0 sealed under seq 2^64-1, beside five fresh clients. All three of them
+// are rejected, and no server sends a value for any: each follower's
+// round-1 frame to the leader (server 1) is exactly a parse bitmap plus
+// four field elements for each of the five fresh submissions (a node
+// that parsed the replays would send values for them too). A node rebuilt
+// from the store has the live node's floors, and seq 2^64-1 wrapped no
+// floor.
+TEST(RouterRecoveryTest, ReplaysAndRejectsAreNeverOpenedTwice) {
+  // Records every frame its server sends.
+  struct RecordingTransport final : net::Transport {
+    net::Transport& inner;
+    std::mutex mu;
+    std::vector<std::pair<size_t, std::vector<u8>>> sent;  // (to, frame)
+    explicit RecordingTransport(net::Transport& mesh) : inner(mesh) {}
+    size_t num_nodes() const override { return inner.num_nodes(); }
+    size_t self() const override { return inner.self(); }
+    size_t lanes() const override { return inner.lanes(); }
+    void send(size_t to, std::vector<u8> f) override {
+      send_lane(0, to, std::move(f));
+    }
+    std::vector<u8> recv(size_t from) override { return inner.recv(from); }
+    void send_lane(size_t lane, size_t to, std::vector<u8> f) override {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        sent.emplace_back(to, f);
+      }
+      inner.send_lane(lane, to, std::move(f));
+    }
+    std::vector<u8> recv_lane(size_t lane, size_t from) override {
+      return inner.recv_lane(lane, from);
+    }
+  };
+
+  Afe afe(8);
+  constexpr size_t kBatch = 8;
+  constexpr size_t kFresh = 5;
+  constexpr u64 kMaxSeq = ~u64{0};
+  const auto first = make_workload(afe, kBatch, kSeeds);  // cids 0..7
+  ASSERT_EQ(first.expected, (std::vector<u8>{1, 1, 1, 0, 1, 0, 1, 0}));
+  PrioClient<F, Afe> client(&afe, kServers, kSeeds.master_seed);
+  SecureRng rng(78);
+  Workload second;
+  second.subs = {first.subs[0], first.subs[5]};
+  {
+    // Client 0 again, honestly proved but sealed under the all-ones seq.
+    SnipProver<F> prover(&afe.valid_circuit());
+    const auto ext =
+        prover.build_extended_input(afe.encode(input_for(afe, 0)), rng);
+    const SubmissionSealer sealer(master_seed_bytes(kSeeds.master_seed));
+    second.subs.push_back({0, seal_shared_vector<F>(
+                                  sealer, std::span<const F>(ext), kServers,
+                                  0, kMaxSeq, rng)});
+  }
+  for (u64 cid = 100; cid < 100 + kFresh; ++cid) {
+    second.subs.push_back({cid, client.upload(input_for(afe, cid), cid, rng)});
+  }
+  ASSERT_EQ(second.subs.size(), kBatch);
+
+  server::RuntimeOptions opts;
+  opts.epoch_size = 3 * kBatch;  // never reached: each run stops dry
+  opts.max_batch = kBatch;
+  opts.epochs = 1;
+  opts.announce_wait_ms = 2'000;
+  opts.assemble_wait_ms = 2'000;
+  opts.max_resyncs = 1;  // loopback cannot reestablish; fail fast
+
+  char tmpl[] = "/tmp/prio_open_once_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  auto dir = [&](size_t i) { return root + "/s" + std::to_string(i); };
+  std::vector<RecordingTransport*> recorders(kServers);
+  ClusterOptions copts = loopback(/*shards=*/1, 2'000, opts);
+  copts.stores_for = [&](size_t i) {
+    Stores stores;
+    stores.push_back(std::make_unique<store::EpochStore>(
+        dir(i), store::FsyncPolicy::kOff));
+    return stores;
+  };
+  copts.wrap_mesh = [&](size_t i, net::Transport& mesh)
+      -> std::unique_ptr<net::Transport> {
+    auto t = std::make_unique<RecordingTransport>(mesh);
+    recorders[i] = t.get();
+    return t;
+  };
+  // Runs one batch from the stores; server 0 then runs out of traffic and
+  // every server stops with the batch committed and the epoch open.
+  auto run = [&](TestCluster& cluster, const Workload& w) {
+    for (size_t i = 0; i < kServers; ++i) {
+      for (const Submission& sub : w.subs) {
+        cluster.router(i).submit(sub.client_id, sealed_seq(sub.blobs[i]),
+                                 sub.blobs[i]);
+      }
+    }
+    cluster.start();
+    const auto& results = cluster.finish();
+    ASSERT_TRUE(results[0].error);
+    EXPECT_NE(results[0].error->find("leader: batch never filled"),
+              std::string::npos)
+        << *results[0].error;
+  };
+  {
+    TestCluster cluster(&afe, Mesh::kLoopback, copts);
+    run(cluster, first);
+    EXPECT_EQ(cluster.router(0).shard(0)->node()->accepted(), 5u);
+  }
+
+  TestCluster cluster(&afe, Mesh::kLoopback, copts);
+  run(cluster, second);
+
+  // Batch 1 is led by server 1. Its round-1 frame from a follower is the
+  // first frame that follower sent server 1 after its last plaintext
+  // control frame (its sync hello; server 0's batch announcement).
+  const size_t expect_bytes = net::SecureChannel::kOverhead + 1 +
+                              net::bitmap_len(kBatch) +
+                              net::field_vector_len<F>(4 * kFresh);
+  for (size_t j : {size_t{0}, size_t{2}}) {
+    const auto& sent = recorders[j]->sent;
+    std::optional<size_t> round1;
+    for (size_t k = 0; k < sent.size(); ++k) {
+      if (sent[k].first != 1) continue;
+      const auto& frame = sent[k].second;
+      if (server::decode<server::SyncHello>(frame) ||
+          server::decode<server::BatchAnnounce>(frame)) {
+        round1.reset();
+      } else if (!round1) {
+        round1 = sent[k].second.size();
+      }
+    }
+    ASSERT_TRUE(round1) << "server " << j;
+    EXPECT_EQ(*round1, expect_bytes) << "server " << j;
+  }
+
+  // Only the five fresh clients were accepted; every floor sits just past
+  // the highest seq below 2^64-1 its client was announced under.
+  std::unordered_map<u64, u64> expect_floors;
+  for (u64 cid = 0; cid < kBatch; ++cid) expect_floors[cid] = 1;
+  for (u64 cid = 100; cid < 100 + kFresh; ++cid) expect_floors[cid] = 1;
+  net::LoopbackMesh scratch_mesh(kServers);
+  for (size_t i = 0; i < kServers; ++i) {
+    const auto* live = cluster.router(i).shard(0)->node();
+    EXPECT_EQ(live->accepted(), 5u + kFresh) << "server " << i;
+    EXPECT_EQ(live->replay_floors(), expect_floors) << "server " << i;
+    net::LoopbackTransport link(&scratch_mesh, i);
+    ServerNode<F, Afe> rebuilt(&afe, node_config(i, kSeeds.master_seed),
+                               &link);
+    store::EpochStore st(dir(i), store::FsyncPolicy::kOff);
+    ASSERT_TRUE((store::recover_node<F, Afe>(&rebuilt, &afe, &st).ok))
+        << "server " << i;
+    EXPECT_EQ(rebuilt.replay_floors(), live->replay_floors())
+        << "server " << i;
+    EXPECT_EQ(rebuilt.snapshot(), live->snapshot()) << "server " << i;
+  }
   std::filesystem::remove_all(root);
 }
 

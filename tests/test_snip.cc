@@ -75,8 +75,8 @@ TYPED_TEST(SnipTest, SoundnessUnderProofFuzzing) {
   x[0] = F::from_u64(5);  // invalid input
 
   // The adversary perturbs every single component of the extended vector
-  // (h points, f(0), g(0), the Beaver triple, even x itself) trying to
-  // slip the invalid x past the servers. All attempts must fail.
+  // (h points, f(0), g(0), even x itself) trying to slip the invalid x
+  // past the servers. All attempts must fail.
   int accepted = 0, attempts = 0;
   auto base = prover.build_extended_input(x, rng);
   for (size_t pos = 0; pos < lay.total_len(); ++pos) {
@@ -92,47 +92,69 @@ TYPED_TEST(SnipTest, SoundnessUnderProofFuzzing) {
   EXPECT_EQ(accepted, 0);
 }
 
-TYPED_TEST(SnipTest, SoundnessWithBadBeaverTriple) {
+// Runs one extended input through the reference check (snip_verify_all)
+// and through the engine + snip_decide; returns how many of the two
+// accepted it.
+template <PrimeField F>
+int accepts_of_both_checks(const VerificationContext<F>& ctx,
+                           SnipVerifier<F>& verifier,
+                           const std::vector<F>& ext, SecureRng& rng) {
+  auto shares = share_vector<F>(ext, ctx.num_servers(), rng);
+  std::vector<SnipLocalState<F>> states;
+  for (size_t j = 0; j < shares.size(); ++j) {
+    states.push_back(
+        verifier.local_check(ctx, j, std::span<const F>(shares[j])));
+  }
+  return (snip_verify_all(ctx, shares) ? 1 : 0) +
+         (snip_decide(std::span<const SnipLocalState<F>>(states)) ? 1 : 0);
+}
+
+// f(0) and g(0) are what mask f-hat(r) and g-hat(r) when they are opened.
+// A client that ships f(0) or g(0) off from the values h was built from
+// (on a valid input, so only the proof can fail) moves F * G away from H
+// by lambda_0(r) * G (resp. F), nonzero off the domain: both checks
+// reject.
+TYPED_TEST(SnipTest, TamperedFZeroOrGZeroRejected) {
   using F = TypeParam;
   SecureRng rng(4);
-  const size_t L = 4;
-  auto circuit = bits_circuit<F>(L);
+  auto circuit = bits_circuit<F>(4);
   SnipProver<F> prover(&circuit);
-  VerificationContext<F> ctx(&circuit, 2, 13);
+  VerificationContext<F> ctx(&circuit, 3, 13);
+  SnipVerifier<F> verifier(&circuit);
   const SnipLayout& lay = prover.layout();
-
-  // Invalid input + a *consistent looking* but wrong triple (c != a*b) --
-  // the attack analyzed in Step 3b of Section 4.2.
-  std::vector<F> x(L, F::from_u64(3));
+  std::vector<F> x(4, F::one());
   int accepted = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    auto ext = prover.build_extended_input(x, rng);
-    ext[lay.off_c()] = ext[lay.off_a()] * ext[lay.off_b()] +
-                       F::from_u64(1 + trial);  // shift alpha
-    auto shares = share_vector<F>(ext, 2, rng);
-    accepted += snip_verify_all(ctx, shares) ? 1 : 0;
+  for (size_t pos : {lay.off_f0(), lay.off_g0()}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      auto ext = prover.build_extended_input(x, rng);
+      ASSERT_EQ(accepts_of_both_checks(ctx, verifier, ext, rng), 2);
+      ext[pos] += F::from_u64(1 + trial);
+      accepted += accepts_of_both_checks(ctx, verifier, ext, rng);
+    }
   }
   EXPECT_EQ(accepted, 0);
 }
 
-TYPED_TEST(SnipTest, HonestTripleWrongHStillRejected) {
+// A valid input whose h claims a different output for one multiplication
+// gate (its even point 2(1+t)) -- e.g. to steer which value the servers
+// aggregate: h no longer equals f * g and the identity test catches it,
+// in both checks, for every gate.
+TYPED_TEST(SnipTest, TamperedGateHPointRejected) {
   using F = TypeParam;
   SecureRng rng(5);
   auto circuit = bits_circuit<F>(3);
   SnipProver<F> prover(&circuit);
   VerificationContext<F> ctx(&circuit, 3, 17);
+  SnipVerifier<F> verifier(&circuit);
   const SnipLayout& lay = prover.layout();
-  // Valid input, but h claims different mul-gate outputs (e.g. trying to
-  // make the servers aggregate a different value path). h inconsistent
-  // with f*g must be caught by the polynomial identity test.
   std::vector<F> x(3, F::one());
   int accepted = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    auto ext = prover.build_extended_input(x, rng);
-    size_t h_pos = lay.off_h() + (rng.next_u64() % lay.h_len);
-    ext[h_pos] += F::one();
-    auto shares = share_vector<F>(ext, 3, rng);
-    accepted += snip_verify_all(ctx, shares) ? 1 : 0;
+  for (size_t t = 0; t < lay.num_mul; ++t) {
+    for (int trial = 0; trial < 5; ++trial) {
+      auto ext = prover.build_extended_input(x, rng);
+      ext[lay.off_h() + 2 * (1 + t)] += F::from_u64(1 + trial);
+      accepted += accepts_of_both_checks(ctx, verifier, ext, rng);
+    }
   }
   EXPECT_EQ(accepted, 0);
 }
@@ -158,21 +180,13 @@ TYPED_TEST(SnipTest, WrongHInTheOddOnlyTailRejected) {
     ASSERT_EQ(lay.h_point(i) % 2, 1u) << i;
     auto ext = prover.build_extended_input(x, rng);
     ext[lay.off_h() + i] += F::from_u64(1 + (rng.next_u64() % 1000));
-    auto shares = share_vector<F>(ext, 3, rng);
-    std::vector<SnipLocalState<F>> states;
-    for (size_t j = 0; j < shares.size(); ++j) {
-      states.push_back(
-          verifier.local_check(ctx, j, std::span<const F>(shares[j])));
-    }
-    accepted += snip_verify_all(ctx, shares) ? 1 : 0;
-    accepted +=
-        snip_decide(ctx, std::span<const SnipLocalState<F>>(states)) ? 1 : 0;
+    accepted += accepts_of_both_checks(ctx, verifier, ext, rng);
   }
   EXPECT_EQ(accepted, 0);
 }
 
 // The shipped layout pinned against an independent prover that ships all 2N
-// points of h, with the same RNG draws (u0, v0, then the triple). It
+// points of h, with the same RNG draws (u0, v0). It
 // evaluates f and g on the whole 2N domain with two size-2N transforms, a
 // different route from SnipProver's coset NTT.
 template <PrimeField F>
@@ -202,11 +216,6 @@ std::vector<F> full_h_extended_input(const Circuit<F>& circuit,
   ext.push_back(u0);
   ext.push_back(v0);
   for (size_t d = 0; d < 2 * n; ++d) ext.push_back(f[d] * g[d]);
-  const F a = rng.field_element<F>();
-  const F b = rng.field_element<F>();
-  ext.push_back(a);
-  ext.push_back(b);
-  ext.push_back(a * b);
   return ext;
 }
 
@@ -354,12 +363,10 @@ TYPED_TEST(SnipTest, RefreshChangesQueryPoint) {
   EXPECT_TRUE(snip_verify_all(ctx, share_vector<F>(ext, 2, rng)));
 }
 
-// Zero-knowledge smoke test: the values a single server sees (its shares
-// plus the broadcast d, e) are identically distributed for two different
-// valid inputs. We check a necessary statistical condition: means of the
-// share of f(0) over many runs do not reveal which input was used -- and,
-// more sharply, that the d/e broadcasts are uniform-looking (non-constant)
-// and independent of x.
+// Zero-knowledge smoke test of the opened values: for x = 0 and x = 1
+// alike, the summed F = f-hat(r) and G = g-hat(r) scatter (f(0) and g(0)
+// mask them), H == F * G and O == 0 -- the (U, V, U*V, 0) distribution a
+// simulator produces without x.
 TYPED_TEST(SnipTest, BroadcastValuesDoNotDependOnInput) {
   using F = TypeParam;
   auto circuit = bits_circuit<F>(2);
@@ -367,31 +374,37 @@ TYPED_TEST(SnipTest, BroadcastValuesDoNotDependOnInput) {
   VerificationContext<F> ctx(&circuit, 2, 37);
   SecureRng rng(9);
 
-  auto run_d_values = [&](std::vector<F> x) {
-    std::vector<u64> ds;
+  // Low bytes of the opened F and G over 64 proofs of x.
+  auto run_opened = [&](std::vector<F> x) {
+    std::vector<u64> fs, gs;
     for (int i = 0; i < 64; ++i) {
       auto ext = prover.build_extended_input(x, rng);
       auto shares = share_vector<F>(ext, 2, rng);
-      auto st0 = snip_local_check(ctx, 0, std::span<const F>(shares[0]));
-      auto st1 = snip_local_check(ctx, 1, std::span<const F>(shares[1]));
-      F d = st0.d_share + st1.d_share;
+      SnipLocalState<F> total =
+          snip_local_check(ctx, 0, std::span<const F>(shares[0]));
+      total += snip_local_check(ctx, 1, std::span<const F>(shares[1]));
+      EXPECT_EQ(total.f_r * total.g_r, total.h_r);
+      EXPECT_TRUE(total.out_combo.is_zero());
       u8 buf[F::kByteLen];
-      d.to_bytes(buf);
-      ds.push_back(buf[0]);  // low byte as a crude histogram key
+      total.f_r.to_bytes(buf);
+      fs.push_back(buf[0]);  // low byte as a crude histogram key
+      total.g_r.to_bytes(buf);
+      gs.push_back(buf[0]);
     }
-    return ds;
+    return std::pair{fs, gs};
   };
 
-  auto d0 = run_d_values({F::zero(), F::zero()});
-  auto d1 = run_d_values({F::one(), F::one()});
-  // Both sequences should look scattered: more than 32 distinct low bytes
+  // Each sequence should look scattered: more than 32 distinct low bytes
   // out of 64 draws with overwhelming probability if uniform.
   auto distinct = [](std::vector<u64> v) {
     std::sort(v.begin(), v.end());
     return std::unique(v.begin(), v.end()) - v.begin();
   };
-  EXPECT_GT(distinct(d0), 32);
-  EXPECT_GT(distinct(d1), 32);
+  for (u64 bit : {0, 1}) {
+    const auto [fs, gs] = run_opened({F::from_u64(bit), F::from_u64(bit)});
+    EXPECT_GT(distinct(fs), 32) << "x = " << bit;
+    EXPECT_GT(distinct(gs), 32) << "x = " << bit;
+  }
 }
 
 // ---------- Prio-MPC (Beaver evaluation at the servers) ----------

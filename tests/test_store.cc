@@ -618,7 +618,7 @@ TEST(RecoveryTest, ReplayRebuildsNodeBitIdentically) {
     std::vector<std::pair<u64, u64>> ids;
     for (const auto& sub : w->subs) {
       const auto& blob = sub.blobs[2];
-      const u64 seq = blob_seq(blob);
+      const u64 seq = sealed_seq(blob);
       est.append_intake(sub.client_id, seq, blob);
       ids.push_back({sub.client_id, seq});
     }

@@ -195,13 +195,19 @@ TEST(LoopbackTest, PerLinkOrderingAndTimeout) {
   EXPECT_EQ(mesh.sim().total_frames(), 2u);
 }
 
-// A client-chosen all-ones counter must never be accepted: the floor would
-// wrap to 0 and the submission's own replays would stay fresh forever.
+// A client-chosen all-ones counter must never be accepted, and advancing
+// past it must not wrap the floor to 0 (which would make every earlier
+// counter fresh again). The floor only ever rises.
 TEST(ReplayGuardTest, MaxCounterNeverFresh) {
   ReplayGuard g;
   EXPECT_FALSE(g.fresh(1, ~u64{0}));
   EXPECT_TRUE(g.fresh(1, 5));
-  g.accept(1, 5);
+  g.advance(1, 5);
+  EXPECT_FALSE(g.fresh(1, 5));
+  EXPECT_TRUE(g.fresh(1, 6));
+  g.advance(1, 3);
+  EXPECT_FALSE(g.fresh(1, 5));
+  g.advance(1, ~u64{0});
   EXPECT_FALSE(g.fresh(1, 5));
   EXPECT_TRUE(g.fresh(1, 6));
   EXPECT_FALSE(g.fresh(1, ~u64{0}));
@@ -245,11 +251,11 @@ TEST(ServerNodeTest, MatchesPlaintextReferenceVerdictsAndAggregate) {
   EXPECT_EQ(agg->sigma, ref.sigma());
   EXPECT_EQ(agg->result, ref.result());
 
-  // Traffic is coalesced: per batch the mesh carries 2(s-1) point-to-point
-  // frames and 2(s-1) broadcast frames -- not 4 frames per submission --
-  // and publish adds s-1 accumulators plus an (s-1)-peer commit broadcast.
+  // Traffic is coalesced: per batch the mesh carries s-1 point-to-point
+  // frames and s-1 broadcast frames -- not 2 frames per submission -- and
+  // publish adds s-1 accumulators plus an (s-1)-peer commit broadcast.
   EXPECT_EQ(mesh.sim().total_frames(),
-            3 * 4 * (kServers - 1) + 2 * (kServers - 1));  // 28 at s = 3
+            3 * 2 * (kServers - 1) + 2 * (kServers - 1));  // 16 at s = 3
 }
 
 TEST(ServerNodeTest, ReplayedSubmissionsRejectedAcrossBatches) {
