@@ -130,7 +130,7 @@ class PrioDeployment {
   }
 
   // Verifies a batch in refresh-window-sized chunks, each one ServerNode
-  // batch: four coalesced rounds, then the replay floor and aggregation in
+  // batch: two coalesced rounds, then the replay floor and aggregation in
   // submission order. Returns one 0/1 verdict per submission.
   std::vector<u8> process_batch(std::span<const Submission> batch) {
     return process_in_refresh_chunks(

@@ -171,15 +171,40 @@ std::vector<u8> FramedConn::recv_frame(int timeout_ms) {
 
 namespace {
 
-// The hello is sealed under a per-(dialer, acceptor) channel derived from
-// the mesh secret, so only a holder of the secret can claim a peer slot.
+// Every mesh connection opens with a hello from the dialer: its lane count
+// in the clear, then (dialer, lane, lanes) sealed under a key derived from
+// the mesh secret and all of (dialer, acceptor, lane, lanes). Only a holder
+// of the secret can claim a peer slot, and because the plaintext is a
+// function of the key, no two hellos ever seal different plaintexts under
+// one (key, nonce) -- not across lanes, nor across restarts with another
+// lane count. The clear count lets an acceptor that runs another count
+// still open the hello and fail setup by name.
 SecureChannel hello_channel(std::span<const u8> secret, size_t dialer,
-                            size_t acceptor) {
+                            size_t acceptor, size_t lane, size_t lanes) {
   std::string from = "hello/s";
-  from += std::to_string(dialer);
+  from += std::to_string(dialer) + "/lane" + std::to_string(lane) + "of" +
+          std::to_string(lanes);
   std::string to = "s";
   to += std::to_string(acceptor);
   return SecureChannel(secret, from, to);
+}
+
+std::vector<u8> seal_hello(std::span<const u8> secret, size_t dialer,
+                           size_t acceptor, size_t lane, size_t lanes) {
+  Writer pt;
+  pt.u32_(static_cast<u32>(dialer));
+  pt.u32_(static_cast<u32>(lane));
+  pt.u32_(static_cast<u32>(lanes));
+  Writer hello;
+  hello.u8_(static_cast<u8>(lanes));
+  hello.raw(
+      hello_channel(secret, dialer, acceptor, lane, lanes).seal(pt.data()));
+  return hello.take();
+}
+
+std::string down_message(size_t peer, const std::string& reason) {
+  return "link to s" + std::to_string(peer) + " is down" +
+         (reason.empty() ? std::string() : " (" + reason + ")");
 }
 
 }  // namespace
@@ -193,46 +218,53 @@ TcpMeshTransport::TcpMeshTransport(size_t self,
     : n_(addrs.size()), self_(self), lanes_(lanes), addrs_(addrs),
       listener_(listener), secret_(mesh_secret.begin(), mesh_secret.end()),
       setup_timeout_ms_(setup_timeout_ms), recv_timeout_ms_(recv_timeout_ms),
-      links_(addrs.size()) {
+      slots_(addrs.size() * lanes) {
   require(self < n_, "TcpMeshTransport: bad self id");
   require(listener != nullptr, "TcpMeshTransport: need a listener");
   require(lanes >= 1 && lanes <= 255, "TcpMeshTransport: 1..255 lanes");
-  for (auto& link : links_) {
-    link = std::make_unique<PeerLink>();
-    link->lane_q.resize(lanes_);
-  }
+  for (auto& s : slots_) s = std::make_unique<Slot>();
   establish(setup_timeout_ms_);
+}
+
+std::string TcpMeshTransport::mark_down(Slot& s, const std::string& reason) {
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.down = true;
+  if (s.down_reason.empty()) s.down_reason = reason;
+  return s.down_reason;
+}
+
+FramedConn* TcpMeshTransport::live_conn(Slot& s, size_t peer) {
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (s.down || s.conn == nullptr ||
+      mesh_down_.load(std::memory_order_acquire)) {
+    throw TransportError(down_message(peer, s.down_reason));
+  }
+  return s.conn.get();
 }
 
 void TcpMeshTransport::interrupt() {
   mesh_down_.store(true, std::memory_order_release);
-  for (size_t j = 0; j < n_; ++j) {
-    if (j == self_) continue;
-    PeerLink& link = *links_[j];
-    std::lock_guard<std::mutex> lock(link.mu);
-    if (link.conn) link.conn->shutdown_rw();
-    link.down = true;
-    if (link.down_reason.empty()) link.down_reason = "interrupted";
-    link.cv.notify_all();
+  for (auto& s : slots_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    if (s->conn) s->conn->shutdown_rw();
+    s->down = true;
+    if (s->down_reason.empty()) s->down_reason = "interrupted";
   }
 }
 
 void TcpMeshTransport::reestablish() {
-  // Dropping the links first doubles as the abort broadcast: a peer still
-  // blocked in recv on one of them fails immediately and starts its own
-  // reestablish, so the mesh converges on the rendezvous below without
-  // waiting out any protocol timeout. (With multiple lanes the caller has
-  // already interrupted and parked every lane thread, so no reader holds
-  // a connection while it is destroyed here.)
-  for (size_t j = 0; j < n_; ++j) {
-    if (j == self_) continue;
-    PeerLink& link = *links_[j];
-    std::lock_guard<std::mutex> lock(link.mu);
-    link.conn.reset();
-    for (auto& q : link.lane_q) q.clear();  // stale pre-failure frames
-    link.down = false;
-    link.down_reason.clear();
-    link.reader_active = false;
+  // Dropping the connections first doubles as the abort broadcast: a peer
+  // still blocked in recv on one of them fails immediately and starts its
+  // own reestablish, so the mesh converges on the rendezvous below without
+  // waiting out any protocol timeout. Stale pre-failure frames go with
+  // their connection. (With multiple lanes the caller has already
+  // interrupted and parked every lane thread, so no lane holds a
+  // connection while it is destroyed here.)
+  for (auto& s : slots_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    s->conn.reset();
+    s->down = false;
+    s->down_reason.clear();
   }
   try {
     establish(reestablish_timeout_ms_ > 0 ? reestablish_timeout_ms_
@@ -246,30 +278,36 @@ void TcpMeshTransport::reestablish() {
 
 void TcpMeshTransport::establish(int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  auto claim = [](Slot& s, std::unique_ptr<FramedConn> conn) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.conn = std::move(conn);
+  };
 
-  // Dial every lower-id peer, introducing ourselves with a sealed hello.
+  // Dial every lower-id peer once per lane, each connection introducing
+  // itself with its sealed hello.
   for (size_t j = 0; j < self_; ++j) {
-    auto conn = std::make_unique<FramedConn>(
-        connect_tcp(addrs_[j].host, addrs_[j].port, ms_left(deadline)));
-    Writer hello;
-    hello.u32_(static_cast<u32>(self_));
-    conn->send_frame(hello_channel(secret_, self_, j).seal(hello.data()));
-    links_[j]->conn = std::move(conn);
+    for (size_t l = 0; l < lanes_; ++l) {
+      auto conn = std::make_unique<FramedConn>(
+          connect_tcp(addrs_[j].host, addrs_[j].port, ms_left(deadline)));
+      conn->send_frame(seal_hello(secret_, self_, j, l, lanes_));
+      claim(slot(j, l), std::move(conn));
+    }
   }
 
-  // Accept every higher-id peer; the hello says (and proves) who dialed.
-  // Accepted connections wait in a pending set with their own generous
-  // deadline: a stray connection (scanner, misdirected client) cannot stall
-  // setup, and a peer whose hello is a few seconds behind its connect is
-  // not dropped. One poll covers the listener and every pending
-  // connection, so a hello that lands just after its connect is read at
-  // once instead of after the next accept slice.
+  // Accept every higher-id peer's lanes; the hello says (and proves) who
+  // dialed and for which lane. Accepted connections wait in a pending set
+  // with their own generous deadline: a stray connection (scanner,
+  // misdirected client) cannot stall setup, and a peer whose hello is a
+  // few seconds behind its connect is not dropped. One poll covers the
+  // listener and every pending connection, so a hello that lands just
+  // after its connect is read at once instead of after the next accept
+  // slice.
   struct PendingConn {
     std::unique_ptr<FramedConn> conn;
     Clock::time_point give_up;
   };
   std::vector<PendingConn> waiting;
-  size_t pending = n_ - 1 - self_;
+  size_t pending = (n_ - 1 - self_) * lanes_;
   while (pending > 0) {
     if (ms_left(deadline) == 0) throw TransportError("mesh setup timed out");
     std::vector<pollfd> fds{{listener_->fd(), POLLIN, 0}};
@@ -293,18 +331,9 @@ void TcpMeshTransport::establish(int timeout_ms) {
         drop = true;  // garbage framing from a non-peer
       }
       if (hello) {
-        // Find the unclaimed higher-id peer whose hello key opens it; an
-        // unauthenticated dialer matches nothing and drops.
-        for (size_t peer = self_ + 1; peer < n_; ++peer) {
-          if (links_[peer]->conn != nullptr) continue;
-          auto pt = hello_channel(secret_, peer, self_).open(*hello);
-          if (!pt) continue;
-          Reader r(*pt);
-          u32 claimed = r.u32_();
-          if (!r.ok() || !r.at_end() || claimed != peer) continue;
-          links_[peer]->conn = std::move(it->conn);
+        if (Slot* s = open_hello(*hello)) {
+          claim(*s, std::move(it->conn));
           --pending;
-          break;
         }
         drop = true;  // claimed (conn moved out) or unauthenticated
       } else if (!drop) {
@@ -319,12 +348,34 @@ void TcpMeshTransport::establish(int timeout_ms) {
   }
 }
 
-void TcpMeshTransport::send(size_t to, std::vector<u8> frame) {
-  send_lane(0, to, std::move(frame));
-}
-
-std::vector<u8> TcpMeshTransport::recv(size_t from) {
-  return recv_lane(0, from);
+TcpMeshTransport::Slot* TcpMeshTransport::open_hello(
+    std::span<const u8> hello) {
+  if (hello.empty() || hello[0] == 0) return nullptr;
+  const size_t lanes = hello[0];
+  for (size_t peer = self_ + 1; peer < n_; ++peer) {
+    for (size_t l = 0; l < lanes_; ++l) {
+      if (slot(peer, l).conn != nullptr) continue;
+      auto pt = hello_channel(secret_, peer, self_, l, lanes)
+                    .open(hello.subspan(1));
+      if (!pt) continue;
+      Reader r(*pt);
+      const u32 who = r.u32_();
+      const u32 lane = r.u32_();
+      const u32 count = r.u32_();
+      if (!r.ok() || !r.at_end() || who != peer || lane != l ||
+          count != lanes) {
+        continue;
+      }
+      if (lanes != lanes_) {
+        throw TransportError("mesh setup: s" + std::to_string(peer) +
+                             " runs " + std::to_string(lanes) + " lanes, s" +
+                             std::to_string(self_) + " runs " +
+                             std::to_string(lanes_));
+      }
+      return &slot(peer, l);
+    }
+  }
+  return nullptr;
 }
 
 void TcpMeshTransport::send_lane(size_t lane, size_t to,
@@ -334,47 +385,30 @@ void TcpMeshTransport::send_lane(size_t lane, size_t to,
   if (mesh_down_.load(std::memory_order_acquire)) {
     throw TransportError("mesh is down (awaiting reestablish)");
   }
-  frame.insert(frame.begin(), static_cast<u8>(lane));
   if (!lane_metrics_.empty()) {
     lane_metrics_[lane].frames->inc();
     lane_metrics_[lane].bytes->inc(frame.size());
   }
-  PeerLink& link = *links_[to];
+  Slot& s = slot(to, lane);
   // Injected mesh faults (store/fault.h): a slow peer stalls the frame, a
-  // partition loses it and downs the link exactly like a failed socket
-  // write -- the interrupt/reestablish repair protocol takes over. The
-  // establish() hello handshake bypasses send_lane and is never faulted.
+  // partition loses it and downs this lane's connection exactly like a
+  // failed socket write -- the interrupt/reestablish repair protocol takes
+  // over. The establish() hello handshake bypasses send_lane and is never
+  // faulted.
   if (auto fault = store::fault_tick(store::FaultOp::kMeshSend)) {
     if (fault->kind == store::FaultKind::kDelay) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(fault->arg ? fault->arg : 10));
     } else {
-      std::lock_guard<std::mutex> lock(link.mu);
-      link.down = true;
-      if (link.down_reason.empty()) link.down_reason = "injected partition";
-      link.cv.notify_all();
+      mark_down(s, "injected partition");
       throw TransportError("injected partition to s" + std::to_string(to));
     }
   }
-  // One frame hits the socket at a time; the link mutex is only taken
-  // briefly to check liveness so a blocked reader never delays a sender.
-  std::lock_guard<std::mutex> send_lock(link.send_mu);
-  {
-    std::lock_guard<std::mutex> lock(link.mu);
-    if (link.down || link.conn == nullptr) {
-      throw TransportError("link to s" + std::to_string(to) + " is down" +
-                           (link.down_reason.empty()
-                                ? std::string()
-                                : " (" + link.down_reason + ")"));
-    }
-  }
+  FramedConn* conn = live_conn(s, to);
   try {
-    link.conn->send_frame(frame);
+    conn->send_frame(frame);
   } catch (const TransportError& e) {
-    std::lock_guard<std::mutex> lock(link.mu);
-    link.down = true;
-    if (link.down_reason.empty()) link.down_reason = e.what();
-    link.cv.notify_all();
+    mark_down(s, e.what());
     throw;
   }
 }
@@ -386,73 +420,24 @@ std::vector<u8> TcpMeshTransport::recv_lane(size_t lane, size_t from) {
   // waiting for the peer (records timeout/link-down exits too).
   obs::ScopedTimer recv_timer(
       lane_metrics_.empty() ? nullptr : lane_metrics_[lane].recv_wait);
-  PeerLink& link = *links_[from];
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(recv_timeout_ms_);
-  std::unique_lock<std::mutex> lock(link.mu);
-  for (;;) {
-    auto& q = link.lane_q[lane];
-    if (!q.empty()) {
-      std::vector<u8> frame = std::move(q.front());
-      q.pop_front();
-      return frame;
-    }
-    if (link.down || mesh_down_.load(std::memory_order_acquire)) {
-      throw TransportError("link to s" + std::to_string(from) + " is down" +
-                           (link.down_reason.empty()
-                                ? std::string()
-                                : " (" + link.down_reason + ")"));
-    }
-    if (Clock::now() >= deadline) {
-      throw TransportError("recv from s" + std::to_string(from) +
-                           " lane " + std::to_string(lane) + ": timeout");
-    }
-    if (!link.reader_active) {
-      // Become the reader: pull the next frame off the socket (in <= 200ms
-      // slices so interrupt/down flags are honored promptly) and sort it
-      // into its lane queue -- possibly another lane's.
-      link.reader_active = true;
-      FramedConn* conn = link.conn.get();
-      lock.unlock();
-      std::optional<std::vector<u8>> f;
-      std::string err;
-      if (conn == nullptr) {
-        err = "no connection";
-      } else {
-        try {
-          int slice = std::min(200, ms_left(deadline));
-          f = conn->try_recv_frame(slice);
-          if (!f && conn->eof()) err = "peer closed connection";
-        } catch (const TransportError& e) {
-          err = e.what();
-        }
-      }
-      lock.lock();
-      link.reader_active = false;
-      if (!err.empty()) {
-        link.down = true;
-        if (link.down_reason.empty()) link.down_reason = err;
-        link.cv.notify_all();
-        continue;  // top of loop throws link-down
-      }
-      if (f) {
-        if (f->empty() || (*f)[0] >= lanes_) {
-          link.down = true;
-          if (link.down_reason.empty()) link.down_reason = "bad lane byte";
-          link.cv.notify_all();
-          continue;
-        }
-        size_t got = (*f)[0];
-        link.lane_q[got].emplace_back(f->begin() + 1, f->end());
-        link.cv.notify_all();
-      }
-      // Timed-out slice: loop re-checks deadline and down flags.
-    } else {
-      // Another lane thread is reading the socket; wait for it to either
-      // deliver our frame or give up the readership.
-      link.cv.wait_for(lock, std::chrono::milliseconds(200));
-    }
+  Slot& s = slot(from, lane);
+  FramedConn* conn = live_conn(s, from);
+  // interrupt() shuts the socket down under this poll, so it wakes with
+  // EOF at once instead of sitting out the timeout.
+  std::optional<std::vector<u8>> frame;
+  std::string err;
+  try {
+    frame = conn->try_recv_frame(recv_timeout_ms_);
+    if (!frame && conn->eof()) err = "peer closed connection";
+  } catch (const TransportError& e) {
+    err = e.what();  // corrupt framing or a failed socket
   }
+  if (frame) return std::move(*frame);
+  if (err.empty()) {
+    throw TransportError("recv from s" + std::to_string(from) + " lane " +
+                         std::to_string(lane) + ": timeout");
+  }
+  throw TransportError(down_message(from, mark_down(s, err)));
 }
 
 void TcpMeshTransport::attach_metrics(obs::Registry* registry) {
@@ -463,7 +448,7 @@ void TcpMeshTransport::attach_metrics(obs::Registry* registry) {
         "prio_mesh_frames_sent_total", "Mesh frames sent, per lane", label);
     lane_metrics_[l].bytes = registry->counter(
         "prio_mesh_bytes_sent_total",
-        "Mesh bytes sent (incl. lane prefix), per lane", label);
+        "Mesh frame bytes sent, per lane", label);
     lane_metrics_[l].recv_wait = registry->histogram(
         "prio_mesh_recv_wait_seconds",
         "Wall time a lane thread spent blocked in mesh recv", label);

@@ -24,9 +24,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -209,27 +207,22 @@ class FramedConn {
 };
 
 // The server mesh over real sockets: every pair of servers keeps one TCP
-// connection, established deterministically (node i dials every j < i and
-// accepts from every j > i, identifying itself with a hello frame sealed
-// under the shared mesh secret -- a process that merely reaches a peer
-// port cannot claim a peer's slot; it would need the secret to forge the
-// hello. This authenticates mesh membership the way the paper's mutual
-// TLS would; like any first-flight token it does not by itself resist an
-// in-path attacker replaying a captured hello.) The caller provides the
-// already-listening socket so the same port can also serve clients before
-// and after mesh setup.
+// connection per lane, established deterministically (node i dials every
+// j < i and accepts from every j > i, once per lane, identifying each
+// connection with a hello frame sealed under the shared mesh secret -- a
+// process that merely reaches a peer port cannot claim a peer's slot; it
+// would need the secret to forge the hello. This authenticates mesh
+// membership the way the paper's mutual TLS would; like any first-flight
+// token it does not by itself resist an in-path attacker replaying a
+// captured hello.) The caller provides the already-listening socket so the
+// same port can also serve clients before and after mesh setup.
 //
-// Lane multiplexing (the sharded runtime, server/router.h): the mesh
-// still keeps ONE connection per peer pair, but every mesh frame is
-// prefixed with a one-byte lane id and N lane threads share each link.
-// Sends serialize on a per-link send mutex (a frame is written whole);
-// receives use a reader/follower scheme per link: whichever lane thread
-// wants a frame and finds no active reader becomes the reader, pulls
-// frames off the socket, and sorts them into per-lane queues; lanes whose
-// frame arrives under another lane's readership just wake and pop their
-// queue. Per-(link, lane) ordering is exactly TCP's in-order delivery
-// filtered by lane byte, which is what the counter-nonce channel sealing
-// above needs.
+// Lanes (the sharded runtime, server/router.h): each (peer, lane) pair is
+// its own connection, so per-lane ordering is TCP's in-order delivery on
+// that socket -- exactly what the counter-nonce channel sealing above
+// needs -- and frames carry no lane id. Only that lane's thread sends or
+// receives on a connection, so a frame is written whole without a lock
+// and a lane never waits on another lane's traffic.
 class TcpMeshTransport final : public Transport {
  public:
   struct PeerAddr {
@@ -240,9 +233,10 @@ class TcpMeshTransport final : public Transport {
   // Establishes the full mesh. `addrs[i]` is where server i listens for
   // peers; `listener` must already be bound to addrs[self]; `mesh_secret`
   // is the deployment secret the hello frames authenticate under (all
-  // servers must agree). Blocks until all 2*(n-1) directed links are up or
-  // the deadline passes. `lanes` (1..255) is the number of multiplexed
-  // sub-streams per link; all servers must agree on it.
+  // servers must agree). Blocks until all (n-1)*lanes connections are up or
+  // the deadline passes. `lanes` (1..255) is the number of connections per
+  // peer; all servers must agree on it, and a peer whose hello names
+  // another count fails setup with a TransportError naming both.
   TcpMeshTransport(size_t self, const std::vector<PeerAddr>& addrs,
                    TcpListener* listener, std::span<const u8> mesh_secret,
                    int setup_timeout_ms = 30'000, int recv_timeout_ms = 30'000,
@@ -251,13 +245,15 @@ class TcpMeshTransport final : public Transport {
   size_t num_nodes() const override { return n_; }
   size_t self() const override { return self_; }
   size_t lanes() const override { return lanes_; }
-  void send(size_t to, std::vector<u8> frame) override;
-  std::vector<u8> recv(size_t from) override;
+  void send(size_t to, std::vector<u8> frame) override {
+    send_lane(0, to, std::move(frame));
+  }
+  std::vector<u8> recv(size_t from) override { return recv_lane(0, from); }
   void send_lane(size_t lane, size_t to, std::vector<u8> frame) override;
   std::vector<u8> recv_lane(size_t lane, size_t from) override;
 
-  // Crash recovery: closes every peer link (waking any peer still blocked
-  // on one) and re-runs the dial/accept rendezvous, waiting up to
+  // Crash recovery: closes every peer connection (waking any peer still
+  // blocked on one) and re-runs the dial/accept rendezvous, waiting up to
   // `reestablish_timeout_ms` (for a restarting peer to come back up; falls
   // back to the construction-time setup timeout when <= 0). Throws
   // TransportError if the mesh cannot be rebuilt in time; the old links
@@ -269,8 +265,8 @@ class TcpMeshTransport final : public Transport {
   void reestablish() override;
   void set_reestablish_timeout_ms(int ms) { reestablish_timeout_ms_ = ms; }
 
-  // Marks the mesh down and shuts down (without closing) every link's
-  // socket: all blocked lane readers wake with link-down errors and every
+  // Marks the mesh down and shuts down (without closing) every connection:
+  // all blocked lane readers wake with link-down errors and every
   // subsequent send/recv fails fast until reestablish() succeeds. Safe to
   // call from any thread at any time.
   void interrupt() override;
@@ -281,21 +277,33 @@ class TcpMeshTransport final : public Transport {
   void attach_metrics(obs::Registry* registry);
 
  private:
-  // Per-peer link: the connection plus the lane demultiplexer state.
-  struct PeerLink {
-    std::mutex send_mu;  // writers: one frame hits the socket at a time
-    std::mutex mu;       // guards everything below
-    std::condition_variable cv;
+  // One (peer, lane) connection. Its lane thread is the only one that
+  // sends or receives on `conn`; the mutex guards the pointer against
+  // interrupt() and the down flag against the injected-fault path.
+  struct Slot {
+    std::mutex mu;
     std::unique_ptr<FramedConn> conn;
-    std::vector<std::deque<std::vector<u8>>> lane_q;  // demuxed frames
-    bool reader_active = false;  // one lane thread reads the socket
-    bool down = false;           // link failed (or interrupted)
+    bool down = false;  // connection failed (or interrupted)
     std::string down_reason;
   };
 
-  // Dials every lower-id peer and accepts every higher-id one (the shared
-  // deterministic rendezvous used by both construction and reestablish).
+  Slot& slot(size_t peer, size_t lane) {
+    return *slots_[peer * lanes_ + lane];
+  }
+  // Checks the down flags and returns the slot's connection, or throws.
+  FramedConn* live_conn(Slot& s, size_t peer);
+  // Marks the slot down, keeping the first reason, and returns that reason.
+  static std::string mark_down(Slot& s, const std::string& reason);
+
+  // Dials every lower-id peer and accepts every higher-id one, once per
+  // lane (the shared deterministic rendezvous used by both construction
+  // and reestablish).
   void establish(int timeout_ms);
+  // The unclaimed (peer, lane) slot whose key opens `hello`, or null for
+  // a stranger, a replay for a claimed slot or garbage. Throws
+  // TransportError naming both counts when an authentic hello comes from
+  // a peer that runs another lane count.
+  Slot* open_hello(std::span<const u8> hello);
 
   size_t n_ = 0;
   size_t self_ = 0;
@@ -313,7 +321,7 @@ class TcpMeshTransport final : public Transport {
     obs::Histogram* recv_wait = nullptr;
   };
 
-  std::vector<std::unique_ptr<PeerLink>> links_;  // indexed by node id
+  std::vector<std::unique_ptr<Slot>> slots_;  // [peer * lanes_ + lane]
   std::vector<LaneMetrics> lane_metrics_;
   std::atomic<bool> mesh_down_{false};
 };

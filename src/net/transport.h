@@ -40,13 +40,13 @@ class TransportError : public std::runtime_error {
 // are addressed by peer node id.
 //
 // Lanes: a sharded server (server/router.h) runs N independent batch
-// lanes through ONE mesh; each directed link carries `lanes()` ordered
-// sub-streams, addressed by a lane id. Every transport supports at least
-// lane 0, and the single-lane send/recv entry points are exactly
-// {send,recv}_lane on lane 0, so unsharded callers never see the lane
-// machinery. Ordering is guaranteed per (link, lane) -- which is all the
-// counter-nonce SecureChannel sealing above needs, since every sealed
-// channel is scoped to one lane.
+// lanes through ONE mesh; between each pair of servers there are
+// `lanes()` ordered streams, addressed by a lane id (over TCP, one
+// connection each). Every transport supports at least lane 0, and the
+// single-lane send/recv entry points are exactly {send,recv}_lane on lane
+// 0, so unsharded callers never see lanes. Ordering is guaranteed per
+// (link, lane) -- which is all the counter-nonce SecureChannel sealing
+// above needs, since every sealed channel is scoped to one lane.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -54,7 +54,7 @@ class Transport {
   virtual size_t num_nodes() const = 0;
   virtual size_t self() const = 0;
 
-  // How many lanes this transport multiplexes per link (>= 1).
+  // How many lanes this transport carries per link (>= 1).
   virtual size_t lanes() const { return 1; }
 
   // Ships one frame to `to`.
@@ -65,7 +65,7 @@ class Transport {
   virtual std::vector<u8> recv(size_t from) = 0;
 
   // Lane-addressed variants. The defaults make every transport a valid
-  // 1-lane transport; multiplexing implementations override all three.
+  // 1-lane transport; multi-lane implementations override all three.
   virtual void send_lane(size_t lane, size_t to, std::vector<u8> frame) {
     if (lane != 0) throw TransportError("transport has a single lane");
     send(to, std::move(frame));
@@ -96,7 +96,7 @@ class Transport {
   virtual void interrupt() {}
 };
 
-// A single-lane view of one lane of a multiplexing transport: what each
+// A single-lane view of one lane of a multi-lane transport: what each
 // ShardRuntime/ServerNode holds, so all the protocol code stays written
 // against the plain single-lane Transport interface. reestablish() is
 // deliberately NOT forwarded -- recovering the shared mesh must be

@@ -27,8 +27,8 @@
 // Sharding (--shards N, default 1): the mesh carries N lanes, and the
 // ServerRouter (server/router.h) builds one ShardRuntime per lane -- client
 // ids are hashed to a shard, and N independent batch lanes run through the
-// one peer mesh concurrently (the mesh multiplexes lanes over its framed
-// connections). This file only reads flags and opens the stores,
+// one peer mesh concurrently (the mesh keeps one framed connection per
+// peer and lane). This file only reads flags and opens the stores,
 // listeners, mesh and stats endpoint; the router assembles the lanes. All
 // servers must agree on N.
 //

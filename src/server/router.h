@@ -45,6 +45,11 @@
 
 namespace prio::server {
 
+// The router accepts at most this many open client connections; a
+// connection past the cap is closed at once and counted in
+// prio_connections_shed_total.
+inline constexpr size_t kMaxConnections = 256;
+
 // A lane verifies each announced batch under one secret point r, and
 // ServerNode refuses a batch larger than the refresh window, so the
 // announcement cap may not exceed it. The router checks this on
@@ -66,8 +71,8 @@ class ServerRouter {
   using EpochAggregate = typename Node::EpochAggregate;
   using Shard = ShardRuntime<F, Afe, ServerRouter<F, Afe>>;
 
-  // `mesh` is the SHARED multiplexed transport; the router runs one lane
-  // per mesh->lanes(). `client_listener` may be null when submissions
+  // `mesh` is the SHARED transport; the router runs one lane per
+  // mesh->lanes(). `client_listener` may be null when submissions
   // arrive through submit() only. `node_cfg` is the template every lane's
   // ServerNode starts from (the router fills in lane and metrics).
   // `stores` is empty (in-memory) or holds one store per lane, null for a
@@ -105,7 +110,8 @@ class ServerRouter {
                             "Open client connections");
       m_shed_ = reg->counter(
           "prio_connections_shed_total",
-          "Client connections dropped at the --max-connections bound");
+          "Client connections dropped at the cap of " +
+              std::to_string(kMaxConnections) + " open connections");
       m_agg_queries_ = reg->counter("prio_aggregate_queries_total",
                                     "kGetAggregate queries received");
       m_agg_rejects_ = reg->counter(
@@ -333,7 +339,7 @@ class ServerRouter {
         auto sock = listener_->accept_conn(200);
         if (!sock || stopped()) continue;  // drop late arrivals on shutdown
         std::lock_guard<std::mutex> lock(mu_);
-        if (active_conns_ >= opts_.max_connections) {  // shed load
+        if (active_conns_ >= kMaxConnections) {  // shed load
           if (m_shed_) m_shed_->inc();
           continue;
         }

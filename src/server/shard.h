@@ -6,15 +6,15 @@
 // and the shard's own WAL segment stream (a per-shard store::EpochStore).
 // N ShardRuntimes run N independent batch lanes through the shared mesh
 // concurrently -- each lane is a net::LaneTransport view of the one
-// multiplexed TcpMeshTransport -- behind a thin ServerRouter
-// (server/router.h) that owns the client listener, hashes client_id ->
-// shard (protocol.h shard_of), and coordinates the pieces that must be
-// global: the epoch submission quota, mesh repair, and the cross-lane
-// published aggregate.
+// TcpMeshTransport, which gives each lane its own connection per peer --
+// behind a thin ServerRouter (server/router.h) that owns the client
+// listener, hashes client_id -> shard (protocol.h shard_of), and
+// coordinates the pieces that must be global: the epoch submission quota,
+// mesh repair, and the cross-lane published aggregate.
 //
 // What is per-lane and what is global:
 //   per-lane: batch membership + order (server 0's lane-i thread announces
-//     lane i's batches), the 4-round SNIP protocol, sealed channel keys
+//     lane i's batches), the 2-round SNIP protocol, sealed channel keys
 //     (generation- AND lane-scoped), the deterministic r-refresh schedule,
 //     the WAL/snapshot stream, rejoin catch-up.
 //   global: the epoch boundary (an epoch closes after epoch_size
@@ -74,7 +74,6 @@ struct RuntimeOptions {
   // Intake bound PER SHARD: see the comment on evict_oldest_locked().
   size_t max_buffered = 1 << 16;
   size_t max_blob_bytes = 1 << 20;
-  size_t max_connections = 256;  // router-wide, lives here for one Options
   // Canonical AFE spec (afe/registry.h) of this deployment. Exchanged in
   // kSyncHello so a server configured with a different encoding fails at
   // the first mesh sync, and compared against kGetAggregate queries so a

@@ -21,9 +21,9 @@
 //   mesh_send   TcpMeshTransport::
 //               send_lane              kDelay: stall the frame arg ms
 //                                      (slow peer); kDrop: lose it and
-//                                      mark the link down (partition --
-//                                      the repair barrier takes it from
-//                                      there).
+//                                      mark that lane's connection to the
+//                                      peer down (partition -- the repair
+//                                      barrier takes it from there).
 //
 // The plan is installed process-wide (install_fault_plan); when none is
 // installed the per-seam cost is one relaxed atomic load and a branch, so

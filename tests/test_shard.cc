@@ -4,8 +4,8 @@
 // the frame codecs' pinned bytes and their hostile-input fuzz,
 // cross-shard replay/misroute rejection, lanes under a slow peer, a
 // recovered sequencer caught up one batch over the mesh, no proof opened
-// twice across a restart, and the TCP lane multiplexer's per-lane
-// ordering.
+// twice across a restart, and the TCP mesh's lanes: per-lane ordering,
+// reestablish, and hostile or mismatched hellos.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -865,12 +865,12 @@ TEST(RouterRecoveryTest, ReplaysAndRejectsAreNeverOpenedTwice) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP lane multiplexing
+// TCP mesh lanes
 // ---------------------------------------------------------------------------
 
-// Interleaved traffic on three lanes over one framed connection, consumed
-// by three concurrent per-lane readers: each lane sees its own frames, in
-// order, with none lost to another lane's reader.
+// Interleaved traffic on three lanes, each its own connection to the peer,
+// consumed by three concurrent per-lane readers: each lane sees its own
+// frames, in order, with none lost to another lane's reader.
 TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
   constexpr size_t kLanes = 3;
   constexpr size_t kPerLane = 16;
@@ -913,6 +913,187 @@ TEST(TcpLaneMuxTest, InterleavedLanesDemuxInOrderAcrossThreads) {
     });
   }
   for (auto& t : nodes) t.join();
+}
+
+// reestablish() rebuilds every lane's connection: a frame left unread on
+// each lane before the repair is never delivered after it, and fresh
+// interleaved traffic arrives in per-lane order.
+TEST(TcpLaneMuxTest, ReestablishRebuildsEveryLane) {
+  constexpr size_t kLanes = 3;
+  constexpr size_t kPerLane = 8;
+  Listeners peers = listen_loopback(2);
+  const std::vector<u8> secret = master_seed_bytes(kSeeds.master_seed);
+  std::vector<std::unique_ptr<net::TcpMeshTransport>> mesh(2);
+  on_all_nodes(2, [&](size_t i) {
+    mesh[i] = std::make_unique<net::TcpMeshTransport>(
+        i, peers.addrs, peers.sockets[i].get(), secret, 10'000, 10'000,
+        kLanes);
+  });
+
+  // A round trip on every lane, then one stale frame per lane and
+  // direction that nobody reads.
+  for (size_t l = 0; l < kLanes; ++l) {
+    const u8 lane = static_cast<u8>(l);
+    mesh[0]->send_lane(l, 1, {0x01, lane});
+    EXPECT_EQ(mesh[1]->recv_lane(l, 0), (std::vector<u8>{0x01, lane}));
+    mesh[1]->send_lane(l, 0, {0x02, lane});
+    EXPECT_EQ(mesh[0]->recv_lane(l, 1), (std::vector<u8>{0x02, lane}));
+    mesh[0]->send_lane(l, 1, {0x5E, lane});
+    mesh[1]->send_lane(l, 0, {0x5E, lane});
+  }
+
+  for (auto& m : mesh) m->interrupt();
+  on_all_nodes(2, [&](size_t i) { mesh[i]->reestablish(); });
+
+  // Fresh traffic, round-robin across lanes from s0 to per-lane readers on
+  // s1, each of which answers on its lane once it has seen all of its own.
+  std::thread sender([&] {
+    for (size_t k = 0; k < kLanes * kPerLane; ++k) {
+      const size_t lane = k % kLanes;
+      mesh[0]->send_lane(lane, 1,
+                         {0xF0, static_cast<u8>(lane),
+                          static_cast<u8>(k / kLanes)});
+    }
+    for (size_t l = 0; l < kLanes; ++l) {
+      EXPECT_EQ(mesh[0]->recv_lane(l, 1),
+                (std::vector<u8>{0xF1, static_cast<u8>(l)}));
+    }
+  });
+  std::vector<std::thread> readers;
+  for (size_t l = 0; l < kLanes; ++l) {
+    readers.emplace_back([&, l] {
+      const u8 lane = static_cast<u8>(l);
+      for (size_t k = 0; k < kPerLane; ++k) {
+        EXPECT_EQ(mesh[1]->recv_lane(l, 0),
+                  (std::vector<u8>{0xF0, lane, static_cast<u8>(k)}));
+      }
+      mesh[1]->send_lane(l, 0, {0xF1, lane});
+    });
+  }
+  for (auto& r : readers) r.join();
+  sender.join();
+}
+
+// Each lane's hello is sealed under its own key, so one dialer's hellos
+// are pairwise distinct and share no keystream. A real acceptor drops a
+// replayed hello for a (peer, lane) it already claimed, an empty frame and
+// a garbage frame, and still completes setup with every lane on the
+// connection its hello named.
+TEST(TcpLaneMuxTest, HostileHellosDropAndSetupCompletes) {
+  constexpr size_t kLanes = 3;
+  const std::vector<u8> secret = master_seed_bytes(kSeeds.master_seed);
+
+  // A plain listener stands in for s0. s1 has no higher-id peer to
+  // accept, so its setup returns once its hellos are written; the kernel
+  // completes the connects into the listen backlog, in dial order.
+  Listeners fake = listen_loopback(2);
+  {
+    net::TcpMeshTransport dialer(1, fake.addrs, fake.sockets[1].get(), secret,
+                                 10'000, 10'000, kLanes);
+  }
+  std::vector<std::vector<u8>> hellos;
+  for (size_t l = 0; l < kLanes; ++l) {
+    auto sock = fake.sockets[0]->accept_conn(10'000);
+    ASSERT_TRUE(sock);
+    net::FramedConn conn(std::move(*sock));
+    hellos.push_back(conn.recv_frame(10'000));
+  }
+  // Sealed under one shared (key, nonce), two lanes' hellos would differ
+  // exactly where their plaintexts (u32 dialer, u32 lane, u32 lanes)
+  // differ: in the lane word, right after the clear lane-count byte.
+  auto same_keystream = [](const std::vector<u8>& x, const std::vector<u8>& y,
+                           u32 lane_xor) {
+    for (size_t i = 0; i < 12; ++i) {
+      const u8 want =
+          i >= 4 && i < 8 ? static_cast<u8>(lane_xor >> (8 * (i - 4))) : 0;
+      if (static_cast<u8>(x[1 + i] ^ y[1 + i]) != want) return false;
+    }
+    return true;
+  };
+  for (size_t a = 0; a < kLanes; ++a) {
+    ASSERT_GT(hellos[a].size(), 13u);
+    for (size_t b = a + 1; b < kLanes; ++b) {
+      EXPECT_NE(hellos[a], hellos[b]) << "lanes " << a << " and " << b;
+      EXPECT_FALSE(same_keystream(hellos[a], hellos[b],
+                                  static_cast<u32>(a ^ b)))
+          << "lanes " << a << " and " << b;
+    }
+  }
+
+  net::TcpListener port(0);
+  std::optional<net::TcpMeshTransport> acceptor;
+  std::string setup_error;
+  std::jthread accepting([&] {
+    try {
+      acceptor.emplace(0, fake.addrs, &port, secret, 10'000, 10'000, kLanes);
+    } catch (const std::exception& e) {
+      setup_error = e.what();
+    }
+  });
+  auto dial = [&](std::span<const u8> frame) {
+    auto conn = std::make_unique<net::FramedConn>(
+        net::connect_tcp("127.0.0.1", port.port(), 10'000));
+    conn->send_frame(frame);
+    return conn;
+  };
+  // The acceptor closes each connection it drops.
+  auto dropped = [](net::FramedConn& conn) {
+    return !conn.try_recv_frame(10'000) && conn.eof();
+  };
+  std::vector<std::unique_ptr<net::FramedConn>> lanes;
+  lanes.push_back(dial(hellos[0]));
+  EXPECT_TRUE(dropped(*dial(hellos[0])));  // replay for a claimed slot
+  EXPECT_TRUE(dropped(*dial({})));
+  EXPECT_TRUE(dropped(*dial(std::vector<u8>(hellos[0].size(), 0xAB))));
+  for (size_t l = 1; l < kLanes; ++l) lanes.push_back(dial(hellos[l]));
+  accepting.join();
+  ASSERT_TRUE(acceptor) << setup_error;
+
+  for (size_t l = 0; l < kLanes; ++l) {
+    const u8 lane = static_cast<u8>(l);
+    lanes[l]->send_frame(std::vector<u8>{0xC0, lane});
+    EXPECT_EQ(acceptor->recv_lane(l, 1), (std::vector<u8>{0xC0, lane}));
+    acceptor->send_lane(l, 1, {0xC1, lane});
+    EXPECT_EQ(lanes[l]->recv_frame(10'000), (std::vector<u8>{0xC1, lane}));
+  }
+}
+
+// Every server must run the same lane count. An acceptor whose peer's
+// hello names another count fails setup with both counts in the error,
+// well inside the setup timeout, instead of running a mesh whose lanes
+// never line up.
+TEST(TcpLaneMuxTest, MismatchedLaneCountsFailSetupByName) {
+  const std::vector<u8> secret = master_seed_bytes(kSeeds.master_seed);
+  for (auto [lanes0, lanes1] : {std::pair<size_t, size_t>{1, 2}, {2, 1}}) {
+    SCOPED_TRACE("s0 at " + std::to_string(lanes0) + " lanes, s1 at " +
+                 std::to_string(lanes1));
+    Listeners peers = listen_loopback(2);
+    const auto start = std::chrono::steady_clock::now();
+    std::jthread dialer([&] {
+      try {
+        net::TcpMeshTransport mesh(1, peers.addrs, peers.sockets[1].get(),
+                                   secret, 30'000, 30'000, lanes1);
+      } catch (const net::TransportError&) {
+      }
+    });
+    std::string error;
+    try {
+      net::TcpMeshTransport mesh(0, peers.addrs, peers.sockets[0].get(),
+                                 secret, 30'000, 30'000, lanes0);
+    } catch (const net::TransportError& e) {
+      error = e.what();
+    }
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              5'000);
+    EXPECT_NE(error.find("s1 runs " + std::to_string(lanes1) + " lanes"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("s0 runs " + std::to_string(lanes0)),
+              std::string::npos)
+        << error;
+  }
 }
 
 // interrupt() must wake a reader blocked in recv (it would otherwise sit
