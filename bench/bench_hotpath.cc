@@ -16,9 +16,10 @@
 //    r that composes the engine's rows for bulk's circuit.
 //    Exits 1 if the engine allocates at all once warmed up;
 //  * the client's prover on bulk's circuit: one size-2048 forward NTT on
-//    0/1 and on uniform input, one whole proof, and a Welch t statistic
-//    over proof times on all-zero against random-bit input (printed, not
-//    gated).
+//    0/1 and on uniform input (the reference transform), one size-2048
+//    fused coset transform on the kernel this CPU runs (recorded as
+//    ntt_core), one whole proof, and a Welch t statistic over proof times
+//    on all-zero against random-bit input (printed, not gated).
 //
 // End-to-end throughput is e2e_bench's job (real prio_server processes).
 // Writes BENCH_hotpath.json (or --out <path>); --smoke shrinks the
@@ -362,11 +363,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- bulk's prover: its NTT, one proof, and a timing-channel print ---
-  // The client side of bulk. SnipProver runs four size-2048 transforms:
-  // the inverse ones see the raw 0/1 encoding, the forward ones twisted
-  // coefficients that look uniform. A forward transform is timed on both
-  // kinds of input (each call copies the input in first); with no
+  // The client side of bulk. SnipProver runs two size-2048 fused coset
+  // transforms (NttDomain::coset_from_evals), whose inverse half sees the
+  // raw 0/1 encoding. The reference forward transform is timed on 0/1 and
+  // on uniform input (each call copies the input in first); with no
   // data-dependent branch in the field arithmetic the two times agree.
+  // The fused transform is timed once, on 0/1 input, on the kernel the
+  // prover runs here.
   // The Welch t statistic compares per-call proof times on an all-zero
   // input with those on fresh random bits, the two classes interleaved in
   // random order (Reparaz, Balasch and Verbauwhede, "Dude, is my code
@@ -400,6 +403,12 @@ int main(int argc, char** argv) {
     };
     const double ntt_bits_us = ntt_us(bits_in);
     const double ntt_random_us = ntt_us(random_in);
+    const double coset_us = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < ntt_iters; ++it) {
+        std::copy(bits_in.begin(), bits_in.end(), buf.begin());
+        dom.coset_from_evals(buf);
+      }
+    }, kReps) / ntt_iters * 1e6;
 
     const size_t prove_iters = smoke ? 5 : 500;
     const std::vector<F> x_random = random_bits();
@@ -430,11 +439,15 @@ int main(int argc, char** argv) {
     std::printf("prover, bulk (len=%zu): %zu-point NTT  0/1 input %6.1f us"
                 "   uniform input %6.1f us   proof %6.0f us\n", kBulkBits, n,
                 ntt_bits_us, ntt_random_us, prove_us);
+    std::printf("  fused coset transform %6.1f us   (ntt core %s)\n", coset_us,
+                NttDomain<F>::coset_core_name());
     std::printf("  timing channel (printed, not gated): Welch t = %+.2f,"
                 " all-zero vs random-bit input, %zu calls each\n", t,
                 samples);
     json.kv("ntt_bulk_bits_us", ntt_bits_us);
     json.kv("ntt_bulk_random_us", ntt_random_us);
+    json.kv("coset_bulk_us", coset_us);
+    json.kv("ntt_core", std::string(NttDomain<F>::coset_core_name()));
     json.kv("prove_bulk_us", prove_us);
     json.kv("prove_bulk_welch_t", t);
   }

@@ -5,6 +5,7 @@
 
 #include "crypto/chacha20_cores.h"
 #include "util/common.h"
+#include "util/cpu.h"
 
 namespace prio {
 namespace {
@@ -103,7 +104,7 @@ template <size_t N>
 u32 keystream_blocks(const u8* key, u32 counter, const u8* nonce, u8* out,
                      size_t blocks) {
   using namespace chacha20_cores;
-  if (has_x16()) {
+  if (cpu_has_avx512f()) {
     for (; blocks >= kX16Blocks; blocks -= kX16Blocks) {
       blocks_x16(key, counter, nonce, out);
       counter += kX16Blocks;
@@ -130,7 +131,8 @@ namespace chacha20_cores {
 
 // SSE2 is in the x86-64 baseline, so the 4-lane core needs no target
 // attribute; the 16-lane one is compiled for AVX-512F alone, whatever the
-// build's -march, and runs only where has_x16() says the CPU has it.
+// build's -march, and runs only where cpu_has_avx512f() says the CPU has
+// it.
 void blocks_x4(const u8* key, u32 counter, const u8* nonce, u8* out) {
   blocks_xn<kX4Blocks>(key, counter, nonce, out);
 }
@@ -140,21 +142,6 @@ __attribute__((target("avx512f")))
 #endif
 void blocks_x16(const u8* key, u32 counter, const u8* nonce, u8* out) {
   blocks_xn<kX16Blocks>(key, counter, nonce, out);
-}
-
-bool has_x16() {
-#if defined(__x86_64__) || defined(__i386__)
-  // __builtin_cpu_supports also checks that the OS saves the AVX-512
-  // register state (XCR0). A function-local static: initialised once,
-  // thread-safe, and never read before the CPU model is.
-  static const bool kHas = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") != 0;
-  }();
-  return kHas;
-#else
-  return false;
-#endif
 }
 
 }  // namespace chacha20_cores
@@ -175,7 +162,7 @@ void ChaCha20::block(std::span<const u8> key, u32 counter,
 }
 
 const char* ChaCha20::core_name() {
-  return chacha20_cores::has_x16() ? "x16-avx512" : "x4";
+  return cpu_has_avx512f() ? "x16-avx512" : "x4";
 }
 
 void ChaCha20::xor_stream(std::span<const u8> key, u32 counter,

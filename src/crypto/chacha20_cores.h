@@ -19,11 +19,9 @@ inline constexpr size_t kX16Blocks = 16;
 // out[0 .. 64 * blocks), byte-identical to ChaCha20::block at each counter.
 void blocks_x4(const u8* key, u32 counter, const u8* nonce, u8* out);
 
-// The 16-block core, compiled for AVX-512F. Call it only when has_x16()
-// is true; on any other CPU it faults with an illegal instruction.
+// The 16-block core, compiled for AVX-512F. Call it only when
+// cpu_has_avx512f() (util/cpu.h) is true; on any other CPU it faults with
+// an illegal instruction.
 void blocks_x16(const u8* key, u32 counter, const u8* nonce, u8* out);
-
-// True iff this CPU (and OS) runs AVX-512F code. Probed once per process.
-bool has_x16();
 
 }  // namespace prio::chacha20_cores

@@ -47,8 +47,10 @@ class Fp64 {
     // and the bulk kernels (field/kernels.h) are straight-line code with no
     // data-dependent branches, and the kernels still vectorize. Written as
     // cond * k, GCC 12 turned these into jae/jb, so the claim is checked in
-    // the Release disassembly of the butterfly, portable and with
-    // PRIO_NATIVE_ARCH (SnipProver<Fp64>::coset_evals inlines both NTTs).
+    // the Release disassembly of the butterflies, portable and with
+    // PRIO_NATIVE_ARCH: NttDomain<Fp64>::coset_from_evals_scalar, and
+    // ntt_avx512::coset_from_evals, which makes the same corrections with
+    // AVX-512 k-masks.
     u64 r = a.v_ + b.v_;
     r += (0 - static_cast<u64>(r < a.v_)) & 0xFFFFFFFFull;  // fold 2^64
     r = r >= kP ? r - kP : r;

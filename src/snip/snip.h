@@ -126,8 +126,7 @@ class SnipProver {
       : circuit_(circuit),
         layout_(SnipLayout::for_circuit_dims(circuit->num_inputs(),
                                              circuit->num_mul_gates())),
-        dom_n_(layout_.n),
-        dom_2n_(2 * layout_.n) {}
+        dom_n_(layout_.n) {}
 
   const SnipLayout& layout() const { return layout_; }
 
@@ -157,8 +156,10 @@ class SnipProver {
     // h = f * g at the shipped points of the 2N domain. Its even point 2k
     // is w_N^k, where f and g are the values above (u0, v0 and the gate
     // inputs), so those points are products the client already holds. Its
-    // odd points w_2N * w_N^k form a coset of the N domain, which a coset
-    // NTT reaches: four size-N transforms in all, O(M log M).
+    // odd points w_2N * w_N^k form a coset of the N domain, which one fused
+    // coset transform per polynomial reaches (NttDomain::coset_from_evals:
+    // a size-N inverse and forward transform with the twist between them),
+    // O(M log M) in all.
     const std::vector<F> f_odd = coset_evals(f_evals);
     const std::vector<F> g_odd = coset_evals(g_evals);
     std::vector<F> h_points(layout_.h_len);
@@ -179,20 +180,16 @@ class SnipProver {
 
  private:
   // The evaluations on the N domain of a polynomial of degree < N, mapped
-  // to its evaluations at w_2N * w_N^k (the 2N domain's odd points):
-  // interpolate, twist coefficient i by w_2N^i, and transform forward.
+  // to its evaluations at w_2N * w_N^k (the 2N domain's odd points).
   std::vector<F> coset_evals(const std::vector<F>& evals) const {
     std::vector<F> a = evals;
-    dom_n_.inverse(a);
-    for (size_t i = 1; i < a.size(); ++i) a[i] *= dom_2n_.root(i);
-    dom_n_.forward(a);
+    dom_n_.coset_from_evals(a);
     return a;
   }
 
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   NttDomain<F> dom_n_;
-  NttDomain<F> dom_2n_;  // only its roots: the twist w_2N^i
 };
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "field/field.h"
 #include "crypto/schnorr_or.h"
 #include "crypto/sha256.h"
+#include "util/cpu.h"
 #include "util/hex.h"
 
 namespace prio {
@@ -158,7 +159,7 @@ TEST(ChaCha20Test, X4CoreMatchesBlock) {
 }
 
 TEST(ChaCha20Test, X16CoreMatchesBlock) {
-  if (!chacha20_cores::has_x16()) {
+  if (!cpu_has_avx512f()) {
     GTEST_SKIP() << "CPU lacks AVX-512F; the x16 core cannot run here";
   }
   EXPECT_STREQ(ChaCha20::core_name(), "x16-avx512");
