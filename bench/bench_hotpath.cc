@@ -8,7 +8,8 @@
 //    expand_share_seed_into path, plus the bulk path and Aead::open at a
 //    fixed 41 KiB share (5,120 Fp64), both on the ChaCha20 core this CPU
 //    runs (recorded as chacha_core), and the two non-keystream parts of
-//    opening that share: its Poly1305 tag and its element decode;
+//    opening that share: its Poly1305 tag, on the Poly1305 core this CPU
+//    runs (recorded as poly1305_core), and its element decode;
 //  * the SNIP round-1 local check: legacy snip_local_check (fresh
 //    allocations per call) vs the SnipVerifier engine (reused scratch),
 //    including heap allocations per check via a counting allocator, on
@@ -19,7 +20,9 @@
 //    0/1 and on uniform input (the reference transform), one size-2048
 //    fused coset transform on the kernel this CPU runs (recorded as
 //    ntt_core), one whole proof, and a Welch t statistic over proof times
-//    on all-zero against random-bit input (printed, not gated).
+//    on all-zero against random-bit input (printed, not gated);
+//  * the client's share-and-seal of one bulk proof: seal_shared_vector on
+//    its 4,099-element extended input at three servers.
 //
 // End-to-end throughput is e2e_bench's job (real prio_server processes).
 // Writes BENCH_hotpath.json (or --out <path>); --smoke shrinks the
@@ -189,7 +192,7 @@ int main(int argc, char** argv) {
   // on their own: the Poly1305 tag over a 40,965 B explicit share and the
   // decode of its 5,120 elements. The size is fixed so these rows compare
   // across commits; it was e2e_bench's bulk share while the proof shipped
-  // all 2N points of h (bulk's share is now 4,102 elements, 32,816 B).
+  // all 2N points of h (bulk's share is now 4,099 elements, 32,797 B).
   {
     const size_t kBulkLen = 5120;
     const size_t iters = smoke ? 20 : 2000;
@@ -245,13 +248,15 @@ int main(int argc, char** argv) {
     std::printf("41 KiB share (len=%zu):  expand %6.1f us   aead open %6.1f us"
                 "   (chacha20 core %s)\n", kBulkLen, expand_us, open_us,
                 ChaCha20::core_name());
-    std::printf("  of which:  poly1305 %6.1f us   decode %6.1f us\n", poly_us,
-                decode_us);
+    std::printf("  of which:  poly1305 %6.1f us   decode %6.1f us"
+                "   (poly1305 core %s)\n", poly_us, decode_us,
+                Poly1305::core_name());
     json.kv("expand_41k_us", expand_us);
     json.kv("aead_open_41k_us", open_us);
     json.kv("poly1305_41k_us", poly_us);
     json.kv("decode_41k_us", decode_us);
     json.kv("chacha_core", std::string(ChaCha20::core_name()));
+    json.kv("poly1305_core", std::string(Poly1305::core_name()));
   }
 
   // ---- round-1 local check: legacy vs engine ---------------------------
@@ -450,6 +455,35 @@ int main(int argc, char** argv) {
     json.kv("ntt_core", std::string(NttDomain<F>::coset_core_name()));
     json.kv("prove_bulk_us", prove_us);
     json.kv("prove_bulk_welch_t", t);
+  }
+
+  // ---- bulk's seal: share and seal one proof's extended input ----------
+  // The rest of a bulk upload after the proof: two PRG seed shares and the
+  // explicit share, x minus both expansions, encoded into its 32,821 B
+  // blob and sealed there (ChaCha20 and Poly1305 over 32,797 B).
+  {
+    const size_t kBulkBits = 1024;
+    Afe bulk_afe(kBulkBits);
+    SnipProver<F> bulk_prover(&bulk_afe.valid_circuit());
+    SecureRng rng(19);
+    const std::vector<F> ext = bulk_prover.build_extended_input(
+        bulk_afe.encode(std::vector<u8>(kBulkBits, 1)), rng);
+    const SubmissionSealer sealer(master_seed_bytes(3));
+    const size_t iters = smoke ? 20 : 2000;
+    size_t sealed = 0;
+    u64 seq = 0;
+    const double seal_us = benchutil::time_seconds([&] {
+      for (size_t it = 0; it < iters; ++it) {
+        sealed += seal_shared_vector<F>(sealer, std::span<const F>(ext),
+                                        kServers, /*client_id=*/1, seq++, rng)
+                      .back()
+                      .size();
+      }
+    }, kReps) / iters * 1e6;
+    require(sealed > 0, "bench: seals vanished");
+    std::printf("seal, bulk (ext_len=%zu, %zu servers): %6.1f us\n",
+                ext.size(), kServers, seal_us);
+    json.kv("seal_bulk_us", seal_us);
   }
 
   std::string payload = json.finish();

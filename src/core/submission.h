@@ -72,12 +72,34 @@ class SubmissionSealer {
     return next_seq_[client_id]++;
   }
 
+  // Bytes a sealed blob adds around its payload: the cleartext u64 seq in
+  // front and the AEAD tag behind.
+  static constexpr size_t kSeqLen = 8;
+  static constexpr size_t kOverhead = kSeqLen + Aead::kTagLen;
+
   std::vector<u8> seal(u64 client_id, size_t server, u64 seq,
                        std::span<const u8> payload) const {
-    net::Writer blob;
-    blob.u64_(seq);
-    blob.raw(Aead::seal(key(client_id, server), nonce(seq), {}, payload));
-    return blob.take();
+    // Built by insert, not by a memcpy into a presized vector, which
+    // GCC 12 flags with a false -Wstringop-overflow at -O3.
+    std::vector<u8> blob;
+    blob.reserve(payload.size() + kOverhead);
+    blob.resize(kSeqLen);
+    blob.insert(blob.end(), payload.begin(), payload.end());
+    blob.resize(blob.size() + Aead::kTagLen);
+    seal_in_place(client_id, server, seq, blob);
+    return blob;
+  }
+
+  // Seals a blob laid out as [u64 seq][payload][tag] where it lies: writes
+  // seq into its first 8 bytes, encrypts the payload over itself and puts
+  // the tag in the last 16 bytes. A caller that encodes its payload
+  // straight into the blob seals it with no copy.
+  void seal_in_place(u64 client_id, size_t server, u64 seq,
+                     std::span<u8> blob) const {
+    require(blob.size() >= kOverhead, "SubmissionSealer: blob too short");
+    store_le64(blob.data(), seq);
+    Aead::seal_in_place(key(client_id, server), nonce(seq), {},
+                        blob.subspan(kSeqLen));
   }
 
   // On success, *seq_out (if given) receives the blob's submission counter
@@ -131,27 +153,40 @@ class SubmissionSealer {
 // (Appendix I: shares 0..s-2 are seeds, share s-1 is explicit) and seals
 // each one for its server under the given submission counter. Both
 // deployment variants and the standalone client encoder build their uploads
-// through this single path.
+// through this single path. The explicit share's blob,
+// [u64 seq][kShareExplicit][u32 count][elements][tag], is laid out once:
+// the elements are encoded straight into it and sealed where they lie.
 template <PrimeField F>
 std::vector<std::vector<u8>> seal_shared_vector(const SubmissionSealer& sealer,
                                                 std::span<const F> flat,
                                                 size_t num_servers,
                                                 u64 client_id, u64 seq,
                                                 SecureRng& rng) {
-  auto cs = share_vector_compressed<F>(flat, num_servers, rng);
+  require(num_servers >= 2, "seal_shared_vector: need at least two servers");
+  std::vector<std::array<u8, 32>> seeds(num_servers - 1);
+  std::vector<F> share(flat.size());
+  share_vector_compressed_into<F>(flat, rng, seeds, std::span<F>(share));
+
   std::vector<std::vector<u8>> blobs;
   blobs.reserve(num_servers);
-  for (size_t j = 0; j < num_servers; ++j) {
-    net::Writer w;
-    if (j + 1 < num_servers) {
-      w.u8_(kShareSeed);
-      w.raw(cs.seeds[j]);
-    } else {
-      w.u8_(kShareExplicit);
-      w.field_vector<F>(std::span<const F>(cs.explicit_share));
-    }
-    blobs.push_back(sealer.seal(client_id, j, seq, w.data()));
+  for (size_t j = 0; j + 1 < num_servers; ++j) {
+    std::array<u8, 33> payload;
+    payload[0] = kShareSeed;
+    std::copy(seeds[j].begin(), seeds[j].end(), payload.begin() + 1);
+    blobs.push_back(sealer.seal(client_id, j, seq, payload));
   }
+  std::vector<u8> blob(SubmissionSealer::kOverhead + 1 +
+                       net::field_vector_len<F>(share.size()));
+  u8* p = blob.data() + SubmissionSealer::kSeqLen;
+  *p++ = kShareExplicit;
+  const u32 count = static_cast<u32>(share.size());
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<u8>(count >> (8 * i));
+  for (const F& v : share) {
+    v.to_bytes(std::span<u8>(p, F::kByteLen));
+    p += F::kByteLen;
+  }
+  sealer.seal_in_place(client_id, num_servers - 1, seq, blob);
+  blobs.push_back(std::move(blob));
   return blobs;
 }
 

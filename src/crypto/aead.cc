@@ -46,19 +46,23 @@ std::array<u8, Poly1305::kTagLen> compute_tag(std::span<const u8> otk,
 std::vector<u8> Aead::seal(std::span<const u8> key, std::span<const u8> nonce,
                            std::span<const u8> aad,
                            std::span<const u8> plaintext) {
-  require(key.size() == kKeyLen, "Aead::seal: key must be 32 bytes");
-  require(nonce.size() == kNonceLen, "Aead::seal: nonce must be 12 bytes");
   std::vector<u8> out(plaintext.size() + kTagLen);
   if (!plaintext.empty()) {
     std::memcpy(out.data(), plaintext.data(), plaintext.size());
   }
-  ChaCha20::xor_stream(key, 1, nonce,
-                       std::span<u8>(out.data(), plaintext.size()));
-  auto otk = poly_key(key, nonce);
-  auto tag = compute_tag(otk, aad,
-                         std::span<const u8>(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kTagLen);
+  seal_in_place(key, nonce, aad, out);
   return out;
+}
+
+void Aead::seal_in_place(std::span<const u8> key, std::span<const u8> nonce,
+                         std::span<const u8> aad, std::span<u8> buf) {
+  require(key.size() == kKeyLen, "Aead::seal: key must be 32 bytes");
+  require(nonce.size() == kNonceLen, "Aead::seal: nonce must be 12 bytes");
+  require(buf.size() >= kTagLen, "Aead::seal: no room for the tag");
+  const std::span<u8> text = buf.first(buf.size() - kTagLen);
+  ChaCha20::xor_stream(key, 1, nonce, text);
+  const auto tag = compute_tag(poly_key(key, nonce), aad, text);
+  std::memcpy(text.data() + text.size(), tag.data(), kTagLen);
 }
 
 std::optional<std::vector<u8>> Aead::open(std::span<const u8> key,

@@ -2,12 +2,16 @@
 
 #include <cstring>
 
+#include "crypto/poly1305_cores.h"
+#include "util/cpu.h"
+
 namespace prio {
 
 namespace {
 
 constexpr u64 kMask44 = (u64{1} << 44) - 1;
 constexpr u64 kMask42 = (u64{1} << 42) - 1;
+constexpr u64 kMask26 = (u64{1} << 26) - 1;
 
 // One 16-byte block as 44/44/42-bit limbs, with `hibit` in limb 2.
 inline void load_block(const u8* m, u64 hibit, u64& m0, u64& m1, u64& m2) {
@@ -56,6 +60,36 @@ inline void carry_limbs(u64& h0, u64& h1, u64& h2) {
   h1 += c;
 }
 
+// 44/44/42-bit limbs (limb 1 up to 2^44 + 2^15, the others within their
+// widths) to five base-2^26 limbs, each below 2^26 but limb 4, which is
+// at most 2^26.
+inline void to_base26(const u64 h[3], u64 out[5]) {
+  const u128 lo = h[0] + (static_cast<u128>(h[1]) << 44);  // bits 0..88
+  out[0] = static_cast<u64>(lo) & kMask26;
+  out[1] = static_cast<u64>(lo >> 26) & kMask26;
+  out[2] = static_cast<u64>(lo >> 52) & kMask26;
+  const u64 hi = static_cast<u64>(lo >> 78) + (h[2] << 10);  // bits 78 up
+  out[3] = hi & kMask26;
+  out[4] = hi >> 26;
+}
+
+// The core's base-2^26 limbs (each below 2^26, limb 1 at most 2^26) back
+// to 44/44/42-bit limbs within process_blocks' entry bounds.
+inline void from_base26(const u64 l[5], u64 h[3]) {
+  const u128 lo = l[0] + (static_cast<u128>(l[1]) << 26) +
+                  (static_cast<u128>(l[2]) << 52) +
+                  (static_cast<u128>(l[3]) << 78);  // below 2^105
+  h[0] = static_cast<u64>(lo) & kMask44;
+  h[1] = static_cast<u64>(lo >> 44) & kMask44;
+  const u64 hi = static_cast<u64>(lo >> 88) + (l[4] << 16);  // bits 88 up
+  h[2] = hi & kMask42;
+  // Bits 130 and up wrap around times 5; the one carry that can follow
+  // leaves h1 at most 2^44.
+  h[0] += (hi >> 42) * 5;
+  h[1] += h[0] >> 44;
+  h[0] &= kMask44;
+}
+
 }  // namespace
 
 Poly1305::Poly1305(std::span<const u8> key32) : buf_len_(0) {
@@ -85,7 +119,38 @@ Poly1305::Poly1305(std::span<const u8> key32) : buf_len_(0) {
   pad_[1] = load_le64(key + 24);
 }
 
+void Poly1305::process_blocks_x8(const u8* m, size_t blocks) {
+  if (!r26_ready_) {
+    // r^5..r^8 from r^4 as the constructor builds r^2..r^4, then all
+    // eight powers in base 2^26.
+    u64 pow[3] = {r_[3][0], r_[3][1], r_[3][2]};
+    for (size_t k = 0; k < 8; ++k) {
+      if (k >= 4) {
+        u128 d0 = 0, d1 = 0, d2 = 0;
+        mul_add(pow[0], pow[1], pow[2], r_[0], rs_[0], d0, d1, d2);
+        carry(d0, d1, d2, pow[0], pow[1], pow[2]);
+        carry_limbs(pow[0], pow[1], pow[2]);
+      }
+      to_base26(k < 4 ? r_[k] : pow, r26_[k]);
+    }
+    r26_ready_ = true;
+  }
+  u64 h26[5];
+  to_base26(h_, h26);
+  poly1305_cores::blocks_x8(h26, r26_, m, blocks);
+  from_base26(h26, h_);
+}
+
 void Poly1305::process_blocks(const u8* m, size_t bytes, u64 hibit) {
+  // The core sets the 2^128 bit in every block; the padded final block,
+  // the one block without it, is 16 bytes and never reaches the core.
+  if (bytes >= kCoreMinBlocks * 16 && cpu_has_avx512f()) {
+    const size_t blocks =
+        bytes / 16 / poly1305_cores::kX8Blocks * poly1305_cores::kX8Blocks;
+    process_blocks_x8(m, blocks);
+    m += blocks * 16;
+    bytes -= blocks * 16;
+  }
   u64 h0 = h_[0], h1 = h_[1], h2 = h_[2];
   u64 m0, m1, m2;
   // Four blocks per carry pass: h = (h + m1)·r^4 + m2·r^3 + m3·r^2 + m4·r.
@@ -173,6 +238,10 @@ std::array<u8, Poly1305::kTagLen> Poly1305::finalize() {
     tag[8 + i] = static_cast<u8>(f1 >> (8 * i));
   }
   return tag;
+}
+
+const char* Poly1305::core_name() {
+  return cpu_has_avx512f() ? "x8-avx512" : "scalar";
 }
 
 std::array<u8, Poly1305::kTagLen> Poly1305::mac(std::span<const u8> key32,

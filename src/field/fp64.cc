@@ -37,14 +37,6 @@ Fp64 Fp64::root_of_unity(int k) {
   return kRoots[k];
 }
 
-void Fp64::to_bytes(std::span<u8> out) const {
-  require(out.size() >= kByteLen, "Fp64::to_bytes: buffer too small");
-  u64 v = v_;
-  for (size_t i = 0; i < kByteLen; ++i) {
-    out[i] = static_cast<u8>(v >> (8 * i));
-  }
-}
-
 std::string Fp64::to_string() const { return std::to_string(v_); }
 
 }  // namespace prio

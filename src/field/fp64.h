@@ -93,8 +93,12 @@ class Fp64 {
   // Primitive 2^k-th root of unity, 0 <= k <= 32.
   static Fp64 root_of_unity(int k);
 
-  // Little-endian canonical encoding.
-  void to_bytes(std::span<u8> out) const;
+  // Little-endian canonical encoding. Inline, like try_from_bytes: the
+  // share encoders run it once per element.
+  void to_bytes(std::span<u8> out) const {
+    require(out.size() >= kByteLen, "Fp64::to_bytes: buffer too small");
+    store_le64(out.data(), v_);
+  }
 
   // Decodes the kByteLen little-endian bytes at `in`; returns false, leaving
   // *out untouched, if they encode an integer >= p. This one test serves

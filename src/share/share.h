@@ -8,6 +8,7 @@
 // client's upload from s*L to L + O(1) field elements.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -94,22 +95,38 @@ struct CompressedShares {
   std::vector<F> explicit_share;          // the final share, full length
 };
 
+// PRG-compressed sharing into caller-owned buffers: draws seeds.size()
+// seeds (s - 1 of them, in order) and writes the explicit share,
+// x - sum_j PRG(seed_j), to `explicit_out`. seal_shared_vector
+// (core/submission.h) points `explicit_out` at a buffer it encodes straight
+// into the sealed blob.
+template <PrimeField F>
+void share_vector_compressed_into(std::span<const F> x, SecureRng& rng,
+                                  std::span<std::array<u8, 32>> seeds,
+                                  std::span<F> explicit_out) {
+  require(!seeds.empty(), "share_vector_compressed: need at least two shares");
+  require(explicit_out.size() == x.size(),
+          "share_vector_compressed: explicit share length");
+  std::copy(x.begin(), x.end(), explicit_out.begin());
+  // One buffer reused across all s-1 seeds; each expansion lands in place
+  // and is subtracted with the bulk kernel (no per-seed temporary vector).
+  std::vector<F> expanded(x.size());
+  for (auto& seed : seeds) {
+    rng.fill(seed);
+    expand_share_seed_into<F>(seed, std::span<F>(expanded));
+    kernels::vec_sub_inplace<F>(explicit_out, std::span<const F>(expanded));
+  }
+}
+
 template <PrimeField F>
 CompressedShares<F> share_vector_compressed(std::span<const F> x, size_t s,
                                             SecureRng& rng) {
   require(s >= 2, "share_vector_compressed: need at least two shares");
   CompressedShares<F> out;
   out.seeds.resize(s - 1);
-  out.explicit_share.assign(x.begin(), x.end());
-  // One buffer reused across all s-1 seeds; each expansion lands in place
-  // and is subtracted with the bulk kernel (no per-seed temporary vector).
-  std::vector<F> expanded(x.size());
-  for (auto& seed : out.seeds) {
-    rng.fill(seed);
-    expand_share_seed_into<F>(seed, std::span<F>(expanded));
-    kernels::vec_sub_inplace<F>(std::span<F>(out.explicit_share),
-                                std::span<const F>(expanded));
-  }
+  out.explicit_share.resize(x.size());
+  share_vector_compressed_into<F>(x, rng, out.seeds,
+                                  std::span<F>(out.explicit_share));
   return out;
 }
 

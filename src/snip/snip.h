@@ -142,16 +142,18 @@ class SnipProver {
     std::vector<F> left, right;
     circuit_->mul_gate_inputs(wires, &left, &right);
 
-    // f and g through (w^0 -> random), (w^t -> gate t inputs), 0-padded.
+    // f and g through (w^0 -> random), (w^t -> gate t inputs), 0-padded,
+    // and their copies mapped to the coset: one buffer [f | g | f^ | g^] of
+    // n points each.
     F u0 = rng.field_element<F>();
     F v0 = rng.field_element<F>();
-    std::vector<F> f_evals(n, F::zero()), g_evals(n, F::zero());
-    f_evals[0] = u0;
-    g_evals[0] = v0;
-    for (size_t t = 0; t < left.size(); ++t) {
-      f_evals[1 + t] = left[t];
-      g_evals[1 + t] = right[t];
-    }
+    std::vector<F> polys(4 * n, F::zero());
+    const std::span<F> f(polys.data(), n), g(polys.data() + n, n),
+        f_odd(polys.data() + 2 * n, n), g_odd(polys.data() + 3 * n, n);
+    f[0] = u0;
+    g[0] = v0;
+    std::copy(left.begin(), left.end(), f.begin() + 1);
+    std::copy(right.begin(), right.end(), g.begin() + 1);
 
     // h = f * g at the shipped points of the 2N domain. Its even point 2k
     // is w_N^k, where f and g are the values above (u0, v0 and the gate
@@ -160,33 +162,31 @@ class SnipProver {
     // coset transform per polynomial reaches (NttDomain::coset_from_evals:
     // a size-N inverse and forward transform with the twist between them),
     // O(M log M) in all.
-    const std::vector<F> f_odd = coset_evals(f_evals);
-    const std::vector<F> g_odd = coset_evals(g_evals);
-    std::vector<F> h_points(layout_.h_len);
-    for (size_t i = 0; i < layout_.h_len; ++i) {
-      const size_t d = layout_.h_point(i);
-      h_points[i] = d % 2 == 0 ? f_evals[d / 2] * g_evals[d / 2]
-                               : f_odd[d / 2] * g_odd[d / 2];
-    }
+    std::copy(f.begin(), f.end(), f_odd.begin());
+    std::copy(g.begin(), g.end(), g_odd.begin());
+    dom_n_.coset_from_evals(f_odd);
+    dom_n_.coset_from_evals(g_odd);
 
-    std::vector<F> ext;
-    ext.reserve(layout_.total_len());
-    ext.insert(ext.end(), x.begin(), x.end());
-    ext.push_back(u0);
-    ext.push_back(v0);
-    ext.insert(ext.end(), h_points.begin(), h_points.end());
+    // ext = x || u0 || v0 || h, with h written in place: its first 2M + 2
+    // points are points 0..2M+1 of the 2N domain, even and odd in turn;
+    // the rest are the odd points after them (SnipLayout::h_point).
+    const size_t m = layout_.num_mul;
+    std::vector<F> ext(layout_.total_len());
+    std::copy(x.begin(), x.end(), ext.begin());
+    ext[layout_.off_f0()] = u0;
+    ext[layout_.off_g0()] = v0;
+    F* h = ext.data() + layout_.off_h();
+    for (size_t k = 0; k <= m; ++k) {
+      h[2 * k] = f[k] * g[k];
+      h[2 * k + 1] = f_odd[k] * g_odd[k];
+    }
+    for (size_t i = 2 * m + 2; i < layout_.h_len; ++i) {
+      h[i] = f_odd[i - m - 1] * g_odd[i - m - 1];
+    }
     return ext;
   }
 
  private:
-  // The evaluations on the N domain of a polynomial of degree < N, mapped
-  // to its evaluations at w_2N * w_N^k (the 2N domain's odd points).
-  std::vector<F> coset_evals(const std::vector<F>& evals) const {
-    std::vector<F> a = evals;
-    dom_n_.coset_from_evals(a);
-    return a;
-  }
-
   const Circuit<F>* circuit_;
   SnipLayout layout_;
   NttDomain<F> dom_n_;

@@ -35,6 +35,15 @@ inline u64 load_le64(const u8* p) {
   return v;
 }
 
+// The store twin of load_le64: v as 8 little-endian bytes at any
+// alignment.
+inline void store_le64(u8* p, u64 v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
 // Round x up to the next power of two (x must be >= 1).
 constexpr u64 next_pow2(u64 x) {
   u64 n = 1;

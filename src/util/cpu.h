@@ -1,8 +1,9 @@
 // Run-time CPU feature probe for the kernels compiled for a wider target
-// than the build's -march: ChaCha20's 16-block core (crypto/chacha20.cc)
-// and the Fp64 coset NTT (poly/ntt_avx512.cc). Each is picked at run
-// time, so one portable binary runs them where the CPU has AVX-512F and
-// falls back elsewhere; no build flag chooses.
+// than the build's -march: ChaCha20's 16-block core (crypto/chacha20.cc),
+// Poly1305's 8-lane core (crypto/poly1305_avx512.cc) and the Fp64 coset
+// NTT (poly/ntt_avx512.cc). Each is picked at run time, so one portable
+// binary runs them where the CPU has AVX-512F and falls back elsewhere; no
+// build flag chooses.
 #pragma once
 
 namespace prio {

@@ -24,8 +24,8 @@ EPOCH_SIZE=40
 TAMPER=5          # every 5th client's ciphertext is flipped -> rejected
 MASTER_SEED=7
 
-# Port bases are drawn from 21000-28999, disjoint from prio_chaos's
-# 49000-56999, so concurrent ctest runs can never collide.
+# Port bases are drawn from 21000-28999 (ports up to 29101), disjoint from
+# prio_chaos's 29200-32701, so concurrent ctest runs can never collide.
 PORT_RANGE_START=21000
 PORT_RANGE_SPAN=8000
 

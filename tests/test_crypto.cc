@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/pedersen.h"
 #include "crypto/poly1305.h"
+#include "crypto/poly1305_cores.h"
 #include "crypto/rng.h"
 #include "field/field.h"
 #include "crypto/schnorr_or.h"
@@ -223,22 +225,29 @@ TEST(Poly1305Test, FinalReductionVectors) {
 }
 
 // The former 26-bit-limb Poly1305 (five u32 limbs, u64 products), kept here
-// as an independent reference for the 44/44/42-bit implementation.
-std::array<u8, 16> poly1305_ref26(std::span<const u8> key,
-                                  std::span<const u8> msg) {
-  auto le32 = [](const u8* p) {
+// as an independent reference for the 44/44/42-bit implementation. Its
+// state is five base-2^26 limbs, the 8-lane core's format, so the core's
+// tests hand it an accumulator mid-message.
+struct Ref26 {
+  static u32 le32(const u8* p) {
     return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
            static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
-  };
-  u32 t0 = le32(&key[0]), t1 = le32(&key[4]), t2 = le32(&key[8]),
-      t3 = le32(&key[12]);
-  const u64 r0 = t0 & 0x3ffffff, r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
-            r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
-            r3 = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
-            r4 = (t3 >> 8) & 0x00fffff;
-  const u64 s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-  u32 h[5] = {0, 0, 0, 0, 0};
-  auto block = [&](const u8* b, u32 hibit) {
+  }
+
+  explicit Ref26(std::span<const u8> key32) {
+    std::memcpy(key, key32.data(), 32);
+    u32 t0 = le32(&key[0]), t1 = le32(&key[4]), t2 = le32(&key[8]),
+        t3 = le32(&key[12]);
+    r0 = t0 & 0x3ffffff;
+    r1 = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
+    r2 = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
+    r3 = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
+    r4 = (t3 >> 8) & 0x00fffff;
+    s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+  }
+
+  // h = (h + m)·r for the 16-byte block at b, with `hibit` as bit 128.
+  void block(const u8* b, u32 hibit) {
     u32 m0 = le32(b), m1 = le32(b + 4), m2 = le32(b + 8), m3 = le32(b + 12);
     u64 h0 = h[0] + (m0 & 0x3ffffff);
     u64 h1 = h[1] + (((m0 >> 26) | (m1 << 6)) & 0x3ffffff);
@@ -259,42 +268,59 @@ std::array<u8, 16> poly1305_ref26(std::span<const u8> key,
     h1 += c;
     u64 hs[5] = {h0, h1, h2, h3, h4};
     for (int i = 0; i < 5; ++i) h[i] = static_cast<u32>(hs[i]);
-  };
+  }
+
+  // Absorbs the final partial block (fewer than 16 bytes, possibly none)
+  // and returns the tag.
+  std::array<u8, 16> finish(std::span<const u8> tail) {
+    if (!tail.empty()) {
+      u8 last[16] = {0};
+      std::memcpy(last, tail.data(), tail.size());
+      last[tail.size()] = 1;
+      block(last, 0);
+    }
+    u32 h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3], h4 = h[4];
+    u32 c = h1 >> 26; h1 &= 0x3ffffff;
+    h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
+    h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
+    h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
+    h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+    h1 += c;
+    u32 g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
+    u32 g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
+    u32 g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
+    u32 g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
+    u32 g4 = h4 + c - (1u << 26);
+    u32 mask = (g4 >> 31) - 1;
+    h0 = (h0 & ~mask) | (g0 & mask);
+    h1 = (h1 & ~mask) | (g1 & mask);
+    h2 = (h2 & ~mask) | (g2 & mask);
+    h3 = (h3 & ~mask) | (g3 & mask);
+    h4 = (h4 & ~mask) | (g4 & mask);
+    u32 f[4] = {h0 | (h1 << 26), (h1 >> 6) | (h2 << 20),
+                (h2 >> 12) | (h3 << 14), (h3 >> 18) | (h4 << 8)};
+    std::array<u8, 16> tag;
+    u64 t = 0;
+    for (int i = 0; i < 4; ++i) {
+      t = static_cast<u64>(f[i]) + le32(&key[16 + 4 * i]) + (t >> 32);
+      for (int j = 0; j < 4; ++j) {
+        tag[4 * i + j] = static_cast<u8>(t >> (8 * j));
+      }
+    }
+    return tag;
+  }
+
+  u8 key[32];
+  u64 r0, r1, r2, r3, r4, s1, s2, s3, s4;
+  u32 h[5] = {0, 0, 0, 0, 0};
+};
+
+std::array<u8, 16> poly1305_ref26(std::span<const u8> key,
+                                  std::span<const u8> msg) {
+  Ref26 ref(key);
   size_t off = 0;
-  for (; off + 16 <= msg.size(); off += 16) block(msg.data() + off, 1);
-  if (off < msg.size()) {
-    u8 last[16] = {0};
-    std::memcpy(last, msg.data() + off, msg.size() - off);
-    last[msg.size() - off] = 1;
-    block(last, 0);
-  }
-  u32 h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3], h4 = h[4];
-  u32 c = h1 >> 26; h1 &= 0x3ffffff;
-  h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
-  h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
-  h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
-  h1 += c;
-  u32 g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-  u32 g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-  u32 g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-  u32 g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-  u32 g4 = h4 + c - (1u << 26);
-  u32 mask = (g4 >> 31) - 1;
-  h0 = (h0 & ~mask) | (g0 & mask);
-  h1 = (h1 & ~mask) | (g1 & mask);
-  h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
-  u32 f[4] = {h0 | (h1 << 26), (h1 >> 6) | (h2 << 20), (h2 >> 12) | (h3 << 14),
-              (h3 >> 18) | (h4 << 8)};
-  std::array<u8, 16> tag;
-  u64 t = 0;
-  for (int i = 0; i < 4; ++i) {
-    t = static_cast<u64>(f[i]) + le32(&key[16 + 4 * i]) + (t >> 32);
-    for (int j = 0; j < 4; ++j) tag[4 * i + j] = static_cast<u8>(t >> (8 * j));
-  }
-  return tag;
+  for (; off + 16 <= msg.size(); off += 16) ref.block(msg.data() + off, 1);
+  return ref.finish(msg.subspan(off));
 }
 
 TEST(Poly1305Test, MatchesRef26OnRandomKeysLengthsAndSplits) {
@@ -363,6 +389,152 @@ TEST(Poly1305Test, MatchesRef26OnRandomKeysLengthsAndSplits) {
   }
 }
 
+// The tag of msg through the scalar code alone, on any CPU: update()
+// pieces of 15 whole blocks stay below the core's 16-block threshold.
+std::array<u8, 16> poly1305_scalar(std::span<const u8> key,
+                                   std::span<const u8> msg) {
+  Poly1305 p(key);
+  for (size_t off = 0; off < msg.size(); off += 240) {
+    p.update(msg.subspan(off, std::min<size_t>(240, msg.size() - off)));
+  }
+  return p.finalize();
+}
+
+// The tag of msg with its first `pre` whole blocks absorbed by Ref26, the
+// largest multiple of eight of the whole blocks after them by the 8-lane
+// core, called directly, and the rest by Ref26 again: the core starts
+// from Ref26's accumulator, nonzero for pre > 0, and hands its own back.
+std::array<u8, 16> poly1305_via_x8_core(std::span<const u8> key,
+                                        std::span<const u8> msg,
+                                        size_t pre) {
+  using poly1305_cores::kX8Blocks;
+  Ref26 ref(key);
+  // r^1..r^8 from Ref26's own multiply, (h + 0)·r from h = 1, with one
+  // more carry pass so every limb is at most 2^26.
+  u64 rpow[kX8Blocks][5];
+  {
+    Ref26 pw(key);
+    pw.h[0] = 1;
+    const u8 zero[16] = {0};
+    for (size_t k = 0; k < kX8Blocks; ++k) {
+      pw.block(zero, 0);
+      u64* p = rpow[k];
+      for (int i = 0; i < 5; ++i) p[i] = pw.h[i];
+      u64 c = 0;
+      for (int i = 1; i < 5; ++i) {
+        p[i] += c;
+        c = p[i] >> 26;
+        p[i] &= 0x3ffffff;
+      }
+      p[0] += c * 5;
+      p[1] += p[0] >> 26;
+      p[0] &= 0x3ffffff;
+    }
+  }
+  const size_t whole = msg.size() / 16;
+  pre = std::min(pre, whole);
+  size_t b = 0;
+  for (; b < pre; ++b) ref.block(msg.data() + 16 * b, 1);
+  const size_t core = (whole - pre) / kX8Blocks * kX8Blocks;
+  if (core > 0) {
+    u64 h[5];
+    for (int i = 0; i < 5; ++i) h[i] = ref.h[i];
+    poly1305_cores::blocks_x8(h, rpow, msg.data() + 16 * b, core);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_LE(h[i], u64{1} << 26) << "limb " << i;
+      ref.h[i] = static_cast<u32>(h[i]);
+    }
+    b += core;
+  }
+  for (; b < whole; ++b) ref.block(msg.data() + 16 * b, 1);
+  return ref.finish(msg.subspan(16 * whole));
+}
+
+TEST(Poly1305Test, X8CoreMatchesScalarAndRef26) {
+  if (!cpu_has_avx512f()) {
+    GTEST_SKIP() << "CPU lacks AVX-512F; the x8 core cannot run here";
+  }
+  EXPECT_STREQ(Poly1305::core_name(), "x8-avx512");
+  std::mt19937_64 rng(8);
+  auto random_bytes = [&](size_t n) {
+    std::vector<u8> b(n);
+    for (auto& x : b) x = static_cast<u8>(rng());
+    return b;
+  };
+  std::vector<size_t> lens;
+  for (size_t len = 0; len <= 4096; len += len < 512 ? 1 : 13) {
+    lens.push_back(len);
+  }
+  // bulk's explicit share (32,797 B of ciphertext) and the 41 KiB one.
+  lens.push_back(32797);
+  lens.push_back(40965);
+  const std::vector<u8> all_ff(32, 0xff);
+  for (size_t len : lens) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto key = trial == 0 ? all_ff : random_bytes(32);
+      const auto msg =
+          trial == 0 ? std::vector<u8>(len, 0xff) : random_bytes(len);
+      const auto want = poly1305_ref26(key, msg);
+      ASSERT_EQ(to_hex(poly1305_scalar(key, msg)), to_hex(want))
+          << "scalar len=" << len << " trial=" << trial;
+      // From h = 0, then from Ref26's h after 1..9 blocks.
+      const size_t pre = trial == 0 ? 0 : 1 + rng() % 9;
+      EXPECT_EQ(to_hex(poly1305_via_x8_core(key, msg, pre)), to_hex(want))
+          << "core len=" << len << " trial=" << trial << " pre=" << pre;
+      EXPECT_EQ(to_hex(Poly1305::mac(key, msg)), to_hex(want))
+          << "mac len=" << len << " trial=" << trial;
+      // Through the streaming API at random split points: the core takes
+      // over from whatever h the pieces before it left.
+      Poly1305 inc(key);
+      size_t off = 0;
+      for (int piece = static_cast<int>(rng() % 5); piece > 0; --piece) {
+        size_t n = len == off ? 0 : rng() % (len - off + 1);
+        inc.update(std::span<const u8>(msg).subspan(off, n));
+        off += n;
+      }
+      inc.update(std::span<const u8>(msg).subspan(off));
+      EXPECT_EQ(to_hex(inc.finalize()), to_hex(want))
+          << "split len=" << len << " trial=" << trial;
+    }
+  }
+}
+
+// The core's accumulator can come back at or above 2^130, which the
+// conversion to 44/44/42-bit limbs must wrap around times 5. With r = 1,
+// the 16 blocks below sum to 16·2^128 + 4·(2^128 - 1) = 2^132 + 2^130 - 4;
+// the core's carries fold that to 2^130 + 16, one past the largest value
+// below 2^130 whose limbs fit. On CPUs without the core this is a plain
+// scalar vector.
+TEST(Poly1305Test, CoreAccumulatorPast2To130Wraps) {
+  std::vector<u8> key(32, 0);
+  key[0] = 1;
+  std::vector<u8> msg(16 * 16, 0);
+  std::fill(msg.begin(), msg.begin() + 4 * 16, 0xff);
+  EXPECT_EQ(to_hex(Poly1305::mac(key, msg)), to_hex(poly1305_ref26(key, msg)));
+  // h = 2^130 + 16 = 21 (mod p), and s = 0.
+  EXPECT_EQ(to_hex(Poly1305::mac(key, msg)),
+            "15000000000000000000000000000000");
+}
+
+TEST(Poly1305Test, ConcurrentFirstUseOfCore) {
+  // Run as its own process (one ctest per gtest case), these macs are the
+  // process's first: the core is picked while four threads race to use
+  // it, and each must still get the reference tag.
+  std::vector<u8> key(32), msg(32797);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<u8>(i * 7 + 1);
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<u8>(i * 131 + 7);
+  const auto want = to_hex(poly1305_ref26(key, msg));
+  std::vector<std::string> got(4);
+  std::vector<std::thread> threads;
+  for (auto& g : got) {
+    threads.emplace_back([&key, &msg, &g] {
+      g = to_hex(Poly1305::mac(key, msg));
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(want, g);
+}
+
 TEST(Poly1305Test, TagsEqualIsConstantTimeCompare) {
   std::vector<u8> a{1, 2, 3}, b{1, 2, 3}, c{1, 2, 4};
   EXPECT_TRUE(tags_equal(a, b));
@@ -410,6 +582,49 @@ TEST(AeadTest, TamperedCiphertextRejected) {
   EXPECT_FALSE(
       Aead::open(key, nonce, {}, std::span<const u8>(sealed.data(), 10))
           .has_value());
+}
+
+TEST(AeadTest, SealInPlaceMatchesSeal) {
+  // The RFC 8439 §2.8.2 vector, sealed where it lies.
+  auto key = from_hex(
+      "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f");
+  auto nonce = from_hex("070000004041424344454647");
+  auto aad = from_hex("50515253c0c1c2c3c4c5c6c7");
+  std::string pt =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only "
+      "one tip for the future, sunscreen would be it.";
+  std::vector<u8> buf(pt.begin(), pt.end());
+  buf.resize(pt.size() + Aead::kTagLen);
+  Aead::seal_in_place(key, nonce, aad, buf);
+  EXPECT_EQ(to_hex(buf), to_hex(Aead::seal(key, nonce, aad, as_bytes(pt))));
+  EXPECT_EQ(to_hex(std::span<const u8>(buf).last(Aead::kTagLen)),
+            "1ae10b594f09e26a7e902ecbd0600691");
+
+  // Random keys, nonces, AAD and lengths around the core thresholds.
+  std::mt19937_64 rng(2808);
+  auto random_bytes = [&](size_t n) {
+    std::vector<u8> b(n);
+    for (auto& x : b) x = static_cast<u8>(rng());
+    return b;
+  };
+  for (size_t len : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                     size_t{255}, size_t{256}, size_t{1024}, size_t{1041},
+                     size_t{4099 * 8 + 5}}) {
+    const auto k = random_bytes(Aead::kKeyLen);
+    const auto n = random_bytes(Aead::kNonceLen);
+    const auto a = random_bytes(rng() % 40);
+    const auto p = random_bytes(len);
+    std::vector<u8> in_place = p;
+    in_place.resize(len + Aead::kTagLen, 0xa5);  // the tag overwrites these
+    Aead::seal_in_place(k, n, a, in_place);
+    EXPECT_EQ(to_hex(in_place), to_hex(Aead::seal(k, n, a, p))) << len;
+    auto opened = Aead::open(k, n, a, in_place);
+    ASSERT_TRUE(opened.has_value()) << len;
+    EXPECT_TRUE(*opened == p) << len;
+  }
+  std::vector<u8> short_buf(Aead::kTagLen - 1);
+  EXPECT_THROW(Aead::seal_in_place(key, nonce, {}, short_buf),
+               std::invalid_argument);
 }
 
 TEST(AeadTest, BulkSealMatchesScalarConstruction) {

@@ -109,6 +109,54 @@ TYPED_TEST(ShareTest, RejectsDegenerateShareCounts) {
   EXPECT_THROW(share_vector_compressed<F>(x, 0, rng), std::invalid_argument);
 }
 
+// seal_shared_vector lays the explicit blob out once and seals it in
+// place. Its blobs must be byte-identical to the composition it replaced,
+// kept here as the oracle: share_vector_compressed, then one Writer per
+// server (Writer::field_vector for the explicit share), then
+// SubmissionSealer::seal. Every blob must then open and reconstruct x.
+TYPED_TEST(ShareTest, SealSharedVectorMatchesComposition) {
+  using F = TypeParam;
+  const SubmissionSealer sealer(master_seed_bytes(5));
+  constexpr u64 kClient = 12;
+  for (size_t s : {2, 3, 5}) {
+    for (size_t len : {1, 2, 15, 16, 131, 4099}) {
+      SecureRng gen(len);
+      std::vector<F> x(len);
+      for (auto& v : x) v = gen.field_element<F>();
+      const u64 seq = s * 10000 + len;
+      SecureRng rng(77 + len), oracle_rng(77 + len);
+      const auto blobs = seal_shared_vector<F>(
+          sealer, std::span<const F>(x), s, kClient, seq, rng);
+      const auto cs =
+          share_vector_compressed<F>(std::span<const F>(x), s, oracle_rng);
+      ASSERT_EQ(blobs.size(), s);
+      std::vector<std::vector<F>> shares;
+      for (size_t j = 0; j < s; ++j) {
+        net::Writer w;
+        if (j + 1 < s) {
+          w.u8_(kShareSeed);
+          w.raw(cs.seeds[j]);
+        } else {
+          w.u8_(kShareExplicit);
+          w.field_vector<F>(std::span<const F>(cs.explicit_share));
+        }
+        EXPECT_TRUE(blobs[j] == sealer.seal(kClient, j, seq, w.data()))
+            << "s=" << s << " len=" << len << " server " << j;
+        std::vector<F> row(len);
+        u64 got_seq = 0;
+        ASSERT_TRUE(open_sealed_share_into<F>(sealer, kClient, j, blobs[j],
+                                              std::span<F>(row), &got_seq))
+            << "s=" << s << " len=" << len << " server " << j;
+        EXPECT_EQ(got_seq, seq);
+        shares.push_back(std::move(row));
+      }
+      EXPECT_EQ(reconstruct(shares), x) << "s=" << s << " len=" << len;
+      // Both paths drew the same randomness, no more and no less.
+      EXPECT_EQ(rng.next_u64(), oracle_rng.next_u64());
+    }
+  }
+}
+
 // Hostile but correctly sealed plaintexts through open_sealed_share_into:
 // every malformed share must come back false (and stay UB-free under the
 // sanitizer build), never a partly decoded row that verifies.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <latch>
 #include <thread>
@@ -81,11 +82,11 @@ TEST(FrameDecoderTest, SplitAcrossArbitraryChunks) {
 }
 
 TEST(FrameDecoderTest, OversizedLengthPrefixMarksStreamCorrupt) {
-  net::Writer w;
-  w.u32_(0xFFFFFFFF);  // claims a 4 GiB frame
-  w.raw(std::vector<u8>(64, 0));
+  // A length prefix claiming a 4 GiB frame, then 64 zero bytes.
+  std::vector<u8> bytes(4 + 64, 0);
+  std::fill(bytes.begin(), bytes.begin() + 4, 0xff);
   net::FrameDecoder dec;
-  dec.feed(w.data());
+  dec.feed(bytes);
   EXPECT_FALSE(dec.next().has_value());
   EXPECT_TRUE(dec.corrupt());
   // No resynchronization: further bytes make no progress.

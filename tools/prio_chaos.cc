@@ -26,8 +26,14 @@
 // that EVERY interleaving of the same schedule must produce the reference
 // aggregate.
 //
-// Port discipline: bases are probed in 49000-56999, disjoint from
-// e2e_localhost.sh (21000-28999), so concurrent ctest runs never collide.
+// Port discipline: bases are probed in 29200-32499, so every port a run
+// binds lies in 29200-32701: disjoint from e2e_localhost.sh (bases
+// 21000-28999, ports up to 29101) and bench_e2e (11000-18999), so
+// concurrent ctest runs never collide, and below Linux's default
+// ephemeral range (32768-60999), so no outgoing connection can take a
+// downed victim's port as its source port. prio_chaos refuses to start
+// on a host whose ephemeral range (/proc/sys/net/ipv4/ip_local_port_range)
+// overlaps these ports.
 //
 // Usage:
 //   prio_chaos --server-bin ./prio_server --seed 42
@@ -72,8 +78,14 @@ namespace {
 
 using F = Fp64;
 constexpr size_t kServers = 3;
-constexpr int kPortRangeStart = 49000;
-constexpr int kPortRangeSpan = 8000;
+// Port bases; a run binds base + i, base + 100 + i and base + 200 + i for
+// each server i, up to kPortRangeLast.
+constexpr int kPortRangeStart = 29200;
+constexpr int kPortRangeSpan = 3300;
+constexpr int kPortRangeLast =
+    kPortRangeStart + kPortRangeSpan - 1 + 200 + static_cast<int>(kServers) - 1;
+static_assert(kPortRangeLast < 32768,
+              "chaos ports must stay below Linux's default ephemeral range");
 
 // ---------------------------------------------------------------------------
 // Schedule derivation: a splitmix64 chain over the seed. Every draw happens
@@ -351,11 +363,12 @@ class Cluster {
         continue;
       }
       // Growing backoff between unexpected-death restarts: a restart can
-      // lose a fixed-port bind race against a transient squatter (another
-      // process's ephemeral source port -- Linux hands those out from a
-      // range that overlaps ours), and immediate respawns would burn the
-      // whole crash-loop budget before the squatter lets go. Deterministic
-      // (attempt-derived, not random), so schedules stay reproducible.
+      // still lose a fixed-port bind race against a transient squatter
+      // (an unrelated process listening there; ephemeral source ports
+      // cannot squat, since main() checks that their range misses ours),
+      // and immediate respawns would burn the whole crash-loop budget
+      // before the squatter lets go. Deterministic (attempt-derived, not
+      // random), so schedules stay reproducible.
       std::this_thread::sleep_for(std::chrono::seconds(2 * c.restarts));
       c.pid = spawn_server(c.restart_argv, c.log_path);
       std::fprintf(stderr, "chaos[%llu]: restarted s%zu (pid %d)\n",
@@ -463,6 +476,20 @@ class Cluster {
 // Port probing (the C++ twin of pick_port_base in tests/e2e_localhost.sh,
 // in the chaos range).
 // ---------------------------------------------------------------------------
+
+// The kernel's ephemeral port range, if it overlaps the chaos ports, as
+// "lo-hi"; empty if it does not or the kernel does not say. While a victim
+// is down, any outgoing connection may take one of its fixed ports as a
+// source port in that range, and the restart then fails to bind.
+std::string ephemeral_overlap() {
+  std::FILE* f = std::fopen("/proc/sys/net/ipv4/ip_local_port_range", "r");
+  if (f == nullptr) return {};
+  int lo = 0, hi = 0;
+  const bool read = std::fscanf(f, "%d %d", &lo, &hi) == 2;
+  std::fclose(f);
+  if (!read || hi < kPortRangeStart || lo > kPortRangeLast) return {};
+  return std::to_string(lo) + "-" + std::to_string(hi);
+}
 
 bool port_free(int port) {
   try {
@@ -651,7 +678,8 @@ bool run_schedule(const Afe& afe, const afe::AfeSpec& spec,
   SplitMix port_rng{sched.seed ^ 0x504f525453ull};
   const auto base_opt = pick_port_base(&port_rng);
   if (!base_opt) {
-    ctx.fail("no free port base in 49000-56999");
+    ctx.fail("no free port base in " + std::to_string(kPortRangeStart) + "-" +
+             std::to_string(kPortRangeStart + kPortRangeSpan - 1));
     return false;
   }
   const int base = *base_opt;
@@ -831,6 +859,15 @@ int main(int argc, char** argv) {
     const u64 sweep = flags.num("sweep", 1);
     const size_t force_shards = flags.num("force-shards", 0);
     flags.reject_unread();
+    if (const std::string eph = ephemeral_overlap(); !eph.empty()) {
+      std::fprintf(stderr,
+                   "prio_chaos: fatal: the ephemeral port range %s "
+                   "(/proc/sys/net/ipv4/ip_local_port_range) overlaps the "
+                   "chaos ports %d-%d; a restarted victim could find its "
+                   "port taken as a source port\n",
+                   eph.c_str(), kPortRangeStart, kPortRangeLast);
+      return 1;
+    }
     const std::string force_arg =
         force_shards ? " --force-shards " + std::to_string(force_shards) : "";
 
